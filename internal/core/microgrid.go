@@ -109,7 +109,10 @@ type MicroGrid struct {
 	// updates from another cluster bear the inter-cluster latency (and,
 	// when partitioned, cross onto the GIS's shard) so discovery sees
 	// transitions at the same virtual instants at any shard count.
-	clusterOf  map[string]int
+	// clusters is the routing hierarchy's partition, snapshotted at
+	// build time so shard goroutines only read it; it is empty on a
+	// single-cluster grid.
+	clusters   netsim.ClusterIDs
 	gisCluster int
 	gisDelay   simcore.Duration
 	gisEng     *simcore.Engine
@@ -373,26 +376,23 @@ func Build(cfg BuildConfig) (*MicroGrid, error) {
 	return m, nil
 }
 
-// wireGISHome computes the cluster structure the GIS-latency model
-// needs. On a multi-cluster grid — partitioned or not — middleware
-// updates to the GIS from another cluster bear the inter-cluster
-// latency, so a serial run and a partitioned run of the same wide-area
-// grid see identical discovery timing.
+// wireGISHome reads the cluster structure the GIS-latency model needs
+// from the routing hierarchy the grid's network was built with. On a
+// multi-cluster grid — partitioned or not — middleware updates to the
+// GIS from another cluster bear the inter-cluster latency, so a serial
+// run and a partitioned run of the same wide-area grid see identical
+// discovery timing.
 func (m *MicroGrid) wireGISHome() {
 	nw := m.Grid.Network()
-	clusters := nw.Clusters(netsim.DefaultWANThreshold)
-	if len(clusters) < 2 {
+	clusters := nw.ClusterIDs()
+	if clusters.Len() < 2 {
 		return
 	}
-	m.clusterOf = make(map[string]int)
-	for ci, cl := range clusters {
-		for _, nd := range cl {
-			m.clusterOf[nd.Name] = ci
-		}
-	}
-	m.gisCluster = m.clusterOf[m.Hosts[0]]
-	m.gisEng = m.Grid.Host(m.Hosts[0]).Engine()
-	if d, ok := nw.InterClusterMinDelay(clusters); ok {
+	m.clusters = clusters
+	home := m.Grid.Host(m.Hosts[0])
+	m.gisCluster = clusters.Of(home.Node)
+	m.gisEng = home.Engine()
+	if d, ok := nw.InterClusterMinDelay(); ok {
 		m.gisDelay = d
 	} else if d, ok := nw.MinLinkDelay(); ok {
 		m.gisDelay = d
@@ -405,7 +405,7 @@ func (m *MicroGrid) wireGISHome() {
 // latency — a cross-shard send when the model is partitioned, a plain
 // delay otherwise, so both execute fn at the same virtual instant.
 func (m *MicroGrid) gisDo(h *virtual.Host, fn func()) {
-	if m.clusterOf == nil || m.clusterOf[h.Name] == m.gisCluster {
+	if m.clusters.Len() == 0 || m.clusters.Of(h.Node) == m.gisCluster {
 		fn()
 		return
 	}

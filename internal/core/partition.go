@@ -40,21 +40,16 @@ type partitionPlan struct {
 	lookahead simcore.Duration
 }
 
-// planPartition resolves a PartitionConfig against a wired network.
-// A nil plan (with nil error) means the topology has a single cluster
-// and partitioning is a no-op.
+// planPartition resolves a PartitionConfig against a wired, routed
+// network, reading the clusters from its routing hierarchy. A nil plan
+// (with nil error) means the topology has a single cluster and
+// partitioning is a no-op.
 func planPartition(nw *netsim.Network, nshards int, pc *PartitionConfig) (*partitionPlan, error) {
-	clusters := nw.Clusters(netsim.DefaultWANThreshold)
-	if len(clusters) < 2 {
+	clusters := nw.ClusterIDs()
+	if clusters.Len() < 2 {
 		return nil, nil
 	}
-	clusterOf := make(map[string]int)
-	for ci, cl := range clusters {
-		for _, nd := range cl {
-			clusterOf[nd.Name] = ci
-		}
-	}
-	shard := make([]int, len(clusters))
+	shard := make([]int, clusters.Len())
 	for i := range shard {
 		shard[i] = i % nshards
 	}
@@ -67,10 +62,11 @@ func planPartition(nw *netsim.Network, nshards int, pc *PartitionConfig) (*parti
 		pinned := make(map[int]string)
 		for _, name := range names {
 			s := pc.Assign[name]
-			ci, ok := clusterOf[name]
-			if !ok {
+			nd := nw.Node(name)
+			if nd == nil {
 				return nil, fmt.Errorf("core: partition names unknown node %q", name)
 			}
+			ci := clusters.Of(nd)
 			if s < 0 || s >= nshards {
 				return nil, fmt.Errorf("core: partition places %q on shard %d, have %d shards", name, s, nshards)
 			}
@@ -82,19 +78,21 @@ func planPartition(nw *netsim.Network, nshards int, pc *PartitionConfig) (*parti
 			pinned[ci] = name
 		}
 	}
-	la, ok := nw.InterClusterMinDelay(clusters)
+	la, ok := nw.InterClusterMinDelay()
 	if !ok {
 		// Disconnected clusters exchange nothing; any positive window
 		// works, so fall back to the cheapest link.
 		la, _ = nw.MinLinkDelay()
 	}
 	plan := &partitionPlan{
-		shardOf:   make(map[string]int, len(clusterOf)),
-		clusters:  len(clusters),
+		shardOf:   make(map[string]int),
+		clusters:  clusters.Len(),
 		lookahead: la,
 	}
-	for name, ci := range clusterOf {
-		plan.shardOf[name] = shard[ci]
+	for ci := range shard {
+		for _, nd := range clusters.Members(ci) {
+			plan.shardOf[nd.Name] = shard[ci]
+		}
 	}
 	return plan, nil
 }

@@ -20,6 +20,11 @@ const DefaultWANThreshold = simcore.Millisecond
 // each component's lexicographically smallest node name, so the result —
 // and any shard assignment derived from it — depends only on the
 // topology, not on construction order.
+//
+// The cost is one name sort plus a union-find pass over the links: the
+// components are numbered by first appearance during the name-ordered
+// walk, and the first node seen of a component is its smallest name, so
+// no sort of the components themselves is needed.
 func (n *Network) Clusters(threshold simcore.Duration) [][]*Node {
 	if threshold <= 0 {
 		threshold = DefaultWANThreshold
@@ -29,8 +34,7 @@ func (n *Network) Clusters(threshold simcore.Duration) [][]*Node {
 	for i := range parent {
 		parent[i] = int32(i)
 	}
-	var find func(x int32) int32
-	find = func(x int32) int32 {
+	find := func(x int32) int32 {
 		for parent[x] != x {
 			parent[x] = parent[parent[x]]
 			x = parent[x]
@@ -46,46 +50,78 @@ func (n *Network) Clusters(threshold simcore.Duration) [][]*Node {
 			parent[a] = b
 		}
 	}
-	groups := make(map[int32][]*Node)
-	for _, nd := range n.Nodes() { // sorted by name
+	// Number components by first appearance in name order; group[root]
+	// holds the component's number plus one (zero: not seen yet).
+	nodes := n.Nodes()
+	group := make([]int32, n.nnodes)
+	of := make([]int32, len(nodes))
+	var sizes []int
+	for i, nd := range nodes {
 		root := find(nd.idx)
-		groups[root] = append(groups[root], nd)
+		if group[root] == 0 {
+			sizes = append(sizes, 0)
+			group[root] = int32(len(sizes))
+		}
+		g := group[root] - 1
+		of[i] = g
+		sizes[g]++
 	}
-	out := make([][]*Node, 0, len(groups))
-	for _, g := range groups {
-		out = append(out, g)
+	// Lay the components out in one backing array, each name-sorted.
+	out := make([][]*Node, len(sizes))
+	flat := make([]*Node, len(nodes))
+	off := 0
+	for g, sz := range sizes {
+		out[g] = flat[off : off : off+sz]
+		off += sz
 	}
-	// Each group is already name-sorted; order groups by representative.
-	sortClusters(out)
+	for i, nd := range nodes {
+		out[of[i]] = append(out[of[i]], nd)
+	}
 	return out
 }
 
-func sortClusters(cs [][]*Node) {
-	for i := 1; i < len(cs); i++ {
-		for j := i; j > 0 && cs[j][0].Name < cs[j-1][0].Name; j-- {
-			cs[j], cs[j-1] = cs[j-1], cs[j]
-		}
-	}
+// ClusterIDs is a read-only view of the cluster partition one routing
+// build was made on: cluster ids are positions in Clusters(0)'s order. A
+// later ComputeRoutes makes a new partition instead of changing this
+// one, so readers on any goroutine need no lock.
+type ClusterIDs struct {
+	of      []int32
+	members [][]*Node
 }
 
-// InterClusterMinDelay returns the smallest propagation delay over links
-// joining different clusters of the given partition; ok is false when no
-// link crosses clusters. It is the natural conservative lookahead for a
-// parallel engine running one cluster per shard: no packet crosses
-// between clusters in less than this.
-func (n *Network) InterClusterMinDelay(clusters [][]*Node) (d simcore.Duration, ok bool) {
-	comp := make(map[*Node]int, n.nnodes)
-	for i, c := range clusters {
-		for _, nd := range c {
-			comp[nd] = i
-		}
+// ClusterIDs returns the routing hierarchy's cluster partition, routing
+// the network first if its topology changed.
+func (n *Network) ClusterIDs() ClusterIDs {
+	if !n.routed {
+		n.ComputeRoutes()
 	}
-	for _, l := range n.links {
-		if comp[l.A] == comp[l.B] {
-			continue
-		}
-		if !ok || l.Config.Delay < d {
-			d, ok = l.Config.Delay, true
+	return ClusterIDs{of: n.hier.clusterOf, members: n.hier.members}
+}
+
+// Len returns the number of clusters.
+func (c ClusterIDs) Len() int { return len(c.members) }
+
+// Of returns the id of nd's cluster.
+func (c ClusterIDs) Of(nd *Node) int { return int(c.of[nd.idx]) }
+
+// Members returns cluster id's nodes, sorted by name.
+func (c ClusterIDs) Members(id int) []*Node { return c.members[id] }
+
+// InterClusterMinDelay returns the smallest propagation delay over links
+// joining different clusters of the routing hierarchy; ok is false when
+// no link crosses clusters. It is the natural conservative lookahead for
+// a parallel engine running one cluster per shard: no packet crosses
+// between clusters in less than this. The hierarchy's border edges are
+// exactly the crossing links, so this reads them instead of every link.
+func (n *Network) InterClusterMinDelay() (d simcore.Duration, ok bool) {
+	if !n.routed {
+		n.ComputeRoutes()
+	}
+	for _, edges := range n.hier.borderOut {
+		for _, be := range edges {
+			if dd := be.ifc.ch.cfg.Delay; !ok || dd < d {
+				d, ok = dd, true
+			}
 		}
 	}
 	return d, ok

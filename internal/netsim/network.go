@@ -3,7 +3,8 @@ package netsim
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
+	"strings"
 
 	"microgrid/internal/simcore"
 )
@@ -268,7 +269,10 @@ type Link struct {
 	A, B   *Node
 	Config LinkConfig
 	ab, ba *channel
-	down   bool
+	// abIf and baIf are the attachments that transmit on ab and ba: A's
+	// and B's ends of the link.
+	abIf, baIf *iface
+	down       bool
 	// orig remembers the pre-Degrade configuration (nil when undegraded).
 	orig *LinkConfig
 }
@@ -322,7 +326,7 @@ func (n *Network) Nodes() []*Node {
 	for _, nd := range n.nodes {
 		out = append(out, nd)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
+	slices.SortFunc(out, func(a, b *Node) int { return strings.Compare(a.Name, b.Name) })
 	return out
 }
 
@@ -369,8 +373,10 @@ func (n *Network) Connect(a, b *Node, cfg LinkConfig) *Link {
 	l := &Link{A: a, B: b, Config: cfg}
 	l.ab = newChannel(n, fmt.Sprintf("%s->%s", a.Name, b.Name), a, b, cfg)
 	l.ba = newChannel(n, fmt.Sprintf("%s->%s", b.Name, a.Name), b, a, cfg)
-	a.ifaces = append(a.ifaces, &iface{node: a, ch: l.ab})
-	b.ifaces = append(b.ifaces, &iface{node: b, ch: l.ba})
+	l.abIf = &iface{node: a, ch: l.ab}
+	l.baIf = &iface{node: b, ch: l.ba}
+	a.ifaces = append(a.ifaces, l.abIf)
+	b.ifaces = append(b.ifaces, l.baIf)
 	n.links = append(n.links, l)
 	n.routed = false
 	return l

@@ -196,30 +196,52 @@ func TestHierarchicalRoutingMatchesFlatGenerated(t *testing.T) {
 }
 
 // Routing state must stay sub-quadratic in practice: an untouched
-// network holds none, and a single path walk materializes only the
-// source cluster's tables.
+// network holds none, and a single cross-campus walk materializes only
+// the tables of the clusters on its path — at the default cluster count
+// and at the benchmark's 12,500 campuses.
 func TestRouteStateLazy(t *testing.T) {
-	topo, err := topology.Generate(topology.GenSpec{Kind: topology.GenStar, Hosts: 10000, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	eng := simcore.NewEngine(1)
-	nw, err := topo.Build(eng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	nw.ComputeRoutes()
-	if got := nw.RouteStateBytes(); got != 0 {
-		t.Fatalf("routed-but-untouched network holds %d bytes of tables", got)
-	}
-	a, b := nw.Node(topo.Hosts[0].Name), nw.Node(topo.Hosts[len(topo.Hosts)-1].Name)
-	if _, _, ok := nw.PathDelay(a, b); !ok {
-		t.Fatal("generated hosts unreachable")
-	}
 	// One cross-grid walk touches the clusters on the path, not the
 	// whole grid: far below one flat all-pairs row per node (8 bytes per
-	// destination would be 800MB for 100k; even N×8 here is 80KB).
-	if got, lim := nw.RouteStateBytes(), int64(64<<10); got > lim {
-		t.Fatalf("one path walk materialized %d bytes of routing state (limit %d)", got, lim)
+	// destination would be 800MB for 100k; even N×8 here is 80KB). At
+	// 12,500 campuses the limit adds room for three 24-byte-per-cluster
+	// egress rows.
+	for _, tc := range []struct {
+		g     topology.GenSpec
+		bytes int64
+	}{
+		{topology.GenSpec{Kind: topology.GenStar, Hosts: 10000, Seed: 1}, 64 << 10},
+		{topology.GenSpec{Kind: topology.GenStar, Hosts: 100000, Seed: 7, Clusters: 12500, WANFlow: true},
+			64<<10 + 3*24*12501},
+	} {
+		g := tc.g
+		if testing.Short() && g.Hosts > 10000 {
+			continue // builds a 100k-node network
+		}
+		topo, err := topology.Generate(g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		eng := simcore.NewEngine(1)
+		nw, err := topo.Build(eng)
+		if err != nil {
+			t.Fatal(err)
+		}
+		nw.ComputeRoutes()
+		if got := nw.RouteStateBytes(); got != 0 {
+			t.Fatalf("%d hosts: routed-but-untouched network holds %d bytes of tables", g.Hosts, got)
+		}
+		a, b := nw.Node(topo.Hosts[0].Name), nw.Node(topo.Hosts[len(topo.Hosts)-1].Name)
+		if _, _, ok := nw.PathDelay(a, b); !ok {
+			t.Fatal("generated hosts unreachable")
+		}
+		// Egress rows exist only for the clusters on the path: source
+		// campus, core, destination campus.
+		clusters := nw.ClusterIDs().Len()
+		if got := nw.EgressRowsBuilt(); got > 3 {
+			t.Fatalf("%d hosts: one path walk built %d egress rows of %d clusters", g.Hosts, got, clusters)
+		}
+		if got, lim := nw.RouteStateBytes(), tc.bytes; got > lim {
+			t.Fatalf("%d hosts: one path walk materialized %d bytes of routing state (limit %d)", g.Hosts, got, lim)
+		}
 	}
 }

@@ -12,7 +12,8 @@ import (
 //
 //   - Nodes are grouped into clusters: connected components under links
 //     faster than DefaultWANThreshold (the same partition the PDES shard
-//     planner uses).
+//     planner reads through ClusterIDs). Detection is one name sort plus
+//     a union-find pass per build.
 //   - Each node lazily builds a local next-hop table over its own
 //     cluster's subgraph — O(|cluster|) memory, built by the same
 //     delay+hop-penalty Dijkstra with the same name tie-breaks as the
@@ -20,8 +21,12 @@ import (
 //     traffic. Untouched hosts allocate no routing state at all.
 //   - Inter-cluster destinations route toward a per-(srcCluster,
 //     dstCluster) egress gateway chosen by Dijkstra over the summarized
-//     cluster graph (one vertex per cluster, one edge per WAN link) —
-//     O(C²) state shared by every node in the source cluster.
+//     cluster graph (one vertex per cluster, one edge per WAN link). A
+//     source cluster's row costs O(E log C) time and O(C) memory, shared
+//     by every node in the cluster, and is built only for clusters that
+//     traffic leaves from.
+//
+// Both tiers run one heap-ordered Dijkstra kernel (firstHops).
 //
 // For single-gateway clusters — every committed topology and the whole
 // generator family — the hierarchical next hops reproduce the flat
@@ -72,10 +77,11 @@ type hier struct {
 }
 
 // ComputeRoutes (re)builds the routing hierarchy: cluster detection plus
-// the summarized border graph. Per-node tables and egress rows are built
-// lazily on first lookup, so this is O(N log N), not O(N²). It must be
-// called after structural topology changes and before traffic flows;
-// transports call it lazily too.
+// the summarized border graph. That is one name sort plus a union-find
+// pass over the links, O(N log N + E). Per-node tables and egress rows
+// are built lazily on first lookup. It must be called after structural
+// topology changes and before traffic flows; transports call it lazily
+// too.
 func (n *Network) ComputeRoutes() {
 	size := int(n.nnodes)
 	h := &hier{
@@ -96,24 +102,14 @@ func (n *Network) ComputeRoutes() {
 		if ca == cb {
 			continue
 		}
-		h.borderOut[ca] = append(h.borderOut[ca], borderEdge{to: cb, ifc: ifaceFor(l.A, l.ab)})
-		h.borderOut[cb] = append(h.borderOut[cb], borderEdge{to: ca, ifc: ifaceFor(l.B, l.ba)})
+		h.borderOut[ca] = append(h.borderOut[ca], borderEdge{to: cb, ifc: l.abIf})
+		h.borderOut[cb] = append(h.borderOut[cb], borderEdge{to: ca, ifc: l.baIf})
 	}
 	h.egress = make([][]egressEntry, len(clusters))
 	h.egressEpoch = make([]int64, len(clusters))
 	n.hier = h
 	n.routeEpoch++
 	n.routed = true
-}
-
-// ifaceFor finds nd's attachment that transmits on ch.
-func ifaceFor(nd *Node, ch *channel) *iface {
-	for _, ifc := range nd.ifaces {
-		if ifc.ch == ch {
-			return ifc
-		}
-	}
-	return nil
 }
 
 // invalidateRoutes marks every lazily built table stale after a link
@@ -153,54 +149,23 @@ func (n *Network) nextHop(nd *Node, dstIdx int32) *iface {
 
 // buildLocalTab runs Dijkstra from nd over its cluster's subgraph — the
 // same cost function and deterministic name tie-break as the flat model,
-// restricted to intra-cluster links.
+// restricted to intra-cluster links. Vertices are cluster-local indices,
+// which ascend in name order, so the kernel's smallest-index tie-break
+// is the name tie-break.
 func (n *Network) buildLocalTab(nd *Node) {
 	h := n.hier
 	c := h.clusterOf[nd.idx]
 	mem := h.members[c]
-	size := len(mem)
-	dist := make([]simcore.Duration, size)
-	reached := make([]bool, size)
-	visited := make([]bool, size)
-	first := make([]*iface, size)
-	reached[h.localIdx[nd.idx]] = true
-	for {
-		var u *Node
-		var ui int32
-		var best simcore.Duration
-		for _, cand := range mem { // name-sorted: deterministic extraction
-			ci := h.localIdx[cand.idx]
-			if visited[ci] || !reached[ci] {
-				continue
-			}
-			if dd := dist[ci]; u == nil || dd < best || (dd == best && cand.Name < u.Name) {
-				u, ui, best = cand, ci, dd
-			}
-		}
-		if u == nil {
-			break
-		}
-		visited[ui] = true
-		for _, ifc := range u.ifaces {
+	first := firstHops(len(mem), h.localIdx[nd.idx], func(u int32, relax func(int32, *iface)) {
+		for _, ifc := range mem[u].ifaces {
 			if ifc.ch.down {
 				continue
 			}
-			v := ifc.ch.dst
-			if h.clusterOf[v.idx] != c {
-				continue
-			}
-			vi := h.localIdx[v.idx]
-			cost := best + ifc.ch.cfg.Delay + hopPenalty
-			if !reached[vi] || cost < dist[vi] {
-				dist[vi], reached[vi] = cost, true
-				if u == nd {
-					first[vi] = ifc
-				} else {
-					first[vi] = first[ui]
-				}
+			if v := ifc.ch.dst; h.clusterOf[v.idx] == c {
+				relax(h.localIdx[v.idx], ifc)
 			}
 		}
-	}
+	})
 	first[h.localIdx[nd.idx]] = nil // self is handled by the loopback path
 	nd.localTab = first
 	nd.tabEpoch = n.routeEpoch
@@ -220,51 +185,24 @@ func (n *Network) egressTo(c, d int32) *egressEntry {
 	return e
 }
 
-// buildEgress runs Dijkstra from cluster c over the summarized graph.
-// Cluster ids ascend in representative-name order (Clusters sorts them),
-// so extraction by smallest id mirrors the flat model's name tie-break;
-// border edges relax in link creation order, mirroring iface order.
+// buildEgress runs Dijkstra from cluster c over the summarized graph, in
+// O(E log C) for E border edges and C clusters. Cluster ids ascend in
+// representative-name order (Clusters orders them so), so the kernel's
+// smallest-id tie-break mirrors the flat model's name tie-break; border
+// edges relax in link creation order, mirroring iface order.
 // Intra-cluster transit is costed at zero — exact for singleton transit
 // clusters (backbone routers and cores), which is every committed and
 // generated family.
 func (n *Network) buildEgress(c int32) {
 	h := n.hier
 	nc := len(h.members)
-	dist := make([]simcore.Duration, nc)
-	reached := make([]bool, nc)
-	visited := make([]bool, nc)
-	first := make([]*iface, nc)
-	reached[c] = true
-	for {
-		u := int32(-1)
-		var best simcore.Duration
-		for ci := 0; ci < nc; ci++ {
-			if visited[ci] || !reached[ci] {
-				continue
-			}
-			if dd := dist[ci]; u < 0 || dd < best {
-				u, best = int32(ci), dd
-			}
-		}
-		if u < 0 {
-			break
-		}
-		visited[u] = true
+	first := firstHops(nc, c, func(u int32, relax func(int32, *iface)) {
 		for _, be := range h.borderOut[u] {
-			if be.ifc == nil || be.ifc.ch.down {
-				continue
-			}
-			cost := best + be.ifc.ch.cfg.Delay + hopPenalty
-			if !reached[be.to] || cost < dist[be.to] {
-				dist[be.to], reached[be.to] = cost, true
-				if u == c {
-					first[be.to] = be.ifc
-				} else {
-					first[be.to] = first[u]
-				}
+			if !be.ifc.ch.down {
+				relax(be.to, be.ifc)
 			}
 		}
-	}
+	})
 	row := make([]egressEntry, nc)
 	for d := 0; d < nc; d++ {
 		if int32(d) == c || first[d] == nil {
@@ -274,6 +212,102 @@ func (n *Network) buildEgress(c int32) {
 	}
 	h.egress[c] = row
 	h.egressEpoch[c] = n.routeEpoch
+}
+
+// firstHops is the Dijkstra kernel both routing tiers share. It searches
+// size vertices from src; edges(u, relax) calls relax(v, ifc) for each
+// usable edge u→v, where ifc is the interface the edge leaves u on and
+// costs ifc's delay plus hopPenalty. It returns, per vertex, the
+// interface src leaves on toward it (nil for src and unreachable
+// vertices).
+//
+// Vertices are extracted in (distance, index) order from a binary heap
+// with lazy deletion: an improved distance pushes a fresh entry and the
+// stale one is skipped when popped. Ties go to the smallest index, and a
+// vertex's first hop comes from the first edge that reached it at its
+// final distance. O(E log V).
+func firstHops(size int, src int32, edges func(u int32, relax func(v int32, ifc *iface))) []*iface {
+	dist := make([]simcore.Duration, size)
+	reached := make([]bool, size)
+	visited := make([]bool, size)
+	first := make([]*iface, size)
+	reached[src] = true
+	q := distHeap{{src, 0}}
+	var u int32
+	var best simcore.Duration
+	relax := func(v int32, ifc *iface) {
+		cost := best + ifc.ch.cfg.Delay + hopPenalty
+		if !reached[v] || cost < dist[v] {
+			dist[v], reached[v] = cost, true
+			if u == src {
+				first[v] = ifc
+			} else {
+				first[v] = first[u]
+			}
+			q.push(distItem{v, cost})
+		}
+	}
+	for len(q) > 0 {
+		it := q.pop()
+		if visited[it.v] || it.d != dist[it.v] {
+			continue // stale: superseded by a shorter push
+		}
+		u, best = it.v, it.d
+		visited[u] = true
+		edges(u, relax)
+	}
+	return first
+}
+
+// distItem is one heap entry: vertex v reached at distance d.
+type distItem struct {
+	v int32
+	d simcore.Duration
+}
+
+// distHeap is a binary min-heap of distItems ordered by (d, v).
+type distHeap []distItem
+
+func (a distItem) less(b distItem) bool {
+	return a.d < b.d || (a.d == b.d && a.v < b.v)
+}
+
+func (q *distHeap) push(it distItem) {
+	h := append(*q, it)
+	i := len(h) - 1
+	for i > 0 {
+		p := (i - 1) / 2
+		if !h[i].less(h[p]) {
+			break
+		}
+		h[i], h[p] = h[p], h[i]
+		i = p
+	}
+	*q = h
+}
+
+func (q *distHeap) pop() distItem {
+	h := *q
+	top := h[0]
+	last := len(h) - 1
+	h[0] = h[last]
+	h = h[:last]
+	for i := 0; ; {
+		m, l, r := i, 2*i+1, 2*i+2
+		if l < last && h[l].less(h[m]) {
+			m = l
+		}
+		if r < last && h[r].less(h[m]) {
+			m = r
+		}
+		if m == i {
+			break
+		}
+		h[i], h[m] = h[m], h[i]
+		i = m
+	}
+	*q = h
+	return top
 }
 
 // NextHopName reports the name of the node nd forwards to on its way to
