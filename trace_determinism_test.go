@@ -3,6 +3,8 @@ package microgrid
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"strings"
 	"testing"
 )
@@ -63,6 +65,21 @@ func TestTraceDeterminismAcrossWorkers(t *testing.T) {
 	// no silent caps).
 	if !strings.Contains(out, `"dropped":`) {
 		t.Error("drop counter missing from export footers")
+	}
+}
+
+// chaosCrashTraceSHA256 pins the traced quick chaos-crash export. With
+// every category on, the trace records each engine dispatch, so any
+// reordering of events — or an added or missing one — changes it.
+const chaosCrashTraceSHA256 = "1973950ce66e0cb8fb1d225422a97132f3d070137220d95f579b2f281ac438c6"
+
+// TestTraceDigestPinned checks the traced chaos-crash JSONL against the
+// committed digest: engine and model changes must leave the dispatch
+// order byte-identical.
+func TestTraceDigestPinned(t *testing.T) {
+	sum := sha256.Sum256(tracedChaosCrashJSONL(t, 1))
+	if got := hex.EncodeToString(sum[:]); got != chaosCrashTraceSHA256 {
+		t.Fatalf("traced chaos-crash JSONL sha256 = %s, want %s", got, chaosCrashTraceSHA256)
 	}
 }
 
