@@ -6,8 +6,11 @@
 // of them executes at a time: a process runs until it blocks on a simulation
 // primitive (Sleep, Cond.Wait, Queue.Get, ...), at which point control
 // returns to the engine, which advances virtual time to the next event.
-// Because all scheduling flows through a single event heap ordered by
-// (time, sequence), runs are bit-for-bit deterministic for a given seed.
+// Events run in one total order, (time, sequence), so runs are
+// bit-for-bit deterministic for a given seed. The queue behind that
+// order is a min-heap merged with two kinds of FIFO that are sorted by
+// construction: the same-instant FIFO, and delay lanes that hold events
+// sharing one delay (see Engine).
 package simcore
 
 import (
@@ -57,9 +60,8 @@ func DurationOfSeconds(s float64) Duration {
 }
 
 // event is a scheduled callback. Events are stored by value — no per-event
-// pointer, no interface boxing — in a 4-ary min-heap ordered by (t, seq),
-// with a same-instant FIFO fast path for events scheduled at the current
-// time (see Engine.At).
+// pointer, no interface boxing — in the heap, the same-instant FIFO and
+// the delay lanes (see Engine).
 type event struct {
 	t   Time
 	seq int64
@@ -72,22 +74,89 @@ func (a *event) before(b *event) bool {
 	return a.t < b.t || (a.t == b.t && a.seq < b.seq)
 }
 
+// heapEntry is an event in the heap, tagged with the delay lane it heads.
+type heapEntry struct {
+	event
+	lane int32 // 1 + the lane slot this entry heads; 0 for a stray event
+}
+
+// laneSlots is the number of delay lanes; a power of two, so laneSlot
+// can take the top bits of a Fibonacci hash.
+const (
+	laneBits  = 6
+	laneSlots = 1 << laneBits
+)
+
+// laneSlot hashes a positive delay to its lane slot.
+func laneSlot(d Time) int {
+	return int(uint64(d) * 0x9e3779b97f4a7c15 >> (64 - laneBits))
+}
+
+// lane queues the events that wait behind a lane head, all scheduled with
+// one delay d, in a ring buffer that grows by doubling and never
+// shrinks: its capacity stays below twice the lane's peak length (or
+// minLaneCap), even when the lane never empties.
+type lane struct {
+	d    Time    // the lane's delay; 0 while the slot is free
+	buf  []event // ring buffer; len(buf) is 0 or a power of two
+	head int     // index of the oldest queued event
+	n    int     // queued events, not counting the head in the heap
+}
+
+const minLaneCap = 8
+
+func (l *lane) push(ev event) {
+	if l.n == len(l.buf) {
+		buf := make([]event, max(2*len(l.buf), minLaneCap))
+		k := copy(buf, l.buf[l.head:])
+		copy(buf[k:], l.buf[:l.head])
+		l.buf, l.head = buf, 0
+	}
+	l.buf[(l.head+l.n)&(len(l.buf)-1)] = ev
+	l.n++
+}
+
+func (l *lane) pop() event {
+	ev := l.buf[l.head]
+	l.buf[l.head] = event{} // release the fn reference
+	l.head = (l.head + 1) & (len(l.buf) - 1)
+	l.n--
+	return ev
+}
+
 // Engine is a discrete-event simulator. Create one with NewEngine, spawn
 // processes and schedule events, then call Run.
+//
+// Events run in (time, seq) order, where seq counts scheduling calls.
+// The queue is a k-way merge of sorted streams:
+//
+//   - fifo holds events scheduled for the current instant while it
+//     executes. Every heap entry at t == now predates (has a smaller seq
+//     than) every fifo entry, so the run loop drains same-time heap
+//     entries first and then the fifo in append order, without heap
+//     traffic for same-instant bursts (Kill handshakes, Cond wakeups,
+//     After(0) chains).
+//   - lanes hold events that share one positive delay d. At hashes d to
+//     a slot; a live lane with the same d takes the event at its tail,
+//     with no heap operation. Because now never decreases and seq always
+//     increases, t = now + d and seq both grow along a lane, so every
+//     lane is already sorted by (t, seq). Only a lane's head sits in the
+//     heap; popping it replaces the root with the lane's next event (one
+//     sift-down instead of a pop plus a push), and popping a lane's last
+//     event frees its slot.
+//   - heap is a 4-ary min-heap of lane heads and of stray events (those
+//     whose slot holds another delay) with t after now, plus, transiently,
+//     events at now that were scheduled before time advanced here.
+//
+// Merging sorted streams through a heap of their heads yields exactly
+// the (time, seq) total order of a single heap of all events.
 //
 // An Engine is not safe for concurrent use from outside its own processes;
 // all interaction must happen from process goroutines or before/after Run.
 type Engine struct {
-	now Time
-	// heap is a 4-ary min-heap of events with t strictly after now (plus,
-	// transiently, events at now that were scheduled before time advanced
-	// here). fifo holds events scheduled for the current instant while it
-	// executes: every heap entry at t == now predates (has a smaller seq
-	// than) every fifo entry, so the run loop drains same-time heap
-	// entries first and then the fifo in append order — exactly the
-	// (time, seq) total order, without heap traffic for same-instant
-	// bursts (Kill handshakes, Cond wakeups, After(0) chains).
-	heap     []event
+	now      Time
+	heap     []heapEntry
+	lanes    [laneSlots]lane
 	fifo     []event
 	fifoHead int
 	seq      int64
@@ -193,42 +262,6 @@ func (e *Engine) SetRecorder(r *trace.Recorder) {
 //	if rec := eng.Recorder(); rec.Enabled(trace.CatNet) { rec.Event(...) }
 func (e *Engine) Recorder() *trace.Recorder { return e.rec }
 
-// SetTracer installs a printf-style debug trace hook (nil disables).
-//
-// Deprecated: SetTracer is a compatibility shim over the structured
-// recorder: it enables the log category on the engine's recorder
-// (attaching one when absent) and replays log records to fn via the
-// recorder sink. New code should attach a recorder with SetRecorder and
-// emit typed events.
-func (e *Engine) SetTracer(fn func(t Time, format string, args ...any)) {
-	if fn == nil {
-		if e.rec != nil {
-			e.rec.SetSink(nil)
-			e.rec.Disable(trace.CatLog)
-		}
-		return
-	}
-	if e.rec == nil {
-		e.SetRecorder(trace.NewRecorder(0, 0))
-	}
-	e.rec.Enable(trace.CatLog)
-	e.rec.SetSink(func(ev trace.Event) {
-		if ev.Cat == trace.CatLog {
-			fn(Time(ev.T), "%s", ev.Detail)
-		}
-	})
-}
-
-// Tracef emits a printf-style trace record (category "log") when log
-// tracing is enabled.
-//
-// Deprecated: prefer typed events on Recorder().
-func (e *Engine) Tracef(format string, args ...any) {
-	if e.rec.Enabled(trace.CatLog) {
-		e.rec.Event(trace.CatLog, "log", trace.Attr{Detail: fmt.Sprintf(format, args...)})
-	}
-}
-
 // At schedules fn to run at absolute time t. Scheduling in the past is an
 // error and panics: it would silently corrupt causality.
 //
@@ -236,51 +269,73 @@ func (e *Engine) Tracef(format string, args ...any) {
 // to a FIFO that the run loop drains in order. This preserves the (time,
 // seq) total order because time never advances while the FIFO is
 // non-empty, so each FIFO entry's seq exceeds that of any heap entry at
-// the same time.
+// the same time. Later events join the delay lane of t - now when one is
+// live, and the heap otherwise (see Engine).
 func (e *Engine) At(t Time, fn func()) {
 	if t < e.now {
 		panic(fmt.Sprintf("simcore: scheduling event at %v before now %v", t, e.now))
 	}
 	e.seq++
-	if t == e.now {
-		e.fifo = append(e.fifo, event{t: t, seq: e.seq, fn: fn})
+	ev := event{t: t, seq: e.seq, fn: fn}
+	d := t - e.now
+	if d == 0 {
+		e.fifo = append(e.fifo, ev)
 		return
 	}
-	e.heapPush(event{t: t, seq: e.seq, fn: fn})
+	slot := laneSlot(d)
+	switch l := &e.lanes[slot]; l.d {
+	case d:
+		l.push(ev)
+	case 0:
+		l.d = d
+		e.heapPush(heapEntry{event: ev, lane: int32(slot) + 1})
+	default:
+		e.heapPush(heapEntry{event: ev})
+	}
 }
 
-// heapPush inserts ev into the 4-ary heap, sifting up with hole shifting.
-func (e *Engine) heapPush(ev event) {
-	e.heap = append(e.heap, event{})
+// heapPush inserts he into the 4-ary heap, sifting up with hole shifting.
+func (e *Engine) heapPush(he heapEntry) {
+	e.heap = append(e.heap, heapEntry{})
 	h := e.heap
 	i := len(h) - 1
 	for i > 0 {
 		p := (i - 1) >> 2
-		if h[p].before(&ev) {
+		if h[p].before(&he.event) {
 			break
 		}
 		h[i] = h[p]
 		i = p
 	}
-	h[i] = ev
+	h[i] = he
 }
 
-// heapPop removes and returns the minimum event.
+// heapPop removes and returns the minimum event. A lane head is replaced
+// at the root by its lane's next event; the lane's last event frees its
+// slot.
 func (e *Engine) heapPop() event {
 	h := e.heap
 	top := h[0]
+	if top.lane != 0 {
+		l := &e.lanes[top.lane-1]
+		if l.n > 0 {
+			e.siftDown(heapEntry{event: l.pop(), lane: top.lane})
+			return top.event
+		}
+		l.d = 0
+	}
 	n := len(h) - 1
 	last := h[n]
-	h[n] = event{} // release the fn reference
+	h[n] = heapEntry{} // release the fn reference
 	e.heap = h[:n]
 	if n > 0 {
 		e.siftDown(last)
 	}
-	return top
+	return top.event
 }
 
-// siftDown places ev starting from the root, shifting smaller children up.
-func (e *Engine) siftDown(ev event) {
+// siftDown places he starting from the root, shifting smaller children up.
+func (e *Engine) siftDown(he heapEntry) {
 	h := e.heap
 	n := len(h)
 	i := 0
@@ -295,22 +350,26 @@ func (e *Engine) siftDown(ev event) {
 			end = n
 		}
 		for c := first + 1; c < end; c++ {
-			if h[c].before(&h[m]) {
+			if h[c].before(&h[m].event) {
 				m = c
 			}
 		}
-		if !h[m].before(&ev) {
+		if !h[m].before(&he.event) {
 			break
 		}
 		h[i] = h[m]
 		i = m
 	}
-	h[i] = ev
+	h[i] = he
 }
 
 // pending reports the number of scheduled events.
 func (e *Engine) pending() int {
-	return len(e.heap) + len(e.fifo) - e.fifoHead
+	n := len(e.heap) + len(e.fifo) - e.fifoHead
+	for i := range e.lanes {
+		n += e.lanes[i].n
+	}
+	return n
 }
 
 // After schedules fn to run d from now. Negative d panics.
@@ -345,51 +404,17 @@ func (d *DeadlockError) Error() string {
 // non-daemon processes were still blocked, Run returns a *DeadlockError
 // (after shutdown); otherwise nil.
 func (e *Engine) Run() error {
-	return e.RunUntil(Time(1)<<62 - 1)
+	return e.RunUntil(maxTime)
 }
 
 // RunUntil executes events with time ≤ limit, then stops. Events beyond the
 // limit remain unexecuted; parked processes are shut down as in Run.
 func (e *Engine) RunUntil(limit Time) error {
-	for !e.stopped {
-		if e.fifoHead < len(e.fifo) {
-			// Heap entries at the current instant were scheduled before
-			// any FIFO entry and must run first.
-			if len(e.heap) > 0 && e.heap[0].t == e.now {
-				ev := e.heapPop()
-				if e.rec.Enabled(trace.CatEngine) {
-					e.rec.Event(trace.CatEngine, "dispatch", trace.Attr{})
-				}
-				e.dispatched++
-				ev.fn()
-				continue
-			}
-			ev := e.fifo[e.fifoHead]
-			e.fifo[e.fifoHead] = event{} // release the fn reference
-			e.fifoHead++
-			if e.fifoHead == len(e.fifo) {
-				e.fifo = e.fifo[:0]
-				e.fifoHead = 0
-			}
-			if e.rec.Enabled(trace.CatEngine) {
-				e.rec.Event(trace.CatEngine, "dispatch", trace.Attr{})
-			}
-			e.dispatched++
-			ev.fn()
-			continue
-		}
-		if len(e.heap) == 0 || e.heap[0].t > limit {
-			// Out-of-range events stay in the heap unexecuted.
-			break
-		}
-		ev := e.heapPop()
-		e.now = ev.t
-		if e.rec.Enabled(trace.CatEngine) {
-			e.rec.Event(trace.CatEngine, "dispatch", trace.Attr{})
-		}
-		e.dispatched++
-		ev.fn()
+	end := limit + 1 // t ≤ limit ⇔ t < limit+1
+	if end < limit {
+		end = limit // limit is the largest Time; only an event at exactly it is left
 	}
+	e.runWindow(end)
 	var blocked []string
 	for p := range e.procs {
 		if !p.daemon {
@@ -406,7 +431,8 @@ func (e *Engine) RunUntil(limit Time) error {
 
 // nextEventTime reports the time of the earliest pending event, or
 // ok=false when nothing is scheduled. The FIFO only holds events for the
-// current instant, so a non-empty FIFO means the next event is at now.
+// current instant, so a non-empty FIFO means the next event is at now;
+// lane events never precede their lane's head in the heap.
 func (e *Engine) nextEventTime() (t Time, ok bool) {
 	if e.fifoHead < len(e.fifo) {
 		return e.now, true
@@ -417,45 +443,36 @@ func (e *Engine) nextEventTime() (t Time, ok bool) {
 	return e.heap[0].t, true
 }
 
-// runWindow executes events with time strictly before end — one
-// conservative-PDES time window. It mirrors the RunUntil dispatch loop
-// (including the same-instant FIFO fast path and trace hooks) but leaves
-// end-of-run bookkeeping (blocked-process collection, shutdown) to the
-// coordinating ParallelEngine. The strict bound is what makes windows
+// runWindow is the dispatch loop: it executes events with time strictly
+// before end, or until Stop. RunUntil runs one window ending just past
+// its limit; a ParallelEngine runs one conservative-PDES time window per
+// call on each shard and does the end-of-run bookkeeping (blocked-process
+// collection, shutdown) itself. The strict bound is what makes windows
 // composable: an event executing at t < end may schedule locally at any
 // t' ≥ now, and cross-shard events injected later are guaranteed to be
-// at ≥ end, so they can never be in this window's past.
+// at ≥ end, so they can never be in this window's past. Same-instant
+// FIFO entries run whatever end is, since they are at now.
 func (e *Engine) runWindow(end Time) {
 	for !e.stopped {
-		if e.fifoHead < len(e.fifo) {
-			if len(e.heap) > 0 && e.heap[0].t == e.now {
-				ev := e.heapPop()
-				if e.rec.Enabled(trace.CatEngine) {
-					e.rec.Event(trace.CatEngine, "dispatch", trace.Attr{})
-				}
-				e.dispatched++
-				ev.fn()
-				continue
-			}
-			ev := e.fifo[e.fifoHead]
-			e.fifo[e.fifoHead] = event{}
+		var ev event
+		switch {
+		case e.fifoHead < len(e.fifo) && (len(e.heap) == 0 || e.heap[0].t != e.now):
+			ev = e.fifo[e.fifoHead]
+			e.fifo[e.fifoHead] = event{} // release the fn reference
 			e.fifoHead++
 			if e.fifoHead == len(e.fifo) {
 				e.fifo = e.fifo[:0]
 				e.fifoHead = 0
 			}
-			if e.rec.Enabled(trace.CatEngine) {
-				e.rec.Event(trace.CatEngine, "dispatch", trace.Attr{})
-			}
-			e.dispatched++
-			ev.fn()
-			continue
-		}
-		if len(e.heap) == 0 || e.heap[0].t >= end {
+		case e.fifoHead < len(e.fifo) || (len(e.heap) > 0 && e.heap[0].t < end):
+			// Heap entries at the current instant were scheduled before
+			// any FIFO entry and run first; out-of-window events stay
+			// queued.
+			ev = e.heapPop()
+			e.now = ev.t
+		default:
 			return
 		}
-		ev := e.heapPop()
-		e.now = ev.t
 		if e.rec.Enabled(trace.CatEngine) {
 			e.rec.Event(trace.CatEngine, "dispatch", trace.Attr{})
 		}

@@ -5,6 +5,8 @@ import (
 	"testing"
 	"testing/quick"
 	"time"
+
+	"microgrid/internal/trace"
 )
 
 func TestEventOrdering(t *testing.T) {
@@ -568,22 +570,32 @@ func TestTimeHelpers(t *testing.T) {
 	}
 }
 
-func TestTracer(t *testing.T) {
+// TestRecorderLogEvents checks that log records carry the engine's
+// virtual time and reach a recorder sink, and that a detached recorder
+// is a no-op.
+func TestRecorderLogEvents(t *testing.T) {
 	e := NewEngine(1)
+	rec := trace.NewRecorder(0, trace.CatLog)
+	e.SetRecorder(rec)
 	var lines []string
-	e.SetTracer(func(at Time, format string, args ...any) {
-		lines = append(lines, fmt.Sprintf("%v: ", at)+fmt.Sprintf(format, args...))
+	rec.SetSink(func(ev trace.Event) {
+		lines = append(lines, fmt.Sprintf("%v: %s", Time(ev.T), ev.Detail))
 	})
-	e.Tracef("hello %d", 42)
-	e.After(5*Millisecond, func() { e.Tracef("later") })
+	logf := func(format string, args ...any) {
+		if r := e.Recorder(); r.Enabled(trace.CatLog) {
+			r.Event(trace.CatLog, "log", trace.Attr{Detail: fmt.Sprintf(format, args...)})
+		}
+	}
+	logf("hello %d", 42)
+	e.After(5*Millisecond, func() { logf("later") })
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
 	if len(lines) != 2 || lines[0] != "0s: hello 42" || lines[1] != "5ms: later" {
 		t.Fatalf("lines = %v", lines)
 	}
-	e.SetTracer(nil)
-	e.Tracef("dropped") // must not panic
+	e.SetRecorder(nil)
+	logf("dropped") // must not panic
 }
 
 func TestRandDeterministic(t *testing.T) {

@@ -48,7 +48,7 @@ type gevent struct {
 // ParallelEngine is a conservative parallel discrete-event engine in the
 // classic CMB (Chandy–Misra–Bryant) windowed style: the model is
 // partitioned into N shards, each an independent serial Engine with its
-// own event heap, process set, and random stream. Execution proceeds in
+// own event queue, process set, and random stream. Execution proceeds in
 // barrier-synchronized time windows [t0, t0+lookahead): within a window
 // every shard runs its local events concurrently; at the barrier,
 // cross-shard events that have come due are injected into their
@@ -307,7 +307,7 @@ func (pe *ParallelEngine) Send(src, dst int, t Time, fn func()) {
 	)
 }
 
-// nextTime reports the earliest pending time across shard heaps and
+// nextTime reports the earliest pending time across shard event queues and
 // cross-shard queues.
 func (pe *ParallelEngine) nextTime() (Time, bool) {
 	var best Time
@@ -415,7 +415,7 @@ func (pe *ParallelEngine) runShards(end Time) {
 	}
 }
 
-// Run executes the simulation until every shard heap and cross-shard
+// Run executes the simulation until every shard event queue and cross-shard
 // queue is empty or the simulation is stopped, then shuts down remaining
 // parked processes across all shards. Like the serial engine it returns
 // a *DeadlockError if non-daemon processes were still blocked when the
@@ -498,7 +498,7 @@ func (pe *ParallelEngine) anyShardStopped() bool {
 	return false
 }
 
-// pending reports events still scheduled anywhere: shard heaps plus
+// pending reports events still scheduled anywhere: shard event queues plus
 // undelivered cross-shard queues.
 func (pe *ParallelEngine) pending() int {
 	n := 0

@@ -274,8 +274,13 @@ func TestParallelMergedTrace(t *testing.T) {
 	for i := 0; i < 2; i++ {
 		i := i
 		sh := pe.Shard(i)
-		sh.At(Time(Millisecond), func() { sh.Tracef("a%d", i) })
-		sh.At(Time(2*Millisecond), func() { sh.Tracef("b%d", i) })
+		logf := func(format string) func() {
+			return func() {
+				sh.Recorder().Event(trace.CatLog, "log", trace.Attr{Detail: fmt.Sprintf(format, i)})
+			}
+		}
+		sh.At(Time(Millisecond), logf("a%d"))
+		sh.At(Time(2*Millisecond), logf("b%d"))
 	}
 	if err := pe.Run(); err != nil {
 		t.Fatal(err)

@@ -14,7 +14,7 @@ type Sim interface {
 }
 
 // SerialEngine is the classic single-threaded discrete-event engine: one
-// event heap, one dispatch loop, events executed strictly in (time, seq)
+// event queue, one dispatch loop, events executed strictly in (time, seq)
 // order. It is a thin name over Engine so that code choosing between
 // engines reads explicitly, and so the Sim split mirrors the
 // serial/parallel pairing in the parallel engine design.
