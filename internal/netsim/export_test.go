@@ -7,8 +7,8 @@ func (n *Network) EgressRowsBuilt() int {
 		return 0
 	}
 	built := 0
-	for c, row := range n.hier.egress {
-		if row != nil && n.hier.egressEpoch[c] == n.routeEpoch {
+	for c := range n.hier.egress {
+		if row := n.hier.egress[c].Load(); row != nil && row.epoch == n.routeEpoch {
 			built++
 		}
 	}

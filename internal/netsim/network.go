@@ -5,6 +5,8 @@ import (
 	"math"
 	"slices"
 	"strings"
+	"sync"
+	"sync/atomic"
 
 	"microgrid/internal/simcore"
 )
@@ -79,9 +81,11 @@ type Network struct {
 	routed   bool
 	flowMode bool
 	// hier is the hierarchical routing state (see routing.go); routeEpoch
-	// invalidates lazily built tables on link state changes.
+	// invalidates lazily built tables on link state changes, and routeMu
+	// serializes the lazy builds, which shards of a partitioned run share.
 	hier       *hier
 	routeEpoch int64
+	routeMu    sync.Mutex
 	// Stats is the counter bucket for nodes on the default engine — the
 	// whole network in an unpartitioned run, so existing callers read it
 	// directly. engStats buckets nodes moved to other engines; TotalStats
@@ -227,12 +231,10 @@ type Node struct {
 	idx    int32
 	Router bool
 	ifaces []*iface
-	// localTab is the node's lazily built intra-cluster next-hop table,
-	// indexed by the destination's cluster-local index (see routing.go);
-	// tabEpoch records the routeEpoch it was built at. Nodes that never
-	// send or forward allocate no routing state.
-	localTab []*iface
-	tabEpoch int64
+	// tab is the node's lazily built intra-cluster next-hop table (see
+	// routing.go). Nodes that never send or forward allocate no routing
+	// state.
+	tab atomic.Pointer[localTab]
 	// Transport maps are nil until first use (reads of a nil map are
 	// safe), so declared-but-untouched hosts carry no endpoint state.
 	handlers   map[Port]DatagramHandler

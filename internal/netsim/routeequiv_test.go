@@ -3,8 +3,10 @@ package netsim_test
 import (
 	"os"
 	"path/filepath"
+	"sync"
 	"testing"
 
+	"microgrid/internal/netsim"
 	"microgrid/internal/scenario"
 	"microgrid/internal/scengen"
 	"microgrid/internal/simcore"
@@ -242,6 +244,64 @@ func TestRouteStateLazy(t *testing.T) {
 		}
 		if got, lim := nw.RouteStateBytes(), tc.bytes; got > lim {
 			t.Fatalf("%d hosts: one path walk materialized %d bytes of routing state (limit %d)", g.Hosts, got, lim)
+		}
+	}
+}
+
+// The shards of a partitioned run share one Network's lazily built
+// routing tables: several goroutines may look up next hops at once, each
+// building tables the others read. Run under -race, this checks the
+// tables are published safely; the hops must match a serial walk.
+func TestRoutingConcurrentLookups(t *testing.T) {
+	spec, err := topology.Generate(topology.GenSpec{Kind: topology.GenStar, Hosts: 300, Seed: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	build := func() *netsim.Network {
+		nw, err := spec.Build(simcore.NewEngine(1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		nw.ComputeRoutes()
+		return nw
+	}
+	var names []string
+	for i, h := range spec.Hosts {
+		if i%7 == 0 {
+			names = append(names, h.Name)
+		}
+	}
+	names = append(names, spec.Routers...)
+	walk := func(nw *netsim.Network, first int) []string {
+		hops := make([]string, 0, len(names)*len(names))
+		for i := range names {
+			a := nw.Node(names[(first+i)%len(names)])
+			for _, dst := range names {
+				hops = append(hops, nw.NextHopName(a, nw.Node(dst)))
+			}
+		}
+		return hops
+	}
+	want := walk(build(), 0)
+	nw := build()
+	const workers = 4
+	got := make([][]string, workers)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			got[w] = walk(nw, w*len(names)/workers)
+		}(w)
+	}
+	wg.Wait()
+	for w, hops := range got {
+		// Worker w walked the sources rotated by its offset.
+		off := (w * len(names) / workers) * len(names)
+		for k := range hops {
+			if hops[k] != want[(off+k)%len(want)] {
+				t.Fatalf("worker %d, lookup %d: next hop %q, serial walk gives %q", w, k, hops[k], want[(off+k)%len(want)])
+			}
 		}
 	}
 }

@@ -1,6 +1,8 @@
 package netsim
 
 import (
+	"sync/atomic"
+
 	"microgrid/internal/simcore"
 )
 
@@ -38,6 +40,13 @@ import (
 // Failure and degrade events no longer trigger an eager global
 // recomputation: they bump routeEpoch, and stale tables rebuild lazily on
 // the next lookup.
+//
+// On a partitioned run the shards share these tables: one shard may build
+// a table while another reads it. Each table is therefore immutable once
+// built and published together with its epoch through an atomic.Pointer;
+// builds run under Network.routeMu and re-check the epoch first, so a
+// table is built once per epoch. routeEpoch itself only moves at
+// barriers (global actions), never while shards run.
 
 // hopPenalty is the small per-hop cost added to link delay so equal-delay
 // paths prefer fewer hops (shared by local and summarized Dijkstra).
@@ -59,6 +68,20 @@ type egressEntry struct {
 	ok  bool
 }
 
+// egressRow is one source cluster's egress decisions, indexed by
+// destination cluster, as built at routing epoch epoch.
+type egressRow struct {
+	epoch int64
+	to    []egressEntry
+}
+
+// localTab is a node's intra-cluster next-hop table, indexed by the
+// destination's cluster-local index, as built at routing epoch epoch.
+type localTab struct {
+	epoch int64
+	hops  []*iface
+}
+
 // hier is the network's hierarchical routing state, rebuilt whenever the
 // topology changes structurally (node or link added).
 type hier struct {
@@ -70,10 +93,8 @@ type hier struct {
 	// borderOut[c] lists the WAN edges leaving cluster c, in link
 	// creation order (the relaxation order the flat model used).
 	borderOut [][]borderEdge
-	// egress[c] is cluster c's lazily built decision row; egressEpoch[c]
-	// records the routeEpoch it was built at.
-	egress      [][]egressEntry
-	egressEpoch []int64
+	// egress[c] is cluster c's lazily built decision row.
+	egress []atomic.Pointer[egressRow]
 }
 
 // ComputeRoutes (re)builds the routing hierarchy: cluster detection plus
@@ -105,8 +126,7 @@ func (n *Network) ComputeRoutes() {
 		h.borderOut[ca] = append(h.borderOut[ca], borderEdge{to: cb, ifc: l.abIf})
 		h.borderOut[cb] = append(h.borderOut[cb], borderEdge{to: ca, ifc: l.baIf})
 	}
-	h.egress = make([][]egressEntry, len(clusters))
-	h.egressEpoch = make([]int64, len(clusters))
+	h.egress = make([]atomic.Pointer[egressRow], len(clusters))
 	n.hier = h
 	n.routeEpoch++
 	n.routed = true
@@ -128,23 +148,21 @@ func (n *Network) invalidateRoutes() {
 func (n *Network) nextHop(nd *Node, dstIdx int32) *iface {
 	h := n.hier
 	c, d := h.clusterOf[nd.idx], h.clusterOf[dstIdx]
-	if c == d {
-		if nd.tabEpoch != n.routeEpoch || nd.localTab == nil {
-			n.buildLocalTab(nd)
+	if c != d {
+		e := n.egressTo(c, d)
+		if e == nil {
+			return nil
 		}
-		return nd.localTab[h.localIdx[dstIdx]]
+		if e.gw == nd {
+			return e.out
+		}
+		dstIdx = e.gw.idx
 	}
-	e := n.egressTo(c, d)
-	if e == nil {
-		return nil
+	t := nd.tab.Load()
+	if t == nil || t.epoch != n.routeEpoch {
+		t = n.buildLocalTab(nd)
 	}
-	if e.gw == nd {
-		return e.out
-	}
-	if nd.tabEpoch != n.routeEpoch || nd.localTab == nil {
-		n.buildLocalTab(nd)
-	}
-	return nd.localTab[h.localIdx[e.gw.idx]]
+	return t.hops[h.localIdx[dstIdx]]
 }
 
 // buildLocalTab runs Dijkstra from nd over its cluster's subgraph — the
@@ -152,7 +170,12 @@ func (n *Network) nextHop(nd *Node, dstIdx int32) *iface {
 // restricted to intra-cluster links. Vertices are cluster-local indices,
 // which ascend in name order, so the kernel's smallest-index tie-break
 // is the name tie-break.
-func (n *Network) buildLocalTab(nd *Node) {
+func (n *Network) buildLocalTab(nd *Node) *localTab {
+	n.routeMu.Lock()
+	defer n.routeMu.Unlock()
+	if t := nd.tab.Load(); t != nil && t.epoch == n.routeEpoch {
+		return t // another shard built it first
+	}
 	h := n.hier
 	c := h.clusterOf[nd.idx]
 	mem := h.members[c]
@@ -167,18 +190,19 @@ func (n *Network) buildLocalTab(nd *Node) {
 		}
 	})
 	first[h.localIdx[nd.idx]] = nil // self is handled by the loopback path
-	nd.localTab = first
-	nd.tabEpoch = n.routeEpoch
+	t := &localTab{epoch: n.routeEpoch, hops: first}
+	nd.tab.Store(t)
+	return t
 }
 
 // egressTo returns cluster c's egress decision toward cluster d, building
 // the row lazily via Dijkstra over the summarized cluster graph.
 func (n *Network) egressTo(c, d int32) *egressEntry {
-	h := n.hier
-	if h.egress[c] == nil || h.egressEpoch[c] != n.routeEpoch {
-		n.buildEgress(c)
+	row := n.hier.egress[c].Load()
+	if row == nil || row.epoch != n.routeEpoch {
+		row = n.buildEgress(c)
 	}
-	e := &h.egress[c][d]
+	e := &row.to[d]
 	if !e.ok {
 		return nil
 	}
@@ -193,8 +217,13 @@ func (n *Network) egressTo(c, d int32) *egressEntry {
 // Intra-cluster transit is costed at zero — exact for singleton transit
 // clusters (backbone routers and cores), which is every committed and
 // generated family.
-func (n *Network) buildEgress(c int32) {
+func (n *Network) buildEgress(c int32) *egressRow {
 	h := n.hier
+	n.routeMu.Lock()
+	defer n.routeMu.Unlock()
+	if row := h.egress[c].Load(); row != nil && row.epoch == n.routeEpoch {
+		return row // another shard built it first
+	}
 	nc := len(h.members)
 	first := firstHops(nc, c, func(u int32, relax func(int32, *iface)) {
 		for _, be := range h.borderOut[u] {
@@ -210,8 +239,9 @@ func (n *Network) buildEgress(c int32) {
 		}
 		row[d] = egressEntry{gw: first[d].node, out: first[d], ok: true}
 	}
-	h.egress[c] = row
-	h.egressEpoch[c] = n.routeEpoch
+	r := &egressRow{epoch: n.routeEpoch, to: row}
+	h.egress[c].Store(r)
+	return r
 }
 
 // firstHops is the Dijkstra kernel both routing tiers share. It searches
@@ -330,13 +360,15 @@ func (n *Network) NextHopName(nd, dst *Node) string {
 func (n *Network) RouteStateBytes() int64 {
 	var total int64
 	for _, nd := range n.nodes {
-		if nd.localTab != nil {
-			total += int64(len(nd.localTab)) * 8
+		if t := nd.tab.Load(); t != nil {
+			total += int64(len(t.hops)) * 8
 		}
 	}
 	if n.hier != nil {
-		for _, row := range n.hier.egress {
-			total += int64(len(row)) * 24
+		for c := range n.hier.egress {
+			if row := n.hier.egress[c].Load(); row != nil {
+				total += int64(len(row.to)) * 24
+			}
 		}
 	}
 	return total

@@ -17,6 +17,7 @@ import (
 
 	"microgrid/internal/core"
 	"microgrid/internal/metrics"
+	"microgrid/internal/simcore"
 )
 
 // okTask returns a task producing a small deterministic experiment.
@@ -237,6 +238,25 @@ func TestPanicBecomesFailure(t *testing.T) {
 	r := Run(context.Background(), []Task{p}, Options{Workers: 1})[0]
 	if r.Status != StatusFailed || r.Attempts != 2 || r.Err == nil {
 		t.Fatalf("result = %+v", r)
+	}
+}
+
+// TestProcessPanicBecomesError: a panic inside a simulated process
+// reaches the task's goroutine, so runAttempt turns it into an error
+// naming the process instead of crashing the binary.
+func TestProcessPanicBecomesError(t *testing.T) {
+	task := Task{ID: "proc-panic", Run: func(ctx context.Context) (*core.Experiment, error) {
+		eng := simcore.NewEngine(1)
+		eng.Spawn("rank-3", func(p *simcore.Proc) {
+			p.Sleep(simcore.Millisecond)
+			panic("model bug")
+		})
+		return nil, eng.Run()
+	}}
+	_, err := runAttempt(context.Background(), task, 0)
+	if err == nil || !strings.HasPrefix(err.Error(), "runner: task panicked: ") ||
+		!strings.Contains(err.Error(), `process "rank-3"`) {
+		t.Fatalf("runAttempt: %v, want a task-panicked error naming the process", err)
 	}
 }
 

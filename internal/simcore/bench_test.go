@@ -5,6 +5,11 @@ import (
 	"testing"
 )
 
+// Run these with a fixed iteration count so every sample does the same
+// work, e.g.
+//
+//	go test -run '^$' -bench . -benchtime 200000x -count 5 ./internal/simcore
+
 // benchChains dispatches b.N events from chains self-rescheduling
 // callbacks; chain i re-arms itself with delay(i, k) on its k-th firing.
 // ns/op is the cost of one scheduled-and-dispatched event.
@@ -62,4 +67,48 @@ func BenchmarkDispatchDistinctDelays(b *testing.B) {
 // worst case for lanes: every event claims a lane slot and frees it.
 func BenchmarkDispatchSingleChain(b *testing.B) {
 	benchChains(b, 1, func(_, _ int) Duration { return Microsecond })
+}
+
+// BenchmarkProcSwitch is one Sleep: the process parks, its timer event
+// fires and resumes it. ns/op is one park/resume round trip plus one
+// dispatched event.
+func BenchmarkProcSwitch(b *testing.B) {
+	e := NewEngine(1)
+	e.Spawn("sleeper", func(p *Proc) {
+		for i := 0; i < b.N; i++ {
+			p.Sleep(Microsecond)
+		}
+	})
+	b.ResetTimer()
+	if err := e.Run(); err != nil {
+		b.Fatal(err)
+	}
+}
+
+// BenchmarkCondWake is one Cond.Signal to a parked waiter, which wakes
+// and parks again while the signaler yields: two switches per op.
+func BenchmarkCondWake(b *testing.B) {
+	e := NewEngine(1)
+	c := NewCond(e)
+	woken := 0
+	e.Spawn("waiter", func(p *Proc) {
+		for {
+			c.Wait(p)
+			woken++
+		}
+	}).SetDaemon(true)
+	e.Spawn("signaler", func(p *Proc) {
+		p.Yield() // let the waiter park first
+		for i := 0; i < b.N; i++ {
+			c.Signal(nil)
+			p.Yield()
+		}
+	})
+	b.ResetTimer()
+	if err := e.Run(); err != nil {
+		b.Fatal(err)
+	}
+	if woken != b.N {
+		b.Fatalf("woke %d times, want %d", woken, b.N)
+	}
 }

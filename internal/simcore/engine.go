@@ -2,10 +2,10 @@
 // simulation engine. It is the substrate on which every MicroGrid model
 // (hosts, schedulers, networks, middleware) runs.
 //
-// Processes are ordinary goroutines, but the engine enforces that exactly one
-// of them executes at a time: a process runs until it blocks on a simulation
-// primitive (Sleep, Cond.Wait, Queue.Get, ...), at which point control
-// returns to the engine, which advances virtual time to the next event.
+// Processes are coroutines, so exactly one of them executes at a time: a
+// process runs until it blocks on a simulation primitive (Sleep,
+// Cond.Wait, Queue.Get, ...), at which point control switches back to the
+// engine, which advances virtual time to the next event.
 // Events run in one total order, (time, sequence), so runs are
 // bit-for-bit deterministic for a given seed. The queue behind that
 // order is a min-heap merged with two kinds of FIFO that are sorted by
@@ -152,7 +152,7 @@ func (l *lane) pop() event {
 // the (time, seq) total order of a single heap of all events.
 //
 // An Engine is not safe for concurrent use from outside its own processes;
-// all interaction must happen from process goroutines or before/after Run.
+// all interaction must happen from processes, event callbacks, or before/after Run.
 type Engine struct {
 	now      Time
 	heap     []heapEntry
@@ -160,9 +160,7 @@ type Engine struct {
 	fifo     []event
 	fifoHead int
 	seq      int64
-	ctl      chan struct{} // a running process signals here when it parks or exits
 	procs    map[*Proc]struct{}
-	nprocs   int
 	rng      *rand.Rand
 	stopped  bool
 	rec      *trace.Recorder
@@ -182,7 +180,6 @@ type Engine struct {
 // from seed.
 func NewEngine(seed int64) *Engine {
 	return &Engine{
-		ctl:      make(chan struct{}),
 		procs:    make(map[*Proc]struct{}),
 		rng:      rand.New(rand.NewSource(seed)),
 		baseSeed: seed,
@@ -481,11 +478,10 @@ func (e *Engine) runWindow(end Time) {
 	}
 }
 
-// shutdown aborts all parked processes, in id order, so their goroutines
-// exit. Each pass snapshots and sorts the survivors once; deferred cleanup
-// in an aborted process may spawn new processes (always with higher ids),
-// which the next pass picks up — the same order the old per-abort min-id
-// rescan produced, without its O(n²) cost.
+// shutdown aborts all parked processes, in id order, so their coroutines
+// finish. Each pass snapshots and sorts the survivors once; deferred
+// cleanup in an aborted process may spawn new processes (always with
+// higher ids), which the next pass picks up.
 func (e *Engine) shutdown() {
 	for len(e.procs) > 0 {
 		batch := make([]*Proc, 0, len(e.procs))
@@ -502,8 +498,8 @@ func (e *Engine) shutdown() {
 }
 
 // Kill condemns a process: at the current instant (after events already
-// queued for it) the process is aborted at its blocking point and its
-// goroutine unwinds, running any deferred cleanup in process functions.
+// queued for it) the process is aborted at its blocking point and
+// unwinds, running any deferred cleanup in process functions.
 // Wakeups already scheduled for the victim are discarded, and Cond
 // signals pass it over, so killing a process never strands a signal or
 // corrupts the event order. Killing an exited or already-condemned
@@ -517,30 +513,20 @@ func (e *Engine) Kill(p *Proc) {
 	if e.rec.Enabled(trace.CatProc) {
 		e.rec.Event(trace.CatProc, "kill", trace.Attr{Detail: p.name})
 	}
-	// The abort handshake must run from the engine's event loop — never
-	// from another process goroutine — so route it through the heap.
+	// The abort switch must run from the engine's event loop — never
+	// from another process — so route it through the event queue.
+	// The victim may exit before delivery; it cannot be running then,
+	// since events run only while every process is parked or dead.
 	e.At(e.now, func() {
-		if p.state != procParked {
-			// Already exited (state reached procDead before delivery), or
-			// self-kill delivered while the victim still runs: in the
-			// latter case the victim parks or exits within this instant
-			// and the killed flag stops any later resume; if it parks, a
-			// fresh abort event finishes the job.
-			if p.state == procRunning {
-				e.At(e.now, func() {
-					if p.state == procParked {
-						e.abort(p)
-					}
-				})
-			}
-			return
+		if p.state == procParked {
+			e.abort(p)
 		}
-		e.abort(p)
 	})
 }
 
 // abort resumes p with the abort flag; p's park panics with errAborted,
-// which the spawn wrapper recovers, terminating the goroutine.
+// which the coroutine body recovers, ending the coroutine. A process that
+// never ran has no coroutine and simply dies.
 func (e *Engine) abort(p *Proc) {
 	if p.state != procParked {
 		panic("simcore: aborting a process that is not parked")
@@ -549,7 +535,10 @@ func (e *Engine) abort(p *Proc) {
 		e.rec.Event(trace.CatProc, "abort", trace.Attr{Detail: p.name})
 	}
 	delete(e.procs, p)
-	p.state = procRunning
-	p.resume <- wakeup{abort: true}
-	<-e.ctl
+	if p.next == nil {
+		p.state = procDead
+		return
+	}
+	p.state, p.aborting = procRunning, true
+	p.next()
 }

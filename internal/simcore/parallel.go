@@ -370,9 +370,9 @@ func (pe *ParallelEngine) deliver(end Time) {
 }
 
 // runShards executes one window [*, end) on every shard that has work
-// before end. Shards run concurrently — each shard's loop (and the
-// processes it resumes) is its own goroutine chain — except that a
-// window with a single active shard runs inline, so a model living
+// before end. Shards run concurrently — each shard's loop, and the
+// process coroutines it resumes, on a goroutine of its own — except that
+// a window with a single active shard runs inline, so a model living
 // entirely on one shard pays no goroutine or barrier overhead.
 func (pe *ParallelEngine) runShards(end Time) {
 	active := pe.activeBuf[:0]

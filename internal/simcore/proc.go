@@ -1,12 +1,17 @@
+//go:build go1.23
+
+// The tag lifts this file to Go 1.23 for iter.Pull; go.mod stays at 1.22.
+
 package simcore
 
 import (
 	"fmt"
+	"iter"
 
 	"microgrid/internal/trace"
 )
 
-type procState int
+type procState uint8
 
 const (
 	procRunning procState = iota
@@ -14,30 +19,30 @@ const (
 	procDead
 )
 
-type wakeup struct {
-	abort bool
-	val   any
-}
-
-// errAborted is the panic value used to unwind aborted process goroutines.
+// errAborted is the panic value used to unwind aborted processes.
 var errAborted = &struct{ msg string }{"simcore: process aborted"}
 
-// Proc is a simulation process: a goroutine whose execution is interleaved
-// deterministically by the Engine. All blocking must go through Proc
+// Proc is a simulation process: a coroutine (iter.Pull) that the Engine
+// resumes from its event loop and that hands control back, by a direct
+// runtime switch, when it blocks. All blocking must go through Proc
 // methods or engine-aware primitives (Cond, Queue); blocking on ordinary Go
 // channels from inside a process would stall the whole simulation.
 type Proc struct {
-	eng    *Engine
-	id     int64
-	name   string
-	daemon bool
-	state  procState
-	resume chan wakeup
+	eng  *Engine
+	id   int64
+	name string
+	// next resumes the coroutine, created on the first resume, and
+	// yield, called from inside it, parks it; val and aborting carry
+	// the wakeup across the switch.
+	next     func() (struct{}, bool)
+	yield    func(struct{}) bool
+	val      any
+	state    procState
+	daemon   bool
+	aborting bool
 	// killed marks a process condemned by Engine.Kill: pending wakeups
 	// for it are discarded and Cond signals pass it over.
 	killed bool
-	// waitSlot carries a value to a process being woken from Cond.WaitValue.
-	waitSlot any
 }
 
 // Engine returns the engine this process belongs to.
@@ -69,39 +74,36 @@ func (e *Engine) SpawnAt(t Time, name string, fn func(p *Proc)) *Proc {
 		e.rec.Event(trace.CatProc, "spawn", trace.Attr{Detail: name})
 	}
 	e.seq++
-	p := &Proc{
-		eng:    e,
-		id:     e.seq,
-		name:   name,
-		state:  procParked,
-		resume: make(chan wakeup),
-	}
+	p := &Proc{eng: e, id: e.seq, name: name, state: procParked}
 	e.procs[p] = struct{}{}
-	go func() {
-		w := <-p.resume
-		defer func() {
-			if r := recover(); r != nil && r != any(errAborted) {
-				// Re-panic with context; the engine goroutine is blocked on
-				// ctl, so crash loudly rather than deadlocking silently.
-				panic(fmt.Sprintf("simcore: process %q panicked: %v", p.name, r))
-			}
-			p.state = procDead
-			e.ctl <- struct{}{}
-		}()
-		if w.abort {
-			return
+	e.At(t, func() {
+		if p.state == procParked && !p.killed { // not aborted before it ran
+			p.next, _ = iter.Pull(func(yield func(struct{}) bool) { p.body(yield, fn) })
+			e.resumeProc(p, nil)
 		}
-		fn(p)
-		delete(e.procs, p)
-	}()
-	e.At(t, func() { e.resumeProc(p, wakeup{}) })
+	})
 	return p
 }
 
-// resumeProc hands the CPU to p and waits until p parks again or exits.
+// body is the coroutine: it runs fn to completion or to an abort. A
+// panic in fn is re-raised with the process name; iter.Pull carries it
+// out of next, so it reaches the caller of Run.
+func (p *Proc) body(yield func(struct{}) bool, fn func(p *Proc)) {
+	p.yield = yield
+	defer func() {
+		p.state = procDead
+		if r := recover(); r != nil && r != any(errAborted) {
+			panic(fmt.Sprintf("simcore: process %q panicked: %v", p.name, r))
+		}
+	}()
+	fn(p)
+	delete(p.eng.procs, p)
+}
+
+// resumeProc switches to p, handing it v, until p parks again or exits.
 // It must only be called from the engine's event loop (i.e. inside event
 // callbacks), never from another process.
-func (e *Engine) resumeProc(p *Proc, w wakeup) {
+func (e *Engine) resumeProc(p *Proc, v any) {
 	if p.killed || p.state == procDead {
 		// A wakeup (timer, signal) raced with Engine.Kill; the target is
 		// gone, so the wakeup evaporates.
@@ -110,26 +112,25 @@ func (e *Engine) resumeProc(p *Proc, w wakeup) {
 	if p.state != procParked {
 		panic(fmt.Sprintf("simcore: resuming process %q in state %d", p.name, p.state))
 	}
-	p.state = procRunning
-	p.resume <- w
-	<-e.ctl
+	p.state, p.val = procRunning, v
+	p.next()
 }
 
-// park suspends the calling process until something schedules a resume.
-// Returns the wakeup value passed by the waker.
+// park suspends the calling process until a resume, returning its value.
 func (p *Proc) park() any {
 	p.state = procParked
-	p.eng.ctl <- struct{}{}
-	w := <-p.resume
-	if w.abort {
+	p.yield(struct{}{})
+	if p.aborting {
 		panic(errAborted)
 	}
-	return w.val
+	v := p.val
+	p.val = nil
+	return v
 }
 
 // scheduleResume queues an event at time t that resumes p with value v.
 func (p *Proc) scheduleResume(t Time, v any) {
-	p.eng.At(t, func() { p.eng.resumeProc(p, wakeup{val: v}) })
+	p.eng.At(t, func() { p.eng.resumeProc(p, v) })
 }
 
 // Sleep suspends the process for d of simulated time.

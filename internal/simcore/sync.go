@@ -44,7 +44,7 @@ func (c *Cond) WaitTimeout(p *Proc, d Duration) (any, bool) {
 		w.fired = true
 		w.timedOut = true
 		c.remove(w)
-		c.eng.resumeProc(p, wakeup{})
+		c.eng.resumeProc(p, nil)
 	})
 	v := p.park()
 	return v, w.timedOut
@@ -79,7 +79,7 @@ func (c *Cond) Signal(v any) bool {
 				c.Signal(v)
 				return
 			}
-			c.eng.resumeProc(w.p, wakeup{val: v})
+			c.eng.resumeProc(w.p, v)
 		})
 		return true
 	}
@@ -165,10 +165,7 @@ func (q *Queue) Get(p *Proc) (v any, ok bool) {
 	if len(q.items) == 0 {
 		return nil, false
 	}
-	v = q.items[0]
-	q.items = q.items[1:]
-	q.notFull.Signal(nil)
-	return v, true
+	return q.pop(), true
 }
 
 // GetTimeout is Get with a deadline d from now; timedOut reports expiry.
@@ -189,10 +186,7 @@ func (q *Queue) GetTimeout(p *Proc, d Duration) (v any, ok, timedOut bool) {
 	if len(q.items) == 0 {
 		return nil, false, false
 	}
-	v = q.items[0]
-	q.items = q.items[1:]
-	q.notFull.Signal(nil)
-	return v, true, false
+	return q.pop(), true, false
 }
 
 // TryGet removes and returns the oldest item without blocking.
@@ -200,8 +194,13 @@ func (q *Queue) TryGet() (v any, ok bool) {
 	if len(q.items) == 0 {
 		return nil, false
 	}
-	v = q.items[0]
+	return q.pop(), true
+}
+
+// pop removes the oldest item and wakes one blocked Put.
+func (q *Queue) pop() any {
+	v := q.items[0]
 	q.items = q.items[1:]
 	q.notFull.Signal(nil)
-	return v, true
+	return v
 }
