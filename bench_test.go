@@ -319,10 +319,11 @@ func BenchmarkExtraCrossTraffic(b *testing.B) {
 	}
 }
 
-// BenchmarkEngineEventThroughput measures the DES core's raw event rate —
-// the scalability budget the paper's future-work section worries about.
-func BenchmarkEngineEventThroughput(b *testing.B) {
+// benchEventThroughput dispatches b.N self-rescheduling 1 µs events on a
+// serial engine with rec attached (nil for none).
+func benchEventThroughput(b *testing.B, rec *trace.Recorder) {
 	eng := simcore.NewEngine(1)
+	eng.SetRecorder(rec)
 	n := 0
 	var tick func()
 	tick = func() {
@@ -338,26 +339,23 @@ func BenchmarkEngineEventThroughput(b *testing.B) {
 	}
 }
 
+// BenchmarkEngineEventThroughput measures the DES core's raw event rate —
+// the scalability budget the paper's future-work section worries about.
+func BenchmarkEngineEventThroughput(b *testing.B) { benchEventThroughput(b, nil) }
+
 // BenchmarkEngineEventThroughputTraceOff is the event-throughput bench
 // with a recorder attached but every category masked off: it pins the
 // cost of the disabled-tracing fast path on the dispatch hot loop, which
 // must stay within the regression gate of the untraced bench.
 func BenchmarkEngineEventThroughputTraceOff(b *testing.B) {
-	eng := simcore.NewEngine(1)
-	eng.SetRecorder(trace.NewRecorder(0, 0))
-	n := 0
-	var tick func()
-	tick = func() {
-		n++
-		if n < b.N {
-			eng.After(simcore.Microsecond, tick)
-		}
-	}
-	b.ResetTimer()
-	eng.After(simcore.Microsecond, tick)
-	if err := eng.Run(); err != nil {
-		b.Fatal(err)
-	}
+	benchEventThroughput(b, trace.NewRecorder(0, 0))
+}
+
+// BenchmarkEngineEventThroughputTraceOn is the event-throughput bench
+// with every category recorded into a DefaultBufSize ring: ns/op is one
+// dispatch plus its "dispatch" trace record.
+func BenchmarkEngineEventThroughputTraceOn(b *testing.B) {
+	benchEventThroughput(b, trace.NewRecorder(trace.DefaultBufSize, trace.CatAll))
 }
 
 // benchParallelRing is the shard-scaling workload behind

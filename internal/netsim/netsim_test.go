@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"testing"
+	"unsafe"
 
 	"microgrid/internal/simcore"
 )
@@ -779,5 +780,14 @@ func TestMinLinkDelay(t *testing.T) {
 	d, ok := nw.MinLinkDelay()
 	if !ok || d != 200*simcore.Microsecond {
 		t.Fatalf("MinLinkDelay = %v, %v; want 200µs, true", d, ok)
+	}
+}
+
+// An 8-byte connKey with no padding keeps deliverTCP's per-packet
+// n.conns lookup on the runtime's mapaccess2_fast64 path; a padded key
+// falls back to the generic hashed lookup.
+func TestConnKeyPacked(t *testing.T) {
+	if got := unsafe.Sizeof(connKey{}); got != 8 {
+		t.Fatalf("unsafe.Sizeof(connKey{}) = %d, want 8", got)
 	}
 }

@@ -34,10 +34,12 @@ var ErrClosed = errors.New("netsim: connection closed")
 // ErrRefused is returned by Dial when no listener exists at the target.
 var ErrRefused = errors.New("netsim: connection refused")
 
-// connKey identifies a connection endpoint within a node.
+// connKey identifies a connection endpoint within a node. The Addr comes
+// first so the key packs into 8 bytes with no padding, which lets the
+// per-packet n.conns lookup use the runtime's 64-bit map fast path.
 type connKey struct {
-	local      Port
 	remote     Addr
+	local      Port
 	remotePort Port
 }
 

@@ -411,6 +411,7 @@ func (e *Engine) RunUntil(limit Time) error {
 	if end < limit {
 		end = limit // limit is the largest Time; only an event at exactly it is left
 	}
+	defer shutdownOnPanic(e)
 	e.runWindow(end)
 	var blocked []string
 	for p := range e.procs {
@@ -495,6 +496,29 @@ func (e *Engine) shutdown() {
 			}
 		}
 	}
+}
+
+// shutdownOnPanic, deferred by both engines' RunUntil, handles a panic
+// unwinding the run (a process's, re-raised with its name, or an
+// event's): it aborts every shard's parked processes, as shutdown does
+// at a normal end, so their coroutines do not outlive the run, then
+// re-raises the same value. The process that panicked is already dead
+// but still listed; its entry is dropped first, since abort only takes
+// parked processes.
+func shutdownOnPanic(shards ...*Engine) {
+	r := recover()
+	if r == nil {
+		return
+	}
+	for _, e := range shards {
+		for p := range e.procs {
+			if p.state == procDead {
+				delete(e.procs, p)
+			}
+		}
+		e.shutdown()
+	}
+	panic(r)
 }
 
 // Kill condemns a process: at the current instant (after events already

@@ -431,6 +431,7 @@ func (pe *ParallelEngine) RunUntil(limit Time) error {
 	pe.running = true
 	pe.lookhead = pe.Lookahead()
 	defer func() { pe.running = false }()
+	defer shutdownOnPanic(pe.shards...)
 
 	bound := limit + 1 // window ends are exclusive: t ≤ limit ⇔ t < limit+1
 	if bound <= limit {

@@ -2,8 +2,10 @@ package simcore
 
 import (
 	"fmt"
+	"runtime"
 	"strings"
 	"testing"
+	"time"
 )
 
 // runPanics runs fn and returns the value it panicked with, or nil.
@@ -51,6 +53,67 @@ func TestProcPanicReachesParallelRunCaller(t *testing.T) {
 		panic("model bug")
 	})
 	checkProcPanic(t, runPanics(pe.Run))
+}
+
+// A panic that unwinds Run first aborts the run's other parked
+// processes, in id order on every shard, so none of their coroutines
+// outlive the recovered panic; the value still names the process.
+func TestProcPanicAbortsParkedProcesses(t *testing.T) {
+	for _, shards := range []int{1, 2} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			runtime.GC()
+			base := runtime.NumGoroutine()
+			for i := 0; i < 5; i++ {
+				var engs []*Engine
+				var run func() error
+				if shards == 1 {
+					eng := NewEngine(1)
+					engs, run = []*Engine{eng}, eng.Run
+				} else {
+					pe := NewParallelEngine(1, shards)
+					engs, run = []*Engine{pe.Shard(0), pe.Shard(1)}, pe.Run
+				}
+				var unwound []string
+				for k := 0; k < 4; k++ {
+					name := fmt.Sprintf("sleeper-%d", k)
+					engs[k%len(engs)].Spawn(name, func(p *Proc) {
+						defer func() { unwound = append(unwound, name) }()
+						for { // keeps every shard busy in the panic's window
+							p.Sleep(Microsecond)
+						}
+					})
+				}
+				engs[len(engs)-1].Spawn("bad", func(p *Proc) {
+					p.Sleep(Millisecond)
+					panic("model bug")
+				})
+				checkProcPanic(t, runPanics(run))
+				want := "[sleeper-0 sleeper-1 sleeper-2 sleeper-3]"
+				if shards == 2 {
+					want = "[sleeper-0 sleeper-2 sleeper-1 sleeper-3]"
+				}
+				if got := fmt.Sprint(unwound); got != want {
+					t.Fatalf("processes unwound %s, want %s", got, want)
+				}
+				for _, e := range engs {
+					if len(e.procs) != 0 {
+						t.Fatalf("%d processes left after the panic", len(e.procs))
+					}
+				}
+			}
+			// Exited goroutines can take a moment to leave the count.
+			n := 0
+			for deadline := time.Now().Add(2 * time.Second); ; time.Sleep(10 * time.Millisecond) {
+				runtime.GC()
+				if n = runtime.NumGoroutine(); n <= base || time.Now().After(deadline) {
+					break
+				}
+			}
+			if n > base {
+				t.Fatalf("%d goroutines after 5 panicked runs, %d before", n, base)
+			}
+		})
+	}
 }
 
 // A process gets its coroutine on its first resume: one that never runs

@@ -1,0 +1,49 @@
+package trace
+
+import "testing"
+
+// Run these with a fixed iteration count so every sample does the same
+// work, e.g.
+//
+//	go test -run '^$' -bench . -benchtime 1000000x -count 5 ./internal/trace
+//
+// Each uses a DefaultBufSize ring, the size a traced run records into: a
+// ring that fits in L1 would hide the cost of writing the slot.
+
+// BenchmarkRecordHop is one netsim hop record: an instant event with a
+// host, a link and a byte count, read off the virtual clock.
+func BenchmarkRecordHop(b *testing.B) {
+	r := NewRecorder(DefaultBufSize, CatAll)
+	var now int64
+	r.SetClock(func() int64 { return now })
+	a := Attr{Host: "vm0", Link: "vm0-switch", Bytes: 1500}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		now++
+		r.Event(CatNet, "hop", a)
+	}
+}
+
+// BenchmarkRecordDispatch is the engine's per-event record: CatEngine
+// with no attributes, the most frequent record in a CatAll trace.
+func BenchmarkRecordDispatch(b *testing.B) {
+	r := NewRecorder(DefaultBufSize, CatAll)
+	var now int64
+	r.SetClock(func() int64 { return now })
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		now++
+		r.Event(CatEngine, "dispatch", Attr{})
+	}
+}
+
+// BenchmarkRecordSpan is a completed CPU slice: a span with a host and a
+// detail string.
+func BenchmarkRecordSpan(b *testing.B) {
+	r := NewRecorder(DefaultBufSize, CatAll)
+	a := Attr{Host: "vm0", Detail: "rank-0"}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		r.Span(CatCPU, "slice", int64(i), 10, a)
+	}
+}

@@ -11,7 +11,9 @@
 //
 // Records land in a bounded ring buffer: when it fills, the oldest
 // records are overwritten and a dropped-events counter advances. The
-// counter is part of every export — truncation is never silent.
+// counter is part of every export — truncation is never silent. Each
+// record's fields are written straight into its ring slot, so recording
+// costs one slot write whether or not the record survives to export.
 //
 // Recording is gated per category by a bitmask with a strict
 // zero-overhead-when-disabled fast path: a nil recorder or a masked-out
@@ -49,7 +51,7 @@ const (
 	CatGlobus
 	// CatChaos traces fault-injection firings.
 	CatChaos
-	// CatLog carries legacy printf-style Tracef records.
+	// CatLog carries free-form log records (Detail holds the message).
 	CatLog
 
 	// CatAll enables everything.
@@ -188,8 +190,8 @@ func NewRecorder(size int, mask Category) *Recorder {
 // SetClock installs the virtual-time source (the owning engine's now).
 func (r *Recorder) SetClock(now func() int64) { r.now = now }
 
-// SetSink installs fn to observe every retained event as it is emitted
-// (nil removes it). The legacy printf tracer shim uses this.
+// SetSink installs fn to observe every event as it is emitted (nil
+// removes it); fn receives a copy of the record just stored.
 func (r *Recorder) SetSink(fn func(Event)) { r.sink = fn }
 
 // Enabled reports whether category c is being recorded. It is nil-safe:
@@ -229,11 +231,7 @@ func (r *Recorder) Event(cat Category, name string, a Attr) {
 	if r.now != nil {
 		t = r.now()
 	}
-	r.push(Event{
-		T: t, Cat: cat, Name: name,
-		Host: a.Host, Link: a.Link, Rank: a.Rank, Peer: a.Peer,
-		Bytes: a.Bytes, Detail: a.Detail,
-	})
+	r.record(t, 0, cat, name, &a)
 }
 
 // Span records a completed span starting at virtual time start (ns) and
@@ -243,38 +241,38 @@ func (r *Recorder) Span(cat Category, name string, start, dur int64, a Attr) {
 	if r == nil || r.mask&cat == 0 {
 		return
 	}
-	r.push(Event{
-		T: start, Dur: dur, Cat: cat, Name: name,
-		Host: a.Host, Link: a.Link, Rank: a.Rank, Peer: a.Peer,
-		Bytes: a.Bytes, Detail: a.Detail,
-	})
+	r.record(start, dur, cat, name, &a)
 }
 
-// push assigns the sequence number and stores ev, overwriting the oldest
-// record when the ring is full.
-func (r *Recorder) push(ev Event) {
+// record assigns the next sequence number and writes the fields straight
+// into the next ring slot, overwriting the oldest record when full.
+func (r *Recorder) record(t, dur int64, cat Category, name string, a *Attr) {
 	r.seq++
-	ev.Seq = r.seq
-	if r.count == len(r.buf) {
-		r.buf[r.start] = ev
-		r.start = (r.start + 1) % len(r.buf)
+	i := r.count // start stays 0 until the ring first fills
+	if i == len(r.buf) {
+		i = r.start
+		if r.start++; r.start == len(r.buf) {
+			r.start = 0
+		}
 		r.dropped++
 	} else {
-		r.buf[(r.start+r.count)%len(r.buf)] = ev
 		r.count++
 	}
+	ev := &r.buf[i]
+	ev.T, ev.Seq, ev.Cat, ev.Name, ev.Dur = t, r.seq, cat, name, dur
+	ev.Host, ev.Link, ev.Rank, ev.Peer = a.Host, a.Link, a.Rank, a.Peer
+	ev.Bytes, ev.Detail = a.Bytes, a.Detail
 	if r.sink != nil {
-		r.sink(ev)
+		r.sink(*ev)
 	}
 }
 
 // Events returns the retained events in emission order (oldest first).
 func (r *Recorder) Events() []Event {
-	out := make([]Event, 0, r.count)
-	for i := 0; i < r.count; i++ {
-		out = append(out, r.buf[(r.start+i)%len(r.buf)])
-	}
-	return out
+	// Oldest first: buf[start:count], then the wrapped buf[:start]
+	// (start is 0 until the ring first fills, and count is then len).
+	out := append(make([]Event, 0, r.count), r.buf[r.start:r.count]...)
+	return append(out, r.buf[:r.start]...)
 }
 
 // Run is one recorder's snapshot for export and analysis.
