@@ -49,9 +49,10 @@ type Host struct {
 	current *Task
 	// failed freezes the scheduler entirely (see Fail/Restore).
 	failed bool
-	// sliceGen invalidates stale slice-end events.
+	// sliceGen invalidates stale slice-end events; sliceFree pools them.
 	sliceGen   int64
 	sliceStart simcore.Time
+	sliceFree  *sliceEnd
 	// IdleTime accumulates time with no runnable task, for utilization
 	// reporting.
 	IdleTime  simcore.Duration
@@ -228,7 +229,9 @@ func (t *Task) SetBusyLoop(on bool) {
 			t.demand.Broadcast()
 		}
 	} else if t.host.current == t && t.pendingOps <= 0 {
+		// The CPU is free now: hand it on, or mark the host idle.
 		t.host.endSlice()
+		t.host.maybeSchedule()
 	}
 }
 
@@ -364,14 +367,46 @@ func (h *Host) maybeSchedule() {
 		slice = simcore.Nanosecond
 	}
 	h.sliceGen++
-	gen := h.sliceGen
-	h.eng.After(slice, func() {
-		if gen != h.sliceGen || h.current != t {
-			return
-		}
-		h.endSlice()
-		h.maybeSchedule()
-	})
+	h.eng.After(slice, h.newSliceEnd(t).run)
+}
+
+// sliceEnd is the pending end of one slice, pooled on its Host: run is
+// bound once per instance, so starting a slice allocates nothing. A slice
+// ended early (preemption, Stop) leaves its event stale; it still fires,
+// fails the gen check, and returns to the pool.
+type sliceEnd struct {
+	h    *Host
+	t    *Task
+	gen  int64
+	run  func()
+	free *sliceEnd
+}
+
+func (h *Host) newSliceEnd(t *Task) *sliceEnd {
+	s := h.sliceFree
+	if s == nil {
+		s = &sliceEnd{h: h}
+		s.run = s.fire
+	} else {
+		h.sliceFree = s.free
+		s.free = nil
+	}
+	s.t, s.gen = t, h.sliceGen
+	return s
+}
+
+// fire returns the event to its pool before running, so the next slice it
+// starts can reuse it.
+func (s *sliceEnd) fire() {
+	h, t, gen := s.h, s.t, s.gen
+	s.t = nil
+	s.free = h.sliceFree
+	h.sliceFree = s
+	if gen != h.sliceGen || h.current != t {
+		return
+	}
+	h.endSlice()
+	h.maybeSchedule()
 }
 
 // endSlice accounts the in-progress slice and frees the CPU.

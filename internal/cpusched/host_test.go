@@ -451,3 +451,74 @@ func TestPropertyFractionDelivery(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// A competitor whose busy loop ends while it holds the CPU must hand the
+// CPU on: SetBusyLoop(false) ends the slice and reschedules, so the other
+// task gets the CPU back and finishes. Without the reschedule the host
+// was left with no current task and never marked idle, and the job
+// waited forever.
+func TestBusyLoopEndWhileRunningReschedules(t *testing.T) {
+	eng := simcore.NewEngine(1)
+	h := NewHost(eng, "h", 100, 0)
+	job := h.NewTask("job")
+	var done simcore.Time
+	eng.Spawn("job", func(p *simcore.Proc) {
+		job.Compute(p, 100e6) // 1s alone
+		done = p.Now()
+	})
+	var comp *Task
+	eng.After(33*simcore.Millisecond, func() { comp = h.StartCompetitor("load") })
+	// End the load at the first millisecond tick after 156ms at which the
+	// competitor holds the CPU.
+	var poll func()
+	poll = func() {
+		if eng.Now() > simcore.Time(simcore.Second) {
+			t.Error("the competitor never held the CPU after 156ms")
+			comp.SetBusyLoop(false)
+			return
+		}
+		if eng.Now() >= simcore.Time(156*simcore.Millisecond) && h.current == comp {
+			comp.SetBusyLoop(false)
+			return
+		}
+		eng.After(simcore.Millisecond, poll)
+	}
+	eng.After(simcore.Millisecond, poll)
+	if err := eng.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if done == 0 {
+		t.Fatal("job never finished")
+	}
+	want := simcore.Time(simcore.Second + comp.UsedCPU())
+	if d := done - want; d < -simcore.Time(simcore.Microsecond) || d > simcore.Time(simcore.Microsecond) {
+		t.Errorf("job done at %v, want %v (1s plus the competitor's %v)", done, want, comp.UsedCPU())
+	}
+	if h.current != nil || !h.idle {
+		t.Errorf("host not idle after all work: current=%v idle=%v", h.current, h.idle)
+	}
+}
+
+// TestQuantumZeroAlloc pins one 1 ms quantum with four runnable tasks at
+// zero heap allocations: the slice-end event comes from the host's pool.
+func TestQuantumZeroAlloc(t *testing.T) {
+	eng := simcore.NewEngine(1)
+	h := NewHost(eng, "h", 533, simcore.Millisecond)
+	for _, name := range []string{"t0", "t1", "t2", "t3"} {
+		h.NewTask(name).AddDemand(1e15)
+	}
+	step := func() {
+		if err := eng.RunUntil(eng.Now().Add(simcore.Millisecond)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 100; i++ {
+		step()
+	}
+	if allocs := testing.AllocsPerRun(1000, step); allocs != 0 {
+		t.Errorf("one quantum: %v allocs, want 0", allocs)
+	}
+	if got := h.Utilization(); got != 1 {
+		t.Errorf("utilization = %v, want 1", got)
+	}
+}

@@ -121,10 +121,3 @@ type dgramState struct {
 	got  int
 	meta *dgramMeta
 }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}

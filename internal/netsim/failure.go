@@ -182,12 +182,14 @@ func (c *channel) setDown(down bool) {
 	c.down = down
 	if down {
 		// Everything queued or in flight is lost.
-		c.Dropped += int64(len(c.queue))
-		c.src.stats.PacketsDropped += int64(len(c.queue))
-		for _, pkt := range c.queue {
+		queued := c.queue[c.head:]
+		c.Dropped += int64(len(queued))
+		c.src.stats.PacketsDropped += int64(len(queued))
+		for _, pkt := range queued {
 			c.src.freePacket(pkt)
 		}
-		c.queue = nil
+		clear(queued)
+		c.queue, c.head = c.queue[:0], 0
 		c.queuedBytes = 0
 		c.epoch++
 		c.busy = false

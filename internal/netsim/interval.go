@@ -32,11 +32,16 @@ func (s *intervalSet) add(start, end int64) {
 		}
 		j++
 	}
-	merged := make([]interval, 0, len(s.iv)-(j-i)+1)
-	merged = append(merged, s.iv[:i]...)
-	merged = append(merged, interval{start, end})
-	merged = append(merged, s.iv[j:]...)
-	s.iv = merged
+	if i == j {
+		// Nothing to merge: insert in place.
+		s.iv = append(s.iv, interval{})
+		copy(s.iv[i+1:], s.iv[i:])
+		s.iv[i] = interval{start, end}
+		return
+	}
+	// Overwrite the first merged interval and close the gap behind it.
+	s.iv[i] = interval{start, end}
+	s.iv = append(s.iv[:i+1], s.iv[j:]...)
 }
 
 // contiguousFrom returns the largest y such that [x, y) is fully covered

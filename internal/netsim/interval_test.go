@@ -1,6 +1,7 @@
 package netsim
 
 import (
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -113,5 +114,93 @@ func TestPropertyIntervalSetMatchesBitmap(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestIntervalSetInPlaceMatchesReference drives the in-place merge with a
+// seeded mix of TCP-receiver shapes — in-order extension, gaps,
+// retransmissions cut at new offsets that overlap what arrived, and
+// inserts before, between and after existing intervals — and checks the
+// set against a naive byte-coverage reference after every add.
+func TestIntervalSetInPlaceMatchesReference(t *testing.T) {
+	const n = 512
+	rng := rand.New(rand.NewSource(16))
+	for trial := 0; trial < 200; trial++ {
+		var s intervalSet
+		var cov [n]bool
+		next := int64(0) // the in-order sender's next byte
+		for op := 0; op < 60; op++ {
+			var a, b int64
+			switch k := rng.Intn(5); {
+			case k == 0 && next < n: // in-order extension
+				a, b = next, min(next+1+rng.Int63n(24), n)
+				next = b
+			case k == 1 && next < n: // a gap, then a segment past it
+				a = min(next+1+rng.Int63n(32), n-1)
+				b = min(a+1+rng.Int63n(24), n)
+				next = b
+			case k == 2: // a retransmission re-cut at a new offset
+				a = rng.Int63n(max(next, 1))
+				b = min(a+1+rng.Int63n(48), n)
+			default: // anywhere: before, between or after intervals
+				a = rng.Int63n(n)
+				b = min(a+rng.Int63n(40), n)
+			}
+			s.add(a, b)
+			for k := a; k < b; k++ {
+				cov[k] = true
+			}
+			checkIntervals(t, &s, cov[:], trial, op)
+			if t.Failed() {
+				return
+			}
+		}
+	}
+}
+
+// checkIntervals compares s with the reference coverage cov: intervals
+// sorted, disjoint and non-adjacent, covering exactly cov's bytes, and
+// contiguousFrom and covered agreeing with it.
+func checkIntervals(t *testing.T, s *intervalSet, cov []bool, trial, op int) {
+	t.Helper()
+	got := make([]bool, len(cov))
+	for i, iv := range s.iv {
+		if iv.start >= iv.end {
+			t.Fatalf("trial %d op %d: empty interval %v in %v", trial, op, iv, s.iv)
+		}
+		if i > 0 && s.iv[i-1].end >= iv.start {
+			t.Fatalf("trial %d op %d: intervals overlap, touch or are unsorted: %v", trial, op, s.iv)
+		}
+		for k := iv.start; k < iv.end; k++ {
+			got[k] = true
+		}
+	}
+	for k := range cov {
+		if got[k] != cov[k] {
+			t.Fatalf("trial %d op %d: byte %d covered=%v, want %v (%v)", trial, op, k, got[k], cov[k], s.iv)
+		}
+	}
+	// runEnd[x] is the end of the covered run starting at x (x itself
+	// when byte x is not covered).
+	runEnd := make([]int64, len(cov)+1)
+	runEnd[len(cov)] = int64(len(cov))
+	for x := len(cov) - 1; x >= 0; x-- {
+		runEnd[x] = int64(x)
+		if cov[x] {
+			runEnd[x] = runEnd[x+1]
+		}
+	}
+	for x := range runEnd {
+		if got := s.contiguousFrom(int64(x)); got != runEnd[x] {
+			t.Fatalf("trial %d op %d: contiguousFrom(%d) = %d, want %d (%v)", trial, op, x, got, runEnd[x], s.iv)
+		}
+	}
+	for a := 0; a < len(cov); a += 7 {
+		for b := a + 1; b <= len(cov); b += 11 {
+			want := runEnd[a] >= int64(b)
+			if got := s.covered(int64(a), int64(b)); got != want {
+				t.Fatalf("trial %d op %d: covered(%d, %d) = %v, want %v (%v)", trial, op, a, b, got, want, s.iv)
+			}
+		}
 	}
 }

@@ -791,3 +791,14 @@ func TestConnKeyPacked(t *testing.T) {
 		t.Fatalf("unsafe.Sizeof(connKey{}) = %d, want 8", got)
 	}
 }
+
+// channel sits exactly at the top of the runtime's 208-byte size class.
+// A large grid declares hundreds of thousands of channels that never
+// carry a packet, so one more word — an int queue head instead of the
+// int32 tucked into the padding after down — would move every channel
+// into the 224-byte class and add megabytes to the build.
+func TestChannelSizeClass(t *testing.T) {
+	if got := unsafe.Sizeof(channel{}); got != 208 {
+		t.Fatalf("unsafe.Sizeof(channel{}) = %d, want 208", got)
+	}
+}

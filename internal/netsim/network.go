@@ -100,15 +100,17 @@ type Network struct {
 	engPools map[*simcore.Engine]*pktPool
 }
 
-// pktPool pools packets and hop events for the nodes on one engine; the
-// packet path runs allocation-free once it is warm. Capacity is bounded
-// so cross-shard migration (packets freed on a shard that never sends
-// them back) cannot grow memory without bound.
+// pktPool pools packets, hop events and RTO timers for the nodes on one
+// engine; the packet path runs allocation-free once it is warm. Capacity
+// is bounded so cross-shard migration (packets freed on a shard that
+// never sends them back) cannot grow memory without bound.
 type pktPool struct {
 	pktFree *Packet
 	npkt    int
 	hopFree *hopEvent
 	nhop    int
+	rtoFree *rtoTimer
+	nrto    int
 }
 
 // maxPooled bounds each free list; excess packets go to the GC.
@@ -504,7 +506,7 @@ func (l *Link) Stats() [2]DirectionStats {
 		return DirectionStats{
 			From: from, To: to,
 			Sent: c.Sent, Dropped: c.Dropped, Lost: c.Lost,
-			Enqueued: c.Enqueued, Aborted: c.Aborted, Queued: len(c.queue),
+			Enqueued: c.Enqueued, Aborted: c.Aborted, Queued: len(c.queue) - int(c.head),
 			BytesSent:   c.BytesSent,
 			Utilization: util,
 		}

@@ -56,10 +56,14 @@ type Packet struct {
 	// Payload carries opaque application metadata on the final fragment.
 	Payload any
 	ttl     int
+	// tsSent is the TCP timestamp option: a data segment's send time,
+	// echoed by its ACK for the RTT sample; hasTS marks it present.
+	tsSent simcore.Time
 	// dstIdx is the destination's compact per-network node index, resolved
 	// once at the origin so forwarding hops index a dense route table
 	// instead of a map.
 	dstIdx int32
+	hasTS  bool
 	// free links the network's packet free list.
 	free *Packet
 }
@@ -105,14 +109,18 @@ type channel struct {
 	name     string
 	src, dst *Node
 	cfg      LinkConfig
-	// queue holds packets awaiting serialization; queuedBytes tracks the
-	// drop-tail occupancy.
+	// queue[head:] holds packets awaiting serialization; queuedBytes
+	// tracks the drop-tail occupancy. The backing array is reused: head
+	// advances as packets start and both reset when the queue drains.
 	queue       []*Packet
 	queuedBytes int
 	busy        bool
 	// down marks a failed link direction; epoch invalidates in-flight
 	// transmissions when the link fails.
-	down  bool
+	down bool
+	// head sits in the padding after down, keeping channel in the
+	// 208-byte size class that a network's many idle channels pay for.
+	head  int32
 	epoch int64
 	// lossRng draws random loss from a per-channel stream derived from the
 	// channel's stable name, so loss patterns are partition-independent.
@@ -175,6 +183,11 @@ func (c *channel) send(pkt *Packet) {
 		}
 		c.src.freePacket(pkt)
 		return
+	}
+	if len(c.queue) == cap(c.queue) && c.head > 0 {
+		// Compact a queue that never drained before the append grows it.
+		n := copy(c.queue, c.queue[c.head:])
+		c.queue, c.head = c.queue[:n], 0
 	}
 	c.queue = append(c.queue, pkt)
 	c.queuedBytes += pkt.Size
@@ -269,7 +282,7 @@ func (h *hopEvent) fire() {
 			h.arrived = true
 			c.src.eng.After(c.cfg.Delay, h.run)
 		}
-		if len(c.queue) > 0 {
+		if int(c.head) < len(c.queue) {
 			c.startNext()
 		} else {
 			c.busy = false
@@ -288,8 +301,11 @@ func (h *hopEvent) fire() {
 
 // startNext begins serializing the head-of-line packet.
 func (c *channel) startNext() {
-	pkt := c.queue[0]
-	c.queue = c.queue[1:]
+	pkt := c.queue[c.head]
+	c.queue[c.head] = nil
+	if c.head++; int(c.head) == len(c.queue) {
+		c.queue, c.head = c.queue[:0], 0
+	}
 	c.queuedBytes -= pkt.Size
 	c.busy = true
 	txTime := simcore.DurationOfSeconds(float64(pkt.Size) * 8 / c.cfg.BandwidthBps)

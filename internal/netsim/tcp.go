@@ -566,20 +566,16 @@ func (c *Conn) trySend() {
 	}
 }
 
-// segTS is the timestamp option carried by data segments and echoed by acks.
-type segTS struct {
-	sent simcore.Time
-}
-
 func (c *Conn) sendSegment(seq int64, length int, retransmit bool) {
 	pkt := c.node.newPacket()
 	*pkt = Packet{
 		Src: c.node.Addr, Dst: c.key.remote,
 		SrcPort: c.key.local, DstPort: c.key.remotePort,
-		Kind:    kindData,
-		Size:    length + HeaderBytes,
-		Seq:     seq,
-		Payload: &segTS{sent: c.node.eng.Now()},
+		Kind:   kindData,
+		Size:   length + HeaderBytes,
+		Seq:    seq,
+		tsSent: c.node.eng.Now(),
+		hasTS:  true,
 	}
 	c.Stats.SegmentsSent++
 	if retransmit {
@@ -589,16 +585,55 @@ func (c *Conn) sendSegment(seq int64, length int, retransmit bool) {
 	c.armRTO()
 }
 
+// armRTO schedules a retransmission timeout c.rto from now. Every arm is
+// its own event; bumping rtoGen makes the earlier ones stale.
 func (c *Conn) armRTO() {
 	c.rtoGen++
-	gen := c.rtoGen
-	eng := c.node.eng
-	eng.After(c.rto, func() {
-		if gen != c.rtoGen || c.sndUna >= c.sndNxt || c.closed {
-			return
-		}
-		c.onTimeout()
-	})
+	c.node.eng.After(c.rto, c.node.newRTO(c).run)
+}
+
+// rtoTimer is one armed retransmission timeout, pooled like hopEvent:
+// run is bound once per instance, so arming a timer allocates nothing.
+type rtoTimer struct {
+	c    *Conn
+	gen  int64
+	run  func()
+	free *rtoTimer
+}
+
+func (n *Node) newRTO(c *Conn) *rtoTimer {
+	r := n.pool.rtoFree
+	if r == nil {
+		r = &rtoTimer{}
+		r.run = r.fire
+	} else {
+		n.pool.rtoFree = r.free
+		n.pool.nrto--
+		r.free = nil
+	}
+	r.c, r.gen = c, c.rtoGen
+	return r
+}
+
+func (n *Node) freeRTO(r *rtoTimer) {
+	r.c = nil
+	if n.pool.nrto >= maxPooled {
+		return
+	}
+	r.free = n.pool.rtoFree
+	n.pool.rtoFree = r
+	n.pool.nrto++
+}
+
+// fire returns the timer to its pool, then times out if it is still the
+// connection's current arm and data is outstanding.
+func (r *rtoTimer) fire() {
+	c, gen := r.c, r.gen
+	c.node.freeRTO(r)
+	if gen != c.rtoGen || c.sndUna >= c.sndNxt || c.closed {
+		return
+	}
+	c.onTimeout()
 }
 
 func (c *Conn) onTimeout() {
@@ -643,8 +678,8 @@ func (c *Conn) onACK(pkt *Packet) {
 	}
 	c.Stats.AcksReceived++
 	// RTT sample from the echoed timestamp.
-	if ts, ok := pkt.Payload.(*segTS); ok && ts != nil {
-		sample := c.node.eng.Now().Sub(ts.sent).Seconds()
+	if pkt.hasTS {
+		sample := c.node.eng.Now().Sub(pkt.tsSent).Seconds()
 		if c.srtt < 0 {
 			c.srtt = sample
 			c.rttvar = sample / 2
@@ -744,8 +779,9 @@ func (c *Conn) onData(pkt *Packet) {
 		Src: c.node.Addr, Dst: c.key.remote,
 		SrcPort: c.key.local, DstPort: c.key.remotePort,
 		Kind: kindACK, Size: HeaderBytes,
-		Ack:     c.rcvNxt,
-		Payload: pkt.Payload,
+		Ack:    c.rcvNxt,
+		tsSent: pkt.tsSent,
+		hasTS:  pkt.hasTS,
 	}
 	_ = c.node.sendPacket(ack)
 }

@@ -174,6 +174,8 @@ type Engine struct {
 	shard int
 	// dispatched counts executed events, for events/sec reporting.
 	dispatched int64
+	// waiterFree pools Cond waiters for processes on this engine.
+	waiterFree *waiter
 }
 
 // NewEngine returns an engine with a deterministic random source derived

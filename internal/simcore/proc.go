@@ -34,8 +34,12 @@ type Proc struct {
 	// next resumes the coroutine, created on the first resume, and
 	// yield, called from inside it, parks it; val and aborting carry
 	// the wakeup across the switch.
-	next     func() (struct{}, bool)
-	yield    func(struct{}) bool
+	next  func() (struct{}, bool)
+	yield func(struct{}) bool
+	// fn is the body, held until the first wake starts the coroutine;
+	// wake is the process's resume event, bound once at spawn.
+	fn       func(p *Proc)
+	wake     func()
 	val      any
 	state    procState
 	daemon   bool
@@ -74,15 +78,25 @@ func (e *Engine) SpawnAt(t Time, name string, fn func(p *Proc)) *Proc {
 		e.rec.Event(trace.CatProc, "spawn", trace.Attr{Detail: name})
 	}
 	e.seq++
-	p := &Proc{eng: e, id: e.seq, name: name, state: procParked}
+	p := &Proc{eng: e, id: e.seq, name: name, state: procParked, fn: fn}
+	p.wake = p.resume
 	e.procs[p] = struct{}{}
-	e.At(t, func() {
-		if p.state == procParked && !p.killed { // not aborted before it ran
-			p.next, _ = iter.Pull(func(yield func(struct{}) bool) { p.body(yield, fn) })
-			e.resumeProc(p, nil)
-		}
-	})
+	e.At(t, p.wake)
 	return p
+}
+
+// resume is the process's wakeup event (p.wake): its first firing starts
+// the coroutine, later ones end a Sleep, SleepUntil or Yield.
+func (p *Proc) resume() {
+	if p.next == nil {
+		if p.state != procParked || p.killed { // aborted before it ran
+			return
+		}
+		fn := p.fn
+		p.fn = nil
+		p.next, _ = iter.Pull(func(yield func(struct{}) bool) { p.body(yield, fn) })
+	}
+	p.eng.resumeProc(p, nil)
 }
 
 // body is the coroutine: it runs fn to completion or to an abort. A
@@ -128,9 +142,9 @@ func (p *Proc) park() any {
 	return v
 }
 
-// scheduleResume queues an event at time t that resumes p with value v.
-func (p *Proc) scheduleResume(t Time, v any) {
-	p.eng.At(t, func() { p.eng.resumeProc(p, v) })
+// scheduleResume queues p's wake event at time t.
+func (p *Proc) scheduleResume(t Time) {
+	p.eng.At(t, p.wake)
 }
 
 // Sleep suspends the process for d of simulated time.
@@ -138,7 +152,7 @@ func (p *Proc) Sleep(d Duration) {
 	if d < 0 {
 		panic(fmt.Sprintf("simcore: negative sleep %v", d))
 	}
-	p.scheduleResume(p.eng.now.Add(d), nil)
+	p.scheduleResume(p.eng.now.Add(d))
 	p.park()
 }
 
@@ -147,13 +161,13 @@ func (p *Proc) SleepUntil(t Time) {
 	if t <= p.eng.now {
 		return
 	}
-	p.scheduleResume(t, nil)
+	p.scheduleResume(t)
 	p.park()
 }
 
 // Yield reschedules the process after all events already queued for the
 // current instant, without advancing time.
 func (p *Proc) Yield() {
-	p.scheduleResume(p.eng.now, nil)
+	p.scheduleResume(p.eng.now)
 	p.park()
 }

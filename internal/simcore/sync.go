@@ -1,42 +1,103 @@
 package simcore
 
-// waiter represents one parked process waiting on a Cond. The fired flag
-// resolves races between Signal and a timeout event: whichever happens
-// first claims the waiter.
+// waiter is one parked process waiting on a Cond, and also the event that
+// delivers its wakeup: run is bound once, so Signal schedules no closure.
+// The fired flag resolves races between Signal and a timeout event:
+// whichever happens first claims the waiter.
 type waiter struct {
-	p     *Proc
+	c *Cond
+	p *Proc
+	// v is the value Signal hands the process.
+	v     any
 	fired bool
 	// timedOut is set when the wakeup came from the timeout path.
 	timedOut bool
+	// pooled marks a Wait waiter, which returns to its engine's free
+	// list on delivery. A WaitTimeout waiter is not pooled: its timeout
+	// event can outlive the wait and still reads it.
+	pooled bool
+	run    func()
+	free   *waiter
+}
+
+// newWaiter takes a waiter for p from the engine-local free list.
+func (e *Engine) newWaiter(c *Cond, p *Proc) *waiter {
+	w := e.waiterFree
+	if w == nil {
+		w = &waiter{pooled: true}
+		w.run = w.deliver
+	} else {
+		e.waiterFree = w.free
+		w.free = nil
+	}
+	w.c, w.p = c, p
+	return w
+}
+
+// freeWaiter returns a pooled waiter to its engine's free list.
+func (e *Engine) freeWaiter(w *waiter) {
+	w.c, w.p, w.v, w.fired = nil, nil, nil, false
+	w.free = e.waiterFree
+	e.waiterFree = w
+}
+
+// deliver resumes the signalled process. A pooled waiter goes back to the
+// free list first, so the process can reuse it for its next Wait.
+func (w *waiter) deliver() {
+	c, p, v := w.c, w.p, w.v
+	if w.pooled {
+		c.eng.freeWaiter(w)
+	}
+	if p.killed || p.state == procDead {
+		// The chosen waiter was killed between Signal and delivery; the
+		// signal must not be lost (it may carry a mutex release or queue
+		// item), so pass it on.
+		c.Signal(v)
+		return
+	}
+	c.eng.resumeProc(p, v)
 }
 
 // Cond is a FIFO condition/wait queue in simulated time. Unlike sync.Cond
 // there is no associated lock: the whole simulation is single-threaded, so
 // state inspected before Wait cannot change until the process parks.
 type Cond struct {
-	eng     *Engine
+	eng *Engine
+	// waiters[head:] is the wait queue, oldest first. The backing array
+	// is reused: head advances on Signal and both reset when it drains.
 	waiters []*waiter
+	head    int
 }
 
 // NewCond returns a condition queue bound to eng.
 func NewCond(eng *Engine) *Cond { return &Cond{eng: eng} }
 
 // Len reports the number of processes currently waiting.
-func (c *Cond) Len() int { return len(c.waiters) }
+func (c *Cond) Len() int { return len(c.waiters) - c.head }
+
+// push appends w to the wait queue, compacting a queue that never
+// drained before the append would grow it.
+func (c *Cond) push(w *waiter) {
+	if len(c.waiters) == cap(c.waiters) && c.head > 0 {
+		n := copy(c.waiters, c.waiters[c.head:])
+		c.waiters, c.head = c.waiters[:n], 0
+	}
+	c.waiters = append(c.waiters, w)
+}
 
 // Wait parks p until Signal or Broadcast wakes it. It returns the value
 // passed to Signal (nil for Broadcast).
 func (c *Cond) Wait(p *Proc) any {
-	w := &waiter{p: p}
-	c.waiters = append(c.waiters, w)
+	c.push(c.eng.newWaiter(c, p))
 	return p.park()
 }
 
 // WaitTimeout parks p until woken or until d elapses. It reports the value
 // passed by the waker and whether the wait timed out.
 func (c *Cond) WaitTimeout(p *Proc, d Duration) (any, bool) {
-	w := &waiter{p: p}
-	c.waiters = append(c.waiters, w)
+	w := &waiter{c: c, p: p}
+	w.run = w.deliver
+	c.push(w)
 	c.eng.After(d, func() {
 		if w.fired {
 			return
@@ -51,8 +112,8 @@ func (c *Cond) WaitTimeout(p *Proc, d Duration) (any, bool) {
 }
 
 func (c *Cond) remove(w *waiter) {
-	for i, x := range c.waiters {
-		if x == w {
+	for i := c.head; i < len(c.waiters); i++ {
+		if c.waiters[i] == w {
 			c.waiters = append(c.waiters[:i], c.waiters[i+1:]...)
 			return
 		}
@@ -63,24 +124,22 @@ func (c *Cond) remove(w *waiter) {
 // whether any process was waiting. The wakeup is delivered through the
 // event queue at the current instant, preserving determinism.
 func (c *Cond) Signal(v any) bool {
-	for len(c.waiters) > 0 {
-		w := c.waiters[0]
-		c.waiters = c.waiters[1:]
+	for c.head < len(c.waiters) {
+		w := c.waiters[c.head]
+		c.waiters[c.head] = nil
+		if c.head++; c.head == len(c.waiters) {
+			c.waiters, c.head = c.waiters[:0], 0
+		}
 		if w.fired || w.p.killed || w.p.state == procDead {
 			// Killed waiters are skipped without consuming the signal.
+			if w.pooled {
+				c.eng.freeWaiter(w)
+			}
 			continue
 		}
 		w.fired = true
-		c.eng.At(c.eng.now, func() {
-			if w.p.killed || w.p.state == procDead {
-				// The chosen waiter was killed between Signal and
-				// delivery; the signal must not be lost (it may carry a
-				// mutex release or queue item), so pass it on.
-				c.Signal(v)
-				return
-			}
-			c.eng.resumeProc(w.p, v)
-		})
+		w.v = v
+		c.eng.At(c.eng.now, w.run)
 		return true
 	}
 	return false
