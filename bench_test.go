@@ -444,7 +444,7 @@ func BenchmarkParallelEngineEvents(b *testing.B) {
 // coordination overhead instead, and CI's speedup gate (cmd/benchjson
 // -speedup) only arms itself on multi-core machines.
 func benchPartitionedFig14(b *testing.B, shards int) {
-	var events int64
+	var events, cross, windows int64
 	for i := 0; i < b.N; i++ {
 		spec, err := topology.VBNSSpec(topology.VBNSConfig{
 			HostsPerSite:  4,
@@ -480,11 +480,19 @@ func benchPartitionedFig14(b *testing.B, shards int) {
 			for j := 0; j < pe.NumShards(); j++ {
 				events += pe.Shard(j).Dispatched()
 			}
+			cross += pe.CrossEvents()
+			windows += pe.Windows()
 		} else {
 			events += m.Eng.Dispatched()
 		}
 	}
 	b.ReportMetric(float64(events)/b.Elapsed().Seconds(), "events/s")
+	if shards > 0 {
+		// The placement's footprint: how many events cross shards, and
+		// over how many barrier windows.
+		b.ReportMetric(float64(cross)/float64(b.N), "cross/op")
+		b.ReportMetric(float64(windows)/float64(b.N), "windows/op")
+	}
 }
 
 // BenchmarkPartitionedFig14 pins the tentpole of the partitioned-model

@@ -28,7 +28,7 @@ type GISBuildOptions struct {
 	StaggerSpread float64
 	// Shards selects the simulation engine, as in BuildConfig.Shards.
 	Shards int
-	// Partition places topology clusters on their own shards, as in
+	// Partition places topology clusters on shards, as in
 	// BuildConfig.Partition (requires direct mode, i.e. nil PhysMIPS).
 	Partition *PartitionConfig
 }

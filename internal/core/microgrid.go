@@ -62,8 +62,9 @@ type BuildConfig struct {
 	Shards int
 	// Partition, with Shards ≥ 1, spreads the grid model itself across
 	// the shards: each cluster of the virtual topology (connected
-	// component of sub-millisecond links) runs on its own shard, and
-	// wide-area hops become cross-shard events with the inter-cluster
+	// component of sub-millisecond links) runs whole on one shard (see
+	// PartitionConfig for the placement), and wide-area hops between
+	// shards become cross-shard events with the inter-cluster
 	// latency as lookahead. Requires direct mode (nil Emulation); a
 	// single-cluster topology partitions to a no-op. Results are
 	// bit-identical at any shard count — only CatEngine dispatch

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"container/heap"
 	"fmt"
 	"sort"
 	"strconv"
@@ -20,12 +21,19 @@ import (
 // topology; on a single-cluster grid it is a no-op and the model stays
 // on shard 0.
 type PartitionConfig struct {
-	// Auto assigns cluster i (ordered by smallest node name) to shard
-	// i mod shards.
+	// Auto places the model by topology. The clusters that carry hosts
+	// are dealt round-robin, ordered by smallest node name: the i-th
+	// such cluster goes to shard i mod shards. Each router-only cluster
+	// (a backbone router, say) then joins the shard of its nearest
+	// placed neighbour, cheapest link first, so a site's uplinks stay on
+	// its own shard. Router-only clusters no placed cluster reaches,
+	// and every cluster of an all-router topology, fall back to cluster
+	// i on shard i mod shards.
 	Auto bool
 	// Assign pins the cluster containing the named node to a shard,
-	// overriding the automatic round-robin. Naming two nodes of one
-	// cluster with different shards is an error.
+	// overriding the automatic dealing; router-only clusters then join
+	// the pinned clusters as they join dealt ones. Naming two nodes of
+	// one cluster with different shards is an error.
 	Assign map[string]int
 }
 
@@ -49,9 +57,16 @@ func planPartition(nw *netsim.Network, nshards int, pc *PartitionConfig) (*parti
 	if clusters.Len() < 2 {
 		return nil, nil
 	}
+	// Deal the host-bearing clusters; router-only ones stay unplaced
+	// (-1) until a pin or joinRouters places them.
 	shard := make([]int, clusters.Len())
-	for i := range shard {
-		shard[i] = i % nshards
+	sites := 0
+	for ci := range shard {
+		shard[ci] = -1
+		if hasHost(clusters.Members(ci)) {
+			shard[ci] = sites % nshards
+			sites++
+		}
 	}
 	if len(pc.Assign) > 0 {
 		names := make([]string, 0, len(pc.Assign))
@@ -78,6 +93,7 @@ func planPartition(nw *netsim.Network, nshards int, pc *PartitionConfig) (*parti
 			pinned[ci] = name
 		}
 	}
+	joinRouters(clusters, shard, nshards)
 	la, ok := nw.InterClusterMinDelay()
 	if !ok {
 		// Disconnected clusters exchange nothing; any positive window
@@ -95,6 +111,82 @@ func planPartition(nw *netsim.Network, nshards int, pc *PartitionConfig) (*parti
 		}
 	}
 	return plan, nil
+}
+
+// hasHost reports whether a cluster has a member that is not a router.
+func hasHost(members []*netsim.Node) bool {
+	for _, nd := range members {
+		if !nd.Router {
+			return true
+		}
+	}
+	return false
+}
+
+// borderCand is a link from placed cluster from to unplaced cluster to.
+type borderCand struct {
+	delay    simcore.Duration
+	from, to int
+}
+
+// borderHeap orders candidates by delay, then by the clusters' ids, so
+// equal-delay choices do not depend on link creation order.
+type borderHeap []borderCand
+
+func (h borderHeap) Len() int { return len(h) }
+func (h borderHeap) Less(i, j int) bool {
+	a, b := h[i], h[j]
+	if a.delay != b.delay {
+		return a.delay < b.delay
+	}
+	if a.from != b.from {
+		return a.from < b.from
+	}
+	return a.to < b.to
+}
+func (h borderHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
+func (h *borderHeap) Push(x any)   { *h = append(*h, x.(borderCand)) }
+func (h *borderHeap) Pop() any {
+	old := *h
+	x := old[len(old)-1]
+	*h = old[:len(old)-1]
+	return x
+}
+
+// joinRouters places every unplaced (-1) cluster on the shard of its
+// nearest placed neighbour: a multi-source Prim pass over the
+// inter-cluster links that always takes the cheapest link from a placed
+// cluster to an unplaced one, O(E log E). A backbone router thus lands
+// with the site behind its access link, and a chain of routers follows
+// the site it hangs off. Clusters the pass cannot reach fall back to
+// cluster i on shard i mod nshards.
+func joinRouters(clusters netsim.ClusterIDs, shard []int, nshards int) {
+	var frontier borderHeap
+	grow := func(from int) {
+		clusters.Border(from, func(to int, d simcore.Duration) {
+			if shard[to] < 0 {
+				heap.Push(&frontier, borderCand{delay: d, from: from, to: to})
+			}
+		})
+	}
+	for ci, s := range shard {
+		if s >= 0 {
+			grow(ci)
+		}
+	}
+	for frontier.Len() > 0 {
+		c := heap.Pop(&frontier).(borderCand)
+		if shard[c.to] >= 0 {
+			continue
+		}
+		shard[c.to] = shard[c.from]
+		grow(c.to)
+	}
+	for ci := range shard {
+		if shard[ci] < 0 {
+			shard[ci] = ci % nshards
+		}
+	}
 }
 
 // engineMap renders the plan as the node→engine assignment
@@ -130,7 +222,7 @@ func partitionAssign(par *simcore.ParallelEngine, pc *PartitionConfig) (func(nw 
 }
 
 // ParsePartitionFlag parses the CLIs' -partition value: "auto" for the
-// round-robin placement, or a comma-separated "node=shard,..." pin
+// topology-aware placement, or a comma-separated "node=shard,..." pin
 // list. Empty input means no partitioning (nil config).
 func ParsePartitionFlag(v string) (*PartitionConfig, error) {
 	v = strings.TrimSpace(v)

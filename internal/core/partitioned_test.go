@@ -2,11 +2,13 @@ package core
 
 import (
 	"bytes"
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
 
 	"microgrid/internal/chaos"
+	"microgrid/internal/netsim"
 	"microgrid/internal/scenario"
 	"microgrid/internal/simcore"
 	"microgrid/internal/topology"
@@ -68,6 +70,13 @@ func partitionedChaosRun(t *testing.T, shards int) (*Report, string, string, []b
 		if shardOf["ucsd0"] != shardOf["ucsd-gw"] {
 			t.Fatal("ucsd0 and its gateway landed on different shards")
 		}
+		// The backbone routers join their sites, so shards beyond the
+		// two sites stay empty.
+		for name, s := range shardOf {
+			if s > 1 {
+				t.Fatalf("shards=%d: %s placed on shard %d, want only the sites' shards 0-1", shards, name, s)
+			}
+		}
 	}
 	rep, err := m.RunWorkload(s)
 	if err != nil {
@@ -111,8 +120,9 @@ func TestPartitionedRunByteIdentical(t *testing.T) {
 	}
 }
 
-// TestPlanPartition covers the cluster→shard resolution: automatic
-// round-robin order, pinning, and the error cases.
+// TestPlanPartition covers the cluster→shard resolution on vBNS: sites
+// dealt to shards, backbone routers joined to their sites, pinning, and
+// the error cases.
 func TestPlanPartition(t *testing.T) {
 	spec, err := topology.VBNSSpec(topology.VBNSConfig{HostsPerSite: 2})
 	if err != nil {
@@ -134,8 +144,10 @@ func TestPlanPartition(t *testing.T) {
 		t.Fatalf("plan = %+v, want 4 clusters", plan)
 	}
 	// Cluster order is by smallest node name: ucsd (ucsd-gw), uiuc
-	// (uiuc-gw), vbns-east, vbns-west; round-robin over 2 shards.
-	want := map[string]int{"ucsd0": 0, "ucsd-switch": 0, "uiuc1": 1, "vbns-east": 0, "vbns-west": 1}
+	// (uiuc-gw), vbns-east, vbns-west. The two sites are dealt to shards
+	// 0 and 1; each backbone router joins the site behind its 1 ms
+	// access link.
+	want := map[string]int{"ucsd0": 0, "ucsd-switch": 0, "uiuc1": 1, "vbns-east": 1, "vbns-west": 0}
 	for name, shard := range want {
 		if got := plan.shardOf[name]; got != shard {
 			t.Errorf("shardOf[%s] = %d, want %d", name, got, shard)
@@ -143,6 +155,15 @@ func TestPlanPartition(t *testing.T) {
 	}
 	if plan.lookahead != simcore.Millisecond {
 		t.Errorf("lookahead = %v, want 1ms", plan.lookahead)
+	}
+	// So the 28 ms backbone is the only link between shards.
+	if got := crossingLinks(nw, plan); len(got) != 1 || got[0] != "vbns-west-vbns-east" {
+		t.Errorf("links crossing shards = %v, want just the backbone", got)
+	}
+	// Repeated planning gives the same placement.
+	again, err := planPartition(nw, 2, &PartitionConfig{Auto: true})
+	if err != nil || !reflect.DeepEqual(again.shardOf, plan.shardOf) {
+		t.Errorf("replanning gave %v (%v), want %v", again.shardOf, err, plan.shardOf)
 	}
 
 	// Pinning moves the whole cluster.
@@ -153,6 +174,11 @@ func TestPlanPartition(t *testing.T) {
 	if plan.shardOf["uiuc-gw"] != 3 || plan.shardOf["uiuc1"] != 3 {
 		t.Errorf("pinning uiuc0 to 3 left its cluster at %d/%d",
 			plan.shardOf["uiuc-gw"], plan.shardOf["uiuc1"])
+	}
+	// ... and the pinned site pulls its backbone router with it.
+	if plan.shardOf["vbns-east"] != 3 || plan.shardOf["vbns-west"] != 0 {
+		t.Errorf("pinned uiuc0 to 3: vbns-east on %d, vbns-west on %d; want 3 and 0",
+			plan.shardOf["vbns-east"], plan.shardOf["vbns-west"])
 	}
 
 	for _, tc := range []struct {
@@ -177,6 +203,102 @@ func TestPlanPartition(t *testing.T) {
 	if plan, err := planPartition(lan.Grid.Network(), 2, &PartitionConfig{Auto: true}); err != nil || plan != nil {
 		t.Errorf("single-cluster plan = %+v, %v; want nil, nil", plan, err)
 	}
+}
+
+// crossingLinks names the links ("a-b") whose ends the plan puts on
+// different shards.
+func crossingLinks(nw *netsim.Network, plan *partitionPlan) []string {
+	var out []string
+	for _, l := range nw.Links() {
+		if plan.shardOf[l.A.Name] != plan.shardOf[l.B.Name] {
+			out = append(out, l.A.Name+"-"+l.B.Name)
+		}
+	}
+	return out
+}
+
+// wanNet builds a network from a compact description: names starting
+// with "r" are routers, the rest hosts; each link is "a b delay" with
+// the delay in milliseconds (0 means a 10 µs LAN link).
+func wanNet(t *testing.T, nodes []string, links ...string) *netsim.Network {
+	t.Helper()
+	nw := netsim.New(simcore.NewSerialEngine(1).Engine)
+	for i, name := range nodes {
+		if strings.HasPrefix(name, "r") {
+			nw.AddRouter(name)
+		} else {
+			nw.AddHost(name, netsim.MakeAddr(10, 0, 0, byte(i+1)))
+		}
+	}
+	for _, l := range links {
+		var a, b string
+		var ms int
+		if _, err := fmt.Sscan(l, &a, &b, &ms); err != nil {
+			t.Fatalf("link %q: %v", l, err)
+		}
+		d := simcore.Duration(ms) * simcore.Millisecond
+		if ms == 0 {
+			d = 10 * simcore.Microsecond
+		}
+		nw.Connect(nw.Node(a), nw.Node(b), netsim.LinkConfig{BandwidthBps: 1e9, Delay: d})
+	}
+	return nw
+}
+
+// TestPlanPartitionJoinsRouters covers the router-only clusters: chains
+// of them follow the nearer site, pins pull them along, and the ones no
+// site reaches — or every cluster of an all-router topology — fall back
+// to round-robin.
+func TestPlanPartitionJoinsRouters(t *testing.T) {
+	shards := func(t *testing.T, nw *netsim.Network, n int, pc *PartitionConfig) map[string]int {
+		t.Helper()
+		plan, err := planPartition(nw, n, pc)
+		if err != nil || plan == nil {
+			t.Fatalf("plan = %v, %v", plan, err)
+		}
+		return plan.shardOf
+	}
+	check := func(t *testing.T, got, want map[string]int) {
+		t.Helper()
+		for name, s := range want {
+			if got[name] != s {
+				t.Errorf("shardOf[%s] = %d, want %d (plan %v)", name, got[name], s, got)
+			}
+		}
+	}
+
+	// Two sites joined by a chain of two routers: each router follows
+	// the site its cheaper link leads to, so only the 20 ms middle link
+	// crosses shards.
+	chain := wanNet(t, []string{"a0", "a1", "b0", "r1", "r2"},
+		"a0 a1 0", "a1 r1 2", "r1 r2 20", "r2 b0 3")
+	check(t, shards(t, chain, 2, &PartitionConfig{Auto: true}),
+		map[string]int{"a0": 0, "a1": 0, "r1": 0, "r2": 1, "b0": 1})
+	// With the middle link cheapest, r1 takes r2 along before site b's
+	// 3 ms link is ever reached: the cheapest link always wins.
+	short := wanNet(t, []string{"a0", "b0", "r1", "r2"},
+		"a0 r1 2", "r1 r2 1", "r2 b0 3")
+	check(t, shards(t, short, 2, &PartitionConfig{Auto: true}),
+		map[string]int{"a0": 0, "r1": 0, "r2": 0, "b0": 1})
+	// Pinning site a to shard 1 carries the router next to it along.
+	check(t, shards(t, chain, 2, &PartitionConfig{Assign: map[string]int{"a0": 1, "b0": 0}}),
+		map[string]int{"a0": 1, "r1": 1, "r2": 0, "b0": 0})
+
+	// An island of routers no host cluster reaches falls back to
+	// cluster i on shard i mod shards. Clusters by smallest name: a0,
+	// b0, r1, r8 (the island, cluster 3). r1's two equal links tie,
+	// and the lower cluster id, a0's, wins.
+	island := wanNet(t, []string{"a0", "b0", "r1", "r8", "r9"},
+		"a0 r1 1", "r1 b0 1", "r8 r9 0")
+	check(t, shards(t, island, 3, &PartitionConfig{Auto: true}),
+		map[string]int{"a0": 0, "b0": 1, "r1": 0, "r8": 0, "r9": 0})
+	check(t, shards(t, island, 2, &PartitionConfig{Auto: true}),
+		map[string]int{"r8": 1, "r9": 1})
+
+	// An all-router topology is round-robin by cluster index.
+	routers := wanNet(t, []string{"r1", "r2", "r3"}, "r1 r2 5", "r2 r3 5")
+	check(t, shards(t, routers, 2, &PartitionConfig{Auto: true}),
+		map[string]int{"r1": 0, "r2": 1, "r3": 0})
 }
 
 // TestPartitionPreview pins the offline planner the mgridtrace summary

@@ -87,3 +87,63 @@ func BenchmarkTCPSteadyState(b *testing.B) {
 		stepSegment(eng)
 	}
 }
+
+// crossShardPingPong wires a and b on the two shards of a parallel
+// engine, across a 1 ms link (the default lookahead), and starts one
+// single-packet datagram bouncing between them forever: each end's
+// handler sends the packet's twin straight back, reusing one payload.
+// It returns the engine, the round-trip time and the round-trip counter
+// after a warm-up second.
+func crossShardPingPong(tb testing.TB) (*simcore.ParallelEngine, simcore.Duration, *int) {
+	tb.Helper()
+	pe := simcore.NewParallelEngine(1, 2)
+	cfg := LinkConfig{BandwidthBps: 100e6, Delay: simcore.Millisecond}
+	nw, a, b := twoHosts(pe.Shard(0), cfg)
+	nw.SetNodeEngine(b, pe.Shard(1))
+	meta := &dgramMeta{size: 1000}
+	bounce := func(from, to *Node) {
+		pkt := from.newPacket()
+		*pkt = Packet{Src: from.Addr, Dst: to.Addr, SrcPort: 7, DstPort: 7,
+			Kind: kindDatagram, Size: 1000 + HeaderBytes, FragTotal: 1, Payload: meta}
+		if err := from.sendPacket(pkt); err != nil {
+			panic(err)
+		}
+	}
+	trips := new(int)
+	a.HandleDatagrams(7, func(Addr, Port, int, any) { *trips++; bounce(a, b) })
+	b.HandleDatagrams(7, func(Addr, Port, int, any) { bounce(b, a) })
+	bounce(a, b)
+	if err := pe.RunUntil(simcore.Time(simcore.Second)); err != nil {
+		tb.Fatal(err)
+	}
+	if *trips == 0 {
+		tb.Fatal("ping-pong did not start")
+	}
+	hop := cfg.Delay + simcore.DurationOfSeconds(float64(1000+HeaderBytes)*8/cfg.BandwidthBps)
+	return pe, 2 * hop, trips
+}
+
+// TestCrossShardHopZeroAlloc pins the cross-shard packet hop at zero
+// heap allocations: the hop event itself crosses as the cross-shard
+// send and, like the packet, migrates to the destination shard's pool,
+// and the barrier sorts its deliveries without allocating. Each window
+// has a single active shard, so no window starts a goroutine.
+func TestCrossShardHopZeroAlloc(t *testing.T) {
+	pe, rtt, trips := crossShardPingPong(t)
+	before, now := *trips, simcore.Time(simcore.Second)
+	step := func() {
+		now = now.Add(rtt)
+		if err := pe.RunUntil(now); err != nil {
+			panic(err)
+		}
+	}
+	if allocs := testing.AllocsPerRun(1000, step); allocs != 0 {
+		t.Errorf("steady cross-shard round trip: %v allocs, want 0", allocs)
+	}
+	if got := *trips - before; got != 1001 {
+		t.Errorf("%d round trips in 1001 round-trip times", got)
+	}
+	if pe.CrossEvents() < 2002 {
+		t.Errorf("%d cross-shard events, want one per hop", pe.CrossEvents())
+	}
+}

@@ -87,6 +87,7 @@ func (n *Network) Clusters(threshold simcore.Duration) [][]*Node {
 type ClusterIDs struct {
 	of      []int32
 	members [][]*Node
+	border  [][]borderEdge
 }
 
 // ClusterIDs returns the routing hierarchy's cluster partition, routing
@@ -95,7 +96,7 @@ func (n *Network) ClusterIDs() ClusterIDs {
 	if !n.routed {
 		n.ComputeRoutes()
 	}
-	return ClusterIDs{of: n.hier.clusterOf, members: n.hier.members}
+	return ClusterIDs{of: n.hier.clusterOf, members: n.hier.members, border: n.hier.borderOut}
 }
 
 // Len returns the number of clusters.
@@ -106,6 +107,15 @@ func (c ClusterIDs) Of(nd *Node) int { return int(c.of[nd.idx]) }
 
 // Members returns cluster id's nodes, sorted by name.
 func (c ClusterIDs) Members(id int) []*Node { return c.members[id] }
+
+// Border calls fn once per link direction leaving cluster id, in link
+// creation order, with the cluster on the far side and the link's
+// propagation delay.
+func (c ClusterIDs) Border(id int, fn func(to int, delay simcore.Duration)) {
+	for _, be := range c.border[id] {
+		fn(int(be.to), be.ifc.ch.cfg.Delay)
+	}
+}
 
 // InterClusterMinDelay returns the smallest propagation delay over links
 // joining different clusters of the routing hierarchy; ok is false when

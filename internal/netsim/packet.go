@@ -241,10 +241,11 @@ func (n *Node) freeHop(h *hopEvent) {
 // fire advances the hop one leg. Serialization completes at now+txTime;
 // the packet then propagates. A link failure mid-flight (epoch bump)
 // loses the packet. When the destination lives on another shard the
-// propagation leg is a cross-shard send — legal because an inter-shard
-// link's delay is at least the engine lookahead — and the packet migrates
-// to the destination's pool; the epoch re-check on arrival is safe
-// because link state only changes at global barriers.
+// propagation leg is a cross-shard send of the hop itself — legal
+// because an inter-shard link's delay is at least the engine lookahead —
+// and the hop and packet migrate to the destination's pools; the epoch
+// re-check on arrival is safe because link state only changes at global
+// barriers.
 func (h *hopEvent) fire() {
 	c := h.ch
 	if !h.arrived {
@@ -264,22 +265,10 @@ func (h *hopEvent) fire() {
 			rec.Span(trace.CatNet, "hop", int64(c.src.eng.Now())-int64(h.txTime), int64(h.txTime),
 				trace.Attr{Link: c.name, Bytes: int64(h.pkt.Size), Detail: h.pkt.Kind.String()})
 		}
+		h.arrived = true
 		if c.dst.eng != c.src.eng {
-			pkt, epoch := h.pkt, h.epoch
-			c.src.freeHop(h)
-			c.src.eng.SendTo(c.dst.eng, c.cfg.Delay, func() {
-				if c.epoch != epoch {
-					// Counted in the destination shard's bucket: the
-					// channel's own counters belong to the source engine
-					// and must not be written from here.
-					c.dst.stats.PacketsAborted++
-					c.dst.freePacket(pkt)
-					return
-				}
-				c.dst.receive(pkt)
-			})
+			c.src.eng.SendTo(c.dst.eng, c.cfg.Delay, h.run)
 		} else {
-			h.arrived = true
 			c.src.eng.After(c.cfg.Delay, h.run)
 		}
 		if int(c.head) < len(c.queue) {
@@ -289,11 +278,15 @@ func (h *hopEvent) fire() {
 		}
 		return
 	}
+	// The arrival leg runs on the destination's engine, so the hop and
+	// any abort go to c.dst's pool and bucket — the same ones as c.src's
+	// when both ends share an engine. The channel's own counters belong
+	// to the source engine and are not written here.
 	pkt, ok := h.pkt, c.epoch == h.epoch
-	c.src.freeHop(h)
+	c.dst.freeHop(h)
 	if !ok {
-		c.src.stats.PacketsAborted++
-		c.src.freePacket(pkt)
+		c.dst.stats.PacketsAborted++
+		c.dst.freePacket(pkt)
 		return
 	}
 	c.dst.receive(pkt)

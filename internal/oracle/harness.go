@@ -41,7 +41,7 @@ type RunArtifacts struct {
 // is legitimately shard-dependent), and captures every artifact the
 // oracle checks. It never mutates s. With auto set, cluster
 // partitioning is applied — the scenario's own explicit `partition map`
-// when it drew one, automatic round-robin otherwise — so generated
+// when it drew one, automatic placement otherwise — so generated
 // placement draws are actually exercised, not overridden.
 func RunVariant(s *scenario.Scenario, label string, shards int, auto, flow bool) *RunArtifacts {
 	out := &RunArtifacts{Variant: label}

@@ -105,13 +105,14 @@ type RetrySpec struct {
 }
 
 // PartitionSpec places the topology's clusters on PDES shards (it
-// mirrors core.PartitionConfig): `partition auto` round-robins clusters
-// over the engine's shards, `partition map node=shard ...` pins the
-// cluster containing each named node. On a serial engine or a
-// single-cluster topology the spec is inert, so scenarios can carry it
-// and still run anywhere.
+// mirrors core.PartitionConfig): `partition auto` deals the clusters
+// that carry hosts round-robin over the engine's shards and joins each
+// router-only cluster to its nearest placed neighbour's shard;
+// `partition map node=shard ...` pins the cluster containing each named
+// node. On a serial engine or a single-cluster topology the spec is
+// inert, so scenarios can carry it and still run anywhere.
 type PartitionSpec struct {
-	// Auto selects the automatic round-robin placement.
+	// Auto selects the automatic topology-aware placement.
 	Auto bool
 	// Assign pins named nodes' clusters to shards (exclusive with Auto).
 	Assign map[string]int

@@ -178,7 +178,7 @@ func Generate(seed int64, opts Options) (*scenario.Scenario, *Meta) {
 		meta.FlowNet = true
 	}
 
-	// Explicit placement: sometimes replace automatic round-robin with a
+	// Explicit placement: sometimes replace automatic placement with a
 	// `partition map` pinning each campus cluster to a shard by its
 	// gateway (the core's cluster keeps the automatic default), rotated
 	// so placements differ across seeds.

@@ -1,7 +1,9 @@
 package simcore
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -351,15 +353,14 @@ func (pe *ParallelEngine) deliver(end Time) {
 			pe.queues[src*n+dst] = keep
 		}
 	}
-	sort.Slice(due, func(i, j int) bool {
-		a, b := &due[i], &due[j]
-		if a.t != b.t {
-			return a.t < b.t
+	slices.SortFunc(due, func(a, b delivery) int {
+		if c := cmp.Compare(a.t, b.t); c != 0 {
+			return c
 		}
-		if a.src != b.src {
-			return a.src < b.src
+		if c := cmp.Compare(a.src, b.src); c != 0 {
+			return c
 		}
-		return a.seq < b.seq
+		return cmp.Compare(a.seq, b.seq)
 	})
 	for i := range due {
 		d := &due[i]
@@ -370,10 +371,12 @@ func (pe *ParallelEngine) deliver(end Time) {
 }
 
 // runShards executes one window [*, end) on every shard that has work
-// before end. Shards run concurrently — each shard's loop, and the
-// process coroutines it resumes, on a goroutine of its own — except that
-// a window with a single active shard runs inline, so a model living
-// entirely on one shard pays no goroutine or barrier overhead.
+// before end. Shards run concurrently: the coordinator goroutine runs
+// the first active shard itself and starts a goroutine for each of the
+// others, so a window with a single active shard — a model living
+// entirely on one shard — pays no goroutine or barrier overhead. A
+// panic on any shard, the inline one included, is re-raised only after
+// every shard has finished the window.
 func (pe *ParallelEngine) runShards(end Time) {
 	active := pe.activeBuf[:0]
 	for _, sh := range pe.shards {
@@ -395,7 +398,7 @@ func (pe *ParallelEngine) runShards(end Time) {
 	}
 	pe.panicBuf = panics[:0]
 	var wg sync.WaitGroup
-	for i, sh := range active {
+	for i, sh := range active[1:] {
 		wg.Add(1)
 		go func(i int, sh *Engine) {
 			defer wg.Done()
@@ -405,8 +408,16 @@ func (pe *ParallelEngine) runShards(end Time) {
 				}
 			}()
 			sh.runWindow(end)
-		}(i, sh)
+		}(i+1, sh)
 	}
+	func() {
+		defer func() {
+			if r := recover(); r != nil {
+				panics[0] = r
+			}
+		}()
+		active[0].runWindow(end)
+	}()
 	wg.Wait()
 	for _, p := range panics {
 		if p != nil {

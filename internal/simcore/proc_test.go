@@ -40,19 +40,23 @@ func TestProcPanicReachesRunCaller(t *testing.T) {
 }
 
 // The same holds for a process on one shard of a 2-shard ParallelEngine
-// while the other shard runs in the same window on its own goroutine.
+// while the other shard runs in the same window: shard 0 runs on the
+// coordinator goroutine and shard 1 on a goroutine of its own, and the
+// panic reaches the caller from either.
 func TestProcPanicReachesParallelRunCaller(t *testing.T) {
-	pe := NewParallelEngine(1, 2)
-	pe.Shard(0).Spawn("busy", func(p *Proc) {
-		for i := 0; i < 100; i++ {
-			p.Sleep(Microsecond)
-		}
-	})
-	pe.Shard(1).Spawn("bad", func(p *Proc) {
-		p.Sleep(10 * Microsecond)
-		panic("model bug")
-	})
-	checkProcPanic(t, runPanics(pe.Run))
+	for bad := 0; bad < 2; bad++ {
+		pe := NewParallelEngine(1, 2)
+		pe.Shard(1-bad).Spawn("busy", func(p *Proc) {
+			for i := 0; i < 100; i++ {
+				p.Sleep(Microsecond)
+			}
+		})
+		pe.Shard(bad).Spawn("bad", func(p *Proc) {
+			p.Sleep(10 * Microsecond)
+			panic("model bug")
+		})
+		checkProcPanic(t, runPanics(pe.Run))
+	}
 }
 
 // A panic that unwinds Run first aborts the run's other parked
