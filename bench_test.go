@@ -406,7 +406,7 @@ func benchParallelRing(b *testing.B, shards int) {
 // pin the coordination overhead instead.
 func BenchmarkParallelEngineEvents(b *testing.B) {
 	b.Run("serial", func(b *testing.B) {
-		se := simcore.NewSerialEngine(1)
+		se := simcore.NewEngine(1)
 		n := 0
 		var tick func()
 		tick = func() {

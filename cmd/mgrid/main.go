@@ -10,6 +10,7 @@
 //	mgrid -all -quick -out results/      # + campaign.json, timings.csv
 //	mgrid -run 'chaos-*' -quick -j 4     # glob-selected sub-campaign
 //	mgrid -scenario my.scenario          # run a declarative scenario file
+//	mgrid -scenario my.scenario -trace t.jsonl  # ... and write its trace
 //
 // Experiments run on a bounded worker pool (-j), each in its own
 // isolated simulation engine, with an optional per-experiment wall-clock
@@ -45,7 +46,7 @@ func main() {
 		jobs     = flag.Int("j", 1, "number of experiments to run concurrently")
 		timeout  = flag.Duration("timeout", 0, "per-experiment wall-clock timeout (0 = none)")
 		outDir   = flag.String("out", "", "directory for campaign.json and timings.csv artifacts")
-		traceOut = flag.String("trace", "", "write a structured trace of the experiment (.jsonl = compact stream, anything else = Chrome/Perfetto JSON)")
+		traceOut = flag.String("trace", "", "write a structured trace of the experiment or scenario (.jsonl = compact stream, anything else = Chrome/Perfetto JSON)")
 		traceCat = flag.String("trace-categories", "all", "trace categories, e.g. 'net,mpi' or 'all,-engine'")
 		traceBuf = flag.Int("trace-buf", 0, "trace ring-buffer capacity in events (0 = default 65536)")
 		shards   = flag.Int("shards", 0, "simulation engine: 0 = serial (default), N >= 1 = conservative parallel engine with N shards")
@@ -78,7 +79,7 @@ func main() {
 	}
 
 	if *scenFile != "" {
-		runScenarioFile(*scenFile)
+		runScenarioFile(*scenFile, *traceOut, *traceCat, *traceBuf)
 		return
 	}
 
@@ -135,12 +136,7 @@ func main() {
 				len(tasks), strings.Join(ids, ", "))
 			os.Exit(1)
 		}
-		mask, err := microgrid.ParseTraceCategories(*traceCat)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "error:", err)
-			os.Exit(1)
-		}
-		microgrid.EnableTracing(microgrid.TraceConfig{Mask: mask, BufSize: *traceBuf})
+		enableTracing(*traceCat, *traceBuf)
 	}
 
 	results := microgrid.RunCampaign(context.Background(), tasks, microgrid.CampaignOptions{
@@ -182,24 +178,7 @@ func main() {
 	}
 
 	if *traceOut != "" {
-		write := microgrid.WriteTraceChrome
-		if strings.HasSuffix(*traceOut, ".jsonl") {
-			write = microgrid.WriteTraceJSONL
-		}
-		f, err := os.Create(*traceOut)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "error writing trace:", err)
-			os.Exit(1)
-		}
-		werr := write(f)
-		if cerr := f.Close(); werr == nil {
-			werr = cerr
-		}
-		if werr != nil {
-			fmt.Fprintln(os.Stderr, "error writing trace:", werr)
-			os.Exit(1)
-		}
-		fmt.Fprintf(os.Stderr, "trace written to %s\n", *traceOut)
+		writeTrace(*traceOut)
 	}
 
 	if len(failed) > 0 {
@@ -211,14 +190,54 @@ func main() {
 	}
 }
 
+// enableTracing arms global tracing for every grid built afterwards,
+// from the -trace-categories and -trace-buf flags.
+func enableTracing(categories string, bufSize int) {
+	mask, err := microgrid.ParseTraceCategories(categories)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "error:", err)
+		os.Exit(1)
+	}
+	microgrid.EnableTracing(microgrid.TraceConfig{Mask: mask, BufSize: bufSize})
+}
+
+// writeTrace writes the collected trace to file: compact JSONL for a
+// .jsonl name, Chrome/Perfetto JSON otherwise.
+func writeTrace(file string) {
+	write := microgrid.WriteTraceChrome
+	if strings.HasSuffix(file, ".jsonl") {
+		write = microgrid.WriteTraceJSONL
+	}
+	f, err := os.Create(file)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "error writing trace:", err)
+		os.Exit(1)
+	}
+	werr := write(f)
+	if cerr := f.Close(); werr == nil {
+		werr = cerr
+	}
+	if werr != nil {
+		fmt.Fprintln(os.Stderr, "error writing trace:", werr)
+		os.Exit(1)
+	}
+	fmt.Fprintf(os.Stderr, "trace written to %s\n", file)
+}
+
 // runScenarioFile loads a declarative scenario and runs it end to end:
 // parse, validate, build the virtual grid (arming any chaos schedule),
-// run the workload, and print a deterministic report.
-func runScenarioFile(file string) {
+// run the workload, and print a deterministic report. A non-empty
+// traceOut traces the run with the -trace-* flags, which outrank the
+// scenario's own trace line, and writes the trace there.
+func runScenarioFile(file, traceOut, traceCat string, traceBuf int) {
 	s, err := microgrid.LoadScenario(file)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "error:", err)
 		os.Exit(1)
+	}
+	if traceOut != "" {
+		s.Trace = nil
+		enableTracing(traceCat, traceBuf)
 	}
 	// Relative references inside the scenario (a gis file= path) resolve
 	// against the scenario file's own directory.
@@ -230,4 +249,7 @@ func runScenarioFile(file string) {
 	// The same formatter renders mgridd's stdout artifact, so the CLI
 	// and the service can never drift apart.
 	fmt.Print(microgrid.FormatScenarioReport(s.Name, report))
+	if traceOut != "" {
+		writeTrace(traceOut)
+	}
 }

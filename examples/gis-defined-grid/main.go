@@ -6,6 +6,7 @@
 package main
 
 import (
+	_ "embed"
 	"fmt"
 	"log"
 	"strings"
@@ -15,31 +16,10 @@ import (
 
 // The grid definition: two slow virtual machines mapped onto one fast
 // physical machine, exactly the paper's "Slow_CPU_Configuration" idea.
-const gridLDIF = `
-dn: ou=Concurrent Systems Architecture Group, o=Grid
-
-dn: hn=vm1.ucsd.edu, ou=Concurrent Systems Architecture Group, o=Grid
-Is_Virtual_Resource: Yes
-Configuration_Name: Slow_CPU_Configuration
-Mapped_Physical_Resource: csag-226-67.ucsd.edu
-CpuSpeed: 100
-MemorySize: 100MBytes
-Virtual_IP: 1.11.11.2
-
-dn: hn=vm2.ucsd.edu, ou=Concurrent Systems Architecture Group, o=Grid
-Is_Virtual_Resource: Yes
-Configuration_Name: Slow_CPU_Configuration
-Mapped_Physical_Resource: csag-226-67.ucsd.edu
-CpuSpeed: 100
-MemorySize: 100MBytes
-Virtual_IP: 1.11.11.3
-
-dn: nn=1.11.11.0, nn=1.11.0.0, ou=Concurrent Systems Architecture Group, o=Grid
-Is_Virtual_Resource: Yes
-Configuration_Name: Slow_CPU_Configuration
-nwType: LAN
-speed: 100Mbps 25us
-`
+// slow-cpu.scenario runs the same records through mgrid -scenario.
+//
+//go:embed slow-cpu.ldif
+var gridLDIF string
 
 func main() {
 	server, err := microgrid.LoadGIS(strings.NewReader(gridLDIF))

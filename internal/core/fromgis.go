@@ -5,7 +5,6 @@ import (
 	"sort"
 
 	"microgrid/internal/gis"
-	"microgrid/internal/globus"
 	"microgrid/internal/netsim"
 	"microgrid/internal/simcore"
 	"microgrid/internal/virtual"
@@ -41,6 +40,22 @@ type GISBuildOptions struct {
 // IPs, CPU speeds, memory and physical mappings; the configuration's LAN
 // record supplies bandwidth and per-side latency.
 func BuildFromGIS(server *gis.Server, configName string, opts GISBuildOptions) (*MicroGrid, error) {
+	return buildFromGIS(server, configName, opts.PhysMIPS, BuildConfig{
+		Seed:          opts.Seed,
+		Rate:          opts.Rate,
+		Quantum:       opts.Quantum,
+		StaggerSpread: opts.StaggerSpread,
+		Shards:        opts.Shards,
+		Partition:     opts.Partition,
+	})
+}
+
+// buildFromGIS is the GIS front end to assemble: the records supply the
+// hosts, physical mapping and LAN that Build derives from cfg.Target and
+// cfg.Emulation, and cfg supplies every other knob. physMIPS calibrates
+// the mapped physical machines; nil means direct mode. The build is
+// never lazy: RunApp expects every record's host registered.
+func buildFromGIS(server *gis.Server, configName string, physMIPS map[string]float64, cfg BuildConfig) (*MicroGrid, error) {
 	hosts, nets, err := gis.VirtualResources(server, configName)
 	if err != nil {
 		return nil, err
@@ -49,6 +64,7 @@ func BuildFromGIS(server *gis.Server, configName string, opts GISBuildOptions) (
 		return nil, fmt.Errorf("core: configuration %q has no virtual hosts in the GIS", configName)
 	}
 	sort.Slice(hosts, func(i, j int) bool { return hosts[i].Hostname < hosts[j].Hostname })
+	cfg.Target.Procs = len(hosts)
 
 	// Network: use the configuration's LAN record (default to the Alpha
 	// cluster's Ethernet if none present).
@@ -61,11 +77,9 @@ func BuildFromGIS(server *gis.Server, configName string, opts GISBuildOptions) (
 		}
 	}
 
-	vcfg := virtual.Config{
-		Rate:          opts.Rate,
-		StaggerSpread: opts.StaggerSpread,
-	}
+	vcfg := gridConfig(cfg)
 	var hostNames []string
+	ipOwner := make(map[netsim.Addr]string, len(hosts))
 	for _, h := range hosts {
 		if h.VirtualIP == "" {
 			return nil, fmt.Errorf("core: host record %s has no Virtual_IP", h.Hostname)
@@ -74,6 +88,10 @@ func BuildFromGIS(server *gis.Server, configName string, opts GISBuildOptions) (
 		if err != nil {
 			return nil, fmt.Errorf("core: host %s: %v", h.Hostname, err)
 		}
+		if other, dup := ipOwner[ip]; dup {
+			return nil, fmt.Errorf("core: hosts %s and %s share Virtual_IP %s", other, h.Hostname, h.VirtualIP)
+		}
+		ipOwner[ip] = h.Hostname
 		if h.CPUSpeedMIPS <= 0 {
 			return nil, fmt.Errorf("core: host record %s has no CpuSpeed", h.Hostname)
 		}
@@ -87,7 +105,7 @@ func BuildFromGIS(server *gis.Server, configName string, opts GISBuildOptions) (
 		})
 	}
 
-	if opts.PhysMIPS == nil {
+	if physMIPS == nil {
 		// Direct mode: dedicated physical machine per virtual host.
 		vcfg.Direct = true
 		for i := range vcfg.Hosts {
@@ -104,7 +122,7 @@ func BuildFromGIS(server *gis.Server, configName string, opts GISBuildOptions) (
 			if h.MappedPhysical == "" {
 				return nil, fmt.Errorf("core: host record %s has no Mapped_Physical_Resource", h.Name)
 			}
-			mips, ok := opts.PhysMIPS[h.MappedPhysical]
+			mips, ok := physMIPS[h.MappedPhysical]
 			if !ok {
 				return nil, fmt.Errorf("core: no PhysMIPS calibration for %q (host %s)", h.MappedPhysical, h.Name)
 			}
@@ -113,76 +131,10 @@ func BuildFromGIS(server *gis.Server, configName string, opts GISBuildOptions) (
 				vcfg.Phys = append(vcfg.Phys, virtual.PhysConfig{
 					Name:         h.MappedPhysical,
 					CPUSpeedMIPS: mips,
-					Quantum:      opts.Quantum,
+					Quantum:      cfg.Quantum,
 				})
 			}
 		}
 	}
-
-	partition := resolvePartition(opts.Partition)
-	if partition != nil && opts.PhysMIPS != nil {
-		return nil, fmt.Errorf("core: partitioning requires direct mode (no emulation platform)")
-	}
-	eng, driver, par := newDriver(opts.Seed, resolveShards(opts.Shards))
-	var planOf func() (*partitionPlan, error)
-	if par != nil && partition != nil {
-		vcfg.AssignEngines, planOf = partitionAssign(par, partition)
-	}
-	grid, err := virtual.NewGrid(eng, vcfg, virtual.LANWire(vcfg.Hosts, bw, perSide))
-	if err != nil {
-		return nil, err
-	}
-	var plan *partitionPlan
-	if planOf != nil {
-		if plan, err = planOf(); err != nil {
-			return nil, err
-		}
-	}
-	if par != nil {
-		if plan != nil {
-			par.SetLookahead(plan.lookahead)
-		} else if d, ok := grid.Network().MinLinkDelay(); ok {
-			par.SetLookahead(d)
-		}
-	}
-	m := &MicroGrid{
-		Eng:         eng,
-		driver:      driver,
-		par:         par,
-		plan:        plan,
-		Grid:        grid,
-		GIS:         server,
-		Registry:    globus.NewRegistry(),
-		Hosts:       hostNames,
-		ConfigName:  configName,
-		gatekeepers: make(map[string]*globus.Gatekeeper),
-		cfg: BuildConfig{
-			Seed:      opts.Seed,
-			Rate:      opts.Rate,
-			Quantum:   opts.Quantum,
-			Shards:    opts.Shards,
-			Partition: opts.Partition,
-			Emulation: emulationMarker(opts.PhysMIPS != nil),
-		},
-	}
-	m.wireGISHome()
-	for _, name := range hostNames {
-		gk, err := globus.StartGatekeeper(grid.Host(name), 0, m.Registry)
-		if err != nil {
-			return nil, err
-		}
-		gk.RegisterInGIS(server, OrgUnit, configName, grid.Host(name).Phys.Name)
-		m.gatekeepers[name] = gk
-	}
-	return m, nil
-}
-
-// emulationMarker yields a non-nil placeholder so IsDirect reports
-// correctly for GIS-built grids.
-func emulationMarker(emulated bool) *MachineConfig {
-	if !emulated {
-		return nil
-	}
-	m := MachineConfig{Name: "gis-emulation"}
-	return &m
+	return assemble(cfg, vcfg, virtual.LANWire(vcfg.Hosts, bw, perSide), server, hostNames, configName)
 }

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"microgrid/internal/gis"
+	"microgrid/internal/scenario"
 )
 
 const testLDIF = `
@@ -196,6 +197,17 @@ func TestBuildFromGISRecordErrors(t *testing.T) {
 		t.Fatalf("missing physical mapping: %v", err)
 	}
 
+	// Two records claiming one address name both hosts.
+	dupIP := gis.NewServer()
+	dupIP.Upsert(base.Entry())
+	twin := base
+	twin.Hostname = "y"
+	dupIP.Upsert(twin.Entry())
+	if _, err := BuildFromGIS(dupIP, "C", GISBuildOptions{}); err == nil ||
+		!strings.Contains(err.Error(), "hosts x and y share Virtual_IP 1.11.11.1") {
+		t.Fatalf("duplicate Virtual_IP: %v", err)
+	}
+
 	// The same record builds fine in direct mode: no mapping needed.
 	if _, err := BuildFromGIS(badHostServer(noPhys), "C", GISBuildOptions{}); err != nil {
 		t.Fatalf("direct mode should not need a mapping: %v", err)
@@ -212,5 +224,66 @@ func TestBuildFromGISInfeasibleRate(t *testing.T) {
 		Rate: 1.0,
 	}); err == nil {
 		t.Fatal("infeasible rate accepted")
+	}
+}
+
+// TestGISScenarioHonoursDirectives runs one GIS-defined scenario with
+// and without each model directive: a GIS grid assembles through the
+// same path as a target-defined one, so flownet, msgcost and trace all
+// take effect, and the plain scenario's report stays as it was.
+func TestGISScenarioHonoursDirectives(t *testing.T) {
+	run := func(extra string) (*MicroGrid, *Report) {
+		t.Helper()
+		s, err := scenario.ParseString("scenario gis-directives\nseed 3\n" +
+			"gis file=unused.ldif config=Test_Config\n" + extra +
+			"workload npb bench=IS class=S\n")
+		if err != nil {
+			t.Fatal(err)
+		}
+		m, err := BuildScenarioEnv(s, ScenarioEnv{GIS: ldifServer(t)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rep, err := m.RunWorkload(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return m, rep
+	}
+
+	plain, base := run("")
+	const want = "scenario gis-directives: IS.S.2 ok\n" +
+		"virtual time:    0.096 s\n" +
+		"job time:        0.104 s (attempts 1)\n" +
+		"network:         1877 packets delivered, 0 dropped\n" +
+		"utilization:     phys-vma.ucsd.edu        4.1%\n" +
+		"utilization:     phys-vmb.ucsd.edu        4.1%\n"
+	if got := FormatScenarioReport("gis-directives", base); got != want ||
+		base.VirtualElapsed.String() != "95.949216ms" {
+		t.Fatalf("plain GIS scenario report moved (virtual %v):\n%s", base.VirtualElapsed, got)
+	}
+	if plain.Grid.Network().FlowMode() || plain.Eng.Recorder() != nil {
+		t.Fatal("plain GIS scenario turned on flow mode or tracing")
+	}
+
+	flow, rep := run("flownet\n")
+	if !flow.Grid.Network().FlowMode() {
+		t.Fatal("flownet left the GIS grid in packet mode")
+	}
+	if rep.VirtualElapsed == base.VirtualElapsed {
+		t.Fatalf("flownet did not change virtual time (%v)", rep.VirtualElapsed)
+	}
+
+	if _, rep := run("msgcost send=50000 perbyte=200\n"); rep.VirtualElapsed == base.VirtualElapsed {
+		t.Fatalf("msgcost did not change virtual time (%v)", rep.VirtualElapsed)
+	}
+
+	traced, rep := run("trace categories=all\n")
+	rec := traced.Eng.Recorder()
+	if rec == nil || rec.Emitted() == 0 {
+		t.Fatal("trace attached no recorder, or it recorded nothing")
+	}
+	if rep.VirtualElapsed != base.VirtualElapsed {
+		t.Fatalf("tracing moved virtual time: %v vs %v", rep.VirtualElapsed, base.VirtualElapsed)
 	}
 }

@@ -88,6 +88,7 @@ type MicroGrid struct {
 	// ConfigName groups this grid's GIS records.
 	ConfigName  string
 	cfg         BuildConfig
+	direct      bool
 	ran         bool
 	gkMu        sync.Mutex
 	gatekeepers map[string]*globus.Gatekeeper
@@ -99,10 +100,9 @@ type MicroGrid struct {
 	lazy     bool
 	ensured  map[string]bool
 	injector *chaos.Injector
-	// driver executes the simulation: the serial engine itself, or the
-	// parallel engine coordinating Eng (= its shard 0) and its peers.
-	driver simcore.Sim
-	par    *simcore.ParallelEngine
+	// par is the parallel engine coordinating Eng (= its shard 0) and
+	// its peers; nil when Eng runs alone.
+	par *simcore.ParallelEngine
 	// plan is the resolved cluster→shard placement (nil when the model
 	// is not partitioned).
 	plan *partitionPlan
@@ -157,39 +157,25 @@ func resolvePartition(cfgPartition *PartitionConfig) *PartitionConfig {
 	return cfgPartition
 }
 
-// newDriver builds the chosen engine pair: the Engine model code runs
-// on, and the Sim that executes the run.
-func newDriver(seed int64, shards int) (*simcore.Engine, simcore.Sim, *simcore.ParallelEngine) {
-	if shards >= 1 {
-		pe := simcore.NewParallelEngine(seed, shards)
-		return pe.Shard(0), pe, pe
-	}
-	se := simcore.NewSerialEngine(seed)
-	return se.Engine, se, nil
-}
-
 // ParallelEngine returns the parallel engine driving this instance, or
 // nil when it runs on the serial engine.
 func (m *MicroGrid) ParallelEngine() *simcore.ParallelEngine { return m.par }
 
-// runSim executes the simulation through the configured driver.
+// runSim executes the simulation: the parallel engine coordinating Eng
+// (= its shard 0) and its peers, or Eng itself.
 func (m *MicroGrid) runSim() error {
-	if m.driver != nil {
-		return m.driver.Run()
+	if m.par != nil {
+		return m.par.Run()
 	}
 	return m.Eng.Run()
 }
 
-// Build constructs the MicroGrid.
+// Build constructs the MicroGrid: it lowers the config to virtual hosts,
+// physical machines, wiring and laziness, and hands them to assemble.
 func Build(cfg BuildConfig) (*MicroGrid, error) {
 	if cfg.Target.Procs <= 0 {
 		return nil, fmt.Errorf("core: target needs at least one processor")
 	}
-	partition := resolvePartition(cfg.Partition)
-	if partition != nil && cfg.Emulation != nil {
-		return nil, fmt.Errorf("core: partitioning requires direct mode (no emulation platform)")
-	}
-	eng, driver, par := newDriver(cfg.Seed, resolveShards(cfg.Shards))
 	configName := cfg.Target.Name
 	if cfg.Emulation != nil {
 		configName += " (emulated)"
@@ -257,23 +243,15 @@ func Build(cfg BuildConfig) (*MicroGrid, error) {
 		}
 	}
 
+	vcfg := gridConfig(cfg)
 	// Lazy materialization keeps a declared-but-untouched host down to
 	// its netsim node: generated topologies always (their host counts
 	// are the point), hand-written grids past a threshold no committed
 	// scenario reaches (so small grids keep their historical build path
 	// bit-for-bit).
-	lazy := cfg.Emulation == nil && (generated || len(hostCfgs) >= lazyHostThreshold)
+	vcfg.Lazy = cfg.Emulation == nil && (generated || len(hostCfgs) >= lazyHostThreshold)
 
 	// Physical platform and mapping.
-	vcfg := virtual.Config{
-		Hosts:           hostCfgs,
-		Rate:            cfg.Rate,
-		SendOverheadOps: cfg.SendOverheadOps,
-		PerByteOps:      cfg.PerByteOps,
-		StaggerSpread:   cfg.StaggerSpread,
-		FlowNetwork:     cfg.FlowNetwork,
-		Lazy:            lazy,
-	}
 	if cfg.Emulation == nil {
 		vcfg.Direct = true
 		for i := range hostCfgs {
@@ -300,10 +278,57 @@ func Build(cfg BuildConfig) (*MicroGrid, error) {
 	// Topology wiring.
 	wire := virtual.LANWire(hostCfgs, cfg.Target.NetBandwidthBps, cfg.Target.NetPerSideDelay)
 	if topo != nil {
-		spec := topo
-		wire = func(nw *netsim.Network, scale func(netsim.LinkConfig) netsim.LinkConfig) error {
-			return spec.Apply(nw, scale)
-		}
+		wire = topo.Apply
+	}
+
+	m, err := assemble(cfg, vcfg, wire, gis.NewServer(), hostNames, configName)
+	if err != nil {
+		return nil, err
+	}
+	// Network record(s), in the paper's Fig. 3 style.
+	netRec := gis.VirtualNetwork{
+		Prefix:       "1.11.11.0",
+		Parent:       "1.11.0.0",
+		OrgUnit:      OrgUnit,
+		ConfigName:   configName,
+		Type:         "LAN",
+		BandwidthBps: cfg.Target.NetBandwidthBps,
+		Delay:        cfg.Target.NetPerSideDelay,
+	}
+	m.GIS.Upsert(netRec.Entry())
+	return m, nil
+}
+
+// gridConfig carries a config's model knobs over to the virtual layer;
+// the front ends add the hosts, physical machines and laziness.
+func gridConfig(cfg BuildConfig) virtual.Config {
+	return virtual.Config{
+		Rate:            cfg.Rate,
+		SendOverheadOps: cfg.SendOverheadOps,
+		PerByteOps:      cfg.PerByteOps,
+		StaggerSpread:   cfg.StaggerSpread,
+		FlowNetwork:     cfg.FlowNetwork,
+	}
+}
+
+// assemble is the one path from a lowered grid description to a built
+// MicroGrid, shared by Build and BuildFromGIS: it picks the engine,
+// places the model on shards, builds the virtual grid, attaches trace
+// recorders, homes the GIS and — on an eager grid — starts a gatekeeper
+// on every host, registered in server.
+func assemble(cfg BuildConfig, vcfg virtual.Config, wire func(*netsim.Network, func(netsim.LinkConfig) netsim.LinkConfig) error,
+	server *gis.Server, hostNames []string, configName string) (*MicroGrid, error) {
+	partition := resolvePartition(cfg.Partition)
+	if partition != nil && !vcfg.Direct {
+		return nil, fmt.Errorf("core: partitioning requires direct mode (no emulation platform)")
+	}
+	var eng *simcore.Engine
+	var par *simcore.ParallelEngine
+	if shards := resolveShards(cfg.Shards); shards >= 1 {
+		par = simcore.NewParallelEngine(cfg.Seed, shards)
+		eng = par.Shard(0)
+	} else {
+		eng = simcore.NewEngine(cfg.Seed)
 	}
 
 	var planOf func() (*partitionPlan, error)
@@ -336,15 +361,15 @@ func Build(cfg BuildConfig) (*MicroGrid, error) {
 	m := &MicroGrid{
 		Eng:         eng,
 		Grid:        grid,
-		GIS:         gis.NewServer(),
+		GIS:         server,
 		Registry:    globus.NewRegistry(),
 		Hosts:       hostNames,
 		ConfigName:  configName,
 		cfg:         cfg,
+		direct:      vcfg.Direct,
 		gatekeepers: make(map[string]*globus.Gatekeeper),
-		lazy:        lazy,
+		lazy:        vcfg.Lazy,
 		ensured:     make(map[string]bool),
-		driver:      driver,
 		par:         par,
 		plan:        plan,
 	}
@@ -353,7 +378,7 @@ func Build(cfg BuildConfig) (*MicroGrid, error) {
 	// Globus: a gatekeeper on every virtual host, registered in the GIS.
 	// A lazy grid defers this to EnsureHost — RunApp brings up exactly
 	// its working set before submitting.
-	if !lazy {
+	if !m.lazy {
 		for _, name := range hostNames {
 			gk, err := globus.StartGatekeeper(grid.Host(name), 0, m.Registry)
 			if err != nil {
@@ -363,17 +388,6 @@ func Build(cfg BuildConfig) (*MicroGrid, error) {
 			m.gatekeepers[name] = gk
 		}
 	}
-	// Network record(s), in the paper's Fig. 3 style.
-	netRec := gis.VirtualNetwork{
-		Prefix:       "1.11.11.0",
-		Parent:       "1.11.0.0",
-		OrgUnit:      OrgUnit,
-		ConfigName:   configName,
-		Type:         "LAN",
-		BandwidthBps: cfg.Target.NetBandwidthBps,
-		Delay:        cfg.Target.NetPerSideDelay,
-	}
-	m.GIS.Upsert(netRec.Entry())
 	return m, nil
 }
 
@@ -478,7 +492,7 @@ func (m *MicroGrid) Rate() float64 { return m.Grid.Rate() }
 func (m *MicroGrid) Clock() *vtime.Clock { return m.Grid.Clock() }
 
 // IsDirect reports whether this instance models the target natively.
-func (m *MicroGrid) IsDirect() bool { return m.cfg.Emulation == nil }
+func (m *MicroGrid) IsDirect() bool { return m.direct }
 
 // ArmChaos arms a fault schedule against this grid and wires the
 // middleware to notice failures: when a host crashes its gatekeeper's

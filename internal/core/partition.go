@@ -270,7 +270,7 @@ func PartitionPreview(s *scenario.Scenario) (map[string]int, simcore.Duration, i
 	if shards < 1 || pc == nil || topo == nil {
 		return nil, 0, shards, nil
 	}
-	nw, err := topo.Build(simcore.NewSerialEngine(s.Seed).Engine)
+	nw, err := topo.Build(simcore.NewEngine(s.Seed))
 	if err != nil {
 		return nil, 0, shards, err
 	}

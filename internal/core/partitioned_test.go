@@ -128,7 +128,7 @@ func TestPlanPartition(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	nw, err := spec.Build(simcore.NewSerialEngine(1).Engine)
+	nw, err := spec.Build(simcore.NewEngine(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -222,7 +222,7 @@ func crossingLinks(nw *netsim.Network, plan *partitionPlan) []string {
 // the delay in milliseconds (0 means a 10 µs LAN link).
 func wanNet(t *testing.T, nodes []string, links ...string) *netsim.Network {
 	t.Helper()
-	nw := netsim.New(simcore.NewSerialEngine(1).Engine)
+	nw := netsim.New(simcore.NewEngine(1))
 	for i, name := range nodes {
 		if strings.HasPrefix(name, "r") {
 			nw.AddRouter(name)

@@ -130,12 +130,11 @@ func scenarioFromBuild(cfg BuildConfig) *scenario.Scenario {
 	return s
 }
 
-// buildConfig lowers a (non-GIS) scenario to the imperative build
-// description.
+// buildConfig lowers a scenario to the imperative build description. A
+// GIS scenario has no target: its records supply the hosts.
 func buildConfig(s *scenario.Scenario) BuildConfig {
 	cfg := BuildConfig{
 		Seed:            s.Seed,
-		Target:          machineConfig(s.Target),
 		Rate:            s.Rate,
 		Quantum:         s.Quantum,
 		Topo:            s.Topology,
@@ -147,6 +146,9 @@ func buildConfig(s *scenario.Scenario) BuildConfig {
 		FlowNetwork:     s.FlowNetwork,
 		Shards:          s.EngineShards,
 		Partition:       partitionConfig(s.Partition),
+	}
+	if s.Target != nil {
+		cfg.Target = machineConfig(s.Target)
 	}
 	if s.Emulation != nil {
 		emu := machineConfig(s.Emulation)
@@ -189,15 +191,7 @@ func BuildScenarioEnv(s *scenario.Scenario, env ScenarioEnv) (*MicroGrid, error)
 				return nil, fmt.Errorf("core: scenario %q: %s: %w", s.Name, path, lerr)
 			}
 		}
-		m, err = BuildFromGIS(server, s.GIS.Config, GISBuildOptions{
-			Seed:          s.Seed,
-			PhysMIPS:      s.GIS.PhysMIPS,
-			Rate:          s.Rate,
-			Quantum:       s.Quantum,
-			StaggerSpread: s.Stagger,
-			Shards:        s.EngineShards,
-			Partition:     partitionConfig(s.Partition),
-		})
+		m, err = buildFromGIS(server, s.GIS.Config, s.GIS.PhysMIPS, buildConfig(s))
 	case s.Target != nil:
 		m, err = Build(buildConfig(s))
 	default:
@@ -267,11 +261,7 @@ func (m *MicroGrid) RunWorkload(s *scenario.Scenario) (*Report, error) {
 		if err != nil {
 			return nil, err
 		}
-		procs := m.cfg.Target.Procs
-		if procs == 0 {
-			procs = len(m.Hosts) // GIS-built grids carry no target spec
-		}
-		return m.RunApp(fmt.Sprintf("%s.%c.%d", w.Bench, w.Class, procs),
+		return m.RunApp(fmt.Sprintf("%s.%c.%d", w.Bench, w.Class, m.cfg.Target.Procs),
 			func(ctx *AppContext) error {
 				return fn(ctx.Comm, npb.Params{Class: npb.Class(w.Class)})
 			}, opts)

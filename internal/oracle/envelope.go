@@ -141,7 +141,7 @@ func ScenarioEnvelope(s *scenario.Scenario) (EnvelopeParams, error) {
 			}
 		}
 	}
-	nw, err := topo.Build(simcore.NewSerialEngine(s.Seed).Engine)
+	nw, err := topo.Build(simcore.NewEngine(s.Seed))
 	if err != nil {
 		return EnvelopeParams{}, err
 	}

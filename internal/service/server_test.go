@@ -6,11 +6,14 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
 
 	"microgrid/internal/scenario"
+	"microgrid/internal/trace"
 )
 
 // pingScenario is a tiny two-host ping-pong scenario that simulates in
@@ -550,4 +553,56 @@ func mustParse(t *testing.T, text string) *scenario.Scenario {
 		t.Fatal(err)
 	}
 	return s
+}
+
+// TestServerGISScenarioTraced: a scenario whose grid comes from an LDIF
+// file under the server's base directory gets the same always-present
+// trace artifact as a target-defined one — one run, with events.
+func TestServerGISScenarioTraced(t *testing.T) {
+	dir := t.TempDir()
+	const ldif = `
+dn: ou=Concurrent Systems Architecture Group, o=Grid
+
+dn: hn=vma.ucsd.edu, ou=Concurrent Systems Architecture Group, o=Grid
+Is_Virtual_Resource: Yes
+Configuration_Name: Test_Config
+Mapped_Physical_Resource: csag-226-67.ucsd.edu
+CpuSpeed: 533
+MemorySize: 256MBytes
+Virtual_IP: 1.11.11.1
+
+dn: hn=vmb.ucsd.edu, ou=Concurrent Systems Architecture Group, o=Grid
+Is_Virtual_Resource: Yes
+Configuration_Name: Test_Config
+Mapped_Physical_Resource: csag-226-68.ucsd.edu
+CpuSpeed: 533
+MemorySize: 256MBytes
+Virtual_IP: 1.11.11.2
+`
+	if err := os.WriteFile(filepath.Join(dir, "grid.ldif"), []byte(ldif), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s := newTestServer(t, Config{Workers: 1, BaseDir: dir})
+	code, info := submit(t, s, "alice", `scenario gis-ping
+seed 1
+gis file=grid.ldif config=Test_Config
+workload pingpong bytes=1024
+`)
+	if code != http.StatusAccepted {
+		t.Fatalf("submit status %d", code)
+	}
+	if done := waitTerminal(t, s, info.ID); done.State != string(StateDone) {
+		t.Fatalf("run state %s (%s: %s)", done.State, done.Failure, done.Error)
+	}
+	code, body := artifact(t, s, info.ID, "trace.jsonl")
+	if code != http.StatusOK {
+		t.Fatalf("trace.jsonl: status %d", code)
+	}
+	runs, err := trace.ReadJSONL(bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(runs) != 1 || len(runs[0].Events) == 0 {
+		t.Fatalf("trace.jsonl holds %d runs, want one with events:\n%s", len(runs), body)
+	}
 }

@@ -673,7 +673,7 @@ func TestDeriveRandStreams(t *testing.T) {
 		}
 		return out
 	}
-	eng := NewSerialEngine(7).Engine
+	eng := NewEngine(7)
 	seen := map[[4]int64]string{}
 	for _, l := range labels {
 		s := draw(eng, l)
@@ -691,7 +691,7 @@ func TestDeriveRandStreams(t *testing.T) {
 			t.Fatalf("shard %d derives a different stream for %q", i, labels[0])
 		}
 	}
-	other := NewSerialEngine(8).Engine
+	other := NewEngine(8)
 	if draw(other, labels[0]) == draw(eng, labels[0]) {
 		t.Fatal("base seed does not affect derived streams")
 	}

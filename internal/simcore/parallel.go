@@ -111,8 +111,6 @@ type ParallelEngine struct {
 	inWindowBuf []bool
 }
 
-var _ Sim = (*ParallelEngine)(nil)
-
 // shardSeedMix spreads one user seed into per-shard seeds; shard 0 keeps
 // the seed itself so a 1-shard parallel run is the serial run.
 const shardSeedMix = int64(-0x61c8864680b583eb) // 2^64 / golden ratio

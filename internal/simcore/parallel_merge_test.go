@@ -10,7 +10,7 @@ import (
 // fires at every instant and sprays same-instant events across shard
 // boundaries, so each barrier must interleave many due events with equal
 // timestamps. The deterministic merge rule — deliver by (time, source
-// shard, send seq) — must reproduce the SerialEngine's golden (time,
+// shard, send seq) — must reproduce a plain Engine's golden (time,
 // seq) order for every observable stream at every shard count.
 //
 // Observables are compared in the partition-independent order
@@ -94,11 +94,11 @@ func mergeObserved(logs [][]mergeRec) []mergeRec {
 	return out
 }
 
-// serialGolden runs the mesh on the SerialEngine, where (time, seq) is
+// serialGolden runs the mesh on a plain Engine, where (time, seq) is
 // the ground-truth total order.
 func serialGolden(t *testing.T) []mergeRec {
 	t.Helper()
-	se := NewSerialEngine(3)
+	se := NewEngine(3)
 	logs := make([][]mergeRec, mergeHosts)
 	mergeWorkload(func(src, dst int, at Time, fn func()) {
 		se.At(at, fn)

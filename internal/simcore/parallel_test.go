@@ -12,9 +12,9 @@ import (
 )
 
 // TestParallelSingleShardMatchesSerial runs the same process workload on
-// a SerialEngine and a 1-shard ParallelEngine and requires identical
+// a plain Engine and a 1-shard ParallelEngine and requires identical
 // observable behavior: shard 0 uses the config seed itself, so a 1-shard
-// parallel run is the serial simulation.
+// parallel run executes the same instruction stream as the plain Engine.
 func TestParallelSingleShardMatchesSerial(t *testing.T) {
 	workload := func(eng *Engine, log *[]string) {
 		for i := 0; i < 3; i++ {
@@ -29,8 +29,8 @@ func TestParallelSingleShardMatchesSerial(t *testing.T) {
 	}
 
 	var serialLog []string
-	se := NewSerialEngine(7)
-	workload(se.Engine, &serialLog)
+	se := NewEngine(7)
+	workload(se, &serialLog)
 	if err := se.Run(); err != nil {
 		t.Fatal(err)
 	}
