@@ -210,30 +210,42 @@ func BenchmarkAblationChargePolicy(b *testing.B) {
 	}
 }
 
+// runNPB builds cfg's grid and runs one NPB kernel on it, as
+// RunScenario does, returning the modeled time.
+func runNPB(b *testing.B, cfg core.BuildConfig, bench string, class byte) simcore.Duration {
+	m, err := core.Build(cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	r, err := m.RunWorkload(&scenario.Scenario{
+		Name:     "ablation",
+		Workload: &scenario.Workload{Kind: "npb", Bench: bench, Class: class},
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	return r.VirtualElapsed
+}
+
 // BenchmarkAblationPhaseAlignment — DESIGN.md ablation: scheduler-daemon
 // phase alignment across machines. Aligned daemons (spread 0) give the
 // tight class-A matches of Fig. 10; staggered daemons reproduce Fig. 11's
 // quantum-dependent error. Measured on MG class S, quantum 10 ms.
 func BenchmarkAblationPhaseAlignment(b *testing.B) {
+	hw := core.AlphaCluster
 	for _, spread := range []float64{0, 0.25, 1.0} {
 		spread := spread
 		b.Run(fmt.Sprintf("spread=%g", spread), func(b *testing.B) {
 			var errPct float64
 			for i := 0; i < b.N; i++ {
-				phys, err := core.RunNPBOnce(core.BuildConfig{
+				phys := runNPB(b, core.BuildConfig{
 					Seed: 21, Target: core.AlphaCluster,
 				}, "MG", 'S')
-				if err != nil {
-					b.Fatal(err)
-				}
-				emu, err := core.RunNPBOnce(core.BuildConfig{
+				emu := runNPB(b, core.BuildConfig{
 					Seed: 21, Target: core.AlphaCluster,
-					Emulation: &core.AlphaCluster, Rate: 0.5,
+					Emulation: &hw, Rate: 0.5,
 					StaggerSpread: spread,
 				}, "MG", 'S')
-				if err != nil {
-					b.Fatal(err)
-				}
 				errPct = 100 * math.Abs(emu.Seconds()-phys.Seconds()) / phys.Seconds()
 			}
 			b.ReportMetric(errPct, "err_%")
@@ -255,13 +267,9 @@ func BenchmarkAblationNetworkFidelity(b *testing.B) {
 		b.Run(name, func(b *testing.B) {
 			var elapsed simcore.Duration
 			for i := 0; i < b.N; i++ {
-				var err error
-				elapsed, err = core.RunNPBOnce(core.BuildConfig{
+				elapsed = runNPB(b, core.BuildConfig{
 					Seed: 22, Target: core.AlphaCluster, FlowNetwork: flow,
 				}, "IS", 'S')
-				if err != nil {
-					b.Fatal(err)
-				}
 			}
 			b.ReportMetric(elapsed.Seconds(), "modeled_s")
 		})

@@ -198,7 +198,7 @@ func enableTracing(categories string, bufSize int) {
 		fmt.Fprintln(os.Stderr, "error:", err)
 		os.Exit(1)
 	}
-	microgrid.EnableTracing(microgrid.TraceConfig{Mask: mask, BufSize: bufSize})
+	microgrid.EnableTracing(microgrid.ScenarioTrace{Mask: mask, BufSize: bufSize})
 }
 
 // writeTrace writes the collected trace to file: compact JSONL for a

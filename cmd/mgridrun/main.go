@@ -11,6 +11,8 @@
 //
 // Without -phys the target is modeled directly (the reference run); with
 // -phys the named physical machines emulate the virtual grid at -rate.
+// The flags lower to a GIS-defined scenario (a `gis` line plus an npb or
+// cactus workload), validated and built exactly like a scenario file.
 // With -scenario, the whole run — grid, workload, policies, faults — comes
 // from one declarative file and every other flag is ignored.
 package main
@@ -73,19 +75,22 @@ func main() {
 		os.Exit(2)
 	}
 
-	f, err := os.Open(*gisFile)
-	if err != nil {
-		fail(err)
+	w := &microgrid.ScenarioWorkload{Kind: "cactus", Edge: *size, Steps: *steps}
+	if !strings.EqualFold(*app, "wavetoy") {
+		if len(*class) != 1 {
+			fail(fmt.Errorf("-class must be one NPB class letter, got %q", *class))
+		}
+		w = &microgrid.ScenarioWorkload{Kind: "npb", Bench: strings.ToUpper(*app), Class: (*class)[0]}
 	}
-	server, err := microgrid.LoadGIS(f)
-	f.Close()
-	if err != nil {
-		fail(err)
+	s := &microgrid.Scenario{
+		Name:     "mgridrun",
+		Seed:     *seed,
+		Rate:     *rate,
+		GIS:      &microgrid.ScenarioGIS{File: *gisFile, Config: *config},
+		Workload: w,
 	}
-
-	opts := microgrid.GISBuildOptions{Seed: *seed, Rate: *rate}
 	if *physArg != "" {
-		opts.PhysMIPS = map[string]float64{}
+		s.GIS.PhysMIPS = map[string]float64{}
 		for _, pair := range strings.Split(*physArg, ",") {
 			name, mips, ok := strings.Cut(strings.TrimSpace(pair), "=")
 			if !ok {
@@ -95,11 +100,14 @@ func main() {
 			if err != nil {
 				fail(fmt.Errorf("bad MIPS in %q", pair))
 			}
-			opts.PhysMIPS[name] = v
+			s.GIS.PhysMIPS[name] = v
 		}
 	}
+	if err := s.Validate(); err != nil {
+		fail(err)
+	}
 
-	m, err := microgrid.BuildFromGIS(server, *config, opts)
+	m, err := microgrid.BuildScenario(s)
 	if err != nil {
 		fail(err)
 	}
@@ -109,21 +117,7 @@ func main() {
 	}
 	fmt.Fprintf(os.Stderr, "grid %q: %d hosts, %s\n", m.ConfigName, len(m.Hosts), mode)
 
-	var fn func(ctx *microgrid.AppContext) error
-	switch strings.ToLower(*app) {
-	case "wavetoy":
-		fn = func(ctx *microgrid.AppContext) error {
-			return microgrid.RunWaveToy(ctx, microgrid.WaveToyParams{GridEdge: *size, Steps: *steps})
-		}
-	default:
-		bench := strings.ToUpper(*app)
-		cls := microgrid.NPBClass((*class)[0])
-		fn = func(ctx *microgrid.AppContext) error {
-			return microgrid.RunNPB(ctx, bench, cls, nil)
-		}
-	}
-
-	report, err := m.RunApp(*app, fn, microgrid.RunOptions{})
+	report, err := m.RunWorkload(s)
 	if err != nil {
 		fail(err)
 	}

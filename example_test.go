@@ -70,8 +70,9 @@ func ExampleRunCampaign() {
 }
 
 // Grids can be defined entirely by GIS records (the paper's Fig. 3
-// format) and instantiated with BuildFromGIS.
-func ExampleBuildFromGIS() {
+// format): a scenario's GIS reference names the configuration, and
+// BuildScenarioEnv resolves it against an in-memory directory.
+func ExampleBuildScenarioEnv() {
 	ldif := `
 dn: hn=vm.ucsd.edu, ou=CSAG, o=Grid
 Is_Virtual_Resource: Yes
@@ -85,7 +86,11 @@ Virtual_IP: 1.11.11.2
 	if err != nil {
 		panic(err)
 	}
-	m, err := microgrid.BuildFromGIS(server, "Demo", microgrid.GISBuildOptions{Seed: 1})
+	m, err := microgrid.BuildScenarioEnv(&microgrid.Scenario{
+		Name: "demo",
+		Seed: 1,
+		GIS:  &microgrid.ScenarioGIS{File: "demo.ldif", Config: "Demo"},
+	}, microgrid.ScenarioEnv{GIS: server})
 	if err != nil {
 		panic(err)
 	}

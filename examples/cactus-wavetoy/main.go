@@ -41,14 +41,15 @@ func main() {
 		// The grid comes from a declarative scenario; the WaveToy run
 		// itself stays a custom application function so the Autopilot
 		// sensor can hook the solver's progress callback.
+		alpha := microgrid.AlphaCluster
 		s := &microgrid.Scenario{
 			Name:   "cactus-wavetoy",
 			Seed:   16,
-			Target: microgrid.ScenarioMachineOf(microgrid.AlphaCluster),
+			Target: &alpha,
 		}
 		label := "physical grid"
 		if emulated {
-			s.Emulation = microgrid.ScenarioMachineOf(microgrid.AlphaCluster)
+			s.Emulation = &alpha
 			s.Rate = 0.5
 			label = "MicroGrid (rate 0.5)"
 		}

@@ -27,17 +27,18 @@ func main() {
 	// One scenario declares the whole run — grid, workload, emulation
 	// policy; the physical arm simply drops the emulate/rate lines.
 	run := func(emulated bool) float64 {
+		alpha := microgrid.AlphaCluster
 		s := &microgrid.Scenario{
 			Name:   "npb-cluster",
 			Seed:   42,
-			Target: microgrid.ScenarioMachineOf(microgrid.AlphaCluster),
+			Target: &alpha,
 			Workload: &microgrid.ScenarioWorkload{
 				Kind: "npb", Bench: *bench, Class: byte(class),
 			},
 		}
 		label := "physical grid (direct model)"
 		if emulated {
-			s.Emulation = microgrid.ScenarioMachineOf(microgrid.AlphaCluster)
+			s.Emulation = &alpha
 			s.Rate = *rate
 			label = fmt.Sprintf("MicroGrid (emulated at rate %.2f)", *rate)
 		}

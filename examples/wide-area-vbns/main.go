@@ -22,6 +22,7 @@ func main() {
 
 	fmt.Printf("NPB %s class S: 2 processes at UCSD + 2 at UIUC over the vBNS\n\n", *bench)
 	fmt.Printf("%-14s %12s\n", "WAN link", "time (s)")
+	alpha := microgrid.AlphaCluster
 	for _, wan := range []struct {
 		name string
 		bps  float64
@@ -39,7 +40,7 @@ func main() {
 		report, err := microgrid.RunScenario(&microgrid.Scenario{
 			Name:      "wide-area-vbns",
 			Seed:      7,
-			Target:    microgrid.ScenarioMachineOf(microgrid.AlphaCluster),
+			Target:    &alpha,
 			Topology:  spec,
 			HostRanks: []string{"ucsd0", "ucsd1", "uiuc0", "uiuc1"},
 			Workload: &microgrid.ScenarioWorkload{

@@ -3,7 +3,6 @@ package microgrid
 import (
 	"io"
 
-	"microgrid/internal/core"
 	"microgrid/internal/gis"
 )
 
@@ -35,14 +34,3 @@ func LoadGIS(r io.Reader) (*GIS, error) {
 
 // DumpGIS renders a directory as LDIF text.
 func DumpGIS(s *GIS) string { return gis.DumpLDIF(s) }
-
-// GISBuildOptions tune BuildFromGIS.
-type GISBuildOptions = core.GISBuildOptions
-
-// BuildFromGIS constructs a MicroGrid from the virtual-resource records of
-// one configuration in a GIS directory — the paper's bootstrap path: the
-// virtual grid's hosts, addresses, speeds, memories, physical mappings
-// and network parameters all come from the directory.
-func BuildFromGIS(server *GIS, configName string, opts GISBuildOptions) (*MicroGrid, error) {
-	return core.BuildFromGIS(server, configName, opts)
-}

@@ -5,37 +5,13 @@
 package core
 
 import (
-	"fmt"
-
+	"microgrid/internal/scenario"
 	"microgrid/internal/simcore"
 )
 
-// MachineConfig describes one of the paper's virtual grid configurations
-// (Fig. 9's table).
-type MachineConfig struct {
-	// Name labels the configuration.
-	Name string
-	// Procs is the machine count.
-	Procs int
-	// ProcType is descriptive ("DEC21164, 533 MHz").
-	ProcType string
-	// CPUMIPS is the modeled per-processor speed.
-	CPUMIPS float64
-	// MemoryBytes is per-host memory.
-	MemoryBytes int64
-	// NetName is descriptive ("100Mb Ethernet").
-	NetName string
-	// NetBandwidthBps is the per-link bandwidth of the switched network.
-	NetBandwidthBps float64
-	// NetPerSideDelay is the host↔switch propagation delay.
-	NetPerSideDelay simcore.Duration
-	// Compiler is descriptive, carried for the Fig. 9 table.
-	Compiler string
-}
-
 // AlphaCluster is the paper's experimental platform: 4× 533 MHz DEC 21164
 // Alphas with 1 GB memory each on 100 Mb Ethernet (§3.1, Fig. 9).
-var AlphaCluster = MachineConfig{
+var AlphaCluster = scenario.Machine{
 	Name:            "Alpha Cluster",
 	Procs:           4,
 	ProcType:        "DEC21164, 533 MHz",
@@ -49,7 +25,7 @@ var AlphaCluster = MachineConfig{
 
 // HPVM is the second Fig. 9 configuration: 4× 300 MHz Pentium II on
 // 1.2 Gb Myrinet.
-var HPVM = MachineConfig{
+var HPVM = scenario.Machine{
 	Name:            "HPVM",
 	Procs:           4,
 	ProcType:        "PentiumII, 300 MHz",
@@ -61,28 +37,6 @@ var HPVM = MachineConfig{
 	Compiler:        "Digital Fortran V5.0",
 }
 
-// Scale returns a copy with CPU speed multiplied by k (Fig. 12's
-// technology-scaling studies).
-func (m MachineConfig) Scale(cpuFactor float64) MachineConfig {
-	out := m
-	out.CPUMIPS *= cpuFactor
-	out.Name = fmt.Sprintf("%s %gx CPU", m.Name, cpuFactor)
-	return out
-}
-
-// WithNetwork returns a copy with the network replaced (Fig. 12 holds the
-// network at 1 Mb/s with 50 ms latency while scaling CPUs).
-func (m MachineConfig) WithNetwork(name string, bps float64, perSide simcore.Duration) MachineConfig {
-	out := m
-	out.NetName = name
-	out.NetBandwidthBps = bps
-	out.NetPerSideDelay = perSide
-	return out
-}
-
-// WithProcs returns a copy with a different machine count.
-func (m MachineConfig) WithProcs(n int) MachineConfig {
-	out := m
-	out.Procs = n
-	return out
-}
+// machinePtr returns a pointer to a copy of m, for a scenario's Target
+// or Emulation: the shared AlphaCluster and HPVM values stay untouched.
+func machinePtr(m scenario.Machine) *scenario.Machine { return &m }

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"microgrid/internal/gis"
+	"microgrid/internal/scenario"
 	"microgrid/internal/simcore"
 )
 
@@ -46,7 +47,7 @@ func TestBuildEmulated(t *testing.T) {
 }
 
 func TestBuildValidation(t *testing.T) {
-	if _, err := Build(BuildConfig{Target: MachineConfig{}}); err == nil {
+	if _, err := Build(BuildConfig{Target: scenario.Machine{}}); err == nil {
 		t.Fatal("empty target accepted")
 	}
 	spec := &struct{}{}

@@ -16,7 +16,7 @@ func fig16Scenario(edge, steps int, emulated bool) *scenario.Scenario {
 	s := &scenario.Scenario{
 		Name:     "fig16-cactus",
 		Seed:     16,
-		Target:   machineSpec(AlphaCluster),
+		Target:   machinePtr(AlphaCluster),
 		Workload: &scenario.Workload{Kind: "cactus", Edge: edge, Steps: steps},
 	}
 	if emulated {

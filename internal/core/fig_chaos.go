@@ -237,7 +237,7 @@ func ChaosWorkerScenario() *scenario.Scenario {
 		Name:        "chaos-worker",
 		Description: "worker crash under the self-scheduling farm: re-dispatch vs hang",
 		Seed:        23,
-		Target:      machineSpec(AlphaCluster.WithProcs(5)),
+		Target:      machinePtr(AlphaCluster.WithProcs(5)),
 		Workload: &scenario.Workload{
 			Kind: "workqueue", Units: 240, OpsPerUnit: 1e7,
 			Policy: "self", FaultTolerant: true, LostTimeout: simcore.Second,

@@ -17,7 +17,7 @@ func Fig05Scenario() *scenario.Scenario {
 		Name:        "fig05-memory",
 		Description: "memory capacity enforcement: max allocation vs specified limit",
 		Seed:        5,
-		Target:      machineSpec(AlphaCluster),
+		Target:      machinePtr(AlphaCluster),
 	}
 }
 
@@ -67,7 +67,7 @@ func Fig06Scenario() *scenario.Scenario {
 		Name:        "fig06-cpu-fraction",
 		Description: "processor fraction enforcement, alone and under IO/CPU competition",
 		Seed:        6,
-		Target:      machineSpec(AlphaCluster),
+		Target:      machinePtr(AlphaCluster),
 	}
 }
 
@@ -146,7 +146,7 @@ func Fig07Scenario() *scenario.Scenario {
 		Name:        "fig07-quanta",
 		Description: "normalized quanta-size distribution under competition (~9000 samples)",
 		Seed:        7,
-		Target:      machineSpec(AlphaCluster),
+		Target:      machinePtr(AlphaCluster),
 	}
 }
 

@@ -17,7 +17,7 @@ func fig08Scenario(emulated bool) *scenario.Scenario {
 	s := &scenario.Scenario{
 		Name:   "fig08-netbench",
 		Seed:   8,
-		Target: machineSpec(AlphaCluster.WithProcs(2)),
+		Target: machinePtr(AlphaCluster.WithProcs(2)),
 	}
 	if emulated {
 		// Fig. 8 validates the network model itself, so the emulation
@@ -186,7 +186,7 @@ func Fig09Scenario() *scenario.Scenario {
 		Name:        "fig09-configurations",
 		Description: "virtual grid configurations studied (Alpha cluster, HPVM)",
 		Seed:        9,
-		Target:      machineSpec(AlphaCluster),
+		Target:      machinePtr(AlphaCluster),
 	}
 }
 
@@ -195,7 +195,7 @@ func Fig09Scenario() *scenario.Scenario {
 func Fig09Configurations(bool) (*Experiment, error) {
 	tbl := metrics.NewTable("Fig. 9 — virtual grid configurations studied",
 		"name", "#procs", "type_procs", "network", "compiler")
-	for _, c := range []MachineConfig{AlphaCluster, HPVM} {
+	for _, c := range []scenario.Machine{AlphaCluster, HPVM} {
 		tbl.AddRow(c.Name, c.Procs, c.ProcType, c.NetName, c.Compiler)
 	}
 	return &Experiment{

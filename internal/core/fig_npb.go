@@ -12,39 +12,26 @@ import (
 
 // npbScenario is the shared shape of every NPB experiment arm: one
 // kernel run on one virtual machine configuration.
-func npbScenario(name string, seed int64, target MachineConfig, bench string, class npb.Class) *scenario.Scenario {
+func npbScenario(name string, seed int64, target scenario.Machine, bench string, class npb.Class) *scenario.Scenario {
 	return &scenario.Scenario{
 		Name:     name,
 		Seed:     seed,
-		Target:   machineSpec(target),
+		Target:   machinePtr(target),
 		Workload: &scenario.Workload{Kind: "npb", Bench: bench, Class: byte(class)},
 	}
 }
 
 // emulateOn marks a scenario as MicroGrid-emulated: the named hardware
 // hosts the virtual grid at the given simulation rate.
-func emulateOn(s *scenario.Scenario, hw MachineConfig, rate float64) *scenario.Scenario {
-	s.Emulation = machineSpec(hw)
+func emulateOn(s *scenario.Scenario, hw scenario.Machine, rate float64) *scenario.Scenario {
+	s.Emulation = machinePtr(hw)
 	s.Rate = rate
 	return s
 }
 
-// RunNPBOnce builds a grid from cfg and runs one NPB kernel, returning
-// its virtual elapsed time (exported for the ablation benches). Like the
-// figure experiments it routes through the scenario layer.
-func RunNPBOnce(cfg BuildConfig, bench string, class npb.Class) (simcore.Duration, error) {
-	s := scenarioFromBuild(cfg)
-	s.Workload = &scenario.Workload{Kind: "npb", Bench: bench, Class: byte(class)}
-	r, err := RunScenario(s)
-	if err != nil {
-		return 0, err
-	}
-	return r.VirtualElapsed, nil
-}
-
 // npbPair runs physical (direct) and MicroGrid (emulated) instances of
 // one benchmark and returns both virtual times.
-func npbPair(target MachineConfig, bench string, class npb.Class, quantum simcore.Duration, rate float64) (phys, emu simcore.Duration, err error) {
+func npbPair(target scenario.Machine, bench string, class npb.Class, quantum simcore.Duration, rate float64) (phys, emu simcore.Duration, err error) {
 	pr, err := RunScenario(npbScenario("fig10-physical", 10, target, bench, class))
 	if err != nil {
 		return 0, 0, fmt.Errorf("%s physical: %w", bench, err)
@@ -92,7 +79,7 @@ func Fig10NPBClassA(quick bool) (*Experiment, error) {
 		"config", "bench", "pgrid_s", "mgrid_s", "err_%")
 	m := map[string]float64{}
 	worst := 0.0
-	for _, target := range []MachineConfig{AlphaCluster, HPVM} {
+	for _, target := range []scenario.Machine{AlphaCluster, HPVM} {
 		for _, bench := range npb.Names() {
 			phys, emu, err := npbPair(target, bench, class, 0, fig10Rate)
 			if err != nil {
@@ -123,7 +110,7 @@ func Fig10NPBClassA(quick bool) (*Experiment, error) {
 	}, nil
 }
 
-func shortName(c MachineConfig) string {
+func shortName(c scenario.Machine) string {
 	if c.Name == HPVM.Name {
 		return "hpvm"
 	}
@@ -198,7 +185,7 @@ func Fig11QuantumSweep(quick bool) (*Experiment, error) {
 
 // fig12SlowNet pins the network at 1 Mb/s with 50 ms host-to-host
 // latency while the CPU scales.
-func fig12SlowNet(c MachineConfig) MachineConfig {
+func fig12SlowNet(c scenario.Machine) scenario.Machine {
 	return c.WithNetwork("1Mb WAN-ish", 1e6, 25*simcore.Millisecond)
 }
 

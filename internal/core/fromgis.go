@@ -6,55 +6,19 @@ import (
 
 	"microgrid/internal/gis"
 	"microgrid/internal/netsim"
-	"microgrid/internal/simcore"
 	"microgrid/internal/virtual"
 )
 
-// GISBuildOptions tune BuildFromGIS.
-type GISBuildOptions struct {
-	// Seed drives the deterministic simulation.
-	Seed int64
-	// PhysMIPS calibrates the physical machines named by the records'
-	// Mapped_Physical_Resource attributes. Nil means direct mode: every
-	// virtual host gets a dedicated physical machine at its own speed
-	// (the reference model).
-	PhysMIPS map[string]float64
-	// Rate is the simulation rate (0 = fastest feasible).
-	Rate float64
-	// Quantum is the scheduler quantum on the emulation hosts.
-	Quantum simcore.Duration
-	// StaggerSpread de-synchronizes the scheduler daemons (see BuildConfig).
-	StaggerSpread float64
-	// Shards selects the simulation engine, as in BuildConfig.Shards.
-	Shards int
-	// Partition places topology clusters on shards, as in
-	// BuildConfig.Partition (requires direct mode, i.e. nil PhysMIPS).
-	Partition *PartitionConfig
-}
-
-// BuildFromGIS constructs a MicroGrid from the virtual-resource records of
-// one configuration in a GIS directory — the paper's workflow: "our
-// MicroGrid system reads desired network configuration files and inputs a
-// network configuration for NSE according to the virtual network
-// information in the GIS" (§2.4.2). Host records supply names, virtual
-// IPs, CPU speeds, memory and physical mappings; the configuration's LAN
-// record supplies bandwidth and per-side latency.
-func BuildFromGIS(server *gis.Server, configName string, opts GISBuildOptions) (*MicroGrid, error) {
-	return buildFromGIS(server, configName, opts.PhysMIPS, BuildConfig{
-		Seed:          opts.Seed,
-		Rate:          opts.Rate,
-		Quantum:       opts.Quantum,
-		StaggerSpread: opts.StaggerSpread,
-		Shards:        opts.Shards,
-		Partition:     opts.Partition,
-	})
-}
-
-// buildFromGIS is the GIS front end to assemble: the records supply the
-// hosts, physical mapping and LAN that Build derives from cfg.Target and
-// cfg.Emulation, and cfg supplies every other knob. physMIPS calibrates
-// the mapped physical machines; nil means direct mode. The build is
-// never lazy: RunApp expects every record's host registered.
+// buildFromGIS is the GIS front end to assemble — the paper's workflow:
+// "our MicroGrid system reads desired network configuration files and
+// inputs a network configuration for NSE according to the virtual
+// network information in the GIS" (§2.4.2). The configuration's host
+// records supply the names, virtual IPs, CPU speeds, memory and
+// physical mapping, and its LAN record the bandwidth and per-side
+// latency, that Build derives from cfg.Target and cfg.Emulation; cfg
+// supplies every other knob. physMIPS calibrates the mapped physical
+// machines; nil means direct mode. The build is never lazy: RunApp
+// expects every record's host registered.
 func buildFromGIS(server *gis.Server, configName string, physMIPS map[string]float64, cfg BuildConfig) (*MicroGrid, error) {
 	hosts, nets, err := gis.VirtualResources(server, configName)
 	if err != nil {

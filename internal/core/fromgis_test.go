@@ -44,9 +44,18 @@ func ldifServer(t *testing.T) *gis.Server {
 	return s
 }
 
+// gisGrid builds a configuration of server's records through the
+// scenario path, as a `gis file=... config=... phys=...` line does.
+func gisGrid(server *gis.Server, config string, phys map[string]float64, rate float64) (*MicroGrid, error) {
+	return BuildScenarioEnv(&scenario.Scenario{
+		Name: "gis", Seed: 1, Rate: rate,
+		GIS: &scenario.GISRef{File: "unused.ldif", Config: config, PhysMIPS: phys},
+	}, ScenarioEnv{GIS: server})
+}
+
 func TestBuildFromGISDirect(t *testing.T) {
 	s := ldifServer(t)
-	m, err := BuildFromGIS(s, "Test_Config", GISBuildOptions{Seed: 1})
+	m, err := gisGrid(s, "Test_Config", nil, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,14 +84,10 @@ func TestBuildFromGISDirect(t *testing.T) {
 
 func TestBuildFromGISEmulated(t *testing.T) {
 	s := ldifServer(t)
-	m, err := BuildFromGIS(s, "Test_Config", GISBuildOptions{
-		Seed: 1,
-		PhysMIPS: map[string]float64{
-			"csag-226-67.ucsd.edu": 533,
-			"csag-226-68.ucsd.edu": 533,
-		},
-		Rate: 0.5,
-	})
+	m, err := gisGrid(s, "Test_Config", map[string]float64{
+		"csag-226-67.ucsd.edu": 533,
+		"csag-226-68.ucsd.edu": 533,
+	}, 0.5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,11 +119,7 @@ func TestBuildFromGISSharedPhysical(t *testing.T) {
 	if err := gis.LoadLDIF(s, strings.NewReader(text)); err != nil {
 		t.Fatal(err)
 	}
-	m, err := BuildFromGIS(s, "Test_Config", GISBuildOptions{
-		Seed:     1,
-		PhysMIPS: map[string]float64{"csag-226-67.ucsd.edu": 533},
-		Rate:     0.25,
-	})
+	m, err := gisGrid(s, "Test_Config", map[string]float64{"csag-226-67.ucsd.edu": 533}, 0.25)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,12 +135,10 @@ func TestBuildFromGISSharedPhysical(t *testing.T) {
 
 func TestBuildFromGISErrors(t *testing.T) {
 	s := ldifServer(t)
-	if _, err := BuildFromGIS(s, "No_Such_Config", GISBuildOptions{}); err == nil {
+	if _, err := gisGrid(s, "No_Such_Config", nil, 0); err == nil {
 		t.Fatal("unknown config accepted")
 	}
-	if _, err := BuildFromGIS(s, "Test_Config", GISBuildOptions{
-		PhysMIPS: map[string]float64{"only-one": 533},
-	}); err == nil {
+	if _, err := gisGrid(s, "Test_Config", map[string]float64{"only-one": 533}, 0); err == nil {
 		t.Fatal("missing calibration accepted")
 	}
 	// Record without an IP.
@@ -149,7 +148,7 @@ func TestBuildFromGISErrors(t *testing.T) {
 		MappedPhysical: "p", CPUSpeedMIPS: 100, MemoryBytes: 1 << 20,
 	}.Entry()
 	bad.Upsert(e)
-	if _, err := BuildFromGIS(bad, "C", GISBuildOptions{}); err == nil {
+	if _, err := gisGrid(bad, "C", nil, 0); err == nil {
 		t.Fatal("record without Virtual_IP accepted")
 	}
 }
@@ -170,30 +169,29 @@ func TestBuildFromGISRecordErrors(t *testing.T) {
 	}
 
 	empty := gis.NewServer()
-	if _, err := BuildFromGIS(empty, "C", GISBuildOptions{}); err == nil ||
+	if _, err := gisGrid(empty, "C", nil, 0); err == nil ||
 		!strings.Contains(err.Error(), "no virtual hosts") {
 		t.Fatalf("empty directory: %v", err)
 	}
 
 	badIP := base
 	badIP.VirtualIP = "not-an-ip"
-	if _, err := BuildFromGIS(badHostServer(badIP), "C", GISBuildOptions{}); err == nil ||
+	if _, err := gisGrid(badHostServer(badIP), "C", nil, 0); err == nil ||
 		!strings.Contains(err.Error(), "host x") {
 		t.Fatalf("malformed Virtual_IP: %v", err)
 	}
 
 	noCPU := base
 	noCPU.CPUSpeedMIPS = 0
-	if _, err := BuildFromGIS(badHostServer(noCPU), "C", GISBuildOptions{}); err == nil ||
+	if _, err := gisGrid(badHostServer(noCPU), "C", nil, 0); err == nil ||
 		!strings.Contains(err.Error(), "no CpuSpeed") {
 		t.Fatalf("missing CpuSpeed: %v", err)
 	}
 
 	noPhys := base
 	noPhys.MappedPhysical = ""
-	if _, err := BuildFromGIS(badHostServer(noPhys), "C", GISBuildOptions{
-		PhysMIPS: map[string]float64{"p": 533},
-	}); err == nil || !strings.Contains(err.Error(), "Mapped_Physical_Resource") {
+	if _, err := gisGrid(badHostServer(noPhys), "C", map[string]float64{"p": 533}, 0); err == nil ||
+		!strings.Contains(err.Error(), "Mapped_Physical_Resource") {
 		t.Fatalf("missing physical mapping: %v", err)
 	}
 
@@ -203,26 +201,23 @@ func TestBuildFromGISRecordErrors(t *testing.T) {
 	twin := base
 	twin.Hostname = "y"
 	dupIP.Upsert(twin.Entry())
-	if _, err := BuildFromGIS(dupIP, "C", GISBuildOptions{}); err == nil ||
+	if _, err := gisGrid(dupIP, "C", nil, 0); err == nil ||
 		!strings.Contains(err.Error(), "hosts x and y share Virtual_IP 1.11.11.1") {
 		t.Fatalf("duplicate Virtual_IP: %v", err)
 	}
 
 	// The same record builds fine in direct mode: no mapping needed.
-	if _, err := BuildFromGIS(badHostServer(noPhys), "C", GISBuildOptions{}); err != nil {
+	if _, err := gisGrid(badHostServer(noPhys), "C", nil, 0); err != nil {
 		t.Fatalf("direct mode should not need a mapping: %v", err)
 	}
 }
 
 func TestBuildFromGISInfeasibleRate(t *testing.T) {
 	s := ldifServer(t)
-	if _, err := BuildFromGIS(s, "Test_Config", GISBuildOptions{
-		PhysMIPS: map[string]float64{
-			"csag-226-67.ucsd.edu": 100, // far slower than the 533 virtual
-			"csag-226-68.ucsd.edu": 100,
-		},
-		Rate: 1.0,
-	}); err == nil {
+	if _, err := gisGrid(s, "Test_Config", map[string]float64{
+		"csag-226-67.ucsd.edu": 100, // far slower than the 533 virtual
+		"csag-226-68.ucsd.edu": 100,
+	}, 1.0); err == nil {
 		t.Fatal("infeasible rate accepted")
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"microgrid/internal/gis"
 	"microgrid/internal/globus"
 	"microgrid/internal/netsim"
+	"microgrid/internal/scenario"
 	"microgrid/internal/simcore"
 	"microgrid/internal/topology"
 	"microgrid/internal/virtual"
@@ -23,12 +24,12 @@ type BuildConfig struct {
 	// Seed drives the deterministic simulation.
 	Seed int64
 	// Target is the virtual grid being modeled.
-	Target MachineConfig
+	Target scenario.Machine
 	// Emulation, when non-nil, is the physical platform the virtual grid
 	// is emulated on (the MicroGrid run). Nil means direct mode: the
 	// target hardware is modeled natively (the "physical grid" reference
 	// run).
-	Emulation *MachineConfig
+	Emulation *scenario.Machine
 	// Rate is the simulation rate; 0 means the fastest feasible.
 	Rate float64
 	// Quantum is the MicroGrid scheduler quantum on the emulation hosts
@@ -63,17 +64,17 @@ type BuildConfig struct {
 	// Partition, with Shards ≥ 1, spreads the grid model itself across
 	// the shards: each cluster of the virtual topology (connected
 	// component of sub-millisecond links) runs whole on one shard (see
-	// PartitionConfig for the placement), and wide-area hops between
-	// shards become cross-shard events with the inter-cluster
+	// scenario.PartitionSpec for the placement), and wide-area hops
+	// between shards become cross-shard events with the inter-cluster
 	// latency as lookahead. Requires direct mode (nil Emulation); a
 	// single-cluster topology partitions to a no-op. Results are
 	// bit-identical at any shard count — only CatEngine dispatch
 	// telemetry (stripped from partitioned traces) is shard-dependent.
-	Partition *PartitionConfig
+	Partition *scenario.PartitionSpec
 	// Trace, when non-nil, attaches a structured trace recorder to this
 	// instance's engine. Nil falls back to the global tracing switch (see
 	// EnableTracing), which cmd/mgrid's -trace flag arms.
-	Trace *TraceConfig
+	Trace *scenario.TraceSpec
 }
 
 // MicroGrid is an assembled simulation: the virtual grid, its GIS, and
@@ -142,15 +143,15 @@ func resolveShards(cfgShards int) int {
 // enginePartitionOverride, when non-nil, partitions every subsequently
 // built instance (the CLIs' -partition flag); it outranks
 // BuildConfig.Partition.
-var enginePartitionOverride *PartitionConfig
+var enginePartitionOverride *scenario.PartitionSpec
 
 // SetEnginePartition installs a process-wide partition override; nil
 // restores per-config choice.
-func SetEnginePartition(pc *PartitionConfig) { enginePartitionOverride = pc }
+func SetEnginePartition(pc *scenario.PartitionSpec) { enginePartitionOverride = pc }
 
 // resolvePartition applies the process-wide override to a config's
 // choice.
-func resolvePartition(cfgPartition *PartitionConfig) *PartitionConfig {
+func resolvePartition(cfgPartition *scenario.PartitionSpec) *scenario.PartitionSpec {
 	if enginePartitionOverride != nil {
 		return enginePartitionOverride
 	}
@@ -312,7 +313,7 @@ func gridConfig(cfg BuildConfig) virtual.Config {
 }
 
 // assemble is the one path from a lowered grid description to a built
-// MicroGrid, shared by Build and BuildFromGIS: it picks the engine,
+// MicroGrid, shared by Build and buildFromGIS: it picks the engine,
 // places the model on shards, builds the virtual grid, attaches trace
 // recorders, homes the GIS and — on an eager grid — starts a gatekeeper
 // on every host, registered in server.

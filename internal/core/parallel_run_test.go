@@ -17,7 +17,7 @@ import (
 // compares across {serial, shards=2, shards=4} × {-j1, -j4}.
 func chaosTracedRun(t *testing.T, shards int) (*Report, []byte) {
 	t.Helper()
-	EnableTracing(TraceConfig{Mask: trace.CatAll})
+	EnableTracing(scenario.TraceSpec{Mask: trace.CatAll})
 	defer ResetTracing()
 
 	s := ChaosCrashScenario()

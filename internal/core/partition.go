@@ -4,38 +4,12 @@ import (
 	"container/heap"
 	"fmt"
 	"sort"
-	"strconv"
-	"strings"
 
 	"microgrid/internal/netsim"
 	"microgrid/internal/scenario"
 	"microgrid/internal/simcore"
 	"microgrid/internal/topology"
 )
-
-// PartitionConfig places the grid model across PDES shards, one cluster
-// of the virtual topology per shard: a cluster is a connected component
-// of sub-millisecond links (see netsim.Clusters), so only wide-area hops
-// — whose latency is the engine's lookahead — cross shards. Partitioning
-// requires direct mode (no emulation platform) and a multi-cluster
-// topology; on a single-cluster grid it is a no-op and the model stays
-// on shard 0.
-type PartitionConfig struct {
-	// Auto places the model by topology. The clusters that carry hosts
-	// are dealt round-robin, ordered by smallest node name: the i-th
-	// such cluster goes to shard i mod shards. Each router-only cluster
-	// (a backbone router, say) then joins the shard of its nearest
-	// placed neighbour, cheapest link first, so a site's uplinks stay on
-	// its own shard. Router-only clusters no placed cluster reaches,
-	// and every cluster of an all-router topology, fall back to cluster
-	// i on shard i mod shards.
-	Auto bool
-	// Assign pins the cluster containing the named node to a shard,
-	// overriding the automatic dealing; router-only clusters then join
-	// the pinned clusters as they join dealt ones. Naming two nodes of
-	// one cluster with different shards is an error.
-	Assign map[string]int
-}
 
 // partitionPlan is the resolved cluster→shard placement of one build.
 type partitionPlan struct {
@@ -48,11 +22,11 @@ type partitionPlan struct {
 	lookahead simcore.Duration
 }
 
-// planPartition resolves a PartitionConfig against a wired, routed
+// planPartition resolves a partition spec against a wired, routed
 // network, reading the clusters from its routing hierarchy. A nil plan
 // (with nil error) means the topology has a single cluster and
 // partitioning is a no-op.
-func planPartition(nw *netsim.Network, nshards int, pc *PartitionConfig) (*partitionPlan, error) {
+func planPartition(nw *netsim.Network, nshards int, pc *scenario.PartitionSpec) (*partitionPlan, error) {
 	clusters := nw.ClusterIDs()
 	if clusters.Len() < 2 {
 		return nil, nil
@@ -203,7 +177,7 @@ func (p *partitionPlan) engineMap(pe *simcore.ParallelEngine) map[string]*simcor
 // build. The hook runs after the topology is wired; the returned getter
 // yields the plan it resolved (nil when partitioning was a no-op) or
 // the error it hit.
-func partitionAssign(par *simcore.ParallelEngine, pc *PartitionConfig) (func(nw *netsim.Network) map[string]*simcore.Engine, func() (*partitionPlan, error)) {
+func partitionAssign(par *simcore.ParallelEngine, pc *scenario.PartitionSpec) (func(nw *netsim.Network) map[string]*simcore.Engine, func() (*partitionPlan, error)) {
 	var plan *partitionPlan
 	var perr error
 	hook := func(nw *netsim.Network) map[string]*simcore.Engine {
@@ -221,35 +195,6 @@ func partitionAssign(par *simcore.ParallelEngine, pc *PartitionConfig) (func(nw 
 	return hook, func() (*partitionPlan, error) { return plan, perr }
 }
 
-// ParsePartitionFlag parses the CLIs' -partition value: "auto" for the
-// topology-aware placement, or a comma-separated "node=shard,..." pin
-// list. Empty input means no partitioning (nil config).
-func ParsePartitionFlag(v string) (*PartitionConfig, error) {
-	v = strings.TrimSpace(v)
-	if v == "" {
-		return nil, nil
-	}
-	if v == "auto" {
-		return &PartitionConfig{Auto: true}, nil
-	}
-	pc := &PartitionConfig{Assign: map[string]int{}}
-	for _, pair := range strings.Split(v, ",") {
-		name, shard, ok := strings.Cut(strings.TrimSpace(pair), "=")
-		if !ok || name == "" {
-			return nil, fmt.Errorf("core: bad -partition entry %q (want node=shard or auto)", pair)
-		}
-		n, err := strconv.Atoi(shard)
-		if err != nil || n < 0 {
-			return nil, fmt.Errorf("core: bad -partition shard in %q", pair)
-		}
-		if _, dup := pc.Assign[name]; dup {
-			return nil, fmt.Errorf("core: -partition pins %q twice", name)
-		}
-		pc.Assign[name] = n
-	}
-	return pc, nil
-}
-
 // PartitionPreview resolves a scenario's partition offline, without
 // building hosts or running anything: the scenario's topology is wired
 // into a throwaway network and planned exactly as Build would. It
@@ -258,7 +203,7 @@ func ParsePartitionFlag(v string) (*PartitionConfig, error) {
 // nil error means partitioning would be a no-op for this scenario.
 func PartitionPreview(s *scenario.Scenario) (map[string]int, simcore.Duration, int, error) {
 	shards := resolveShards(s.EngineShards)
-	pc := resolvePartition(partitionConfig(s.Partition))
+	pc := resolvePartition(s.Partition)
 	topo := s.Topology
 	if topo == nil && s.TopoGen != nil {
 		spec, err := topology.Generate(*s.TopoGen)

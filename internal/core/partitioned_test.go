@@ -22,10 +22,10 @@ import (
 // timeline, and the canonical trace export: every byte of which must be
 // independent of how the model was partitioned. The trace mask strips
 // CatEngine so the serial run is comparable (partitioned builds strip
-// it anyway; see TraceConfig.Mask).
+// it anyway; see scenario.TraceSpec.Mask).
 func partitionedChaosRun(t *testing.T, shards int) (*Report, string, string, []byte) {
 	t.Helper()
-	EnableTracing(TraceConfig{Mask: trace.CatAll &^ trace.CatEngine})
+	EnableTracing(scenario.TraceSpec{Mask: trace.CatAll &^ trace.CatEngine})
 	defer ResetTracing()
 
 	s := Fig14Scenario()
@@ -136,7 +136,7 @@ func TestPlanPartition(t *testing.T) {
 	// vBNS decomposes into four sub-millisecond clusters: the two campus
 	// LANs plus the two singleton backbone routers (the 1 ms OC3 access
 	// circuits and the 28 ms backbone are all wide-area).
-	plan, err := planPartition(nw, 2, &PartitionConfig{Auto: true})
+	plan, err := planPartition(nw, 2, &scenario.PartitionSpec{Auto: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,13 +161,13 @@ func TestPlanPartition(t *testing.T) {
 		t.Errorf("links crossing shards = %v, want just the backbone", got)
 	}
 	// Repeated planning gives the same placement.
-	again, err := planPartition(nw, 2, &PartitionConfig{Auto: true})
+	again, err := planPartition(nw, 2, &scenario.PartitionSpec{Auto: true})
 	if err != nil || !reflect.DeepEqual(again.shardOf, plan.shardOf) {
 		t.Errorf("replanning gave %v (%v), want %v", again.shardOf, err, plan.shardOf)
 	}
 
 	// Pinning moves the whole cluster.
-	plan, err = planPartition(nw, 4, &PartitionConfig{Assign: map[string]int{"uiuc0": 3}})
+	plan, err = planPartition(nw, 4, &scenario.PartitionSpec{Assign: map[string]int{"uiuc0": 3}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,12 +183,12 @@ func TestPlanPartition(t *testing.T) {
 
 	for _, tc := range []struct {
 		name string
-		pc   *PartitionConfig
+		pc   *scenario.PartitionSpec
 		want string
 	}{
-		{"unknown node", &PartitionConfig{Assign: map[string]int{"nope": 0}}, "unknown node"},
-		{"shard out of range", &PartitionConfig{Assign: map[string]int{"ucsd0": 9}}, "have 2 shards"},
-		{"split cluster", &PartitionConfig{Assign: map[string]int{"ucsd0": 0, "ucsd1": 1}}, "splits one cluster"},
+		{"unknown node", &scenario.PartitionSpec{Assign: map[string]int{"nope": 0}}, "unknown node"},
+		{"shard out of range", &scenario.PartitionSpec{Assign: map[string]int{"ucsd0": 9}}, "have 2 shards"},
+		{"split cluster", &scenario.PartitionSpec{Assign: map[string]int{"ucsd0": 0, "ucsd1": 1}}, "splits one cluster"},
 	} {
 		if _, err := planPartition(nw, 2, tc.pc); err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s: err = %v, want %q", tc.name, err, tc.want)
@@ -200,7 +200,7 @@ func TestPlanPartition(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if plan, err := planPartition(lan.Grid.Network(), 2, &PartitionConfig{Auto: true}); err != nil || plan != nil {
+	if plan, err := planPartition(lan.Grid.Network(), 2, &scenario.PartitionSpec{Auto: true}); err != nil || plan != nil {
 		t.Errorf("single-cluster plan = %+v, %v; want nil, nil", plan, err)
 	}
 }
@@ -250,7 +250,7 @@ func wanNet(t *testing.T, nodes []string, links ...string) *netsim.Network {
 // site reaches — or every cluster of an all-router topology — fall back
 // to round-robin.
 func TestPlanPartitionJoinsRouters(t *testing.T) {
-	shards := func(t *testing.T, nw *netsim.Network, n int, pc *PartitionConfig) map[string]int {
+	shards := func(t *testing.T, nw *netsim.Network, n int, pc *scenario.PartitionSpec) map[string]int {
 		t.Helper()
 		plan, err := planPartition(nw, n, pc)
 		if err != nil || plan == nil {
@@ -272,16 +272,16 @@ func TestPlanPartitionJoinsRouters(t *testing.T) {
 	// crosses shards.
 	chain := wanNet(t, []string{"a0", "a1", "b0", "r1", "r2"},
 		"a0 a1 0", "a1 r1 2", "r1 r2 20", "r2 b0 3")
-	check(t, shards(t, chain, 2, &PartitionConfig{Auto: true}),
+	check(t, shards(t, chain, 2, &scenario.PartitionSpec{Auto: true}),
 		map[string]int{"a0": 0, "a1": 0, "r1": 0, "r2": 1, "b0": 1})
 	// With the middle link cheapest, r1 takes r2 along before site b's
 	// 3 ms link is ever reached: the cheapest link always wins.
 	short := wanNet(t, []string{"a0", "b0", "r1", "r2"},
 		"a0 r1 2", "r1 r2 1", "r2 b0 3")
-	check(t, shards(t, short, 2, &PartitionConfig{Auto: true}),
+	check(t, shards(t, short, 2, &scenario.PartitionSpec{Auto: true}),
 		map[string]int{"a0": 0, "r1": 0, "r2": 0, "b0": 1})
 	// Pinning site a to shard 1 carries the router next to it along.
-	check(t, shards(t, chain, 2, &PartitionConfig{Assign: map[string]int{"a0": 1, "b0": 0}}),
+	check(t, shards(t, chain, 2, &scenario.PartitionSpec{Assign: map[string]int{"a0": 1, "b0": 0}}),
 		map[string]int{"a0": 1, "r1": 1, "r2": 0, "b0": 0})
 
 	// An island of routers no host cluster reaches falls back to
@@ -290,14 +290,14 @@ func TestPlanPartitionJoinsRouters(t *testing.T) {
 	// and the lower cluster id, a0's, wins.
 	island := wanNet(t, []string{"a0", "b0", "r1", "r8", "r9"},
 		"a0 r1 1", "r1 b0 1", "r8 r9 0")
-	check(t, shards(t, island, 3, &PartitionConfig{Auto: true}),
+	check(t, shards(t, island, 3, &scenario.PartitionSpec{Auto: true}),
 		map[string]int{"a0": 0, "b0": 1, "r1": 0, "r8": 0, "r9": 0})
-	check(t, shards(t, island, 2, &PartitionConfig{Auto: true}),
+	check(t, shards(t, island, 2, &scenario.PartitionSpec{Auto: true}),
 		map[string]int{"r8": 1, "r9": 1})
 
 	// An all-router topology is round-robin by cluster index.
 	routers := wanNet(t, []string{"r1", "r2", "r3"}, "r1 r2 5", "r2 r3 5")
-	check(t, shards(t, routers, 2, &PartitionConfig{Auto: true}),
+	check(t, shards(t, routers, 2, &scenario.PartitionSpec{Auto: true}),
 		map[string]int{"r1": 0, "r2": 1, "r3": 0})
 }
 
@@ -332,29 +332,9 @@ func TestPartitionRequiresDirectMode(t *testing.T) {
 		Target:    AlphaCluster,
 		Emulation: &emu,
 		Shards:    2,
-		Partition: &PartitionConfig{Auto: true},
+		Partition: &scenario.PartitionSpec{Auto: true},
 	})
 	if err == nil || !strings.Contains(err.Error(), "direct mode") {
 		t.Fatalf("err = %v, want direct-mode rejection", err)
-	}
-}
-
-// TestParsePartitionFlag covers the CLI flag syntax.
-func TestParsePartitionFlag(t *testing.T) {
-	pc, err := ParsePartitionFlag("auto")
-	if err != nil || pc == nil || !pc.Auto {
-		t.Fatalf("auto: %+v, %v", pc, err)
-	}
-	pc, err = ParsePartitionFlag("ucsd0=0, uiuc0=1")
-	if err != nil || pc.Assign["ucsd0"] != 0 || pc.Assign["uiuc0"] != 1 {
-		t.Fatalf("map: %+v, %v", pc, err)
-	}
-	if pc, err := ParsePartitionFlag(""); err != nil || pc != nil {
-		t.Fatalf("empty: %+v, %v", pc, err)
-	}
-	for _, bad := range []string{"nope", "a=", "a=x", "a=-1", "a=1,a=2"} {
-		if _, err := ParsePartitionFlag(bad); err == nil {
-			t.Errorf("ParsePartitionFlag(%q) accepted", bad)
-		}
 	}
 }

@@ -31,110 +31,14 @@ type ScenarioEnv struct {
 	BaseDir string
 }
 
-// machineConfig converts a scenario machine to the core config — an
-// exact field copy, so a scenario-built grid is bit-identical to one
-// built from a hand-written BuildConfig.
-func machineConfig(m *scenario.Machine) MachineConfig {
-	return MachineConfig{
-		Name:            m.Name,
-		Procs:           m.Procs,
-		ProcType:        m.ProcType,
-		CPUMIPS:         m.CPUMIPS,
-		MemoryBytes:     m.MemoryBytes,
-		NetName:         m.NetName,
-		NetBandwidthBps: m.NetBandwidthBps,
-		NetPerSideDelay: m.NetPerSideDelay,
-		Compiler:        m.Compiler,
-	}
-}
-
-// machineSpec is the reverse conversion: the experiments define their
-// grids as scenario values derived from the paper's MachineConfigs.
-func machineSpec(m MachineConfig) *scenario.Machine {
-	return &scenario.Machine{
-		Name:            m.Name,
-		Procs:           m.Procs,
-		ProcType:        m.ProcType,
-		CPUMIPS:         m.CPUMIPS,
-		MemoryBytes:     m.MemoryBytes,
-		NetName:         m.NetName,
-		NetBandwidthBps: m.NetBandwidthBps,
-		NetPerSideDelay: m.NetPerSideDelay,
-		Compiler:        m.Compiler,
-	}
-}
-
-// MachineSpec converts a machine configuration to its scenario
-// representation (for callers composing scenarios around the built-in
-// paper configurations).
-func MachineSpec(m MachineConfig) *scenario.Machine { return machineSpec(m) }
-
-// partitionConfig lowers a scenario partition spec to the core config
-// (nil-safe, exact field copy — like machineConfig).
-func partitionConfig(p *scenario.PartitionSpec) *PartitionConfig {
-	if p == nil {
-		return nil
-	}
-	pc := &PartitionConfig{Auto: p.Auto}
-	if len(p.Assign) > 0 {
-		pc.Assign = make(map[string]int, len(p.Assign))
-		for name, shard := range p.Assign {
-			pc.Assign[name] = shard
-		}
-	}
-	return pc
-}
-
-// partitionSpec is the reverse conversion.
-func partitionSpec(pc *PartitionConfig) *scenario.PartitionSpec {
-	if pc == nil {
-		return nil
-	}
-	p := &scenario.PartitionSpec{Auto: pc.Auto}
-	if len(pc.Assign) > 0 {
-		p.Assign = make(map[string]int, len(pc.Assign))
-		for name, shard := range pc.Assign {
-			p.Assign[name] = shard
-		}
-	}
-	return p
-}
-
-// scenarioFromBuild lifts an imperative build description to the
-// declarative layer (the exact inverse of buildConfig), letting callers
-// that still hold a BuildConfig — RunNPBOnce and the ablation benches —
-// route through the one scenario construction path.
-func scenarioFromBuild(cfg BuildConfig) *scenario.Scenario {
-	s := &scenario.Scenario{
-		Name:            "adhoc",
-		Seed:            cfg.Seed,
-		Target:          machineSpec(cfg.Target),
-		Rate:            cfg.Rate,
-		Quantum:         cfg.Quantum,
-		Stagger:         cfg.StaggerSpread,
-		FlowNetwork:     cfg.FlowNetwork,
-		EngineShards:    cfg.Shards,
-		Partition:       partitionSpec(cfg.Partition),
-		SendOverheadOps: cfg.SendOverheadOps,
-		PerByteOps:      cfg.PerByteOps,
-		Topology:        cfg.Topo,
-		TopoGen:         cfg.TopoGen,
-		HostRanks:       cfg.HostRanks,
-	}
-	if cfg.Emulation != nil {
-		s.Emulation = machineSpec(*cfg.Emulation)
-	}
-	if cfg.Trace != nil {
-		s.Trace = &scenario.TraceSpec{Mask: cfg.Trace.Mask, BufSize: cfg.Trace.BufSize}
-	}
-	return s
-}
-
-// buildConfig lowers a scenario to the imperative build description. A
-// GIS scenario has no target: its records supply the hosts.
+// buildConfig lowers a scenario to the imperative build description,
+// sharing the scenario's machine, partition and trace specs (nothing
+// mutates them). A GIS scenario has no target: its records supply the
+// hosts.
 func buildConfig(s *scenario.Scenario) BuildConfig {
 	cfg := BuildConfig{
 		Seed:            s.Seed,
+		Emulation:       s.Emulation,
 		Rate:            s.Rate,
 		Quantum:         s.Quantum,
 		Topo:            s.Topology,
@@ -145,17 +49,11 @@ func buildConfig(s *scenario.Scenario) BuildConfig {
 		StaggerSpread:   s.Stagger,
 		FlowNetwork:     s.FlowNetwork,
 		Shards:          s.EngineShards,
-		Partition:       partitionConfig(s.Partition),
+		Partition:       s.Partition,
+		Trace:           s.Trace,
 	}
 	if s.Target != nil {
-		cfg.Target = machineConfig(s.Target)
-	}
-	if s.Emulation != nil {
-		emu := machineConfig(s.Emulation)
-		cfg.Emulation = &emu
-	}
-	if s.Trace != nil {
-		cfg.Trace = &TraceConfig{Mask: s.Trace.Mask, BufSize: s.Trace.BufSize}
+		cfg.Target = *s.Target
 	}
 	return cfg
 }

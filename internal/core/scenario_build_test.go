@@ -1,46 +1,43 @@
 package core
 
 import (
+	"bytes"
 	"os"
 	"path/filepath"
-	"reflect"
 	"strings"
 	"testing"
 
 	"microgrid/internal/scenario"
-	"microgrid/internal/simcore"
-	"microgrid/internal/topology"
 	"microgrid/internal/trace"
 )
 
-// The declarative and imperative build descriptions must be exact
-// inverses: lifting a BuildConfig into a scenario and lowering it back
-// reproduces every field, so experiments routed through the scenario
-// layer build bit-identical grids.
-func TestScenarioBuildConfigRoundTrip(t *testing.T) {
-	emu := HPVM
-	topo := &topology.Spec{Name: "t"}
-	cfg := BuildConfig{
-		Seed:            42,
-		Target:          AlphaCluster,
-		Emulation:       &emu,
-		Rate:            0.5,
-		Quantum:         10 * simcore.Millisecond,
-		Topo:            topo,
-		HostRanks:       []string{"a", "b"},
-		SendOverheadOps: 17e3,
-		PerByteOps:      3.2,
-		StaggerSpread:   0.25,
-		FlowNetwork:     true,
-		Trace:           &TraceConfig{Mask: trace.CatAll, BufSize: 128},
+// A bare `trace` line records every category, as TraceSpec's Mask 0
+// documents: the same events as `trace categories=all`.
+func TestBareTraceRecordsAll(t *testing.T) {
+	events := func(line string) []byte {
+		t.Helper()
+		s, err := scenario.ParseString("scenario bare-trace\nseed 1\n" +
+			"target procs=2 cpu=533 net=100Mbps delay=25us\n" + line +
+			"\nworkload pingpong bytes=4096\n")
+		if err != nil {
+			t.Fatal(err)
+		}
+		m, err := BuildScenario(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := m.RunWorkload(s); err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if err := trace.WriteJSONL(&buf, []trace.Run{m.Eng.Recorder().Snapshot()}); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
 	}
-	got := buildConfig(scenarioFromBuild(cfg))
-	if !reflect.DeepEqual(got, cfg) {
-		t.Fatalf("round trip changed the config:\n got %+v\nwant %+v", got, cfg)
-	}
-	// And the machine conversion alone round-trips too.
-	if got := machineConfig(machineSpec(HPVM)); !reflect.DeepEqual(got, HPVM) {
-		t.Fatalf("machine round trip: %+v", got)
+	bare, all := events("trace"), events("trace categories=all")
+	if !bytes.Equal(bare, all) || bytes.Count(all, []byte("\n")) < 100 {
+		t.Fatalf("bare trace recorded %d bytes, categories=all %d", len(bare), len(all))
 	}
 }
 
@@ -79,7 +76,7 @@ func TestBuildScenarioErrors(t *testing.T) {
 }
 
 func TestRunWorkloadErrors(t *testing.T) {
-	s := &scenario.Scenario{Name: "w", Seed: 1, Target: machineSpec(AlphaCluster)}
+	s := &scenario.Scenario{Name: "w", Seed: 1, Target: machinePtr(AlphaCluster)}
 	m, err := BuildScenario(s)
 	if err != nil {
 		t.Fatal(err)

@@ -6,20 +6,10 @@ import (
 	"sort"
 	"sync"
 
+	"microgrid/internal/scenario"
 	"microgrid/internal/simcore"
 	"microgrid/internal/trace"
 )
-
-// TraceConfig enables structured tracing on built MicroGrids.
-type TraceConfig struct {
-	// Mask selects the recorded categories (trace.CatAll for everything).
-	// Partitioned builds strip CatEngine: dispatch telemetry is per-shard
-	// and partition-dependent, while every other category is
-	// byte-identical at any shard count.
-	Mask trace.Category
-	// BufSize is the ring capacity in events (trace.DefaultBufSize if 0).
-	BufSize int
-}
 
 // Global tracing: cmd/mgrid's -trace flags arm this once before the
 // campaign runs, and every MicroGrid Built afterwards gets its own
@@ -36,12 +26,12 @@ type traceGroup struct {
 
 var (
 	traceMu     sync.Mutex
-	traceCfg    *TraceConfig
+	traceCfg    *scenario.TraceSpec
 	traceGroups []traceGroup
 )
 
 // EnableTracing arms global tracing for all subsequent Builds.
-func EnableTracing(cfg TraceConfig) {
+func EnableTracing(cfg scenario.TraceSpec) {
 	traceMu.Lock()
 	defer traceMu.Unlock()
 	c := cfg
@@ -76,19 +66,29 @@ func newGlobalRecorders(configName string, n int, strip trace.Category) []*trace
 	label := fmt.Sprintf("%02d:%s", len(traceGroups), configName)
 	recs := make([]*trace.Recorder, n)
 	for i := range recs {
-		r := trace.NewRecorder(traceCfg.BufSize, traceCfg.Mask&^strip)
-		r.Label = label
-		recs[i] = r
+		recs[i] = newRecorder(traceCfg, strip, label)
 	}
 	traceGroups = append(traceGroups, traceGroup{label: label, recs: recs})
 	return recs
 }
 
+// newRecorder makes one recorder for a trace spec: Mask 0 records every
+// category (see scenario.TraceSpec), less the strip set.
+func newRecorder(tc *scenario.TraceSpec, strip trace.Category, label string) *trace.Recorder {
+	mask := tc.Mask
+	if mask == 0 {
+		mask = trace.CatAll
+	}
+	r := trace.NewRecorder(tc.BufSize, mask&^strip)
+	r.Label = label
+	return r
+}
+
 // attachRecorders wires tracing for one build: one recorder per engine
 // the model spans (shard 0 only, or every shard when partitioned), from
-// the explicit TraceConfig if given, else from the global switch.
-// Partitioned builds drop CatEngine — see TraceConfig.Mask.
-func attachRecorders(eng *simcore.Engine, par *simcore.ParallelEngine, plan *partitionPlan, tc *TraceConfig, configName string) {
+// the explicit spec if given, else from the global switch. Partitioned
+// builds drop CatEngine — see scenario.TraceSpec.Mask.
+func attachRecorders(eng *simcore.Engine, par *simcore.ParallelEngine, plan *partitionPlan, tc *scenario.TraceSpec, configName string) {
 	engines := []*simcore.Engine{eng}
 	strip := trace.Category(0)
 	if plan != nil {
@@ -100,9 +100,7 @@ func attachRecorders(eng *simcore.Engine, par *simcore.ParallelEngine, plan *par
 	}
 	if tc != nil {
 		for _, e := range engines {
-			rec := trace.NewRecorder(tc.BufSize, tc.Mask&^strip)
-			rec.Label = configName
-			e.SetRecorder(rec)
+			e.SetRecorder(newRecorder(tc, strip, configName))
 		}
 		return
 	}

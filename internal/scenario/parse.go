@@ -227,20 +227,9 @@ func ParseAt(name string, r io.Reader) (*Scenario, error) {
 				if len(fields) < 3 {
 					return nil, fail(fields[1], "want 'partition map <node>=<shard> ...'")
 				}
-				assign := make(map[string]int, len(fields)-2)
-				for _, opt := range fields[2:] {
-					k, v, ok := strings.Cut(opt, "=")
-					if !ok || k == "" {
-						return nil, fail(opt, "bad pin (want node=shard)")
-					}
-					n, err := strconv.Atoi(v)
-					if err != nil {
-						return nil, fail(opt, "bad shard: %v", err)
-					}
-					if _, dup := assign[k]; dup {
-						return nil, fail(opt, "node %s pinned twice", k)
-					}
-					assign[k] = n
+				assign, err := parsePins(fields[2:], fail)
+				if err != nil {
+					return nil, err
 				}
 				s.Partition = &PartitionSpec{Assign: assign}
 			default:
@@ -660,6 +649,55 @@ func parseRetry(opts []string, fail failFunc) (*RetrySpec, error) {
 		}
 	}
 	return r, nil
+}
+
+// parsePins reads node=shard pins: the body of `partition map` and of
+// the CLIs' -partition flag.
+func parsePins(pins []string, fail failFunc) (map[string]int, error) {
+	assign := make(map[string]int, len(pins))
+	for _, opt := range pins {
+		k, v, ok := strings.Cut(opt, "=")
+		if !ok || k == "" {
+			return nil, fail(opt, "bad pin (want node=shard)")
+		}
+		n, err := strconv.Atoi(v)
+		if err != nil {
+			return nil, fail(opt, "bad shard: %v", err)
+		}
+		if _, dup := assign[k]; dup {
+			return nil, fail(opt, "node %s pinned twice", k)
+		}
+		assign[k] = n
+	}
+	return assign, nil
+}
+
+// ParsePartitionFlag parses the CLIs' -partition value: "auto", or a
+// comma-separated node=shard pin list with the `partition map` syntax
+// and bounds. Empty input means no partitioning (nil spec).
+func ParsePartitionFlag(v string) (*PartitionSpec, error) {
+	v = strings.TrimSpace(v)
+	if v == "" {
+		return nil, nil
+	}
+	p := &PartitionSpec{Auto: v == "auto"}
+	if !p.Auto {
+		pins := strings.Split(v, ",")
+		for i := range pins {
+			pins[i] = strings.TrimSpace(pins[i])
+		}
+		var err error
+		p.Assign, err = parsePins(pins, func(token, format string, args ...any) error {
+			return fmt.Errorf("scenario: -partition %q: %s", token, fmt.Sprintf(format, args...))
+		})
+		if err != nil {
+			return nil, err
+		}
+	}
+	if err := p.validate(); err != nil {
+		return nil, fmt.Errorf("scenario: -partition: %w", err)
+	}
+	return p, nil
 }
 
 func parseTrace(opts []string, fail failFunc) (*TraceSpec, error) {

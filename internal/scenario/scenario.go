@@ -22,8 +22,9 @@ import (
 	"microgrid/internal/trace"
 )
 
-// Machine mirrors core.MachineConfig: one virtual (or emulation
-// platform) machine class.
+// Machine is one virtual (or emulation platform) machine class: a
+// scenario's target and emulate lines, and the paper's Fig. 9
+// configurations (core.AlphaCluster, core.HPVM).
 type Machine struct {
 	// Name labels the configuration ("Alpha Cluster").
 	Name string
@@ -43,6 +44,32 @@ type Machine struct {
 	NetPerSideDelay simcore.Duration
 	// Compiler is descriptive, carried for the Fig. 9 table.
 	Compiler string
+}
+
+// Scale returns a copy with CPU speed multiplied by k (Fig. 12's
+// technology-scaling studies).
+func (m Machine) Scale(cpuFactor float64) Machine {
+	out := m
+	out.CPUMIPS *= cpuFactor
+	out.Name = fmt.Sprintf("%s %gx CPU", m.Name, cpuFactor)
+	return out
+}
+
+// WithNetwork returns a copy with the network replaced (Fig. 12 holds the
+// network at 1 Mb/s with 50 ms latency while scaling CPUs).
+func (m Machine) WithNetwork(name string, bps float64, perSide simcore.Duration) Machine {
+	out := m
+	out.NetName = name
+	out.NetBandwidthBps = bps
+	out.NetPerSideDelay = perSide
+	return out
+}
+
+// WithProcs returns a copy with a different machine count.
+func (m Machine) WithProcs(n int) Machine {
+	out := m
+	out.Procs = n
+	return out
 }
 
 // GISRef points the virtual-grid definition at a GIS directory instead
@@ -104,25 +131,39 @@ type RetrySpec struct {
 	PortStride    int
 }
 
-// PartitionSpec places the topology's clusters on PDES shards (it
-// mirrors core.PartitionConfig): `partition auto` deals the clusters
-// that carry hosts round-robin over the engine's shards and joins each
-// router-only cluster to its nearest placed neighbour's shard;
-// `partition map node=shard ...` pins the cluster containing each named
-// node. On a serial engine or a single-cluster topology the spec is
-// inert, so scenarios can carry it and still run anywhere.
+// PartitionSpec places the grid model across PDES shards, one cluster
+// of the virtual topology per shard (`partition auto` or `partition map
+// node=shard ...`): a cluster is a connected component of
+// sub-millisecond links (see netsim.Clusters), so only wide-area hops —
+// whose latency is the engine's lookahead — cross shards. Partitioning
+// requires direct mode (no emulation platform). On a serial engine or a
+// single-cluster topology the spec is inert and the model stays on
+// shard 0, so scenarios can carry it and still run anywhere.
 type PartitionSpec struct {
-	// Auto selects the automatic topology-aware placement.
+	// Auto places the model by topology. The clusters that carry hosts
+	// are dealt round-robin, ordered by smallest node name: the i-th
+	// such cluster goes to shard i mod shards. Each router-only cluster
+	// (a backbone router, say) then joins the shard of its nearest
+	// placed neighbour, cheapest link first, so a site's uplinks stay on
+	// its own shard. Router-only clusters no placed cluster reaches,
+	// and every cluster of an all-router topology, fall back to cluster
+	// i on shard i mod shards.
 	Auto bool
-	// Assign pins named nodes' clusters to shards (exclusive with Auto).
+	// Assign pins the cluster containing the named node to a shard
+	// (exclusive with Auto); router-only clusters then join the pinned
+	// clusters as they join dealt ones. Naming two nodes of one cluster
+	// with different shards is an error.
 	Assign map[string]int
 }
 
 // TraceSpec arms structured tracing on the run's engine.
 type TraceSpec struct {
-	// Mask selects categories (0 = all).
+	// Mask selects the recorded categories (0 = all). Partitioned
+	// builds strip CatEngine: dispatch telemetry is per-shard and
+	// partition-dependent, while every other category is byte-identical
+	// at any shard count.
 	Mask trace.Category
-	// BufSize bounds the ring (0 = default).
+	// BufSize bounds the ring in events (0 = trace.DefaultBufSize).
 	BufSize int
 }
 

@@ -245,3 +245,24 @@ func TestPartitionDirective(t *testing.T) {
 		t.Error("accepted partition with an emulation platform")
 	}
 }
+
+// TestParsePartitionFlag covers the CLI flag syntax: the `partition map`
+// pins, comma-separated, under the directive's bounds.
+func TestParsePartitionFlag(t *testing.T) {
+	pc, err := ParsePartitionFlag("auto")
+	if err != nil || pc == nil || !pc.Auto {
+		t.Fatalf("auto: %+v, %v", pc, err)
+	}
+	pc, err = ParsePartitionFlag("ucsd0=0, uiuc0=1")
+	if err != nil || pc.Assign["ucsd0"] != 0 || pc.Assign["uiuc0"] != 1 {
+		t.Fatalf("map: %+v, %v", pc, err)
+	}
+	if pc, err := ParsePartitionFlag(""); err != nil || pc != nil {
+		t.Fatalf("empty: %+v, %v", pc, err)
+	}
+	for _, bad := range []string{"nope", "a=", "a=x", "a=-1", "a=1,a=2", "x=5000"} {
+		if _, err := ParsePartitionFlag(bad); err == nil {
+			t.Errorf("ParsePartitionFlag(%q) accepted", bad)
+		}
+	}
+}

@@ -606,3 +606,32 @@ workload pingpong bytes=1024
 		t.Fatalf("trace.jsonl holds %d runs, want one with events:\n%s", len(runs), body)
 	}
 }
+
+// A POSTed scenario whose bare `trace` line asks for every category (a
+// zero mask) gets a trace artifact with events, not an empty recorder.
+func TestServerBareTraceRecords(t *testing.T) {
+	s := newTestServer(t, Config{Workers: 1})
+	code, info := submit(t, s, "alice", `scenario bare-trace
+seed 1
+target procs=2 cpu=533 net=100Mbps delay=25us
+trace
+workload pingpong bytes=1024
+`)
+	if code != http.StatusAccepted {
+		t.Fatalf("submit status %d", code)
+	}
+	if done := waitTerminal(t, s, info.ID); done.State != string(StateDone) {
+		t.Fatalf("run state %s (%s: %s)", done.State, done.Failure, done.Error)
+	}
+	code, body := artifact(t, s, info.ID, "trace.jsonl")
+	if code != http.StatusOK {
+		t.Fatalf("trace.jsonl: status %d", code)
+	}
+	runs, err := trace.ReadJSONL(bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(runs) != 1 || len(runs[0].Events) == 0 {
+		t.Fatalf("trace.jsonl holds %d runs, want one with events:\n%s", len(runs), body)
+	}
+}

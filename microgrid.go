@@ -42,8 +42,6 @@ type (
 	MicroGrid = core.MicroGrid
 	// BuildConfig configures Build.
 	BuildConfig = core.BuildConfig
-	// MachineConfig describes a (virtual or physical) machine platform.
-	MachineConfig = core.MachineConfig
 	// AppContext is what application functions receive on each rank.
 	AppContext = core.AppContext
 	// RunOptions tunes RunApp.
@@ -114,8 +112,9 @@ type (
 	// ScenarioPartition places topology clusters on PDES shards
 	// (`partition auto` / `partition map node=shard ...`).
 	ScenarioPartition = scenario.PartitionSpec
-	// PartitionConfig is the build-level cluster→shard placement.
-	PartitionConfig = core.PartitionConfig
+	// ScenarioTrace selects trace categories (0 = all) and ring-buffer
+	// capacity (`trace categories=... buf=...`).
+	ScenarioTrace = scenario.TraceSpec
 )
 
 // ParseScenario parses the scenario text format.
@@ -123,10 +122,6 @@ func ParseScenario(text string) (*Scenario, error) { return scenario.ParseString
 
 // LoadScenario parses a scenario file; errors name the file and line.
 func LoadScenario(path string) (*Scenario, error) { return scenario.Load(path) }
-
-// ScenarioMachineOf converts a MachineConfig (e.g. AlphaCluster) to its
-// scenario machine spec.
-func ScenarioMachineOf(c MachineConfig) *ScenarioMachine { return core.MachineSpec(c) }
 
 // BuildScenario constructs the MicroGrid a scenario describes and arms
 // its chaos schedule.
@@ -227,8 +222,6 @@ func WriteCampaignArtifacts(dir string, results []CampaignResult, quick bool) er
 // this), or per instance via BuildConfig.Trace; export the collected
 // runs as compact JSONL or Chrome trace-event JSON (Perfetto).
 type (
-	// TraceConfig selects trace categories and ring-buffer capacity.
-	TraceConfig = core.TraceConfig
 	// TraceCategory is the per-subsystem trace category bitmask.
 	TraceCategory = trace.Category
 	// TraceEvent is one trace record (virtual-time instant or span).
@@ -245,7 +238,7 @@ const TraceAll = trace.CatAll
 func ParseTraceCategories(s string) (TraceCategory, error) { return trace.ParseCategories(s) }
 
 // EnableTracing arms global tracing for all subsequently built grids.
-func EnableTracing(cfg TraceConfig) { core.EnableTracing(cfg) }
+func EnableTracing(cfg ScenarioTrace) { core.EnableTracing(cfg) }
 
 // SetEngineShards installs a process-wide simulation-engine override for
 // all subsequently built grids: n ≥ 1 forces the conservative parallel
@@ -256,11 +249,11 @@ func SetEngineShards(n int) { core.SetEngineShards(n) }
 // SetEnginePartition installs a process-wide partition override for all
 // subsequently built grids (cmd/mgrid's and cmd/mgridrun's -partition
 // flag does this); nil restores the per-scenario partition choice.
-func SetEnginePartition(pc *PartitionConfig) { core.SetEnginePartition(pc) }
+func SetEnginePartition(pc *ScenarioPartition) { core.SetEnginePartition(pc) }
 
 // ParsePartitionFlag parses a -partition CLI value: "auto", or a
 // comma-separated "node=shard,..." pin list ("" = nil).
-func ParsePartitionFlag(v string) (*PartitionConfig, error) { return core.ParsePartitionFlag(v) }
+func ParsePartitionFlag(v string) (*ScenarioPartition, error) { return scenario.ParsePartitionFlag(v) }
 
 // PartitionPreview resolves a scenario's partition offline: the
 // node→shard placement, the synchronization lookahead, and the shard

@@ -16,7 +16,7 @@ func tracedChaosCrashJSONL(t *testing.T, workers int) []byte {
 	t.Helper()
 	ResetTracing()
 	defer ResetTracing()
-	EnableTracing(TraceConfig{Mask: TraceAll})
+	EnableTracing(ScenarioTrace{Mask: TraceAll})
 	fn, err := GetExperiment("chaos-crash")
 	if err != nil {
 		t.Fatal(err)
@@ -88,7 +88,7 @@ func TestTraceDigestPinned(t *testing.T) {
 func TestTraceSnapshotsLabeledByBuildOrder(t *testing.T) {
 	ResetTracing()
 	defer ResetTracing()
-	EnableTracing(TraceConfig{Mask: TraceAll})
+	EnableTracing(ScenarioTrace{Mask: TraceAll})
 	for i := 0; i < 2; i++ {
 		m, err := Build(BuildConfig{Seed: 7, Target: AlphaCluster})
 		if err != nil {
