@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"microgrid/internal/gis"
+	"microgrid/internal/netsim"
 	"microgrid/internal/scenario"
 )
 
@@ -257,13 +258,23 @@ func TestGISScenarioHonoursDirectives(t *testing.T) {
 		base.VirtualElapsed.String() != "95.949216ms" {
 		t.Fatalf("plain GIS scenario report moved (virtual %v):\n%s", base.VirtualElapsed, got)
 	}
-	if plain.Grid.Network().FlowMode() || plain.Eng.Recorder() != nil {
-		t.Fatal("plain GIS scenario turned on flow mode or tracing")
+	// flowLinks counts the grid's links at flow fidelity, of all links.
+	flowLinks := func(m *MicroGrid) (flow, all int) {
+		for _, l := range m.Grid.Network().Links() {
+			if l.Config.Fidelity == netsim.FidelityFlow {
+				flow++
+			}
+			all++
+		}
+		return flow, all
+	}
+	if n, _ := flowLinks(plain); n != 0 || plain.Eng.Recorder() != nil {
+		t.Fatal("plain GIS scenario turned on flow fidelity or tracing")
 	}
 
 	flow, rep := run("flownet\n")
-	if !flow.Grid.Network().FlowMode() {
-		t.Fatal("flownet left the GIS grid in packet mode")
+	if n, all := flowLinks(flow); all == 0 || n != all {
+		t.Fatalf("flownet left %d of %d GIS grid links at packet fidelity", all-n, all)
 	}
 	if rep.VirtualElapsed == base.VirtualElapsed {
 		t.Fatalf("flownet did not change virtual time (%v)", rep.VirtualElapsed)

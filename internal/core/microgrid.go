@@ -51,8 +51,10 @@ type BuildConfig struct {
 	// StaggerSpread de-synchronizes the hosts' scheduler daemons by this
 	// fraction of their duty cycle (0 = aligned; see virtual.Config).
 	StaggerSpread float64
-	// FlowNetwork selects analytic flow-level network modeling instead of
-	// packet-level simulation (faster, lower fidelity).
+	// FlowNetwork runs every link of the virtual network at flow fidelity
+	// instead of packet-level simulation (faster, lower fidelity);
+	// loopback connections keep the packet loopback path. See
+	// virtual.Config.FlowNetwork.
 	FlowNetwork bool
 	// Shards selects the simulation engine: 0 (default) runs the classic
 	// serial engine; n ≥ 1 runs the conservative parallel engine with n
@@ -347,14 +349,26 @@ func assemble(cfg BuildConfig, vcfg virtual.Config, wire func(*netsim.Network, f
 		}
 	}
 	if par != nil {
+		// Conservative lookahead: no packet crosses the virtual network
+		// faster than its cheapest link. Partitioned, only wide-area hops
+		// cross shards, so the window is the cheapest inter-cluster link.
+		la, ok := grid.Network().MinLinkDelay()
 		if plan != nil {
-			// Partitioned: only wide-area hops cross shards, so the
-			// window is the cheapest inter-cluster link.
-			par.SetLookahead(plan.lookahead)
-		} else if d, ok := grid.Network().MinLinkDelay(); ok {
-			// Conservative lookahead: no packet crosses the virtual
-			// network faster than its cheapest link.
-			par.SetLookahead(d)
+			la, ok = plan.lookahead, true
+		}
+		if ok && la <= 0 {
+			var link string
+			for _, l := range grid.Network().Links() {
+				if l.Config.Delay == la {
+					link = l.A.Name + "--" + l.B.Name
+					break
+				}
+			}
+			return nil, fmt.Errorf("core: link %s has delay %v; the parallel engine needs a "+
+				"positive lookahead, which it takes from the cheapest link", link, la)
+		}
+		if ok {
+			par.SetLookahead(la)
 		}
 	}
 	attachRecorders(eng, par, plan, cfg.Trace, configName)

@@ -73,6 +73,27 @@ func TestBuildScenarioErrors(t *testing.T) {
 		!strings.Contains(err.Error(), "bad.ldif") {
 		t.Fatalf("malformed LDIF: %v", err)
 	}
+
+	// A zero-delay link leaves the parallel engine no lookahead: the
+	// build names the link instead of panicking, from a target LAN or an
+	// inline topology, partitioned or not.
+	const inline = "topology\n  host a0 10.1.0.1\n  host b0 10.2.0.1\n" +
+		"  router r\n  link a0 r 100Mbps 0s\n  link b0 r 100Mbps 0s\nend\nranks a0 b0\n"
+	for _, tc := range []struct{ grid, engine, link string }{
+		{"target procs=2 cpu=533 net=100Mbps delay=0s\n", "engine parallel shards=2\n", "vm0--lan-switch"},
+		{"target procs=2 cpu=533 net=100Mbps delay=0s\n", "engine parallel shards=2\npartition auto\n", "vm0--lan-switch"},
+		{"target procs=2 cpu=533 net=100Mbps\n" + inline, "engine parallel shards=2\n", "a0--r"},
+		{"target procs=2 cpu=533 net=100Mbps\n" + inline, "engine parallel shards=2\npartition auto\n", "a0--r"},
+	} {
+		s, err := scenario.ParseString("scenario zero-delay\nseed 1\n" + tc.grid + tc.engine +
+			"workload npb bench=EP class=S ranks=2\n")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := BuildScenario(s); err == nil || !strings.Contains(err.Error(), "link "+tc.link+" has delay 0s") {
+			t.Fatalf("zero-delay link under %q: %v", tc.engine, err)
+		}
+	}
 }
 
 func TestRunWorkloadErrors(t *testing.T) {

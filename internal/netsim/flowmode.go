@@ -16,26 +16,16 @@ import (
 //
 // with per-connection serialization (back-to-back sends queue behind each
 // other). Congestion between flows, slow start, loss and retransmission
-// are not modeled — that is the fidelity trade. Connection handshakes and
-// FINs still use the packet path, so setup costs and teardown semantics
-// are preserved.
-
-// SetFlowMode switches the data path between packet-level (false, the
-// default) and analytic flow-level (true) for every connection,
-// regardless of per-link fidelity. Set it before traffic flows.
-func (n *Network) SetFlowMode(on bool) { n.flowMode = on }
-
-// FlowMode reports the current mode.
-func (n *Network) FlowMode() bool { return n.flowMode }
+// are not modeled — that is the fidelity trade. A connection sends its
+// data this way when every link on its routed path runs at FidelityFlow;
+// its handshake and FIN segments cross those same links through
+// flowTransmit. A loopback connection has no links and keeps the packet
+// loopback path.
 
 // connFlow reports whether this connection's data transfers complete
-// analytically: globally forced by SetFlowMode, or — with per-link
-// fidelity — because every link on the path to the peer is FidelityFlow.
+// analytically: every link on the path to the peer is FidelityFlow.
 // The path check is cached on first use, like flowDelay.
 func (c *Conn) connFlow() bool {
-	if c.node.net.flowMode {
-		return true
-	}
 	if c.flowPath == 0 {
 		dst := c.node.net.NodeByAddr(c.key.remote)
 		if c.node.net.PathAllFlow(c.node, dst) {
@@ -100,7 +90,7 @@ func (c *channel) flowTransmit(pkt *Packet) {
 }
 
 // flowSend delivers a message analytically. Called from Conn.Send when
-// flow mode is on, after establishment and buffer accounting.
+// connFlow holds, after establishment and buffer accounting.
 func (c *Conn) flowSend(size int, payload any) error {
 	eng := c.node.eng
 	if c.flowDelay == 0 {

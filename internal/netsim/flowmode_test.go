@@ -7,14 +7,18 @@ import (
 	"microgrid/internal/simcore"
 )
 
-// flowTransfer sends messages a→b and returns completion time.
+// flowTransfer sends messages a→b over one link, at flow fidelity when
+// flow is set, and returns completion time.
 func flowTransfer(t *testing.T, flow bool, msgs, size int) (simcore.Time, int64) {
 	t.Helper()
 	eng := simcore.NewEngine(1)
-	nw, a, b := twoHosts(eng, LinkConfig{BandwidthBps: 10e6, Delay: 5 * simcore.Millisecond})
-	nw.SetFlowMode(flow)
-	if nw.FlowMode() != flow {
-		t.Fatal("mode not set")
+	cfg := LinkConfig{BandwidthBps: 10e6, Delay: 5 * simcore.Millisecond}
+	if flow {
+		cfg.Fidelity = FidelityFlow
+	}
+	nw, a, b := twoHosts(eng, cfg)
+	if nw.PathAllFlow(a, b) != flow {
+		t.Fatal("fidelity not set")
 	}
 	ln, _ := b.Listen(80)
 	var done simcore.Time
@@ -98,8 +102,7 @@ func TestFlowModeSmallMessageLatency(t *testing.T) {
 	// One small message: arrival ≈ serialization + propagation, as in
 	// packet mode.
 	eng := simcore.NewEngine(1)
-	nw, a, b := twoHosts(eng, LinkConfig{BandwidthBps: 100e6, Delay: 10 * simcore.Millisecond})
-	nw.SetFlowMode(true)
+	_, a, b := twoHosts(eng, LinkConfig{BandwidthBps: 100e6, Delay: 10 * simcore.Millisecond, Fidelity: FidelityFlow})
 	ln, _ := b.Listen(80)
 	var sent, got simcore.Time
 	eng.Spawn("server", func(p *simcore.Proc) {

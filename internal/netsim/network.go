@@ -72,14 +72,13 @@ func (f Fidelity) String() string {
 // (transport endpoints, timers, packet pools, statistics bucket) lives on
 // that shard and inter-shard packet hops travel as cross-shard sends.
 type Network struct {
-	eng      *simcore.Engine
-	nodes    map[string]*Node
-	byAddr   map[Addr]*Node
-	links    []*Link
-	autoID   uint32
-	nnodes   int32 // next compact node index (creation order, stable)
-	routed   bool
-	flowMode bool
+	eng    *simcore.Engine
+	nodes  map[string]*Node
+	byAddr map[Addr]*Node
+	links  []*Link
+	autoID uint32
+	nnodes int32 // next compact node index (creation order, stable)
+	routed bool
 	// hier is the hierarchical routing state (see routing.go); routeEpoch
 	// invalidates lazily built tables on link state changes, and routeMu
 	// serializes the lazy builds, which shards of a partitioned run share.
@@ -386,26 +385,39 @@ func (n *Network) Connect(a, b *Node, cfg LinkConfig) *Link {
 	return l
 }
 
-// PathDelay returns the summed propagation delay of the routed path from a
-// to b, and the hop count; ok is false if unreachable.
-func (n *Network) PathDelay(a, b *Node) (simcore.Duration, int, bool) {
+// walk calls visit on each channel of the routed path from a to b, in
+// order. It reports whether the walk reached b: false if b is
+// unreachable, on a routing loop, or when visit returns false.
+func (n *Network) walk(a, b *Node, visit func(*channel) bool) bool {
 	if !n.routed {
 		n.ComputeRoutes()
 	}
-	var total simcore.Duration
 	hops := 0
-	cur := a
-	for cur != b {
+	for cur := a; cur != b; {
 		ifc := n.nextHop(cur, b.idx)
-		if ifc == nil {
-			return 0, 0, false
+		if ifc == nil || !visit(ifc.ch) {
+			return false
 		}
-		total += ifc.ch.cfg.Delay
 		cur = ifc.ch.dst
 		hops++
 		if hops > len(n.nodes) {
-			return 0, 0, false // routing loop
+			return false // routing loop
 		}
+	}
+	return true
+}
+
+// PathDelay returns the summed propagation delay of the routed path from a
+// to b, and the hop count; ok is false if unreachable.
+func (n *Network) PathDelay(a, b *Node) (simcore.Duration, int, bool) {
+	var total simcore.Duration
+	hops := 0
+	if !n.walk(a, b, func(ch *channel) bool {
+		total += ch.cfg.Delay
+		hops++
+		return true
+	}) {
+		return 0, 0, false
 	}
 	return total, hops, true
 }
@@ -414,28 +426,14 @@ func (n *Network) PathDelay(a, b *Node) (simcore.Duration, int, bool) {
 // path from a to b; ok is false if unreachable. A loopback path (a == b)
 // has no bandwidth constraint and reports +Inf.
 func (n *Network) PathBottleneckBps(a, b *Node) (float64, bool) {
-	if !n.routed {
-		n.ComputeRoutes()
-	}
-	if a == b {
-		return math.Inf(1), true
-	}
-	bw := 0.0
-	cur := a
-	hops := 0
-	for cur != b {
-		ifc := n.nextHop(cur, b.idx)
-		if ifc == nil {
-			return 0, false
+	bw := math.Inf(1)
+	if !n.walk(a, b, func(ch *channel) bool {
+		if ch.cfg.BandwidthBps < bw {
+			bw = ch.cfg.BandwidthBps
 		}
-		if bw == 0 || ifc.ch.cfg.BandwidthBps < bw {
-			bw = ifc.ch.cfg.BandwidthBps
-		}
-		cur = ifc.ch.dst
-		hops++
-		if hops > len(n.nodes) {
-			return 0, false
-		}
+		return true
+	}) {
+		return 0, false
 	}
 	return bw, true
 }
@@ -448,26 +446,7 @@ func (n *Network) PathAllFlow(a, b *Node) bool {
 	if a == b || b == nil {
 		return false
 	}
-	if !n.routed {
-		n.ComputeRoutes()
-	}
-	cur := a
-	hops := 0
-	for cur != b {
-		ifc := n.nextHop(cur, b.idx)
-		if ifc == nil {
-			return false
-		}
-		if ifc.ch.cfg.Fidelity != FidelityFlow {
-			return false
-		}
-		cur = ifc.ch.dst
-		hops++
-		if hops > len(n.nodes) {
-			return false
-		}
-	}
-	return true
+	return n.walk(a, b, func(ch *channel) bool { return ch.cfg.Fidelity == FidelityFlow })
 }
 
 // DirectionStats reports one link direction's counters. At quiescence
@@ -520,25 +499,14 @@ func (l *Link) Stats() [2]DirectionStats {
 // PathMTU returns the minimum MTU along the routed path from a to b
 // (DefaultMTU if a == b); ok is false if unreachable.
 func (n *Network) PathMTU(a, b *Node) (int, bool) {
-	if !n.routed {
-		n.ComputeRoutes()
-	}
 	mtu := DefaultMTU
-	cur := a
-	hops := 0
-	for cur != b {
-		ifc := n.nextHop(cur, b.idx)
-		if ifc == nil {
-			return 0, false
+	if !n.walk(a, b, func(ch *channel) bool {
+		if ch.cfg.MTU < mtu {
+			mtu = ch.cfg.MTU
 		}
-		if ifc.ch.cfg.MTU < mtu {
-			mtu = ifc.ch.cfg.MTU
-		}
-		cur = ifc.ch.dst
-		hops++
-		if hops > len(n.nodes) {
-			return 0, false
-		}
+		return true
+	}) {
+		return 0, false
 	}
 	return mtu, true
 }

@@ -56,17 +56,19 @@ func TestDeriveEnvelopeShape(t *testing.T) {
 	}
 }
 
-// bulkTransfer runs one S-byte message host→host over a single link in
-// packet or flow mode and returns the virtual completion time.
+// bulkTransfer runs one S-byte message host→host over a single link at
+// packet or flow fidelity and returns the virtual completion time.
 func bulkTransfer(t *testing.T, flow bool, cfg netsim.LinkConfig, size int) float64 {
 	t.Helper()
 	eng := simcore.NewEngine(1)
 	nw := netsim.New(eng)
 	a := nw.AddHost("a", netsim.MustParseAddr("10.0.0.1"))
 	b := nw.AddHost("b", netsim.MustParseAddr("10.0.0.2"))
+	if flow {
+		cfg.Fidelity = netsim.FidelityFlow
+	}
 	nw.Connect(a, b, cfg)
 	nw.ComputeRoutes()
-	nw.SetFlowMode(flow)
 	ln, err := b.Listen(80)
 	if err != nil {
 		t.Fatal(err)

@@ -191,7 +191,10 @@ type Scenario struct {
 	// Stagger de-synchronizes the scheduler daemons (fraction of the
 	// duty cycle, 0..1).
 	Stagger float64
-	// FlowNetwork selects analytic flow-level network modeling.
+	// FlowNetwork (`flownet`) runs every link of the virtual network at
+	// flow fidelity, whatever fidelity the topology declares: analytic
+	// transfers with no congestion, loss or retransmission. Loopback
+	// connections keep the packet loopback path.
 	FlowNetwork bool
 	// EngineShards selects the simulation engine: 0 is the serial
 	// engine, n ≥ 1 the conservative parallel engine with n shards

@@ -68,9 +68,12 @@ type Config struct {
 	// Defaults: 8000 and 0.5.
 	SendOverheadOps float64
 	PerByteOps      float64
-	// FlowNetwork switches the network simulator to analytic flow-level
-	// modeling: far fewer events, no congestion fidelity (the
-	// speed-vs-fidelity axis of the paper's future work).
+	// FlowNetwork runs every link of the virtual network at
+	// netsim.FidelityFlow, whatever fidelity the topology declared: data
+	// transfers complete analytically — far fewer events, no congestion
+	// fidelity (the speed-vs-fidelity axis of the paper's future work).
+	// Handshakes and FINs cross the flow links too; loopback connections
+	// keep the packet loopback path.
 	FlowNetwork bool
 	// StaggerSpread offsets each host's scheduler-daemon start within its
 	// duty cycle, modeling daemons launched at different moments on
@@ -105,9 +108,11 @@ type Grid struct {
 	vnet   *netsim.Network
 	rate   float64
 	direct bool
-	hosts  map[string]*Host
-	byIP   map[netsim.Addr]*Host
-	phys   map[string]*cpusched.Host
+	// flow forces every link to FidelityFlow (Config.FlowNetwork).
+	flow  bool
+	hosts map[string]*Host
+	byIP  map[netsim.Addr]*Host
+	phys  map[string]*cpusched.Host
 	// controllers holds one MicroGrid scheduler daemon per physical host
 	// (emulated grids only).
 	controllers map[string]*cpusched.MultiController
@@ -216,6 +221,7 @@ func NewGrid(eng *simcore.Engine, cfg Config, wire func(nw *netsim.Network, scal
 		clock:           vtime.NewClock(eng, rate),
 		rate:            rate,
 		direct:          cfg.Direct,
+		flow:            cfg.FlowNetwork,
 		hosts:           make(map[string]*Host),
 		byIP:            make(map[netsim.Addr]*Host),
 		phys:            make(map[string]*cpusched.Host, len(cfg.Phys)),
@@ -236,7 +242,6 @@ func NewGrid(eng *simcore.Engine, cfg Config, wire func(nw *netsim.Network, scal
 		return nil, err
 	}
 	g.vnet.ComputeRoutes()
-	g.vnet.SetFlowMode(cfg.FlowNetwork)
 
 	if cfg.AssignEngines != nil {
 		for name, e := range cfg.AssignEngines(g.vnet) {
@@ -365,9 +370,13 @@ func NewGrid(eng *simcore.Engine, cfg Config, wire func(nw *netsim.Network, scal
 }
 
 // ScaleLink converts a link specified in virtual units to engine (physical)
-// units: delays stretch by 1/rate, bandwidths shrink by rate. In direct
-// mode it is the identity.
+// units: delays stretch by 1/rate, bandwidths shrink by rate (none of
+// this in direct mode). On a FlowNetwork grid the link also runs at flow
+// fidelity; every link of the virtual network passes through here.
 func (g *Grid) ScaleLink(cfg netsim.LinkConfig) netsim.LinkConfig {
+	if g.flow {
+		cfg.Fidelity = netsim.FidelityFlow
+	}
 	if g.rate == 1 {
 		return cfg
 	}
