@@ -1,10 +1,14 @@
 package core
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
+	"microgrid/internal/netsim"
 	"microgrid/internal/scenario"
+	"microgrid/internal/simcore"
+	"microgrid/internal/topology"
 )
 
 func parseScenario(t *testing.T, text string) *scenario.Scenario {
@@ -131,5 +135,41 @@ func TestEnsureHostUnknown(t *testing.T) {
 	}
 	if got := m.registeredHostCount(); got != 1 {
 		t.Fatalf("%d gatekeepers after one EnsureHost", got)
+	}
+}
+
+// A hand-written topology past the threshold builds lazily too: the
+// declared set is exactly HostRanks, checked by name at build.
+func TestLazyHostRanksGrid(t *testing.T) {
+	spec := &topology.Spec{Name: "wide-lan", Routers: []string{"sw"}}
+	var ranks []string
+	for i := 0; i < lazyHostThreshold+10; i++ {
+		name := fmt.Sprintf("n%d", i)
+		spec.Hosts = append(spec.Hosts, topology.HostSpec{Name: name, Addr: fmt.Sprintf("10.%d.%d.1", i/250, i%250)})
+		spec.Links = append(spec.Links, topology.LinkSpec{A: name, B: "sw", BandwidthBps: 100e6, Delay: 25 * simcore.Microsecond})
+		if i >= 10 {
+			ranks = append(ranks, name)
+		}
+	}
+	cfg := BuildConfig{Seed: 1, Target: scenario.Machine{Name: "wide", Procs: 4, CPUMIPS: 500}, Topo: spec, HostRanks: ranks}
+	m, err := Build(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !m.LazyHosts() || m.Grid.DeclaredHosts() != len(ranks) {
+		t.Fatalf("lazy %v, declared %d; want lazy with %d", m.LazyHosts(), m.Grid.DeclaredHosts(), len(ranks))
+	}
+	if m.Grid.Host("n3") != nil {
+		t.Fatal("a host outside HostRanks materialized")
+	}
+	if h := m.Grid.Host("n10"); h == nil || h.IP != netsim.MustParseAddr("10.0.10.1") {
+		t.Fatalf("Host(n10) = %v", h)
+	}
+	for _, bad := range []string{"sw", "nosuch"} {
+		cfg.HostRanks = append(ranks[:len(ranks):len(ranks)], bad)
+		want := fmt.Sprintf("core: HostRanks names %q, absent from topology", bad)
+		if _, err := Build(cfg); err == nil || err.Error() != want {
+			t.Errorf("HostRanks with %q: err = %v, want %q", bad, err, want)
+		}
 	}
 }

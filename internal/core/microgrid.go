@@ -207,32 +207,14 @@ func Build(cfg BuildConfig) (*MicroGrid, error) {
 		if generated {
 			// Every generated host is a virtual host, in generation order
 			// (clusters front-loaded, so a small working set stays local).
-			for _, h := range topo.Hosts {
-				hostNames = append(hostNames, h.Name)
+			hostNames = make([]string, len(topo.Hosts))
+			for i, h := range topo.Hosts {
+				hostNames[i] = h.Name
 			}
 		} else if len(cfg.HostRanks) == 0 {
 			return nil, fmt.Errorf("core: custom topology requires HostRanks")
 		} else {
 			hostNames = append(hostNames, cfg.HostRanks...)
-		}
-		byName := map[string]string{}
-		for _, h := range topo.Hosts {
-			byName[h.Name] = h.Addr
-		}
-		for _, name := range hostNames {
-			addrStr, ok := byName[name]
-			if !ok {
-				return nil, fmt.Errorf("core: HostRanks names %q, absent from topology", name)
-			}
-			addr, err := netsim.ParseAddr(addrStr)
-			if err != nil {
-				return nil, err
-			}
-			hostCfgs = append(hostCfgs, virtual.HostConfig{
-				Name: name, IP: addr,
-				CPUSpeedMIPS: cfg.Target.CPUMIPS,
-				MemoryBytes:  cfg.Target.MemoryBytes,
-			})
 		}
 	} else {
 		for i := 0; i < cfg.Target.Procs; i++ {
@@ -245,17 +227,50 @@ func Build(cfg BuildConfig) (*MicroGrid, error) {
 			})
 		}
 	}
-
-	vcfg := gridConfig(cfg)
 	// Lazy materialization keeps a declared-but-untouched host down to
 	// its netsim node: generated topologies always (their host counts
 	// are the point), hand-written grids past a threshold no committed
 	// scenario reaches (so small grids keep their historical build path
-	// bit-for-bit).
-	vcfg.Lazy = cfg.Emulation == nil && (generated || len(hostCfgs) >= lazyHostThreshold)
+	// bit-for-bit). A lazy grid is declared by template, so its hosts
+	// get no HostConfig: a generated spec's hosts are all declared by
+	// construction, and a hand-written one's ranks are checked by name
+	// here and by node in the virtual layer.
+	lazy := cfg.Emulation == nil && (generated || len(hostNames) >= lazyHostThreshold)
+	if topo != nil && !(lazy && generated) {
+		byName := map[string]string{}
+		for _, h := range topo.Hosts {
+			byName[h.Name] = h.Addr
+		}
+		for _, name := range hostNames {
+			addrStr, ok := byName[name]
+			if !ok {
+				return nil, fmt.Errorf("core: HostRanks names %q, absent from topology", name)
+			}
+			if lazy {
+				continue
+			}
+			addr, err := netsim.ParseAddr(addrStr)
+			if err != nil {
+				return nil, err
+			}
+			hostCfgs = append(hostCfgs, virtual.HostConfig{
+				Name: name, IP: addr,
+				CPUSpeedMIPS: cfg.Target.CPUMIPS,
+				MemoryBytes:  cfg.Target.MemoryBytes,
+			})
+		}
+	}
 
+	vcfg := gridConfig(cfg)
 	// Physical platform and mapping.
-	if cfg.Emulation == nil {
+	switch {
+	case lazy:
+		vcfg.Direct = true
+		vcfg.Lazy = &virtual.LazyHosts{CPUSpeedMIPS: cfg.Target.CPUMIPS, MemoryBytes: cfg.Target.MemoryBytes}
+		if topo != nil && !generated {
+			vcfg.Lazy.Names = hostNames
+		}
+	case cfg.Emulation == nil:
 		vcfg.Direct = true
 		for i := range hostCfgs {
 			pname := "phys-" + hostCfgs[i].Name
@@ -264,7 +279,8 @@ func Build(cfg BuildConfig) (*MicroGrid, error) {
 				Name: pname, CPUSpeedMIPS: cfg.Target.CPUMIPS,
 			})
 		}
-	} else {
+		vcfg.Hosts = hostCfgs
+	default:
 		for i := 0; i < cfg.Emulation.Procs; i++ {
 			vcfg.Phys = append(vcfg.Phys, virtual.PhysConfig{
 				Name:         fmt.Sprintf("%s-%d", "emul", i),
@@ -275,8 +291,8 @@ func Build(cfg BuildConfig) (*MicroGrid, error) {
 		for i := range hostCfgs {
 			hostCfgs[i].MappedPhysical = fmt.Sprintf("emul-%d", i%cfg.Emulation.Procs)
 		}
+		vcfg.Hosts = hostCfgs
 	}
-	vcfg.Hosts = hostCfgs
 
 	// Topology wiring.
 	wire := virtual.LANWire(hostCfgs, cfg.Target.NetBandwidthBps, cfg.Target.NetPerSideDelay)
@@ -383,7 +399,7 @@ func assemble(cfg BuildConfig, vcfg virtual.Config, wire func(*netsim.Network, f
 		cfg:         cfg,
 		direct:      vcfg.Direct,
 		gatekeepers: make(map[string]*globus.Gatekeeper),
-		lazy:        vcfg.Lazy,
+		lazy:        vcfg.Lazy != nil,
 		ensured:     make(map[string]bool),
 		par:         par,
 		plan:        plan,

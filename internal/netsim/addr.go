@@ -13,7 +13,6 @@ package netsim
 
 import (
 	"fmt"
-	"strconv"
 	"strings"
 )
 
@@ -29,21 +28,55 @@ func MakeAddr(a, b, c, d byte) Addr {
 	return Addr(uint32(a)<<24 | uint32(b)<<16 | uint32(c)<<8 | uint32(d))
 }
 
-// ParseAddr parses dotted-quad notation ("1.11.11.2").
+// ParseAddr parses dotted-quad notation ("1.11.11.2"). Each of the four
+// octets is an optional sign and at least one decimal digit, valued
+// 0..255 (leading zeros and "-0" are accepted). It allocates nothing on
+// success: topologies parse one address per declared host.
 func ParseAddr(s string) (Addr, error) {
-	parts := strings.Split(s, ".")
-	if len(parts) != 4 {
-		return 0, fmt.Errorf("netsim: invalid address %q", s)
-	}
-	var octets [4]byte
-	for i, p := range parts {
-		v, err := strconv.Atoi(p)
-		if err != nil || v < 0 || v > 255 {
+	var a uint32
+	rest := s
+	for i := 0; i < 4; i++ {
+		var part string
+		if dot := strings.IndexByte(rest, '.'); dot >= 0 && i < 3 {
+			part, rest = rest[:dot], rest[dot+1:]
+		} else if dot < 0 && i == 3 {
+			part, rest = rest, ""
+		} else {
 			return 0, fmt.Errorf("netsim: invalid address %q", s)
 		}
-		octets[i] = byte(v)
+		v, ok := parseOctet(part)
+		if !ok {
+			return 0, fmt.Errorf("netsim: invalid address %q", s)
+		}
+		a = a<<8 | uint32(v)
 	}
-	return MakeAddr(octets[0], octets[1], octets[2], octets[3]), nil
+	return Addr(a), nil
+}
+
+// parseOctet parses one dotted-quad octet: an optional '+' or '-', then
+// one or more decimal digits, valued 0..255 ('-' only with value 0).
+func parseOctet(p string) (byte, bool) {
+	neg := false
+	if len(p) > 0 && (p[0] == '+' || p[0] == '-') {
+		neg, p = p[0] == '-', p[1:]
+	}
+	if len(p) == 0 {
+		return 0, false
+	}
+	v := 0
+	for i := 0; i < len(p); i++ {
+		c := p[i]
+		if c < '0' || c > '9' {
+			return 0, false
+		}
+		if v <= 255 {
+			v = v*10 + int(c-'0')
+		}
+	}
+	if v > 255 || (neg && v != 0) {
+		return 0, false
+	}
+	return byte(v), true
 }
 
 // MustParseAddr is ParseAddr that panics on error, for literals in tests

@@ -1,6 +1,9 @@
 package netsim
 
 import (
+	"slices"
+	"strings"
+
 	"microgrid/internal/simcore"
 )
 
@@ -21,16 +24,16 @@ const DefaultWANThreshold = simcore.Millisecond
 // and any shard assignment derived from it — depends only on the
 // topology, not on construction order.
 //
-// The cost is one name sort plus a union-find pass over the links: the
-// components are numbered by first appearance during the name-ordered
-// walk, and the first node seen of a component is its smallest name, so
-// no sort of the components themselves is needed.
+// The cost is a union-find pass over the links, then a name sort of each
+// component and of the components by their first name. A grid of many
+// small sites never sorts the whole network: 100k hosts in campuses of
+// a dozen nodes sort a dozen names at a time.
 func (n *Network) Clusters(threshold simcore.Duration) [][]*Node {
 	if threshold <= 0 {
 		threshold = DefaultWANThreshold
 	}
 	// Union-find over compact node indices.
-	parent := make([]int32, n.nnodes)
+	parent := make([]int32, len(n.all))
 	for i := range parent {
 		parent[i] = int32(i)
 	}
@@ -50,14 +53,13 @@ func (n *Network) Clusters(threshold simcore.Duration) [][]*Node {
 			parent[a] = b
 		}
 	}
-	// Number components by first appearance in name order; group[root]
+	// Number components by first appearance in index order; group[root]
 	// holds the component's number plus one (zero: not seen yet).
-	nodes := n.Nodes()
-	group := make([]int32, n.nnodes)
-	of := make([]int32, len(nodes))
+	group := make([]int32, len(n.all))
+	of := make([]int32, len(n.all))
 	var sizes []int
-	for i, nd := range nodes {
-		root := find(nd.idx)
+	for i := range n.all {
+		root := find(int32(i))
 		if group[root] == 0 {
 			sizes = append(sizes, 0)
 			group[root] = int32(len(sizes))
@@ -66,19 +68,27 @@ func (n *Network) Clusters(threshold simcore.Duration) [][]*Node {
 		of[i] = g
 		sizes[g]++
 	}
-	// Lay the components out in one backing array, each name-sorted.
+	// Lay the components out in one backing array, then name-sort each
+	// and order them by their smallest name.
 	out := make([][]*Node, len(sizes))
-	flat := make([]*Node, len(nodes))
+	flat := make([]*Node, len(n.all))
 	off := 0
 	for g, sz := range sizes {
 		out[g] = flat[off : off : off+sz]
 		off += sz
 	}
-	for i, nd := range nodes {
+	for i, nd := range n.all {
 		out[of[i]] = append(out[of[i]], nd)
 	}
+	for _, c := range out {
+		slices.SortFunc(c, byName)
+	}
+	slices.SortFunc(out, func(a, b []*Node) int { return byName(a[0], b[0]) })
 	return out
 }
+
+// byName orders nodes by name.
+func byName(a, b *Node) int { return strings.Compare(a.Name, b.Name) }
 
 // ClusterIDs is a read-only view of the cluster partition one routing
 // build was made on: cluster ids are positions in Clusters(0)'s order. A

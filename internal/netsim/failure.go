@@ -31,7 +31,7 @@ func (l *Link) SetDown(down bool) {
 		if down {
 			name = "link-down"
 		}
-		rec.Event(trace.CatLink, name, trace.Attr{Link: l.ab.name})
+		rec.Event(trace.CatLink, name, trace.Attr{Link: l.ab.label()})
 	}
 	nw.invalidateRoutes()
 }
@@ -92,7 +92,7 @@ func (l *Link) Degrade(bwFactor, delayFactor, loss float64) {
 	}
 	if rec := l.A.eng.Recorder(); rec.Enabled(trace.CatLink) {
 		rec.Event(trace.CatLink, "link-degrade", trace.Attr{
-			Link:   l.ab.name,
+			Link:   l.ab.label(),
 			Detail: fmt.Sprintf("bw=%.3g delay=%v loss=%.3g", cfg.BandwidthBps, cfg.Delay, cfg.LossProb),
 		})
 	}
@@ -110,7 +110,7 @@ func (l *Link) Restore() {
 	cfg := *l.orig
 	l.orig = nil
 	if rec := l.A.eng.Recorder(); rec.Enabled(trace.CatLink) {
-		rec.Event(trace.CatLink, "link-restore", trace.Attr{Link: l.ab.name})
+		rec.Event(trace.CatLink, "link-restore", trace.Attr{Link: l.ab.label()})
 	}
 	l.applyConfig(cfg)
 }

@@ -62,7 +62,7 @@ func (c *channel) flowTransmit(pkt *Packet) {
 	c.src.stats.PacketsSent++
 	if rec := eng.Recorder(); rec.Enabled(trace.CatNet) {
 		rec.Event(trace.CatNet, "flow-hop", trace.Attr{
-			Link: c.name, Bytes: int64(pkt.Size), Detail: pkt.Kind.String()})
+			Link: c.label(), Bytes: int64(pkt.Size), Detail: pkt.Kind.String()})
 	}
 	epoch := c.epoch
 	arrival := end.Add(c.cfg.Delay).Sub(now)

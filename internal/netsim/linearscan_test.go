@@ -19,7 +19,7 @@ func refClusters(n *Network, threshold simcore.Duration) [][]*Node {
 	if threshold <= 0 {
 		threshold = DefaultWANThreshold
 	}
-	parent := make([]int32, n.nnodes)
+	parent := make([]int32, len(n.all))
 	for i := range parent {
 		parent[i] = int32(i)
 	}
@@ -231,7 +231,7 @@ func CheckLinearScanRouting(n *Network, srcs, dsts []*Node) error {
 		if ca == cb {
 			continue
 		}
-		if refIfaceFor(l.A, l.ab) != l.abIf || refIfaceFor(l.B, l.ba) != l.baIf {
+		if refIfaceFor(l.A, &l.ab) != &l.abIf || refIfaceFor(l.B, &l.ba) != &l.baIf {
 			return fmt.Errorf("link %s-%s: recorded interfaces differ from the node's", l.A.Name, l.B.Name)
 		}
 		border++

@@ -24,6 +24,68 @@ func TestParseAddr(t *testing.T) {
 	}
 }
 
+// TestParseAddrAcceptSet pins ParseAddr's accept/reject set octet by
+// octet: an optional sign, at least one decimal digit, a value in
+// 0..255, exactly four dot-separated octets. Leading zeros and signs
+// are accepted ("-0" is zero); anything else is rejected.
+func TestParseAddrAcceptSet(t *testing.T) {
+	for _, tc := range []struct {
+		in   string
+		ok   bool
+		want Addr
+	}{
+		{"1.2.3.4", true, MakeAddr(1, 2, 3, 4)},
+		{"0.0.0.0", true, MakeAddr(0, 0, 0, 0)},
+		{"255.255.255.255", true, MakeAddr(255, 255, 255, 255)},
+		{"16.123.1.254", true, MakeAddr(16, 123, 1, 254)},
+		{"+1.2.3.4", true, MakeAddr(1, 2, 3, 4)},
+		{"1.+2.3.+4", true, MakeAddr(1, 2, 3, 4)},
+		{"01.2.3.4", true, MakeAddr(1, 2, 3, 4)},
+		{"000255.2.3.4", true, MakeAddr(255, 2, 3, 4)},
+		{"00000000000000000000001.2.3.4", true, MakeAddr(1, 2, 3, 4)},
+		{"-0.1.2.3", true, MakeAddr(0, 1, 2, 3)},
+		{"1.2.3.-00", true, MakeAddr(1, 2, 3, 0)},
+		{"", false, 0},
+		{".", false, 0},
+		{"...", false, 0},
+		{"1.2.3", false, 0},
+		{"1.2.3.4.", false, 0},
+		{".1.2.3.4", false, 0},
+		{"1.2.3.4.5", false, 0},
+		{"1..2.3", false, 0},
+		{"1..2.3.4", false, 0},
+		{"256.0.0.1", false, 0},
+		{"1.2.3.256", false, 0},
+		{"1000.0.0.1", false, 0},
+		{"99999999999999999999.0.0.1", false, 0},
+		{"-1.0.0.0", false, 0},
+		{"+.1.2.3", false, 0},
+		{"-.1.2.3", false, 0},
+		{"++1.2.3.4", false, 0},
+		{"+-1.2.3.4", false, 0},
+		{" 1.2.3.4", false, 0},
+		{"1.2.3.4 ", false, 0},
+		{"1.2.3.4\n", false, 0},
+		{"1_0.2.3.4", false, 0},
+		{"0x1.2.3.4", false, 0},
+		{"a.b.c.d", false, 0},
+		{"1.2.3.4a", false, 0},
+		{"１.2.3.4", false, 0},
+	} {
+		got, err := ParseAddr(tc.in)
+		switch {
+		case !tc.ok && err == nil:
+			t.Errorf("ParseAddr(%q) = %v, want rejection", tc.in, got)
+		case tc.ok && err != nil:
+			t.Errorf("ParseAddr(%q) rejected: %v", tc.in, err)
+		case tc.ok && got != tc.want:
+			t.Errorf("ParseAddr(%q) = %v, want %v", tc.in, got, tc.want)
+		case err != nil && err.Error() != fmt.Sprintf("netsim: invalid address %q", tc.in):
+			t.Errorf("ParseAddr(%q) error %q", tc.in, err)
+		}
+	}
+}
+
 func TestMakeAddrOctets(t *testing.T) {
 	a := MakeAddr(10, 20, 30, 40)
 	if a.String() != "10.20.30.40" {
@@ -783,6 +845,40 @@ func TestMinLinkDelay(t *testing.T) {
 	}
 }
 
+// FindLink scans an endpoint's interfaces instead of every link. It
+// must agree with a scan of Links() in creation order: either argument
+// order, the earliest of parallel links, nil for unjoined or unknown
+// nodes.
+func TestFindLink(t *testing.T) {
+	nw := New(simcore.NewEngine(1))
+	hub := nw.AddRouter("hub")
+	cfg := LinkConfig{BandwidthBps: 1e9, Delay: simcore.Microsecond}
+	names := []string{"hub", "nosuch"}
+	for i := 0; i < 5; i++ {
+		h := nw.AddHost(fmt.Sprintf("h%d", i), MakeAddr(10, 0, 0, byte(i+1)))
+		nw.Connect(h, hub, cfg)
+		names = append(names, h.Name)
+	}
+	// Later parallel links, one in each orientation.
+	nw.Connect(hub, nw.Node("h2"), cfg)
+	nw.Connect(nw.Node("h3"), hub, cfg)
+	nw.Connect(nw.Node("h0"), nw.Node("h1"), cfg)
+	for _, a := range names {
+		for _, b := range names {
+			var want *Link
+			for _, l := range nw.Links() {
+				if (l.A.Name == a && l.B.Name == b) || (l.A.Name == b && l.B.Name == a) {
+					want = l
+					break
+				}
+			}
+			if got := nw.FindLink(a, b); got != want {
+				t.Errorf("FindLink(%q, %q) = %v, want %v", a, b, got, want)
+			}
+		}
+	}
+}
+
 // An 8-byte connKey with no padding keeps deliverTCP's per-packet
 // n.conns lookup on the runtime's mapaccess2_fast64 path; a padded key
 // falls back to the generic hashed lookup.
@@ -792,11 +888,11 @@ func TestConnKeyPacked(t *testing.T) {
 	}
 }
 
-// channel sits exactly at the top of the runtime's 208-byte size class.
-// A large grid declares hundreds of thousands of channels that never
-// carry a packet, so one more word — an int queue head instead of the
-// int32 tucked into the padding after down — would move every channel
-// into the 224-byte class and add megabytes to the build.
+// channel stays at 208 bytes. Every Link embeds two, and a large grid
+// declares hundreds of thousands of links that never carry a packet, so
+// one more word — an int queue head instead of the int32 tucked into
+// the padding after down — would cost two words per link and megabytes
+// per build.
 func TestChannelSizeClass(t *testing.T) {
 	if got := unsafe.Sizeof(channel{}); got != 208 {
 		t.Fatalf("unsafe.Sizeof(channel{}) = %d, want 208", got)

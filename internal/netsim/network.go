@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -75,10 +74,15 @@ type Network struct {
 	eng    *simcore.Engine
 	nodes  map[string]*Node
 	byAddr map[Addr]*Node
-	links  []*Link
-	autoID uint32
-	nnodes int32 // next compact node index (creation order, stable)
-	routed bool
+	// all lists the nodes by compact index (creation order, stable).
+	all   []*Node
+	links []*Link
+	// nodeSlab and linkSlab are storage Grow reserved: addNode and
+	// Connect take their next free element instead of allocating.
+	nodeSlab []Node
+	linkSlab []Link
+	autoID   uint32
+	routed   bool
 	// hier is the hierarchical routing state (see routing.go); routeEpoch
 	// invalidates lazily built tables on link state changes, and routeMu
 	// serializes the lazy builds, which shards of a partitioned run share.
@@ -260,6 +264,11 @@ type Node struct {
 // Engine returns the engine (shard) the node runs on.
 func (nd *Node) Engine() *simcore.Engine { return nd.eng }
 
+// Index returns the node's compact per-network index: its creation
+// order, dense from zero, so callers can keep per-node state in a slice
+// or bitset instead of a map.
+func (nd *Node) Index() int { return int(nd.idx) }
+
 // iface is one direction of attachment: sending on it transmits over ch.
 type iface struct {
 	node *Node
@@ -267,14 +276,15 @@ type iface struct {
 }
 
 // Link is a full-duplex link between two nodes, made of two independent
-// directed channels.
+// directed channels. The channels and both attachments live inside the
+// Link, so wiring a link is one allocation however large the grid.
 type Link struct {
 	A, B   *Node
 	Config LinkConfig
-	ab, ba *channel
+	ab, ba channel
 	// abIf and baIf are the attachments that transmit on ab and ba: A's
 	// and B's ends of the link.
-	abIf, baIf *iface
+	abIf, baIf iface
 	down       bool
 	// orig remembers the pre-Degrade configuration (nil when undegraded).
 	orig *LinkConfig
@@ -292,6 +302,43 @@ func (n *Network) AddRouter(name string) *Node {
 	return n.addNode(name, MakeAddr(240, byte(n.autoID>>16), byte(n.autoID>>8), byte(n.autoID)), true)
 }
 
+// Grow reserves room for the given numbers of further nodes and links,
+// so a topology of known size wires without growing the network's
+// tables and takes its nodes and links from two slabs instead of one
+// allocation each.
+func (n *Network) Grow(nodes, links int) {
+	if nodes > 0 {
+		n.nodes = growMap(n.nodes, nodes)
+		n.byAddr = growMap(n.byAddr, nodes)
+		n.all = slices.Grow(n.all, nodes)
+		n.nodeSlab = make([]Node, 0, nodes)
+	}
+	if links > 0 {
+		n.links = slices.Grow(n.links, links)
+		n.linkSlab = make([]Link, 0, links)
+	}
+}
+
+// next returns the next free element of a slab Grow reserved, or a
+// fresh allocation when the slab is used up.
+func next[T any](slab *[]T) *T {
+	i := len(*slab)
+	if i == cap(*slab) {
+		return new(T)
+	}
+	*slab = (*slab)[:i+1]
+	return &(*slab)[i]
+}
+
+// growMap returns m, or a copy of it with room for extra more entries.
+func growMap[K comparable, V any](m map[K]V, extra int) map[K]V {
+	out := make(map[K]V, len(m)+extra)
+	for k, v := range m {
+		out[k] = v
+	}
+	return out
+}
+
 func (n *Network) addNode(name string, addr Addr, router bool) *Node {
 	if _, dup := n.nodes[name]; dup {
 		panic(fmt.Sprintf("netsim: duplicate node name %q", name))
@@ -299,18 +346,13 @@ func (n *Network) addNode(name string, addr Addr, router bool) *Node {
 	if _, dup := n.byAddr[addr]; dup {
 		panic(fmt.Sprintf("netsim: duplicate address %v", addr))
 	}
-	nd := &Node{
-		net:      n,
-		Name:     name,
-		Addr:     addr,
-		eng:      n.eng,
-		stats:    &n.Stats,
-		pool:     &n.pool,
-		idx:      n.nnodes,
-		Router:   router,
-		nextPort: 49152,
-	}
-	n.nnodes++
+	// Fields are set one by one on the zeroed element: a composite
+	// literal would stage the whole Node on the stack first.
+	nd := next(&n.nodeSlab)
+	nd.net, nd.Name, nd.Addr, nd.Router = n, name, addr, router
+	nd.eng, nd.stats, nd.pool = n.eng, &n.Stats, &n.pool
+	nd.idx, nd.nextPort = int32(len(n.all)), 49152
+	n.all = append(n.all, nd)
 	n.nodes[name] = nd
 	n.byAddr[addr] = nd
 	n.routed = false
@@ -320,16 +362,19 @@ func (n *Network) addNode(name string, addr Addr, router bool) *Node {
 // Node returns the named node, or nil.
 func (n *Network) Node(name string) *Node { return n.nodes[name] }
 
+// NodeCount returns the number of nodes.
+func (n *Network) NodeCount() int { return len(n.all) }
+
+// NodeAt returns the node with index i (see Node.Index).
+func (n *Network) NodeAt(i int) *Node { return n.all[i] }
+
 // NodeByAddr returns the node owning addr, or nil.
 func (n *Network) NodeByAddr(a Addr) *Node { return n.byAddr[a] }
 
 // Nodes returns all nodes sorted by name.
 func (n *Network) Nodes() []*Node {
-	out := make([]*Node, 0, len(n.nodes))
-	for _, nd := range n.nodes {
-		out = append(out, nd)
-	}
-	slices.SortFunc(out, func(a, b *Node) int { return strings.Compare(a.Name, b.Name) })
+	out := slices.Clone(n.all)
+	slices.SortFunc(out, byName)
 	return out
 }
 
@@ -350,12 +395,20 @@ func (n *Network) MinLinkDelay() (d simcore.Duration, ok bool) {
 	return d, ok
 }
 
-// FindLink returns the link joining the two named nodes (in either
-// order), or nil.
+// FindLink returns the earliest-created link joining the two named
+// nodes (in either order), or nil. It scans the interfaces of whichever
+// endpoint has fewer: a node's interfaces are in link creation order.
 func (n *Network) FindLink(a, b string) *Link {
-	for _, l := range n.links {
-		if (l.A.Name == a && l.B.Name == b) || (l.A.Name == b && l.B.Name == a) {
-			return l
+	na, nb := n.nodes[a], n.nodes[b]
+	if na == nil || nb == nil {
+		return nil
+	}
+	if len(nb.ifaces) < len(na.ifaces) {
+		na, nb = nb, na
+	}
+	for _, ifc := range na.ifaces {
+		if ifc.ch.dst == nb {
+			return ifc.ch.link
 		}
 	}
 	return nil
@@ -373,13 +426,14 @@ func (n *Network) Connect(a, b *Node, cfg LinkConfig) *Link {
 	if cfg.QueueBytes == 0 {
 		cfg.QueueBytes = DefaultQueueBytes
 	}
-	l := &Link{A: a, B: b, Config: cfg}
-	l.ab = newChannel(n, fmt.Sprintf("%s->%s", a.Name, b.Name), a, b, cfg)
-	l.ba = newChannel(n, fmt.Sprintf("%s->%s", b.Name, a.Name), b, a, cfg)
-	l.abIf = &iface{node: a, ch: l.ab}
-	l.baIf = &iface{node: b, ch: l.ba}
-	a.ifaces = append(a.ifaces, l.abIf)
-	b.ifaces = append(b.ifaces, l.baIf)
+	l := next(&n.linkSlab)
+	l.A, l.B, l.Config = a, b, cfg
+	l.ab.link, l.ab.src, l.ab.dst, l.ab.cfg = l, a, b, cfg
+	l.ba.link, l.ba.src, l.ba.dst, l.ba.cfg = l, b, a, cfg
+	l.abIf.node, l.abIf.ch = a, &l.ab
+	l.baIf.node, l.baIf.ch = b, &l.ba
+	a.ifaces = append(a.ifaces, &l.abIf)
+	b.ifaces = append(b.ifaces, &l.baIf)
 	n.links = append(n.links, l)
 	n.routed = false
 	return l
@@ -491,8 +545,8 @@ func (l *Link) Stats() [2]DirectionStats {
 		}
 	}
 	return [2]DirectionStats{
-		mk(l.ab, l.A.Name, l.B.Name),
-		mk(l.ba, l.B.Name, l.A.Name),
+		mk(&l.ab, l.A.Name, l.B.Name),
+		mk(&l.ba, l.B.Name, l.A.Name),
 	}
 }
 

@@ -105,7 +105,12 @@ const defaultTTL = 64
 // the source node's engine; when the destination lives on another shard
 // the propagation leg crosses as a cross-shard send.
 type channel struct {
-	net      *Network
+	// link is the Link this channel is one direction of.
+	link *Link
+	// name is the "src->dst" label trace events and the loss stream
+	// carry; label builds it on first use. Only the source node's engine
+	// (or a global action at a barrier) reads it, so the cache is never
+	// written from two shards.
 	name     string
 	src, dst *Node
 	cfg      LinkConfig
@@ -118,8 +123,9 @@ type channel struct {
 	// down marks a failed link direction; epoch invalidates in-flight
 	// transmissions when the link fails.
 	down bool
-	// head sits in the padding after down, keeping channel in the
-	// 208-byte size class that a network's many idle channels pay for.
+	// head sits in the padding after down, keeping channel at 208
+	// bytes: every Link embeds two, and a large network's many idle
+	// links pay for both.
 	head  int32
 	epoch int64
 	// lossRng draws random loss from a per-channel stream derived from the
@@ -140,8 +146,14 @@ type channel struct {
 	flowBusyUntil simcore.Time
 }
 
-func newChannel(net *Network, name string, src, dst *Node, cfg LinkConfig) *channel {
-	return &channel{net: net, name: name, src: src, dst: dst, cfg: cfg}
+// label returns the channel's "src->dst" name. Most channels of a large
+// grid never carry a traced or lossy packet, so the name is built on
+// first use instead of when the link is wired.
+func (c *channel) label() string {
+	if c.name == "" {
+		c.name = c.src.Name + "->" + c.dst.Name
+	}
+	return c.name
 }
 
 // send enqueues pkt for transmission, applying drop-tail and random loss.
@@ -161,14 +173,14 @@ func (c *channel) send(pkt *Packet) {
 	}
 	if c.cfg.LossProb > 0 {
 		if c.lossRng == nil {
-			c.lossRng = c.src.eng.DeriveRand("netsim:loss:" + c.name)
+			c.lossRng = c.src.eng.DeriveRand("netsim:loss:" + c.label())
 		}
 		if c.lossRng.Float64() < c.cfg.LossProb {
 			c.Lost++
 			c.src.stats.PacketsLost++
 			if rec := c.src.eng.Recorder(); rec.Enabled(trace.CatNet) {
 				rec.Event(trace.CatNet, "loss", trace.Attr{
-					Link: c.name, Bytes: int64(pkt.Size), Detail: pkt.Kind.String()})
+					Link: c.label(), Bytes: int64(pkt.Size), Detail: pkt.Kind.String()})
 			}
 			c.src.freePacket(pkt)
 			return
@@ -179,7 +191,7 @@ func (c *channel) send(pkt *Packet) {
 		c.src.stats.PacketsDropped++
 		if rec := c.src.eng.Recorder(); rec.Enabled(trace.CatNet) {
 			rec.Event(trace.CatNet, "drop", trace.Attr{
-				Link: c.name, Bytes: int64(pkt.Size), Detail: pkt.Kind.String() + " queue full"})
+				Link: c.label(), Bytes: int64(pkt.Size), Detail: pkt.Kind.String() + " queue full"})
 		}
 		c.src.freePacket(pkt)
 		return
@@ -263,7 +275,7 @@ func (h *hopEvent) fire() {
 		if rec := c.src.eng.Recorder(); rec.Enabled(trace.CatNet) {
 			// Serialization occupies [now-txTime, now]; propagation follows.
 			rec.Span(trace.CatNet, "hop", int64(c.src.eng.Now())-int64(h.txTime), int64(h.txTime),
-				trace.Attr{Link: c.name, Bytes: int64(h.pkt.Size), Detail: h.pkt.Kind.String()})
+				trace.Attr{Link: c.label(), Bytes: int64(h.pkt.Size), Detail: h.pkt.Kind.String()})
 		}
 		h.arrived = true
 		if c.dst.eng != c.src.eng {

@@ -14,8 +14,8 @@ import (
 //
 //   - Nodes are grouped into clusters: connected components under links
 //     faster than DefaultWANThreshold (the same partition the PDES shard
-//     planner reads through ClusterIDs). Detection is one name sort plus
-//     a union-find pass per build.
+//     planner reads through ClusterIDs). Detection is a union-find pass
+//     plus a name sort per cluster, per build.
 //   - Each node lazily builds a local next-hop table over its own
 //     cluster's subgraph — O(|cluster|) memory, built by the same
 //     delay+hop-penalty Dijkstra with the same name tie-breaks as the
@@ -98,13 +98,13 @@ type hier struct {
 }
 
 // ComputeRoutes (re)builds the routing hierarchy: cluster detection plus
-// the summarized border graph. That is one name sort plus a union-find
-// pass over the links, O(N log N + E). Per-node tables and egress rows
+// the summarized border graph. That is a union-find pass over the links
+// plus a name sort per cluster, O(N log N + E). Per-node tables and egress rows
 // are built lazily on first lookup. It must be called after structural
 // topology changes and before traffic flows; transports call it lazily
 // too.
 func (n *Network) ComputeRoutes() {
-	size := int(n.nnodes)
+	size := len(n.all)
 	h := &hier{
 		clusterOf: make([]int32, size),
 		localIdx:  make([]int32, size),
@@ -123,8 +123,8 @@ func (n *Network) ComputeRoutes() {
 		if ca == cb {
 			continue
 		}
-		h.borderOut[ca] = append(h.borderOut[ca], borderEdge{to: cb, ifc: l.abIf})
-		h.borderOut[cb] = append(h.borderOut[cb], borderEdge{to: ca, ifc: l.baIf})
+		h.borderOut[ca] = append(h.borderOut[ca], borderEdge{to: cb, ifc: &l.abIf})
+		h.borderOut[cb] = append(h.borderOut[cb], borderEdge{to: ca, ifc: &l.baIf})
 	}
 	h.egress = make([]atomic.Pointer[egressRow], len(clusters))
 	n.hier = h

@@ -11,9 +11,9 @@ import (
 	"microgrid/internal/trace"
 )
 
-// DefaultLookahead is the conservative lookahead used when no inter-shard
-// link has been declared and none was set explicitly: cross-shard events
-// must be scheduled at least this far past the current window start.
+// DefaultLookahead is the conservative lookahead used when none was set
+// with SetLookahead: cross-shard events must be scheduled at least this
+// far past the current window start.
 const DefaultLookahead = Millisecond
 
 // maxTime is the practically-infinite horizon used by Run.
@@ -59,12 +59,13 @@ type gevent struct {
 //
 // The conservative contract is that a cross-shard event must be
 // scheduled no earlier than the end of the window in which it is sent —
-// the lookahead, derived from the minimum inter-shard link latency via
-// DeclareLink. Under that contract no shard can ever receive an event in
-// its past, so no rollback is needed and every shard's local execution
-// is exactly a serial Engine run. Because each shard is sequential and
-// barrier delivery is sorted, results are bit-for-bit deterministic for
-// a given seed and shard count, independent of GOMAXPROCS or scheduling.
+// the lookahead, which the model sets with SetLookahead to the minimum
+// latency of any path between shards. Under that contract no shard can
+// ever receive an event in its past, so no rollback is needed and every
+// shard's local execution is exactly a serial Engine run. Because each
+// shard is sequential and barrier delivery is sorted, results are
+// bit-for-bit deterministic for a given seed and shard count,
+// independent of GOMAXPROCS or scheduling.
 //
 // Note that different shard counts are different simulations: shards own
 // disjoint seq spaces and random streams, so observable ordering is only
@@ -74,10 +75,9 @@ type gevent struct {
 type ParallelEngine struct {
 	shards []*Engine
 
-	// lookahead is the effective window length, resolved at Run from the
-	// explicit setting, declared links, or DefaultLookahead.
+	// lookhead is the effective window length, resolved at Run from the
+	// SetLookahead setting (explicit) or DefaultLookahead.
 	explicit Duration
-	minLink  Duration
 	lookhead Duration
 
 	// queues[src*n+dst] parks cross-shard events; each row is written
@@ -227,8 +227,9 @@ func (pe *ParallelEngine) runGlobals(t0 Time) {
 	}
 }
 
-// SetLookahead fixes the window length explicitly, overriding declared
-// links. It panics on d ≤ 0 or while the engine is running.
+// SetLookahead fixes the window length: the minimum latency of any
+// path between shards. It panics on d ≤ 0 — zero-lookahead couplings
+// cannot be split across shards — or while the engine is running.
 func (pe *ParallelEngine) SetLookahead(d Duration) {
 	if d <= 0 {
 		panic(fmt.Sprintf("simcore: lookahead must be positive, got %v", d))
@@ -239,36 +240,13 @@ func (pe *ParallelEngine) SetLookahead(d Duration) {
 	pe.explicit = d
 }
 
-// Lookahead returns the effective window length: the explicit setting if
-// any, else the minimum declared inter-shard link latency, else
-// DefaultLookahead.
+// Lookahead returns the effective window length: the SetLookahead
+// setting if any, else DefaultLookahead.
 func (pe *ParallelEngine) Lookahead() Duration {
-	switch {
-	case pe.explicit > 0:
+	if pe.explicit > 0 {
 		return pe.explicit
-	case pe.minLink > 0:
-		return pe.minLink
-	default:
-		return DefaultLookahead
 	}
-}
-
-// DeclareLink records a communication path from shard src to shard dst
-// whose minimum latency is minDelay; the smallest declared latency
-// becomes the conservative lookahead. Declaring a non-positive latency
-// panics: zero-lookahead couplings cannot be split across shards.
-func (pe *ParallelEngine) DeclareLink(src, dst int, minDelay Duration) {
-	pe.checkShard(src)
-	pe.checkShard(dst)
-	if minDelay <= 0 {
-		panic(fmt.Sprintf("simcore: inter-shard link %d->%d must have positive latency, got %v", src, dst, minDelay))
-	}
-	if pe.running {
-		panic("simcore: DeclareLink while running")
-	}
-	if pe.minLink == 0 || minDelay < pe.minLink {
-		pe.minLink = minDelay
-	}
+	return DefaultLookahead
 }
 
 func (pe *ParallelEngine) checkShard(i int) {

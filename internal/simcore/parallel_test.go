@@ -225,26 +225,24 @@ func TestParallelRunUntil(t *testing.T) {
 	}
 }
 
-// TestParallelLookaheadResolution covers the explicit/declared/default
-// lookahead precedence and the guard rails.
+// TestParallelLookaheadResolution covers the explicit/default lookahead
+// precedence and the guard rails.
 func TestParallelLookaheadResolution(t *testing.T) {
 	pe := NewParallelEngine(1, 2)
 	if pe.Lookahead() != DefaultLookahead {
 		t.Fatalf("default lookahead = %v", pe.Lookahead())
 	}
-	pe.DeclareLink(0, 1, 5*Millisecond)
-	pe.DeclareLink(1, 0, 2*Millisecond)
-	if pe.Lookahead() != 2*Millisecond {
-		t.Fatalf("declared lookahead = %v, want 2ms", pe.Lookahead())
+	pe.SetLookahead(5 * Millisecond)
+	if pe.Lookahead() != 5*Millisecond {
+		t.Fatalf("explicit lookahead = %v, want 5ms", pe.Lookahead())
 	}
-	pe.SetLookahead(3 * Millisecond)
-	if pe.Lookahead() != 3*Millisecond {
-		t.Fatalf("explicit lookahead = %v, want 3ms", pe.Lookahead())
+	pe.SetLookahead(2 * Millisecond)
+	if pe.Lookahead() != 2*Millisecond {
+		t.Fatalf("reset lookahead = %v, want 2ms", pe.Lookahead())
 	}
 	for _, fn := range []func(){
 		func() { pe.SetLookahead(0) },
-		func() { pe.DeclareLink(0, 1, 0) },
-		func() { pe.DeclareLink(0, 5, Millisecond) },
+		func() { pe.SetLookahead(-Millisecond) },
 		func() { NewParallelEngine(1, 0) },
 	} {
 		func() {

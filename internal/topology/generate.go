@@ -3,6 +3,7 @@ package topology
 import (
 	"fmt"
 	"math/rand"
+	"strconv"
 
 	"microgrid/internal/netsim"
 	"microgrid/internal/simcore"
@@ -121,7 +122,13 @@ func genWANFidelity(g GenSpec) netsim.Fidelity {
 
 // hostAddr numbers cluster i's host j: 16+i/256 . i%256 . 1 . j+1.
 func hostAddr(i, j int) string {
-	return fmt.Sprintf("%d.%d.1.%d", 16+i/256, i%256, j+1)
+	var b [15]byte
+	out := strconv.AppendInt(b[:0], int64(16+i/256), 10)
+	out = append(out, '.')
+	out = strconv.AppendInt(out, int64(i%256), 10)
+	out = append(out, ".1."...)
+	out = strconv.AppendInt(out, int64(j+1), 10)
+	return string(out)
 }
 
 // splitHosts spreads total hosts over k clusters, front-loaded so the
@@ -146,15 +153,20 @@ func splitHosts(total, k int) []int {
 // core router, the generated-at-scale version of the fuzzer's
 // star-of-clusters family.
 func genStar(rng *rand.Rand, g GenSpec, k int) *Spec {
-	spec := &Spec{Name: fmt.Sprintf("gen-star-%dx%d-s%d", g.Hosts, k, g.Seed)}
+	spec := &Spec{
+		Name:    fmt.Sprintf("gen-star-%dx%d-s%d", g.Hosts, k, g.Seed),
+		Hosts:   make([]HostSpec, 0, g.Hosts),
+		Routers: make([]string, 0, 1+2*k),
+		Links:   make([]LinkSpec, 0, g.Hosts+2*k),
+	}
 	spec.Routers = append(spec.Routers, "core")
 	wanFid := genWANFidelity(g)
 	for i, hn := range splitHosts(g.Hosts, k) {
-		sw := fmt.Sprintf("c%dsw", i)
-		gw := fmt.Sprintf("c%dgw", i)
+		c := "c" + strconv.Itoa(i)
+		sw, gw := c+"sw", c+"gw"
 		spec.Routers = append(spec.Routers, sw, gw)
 		for j := 0; j < hn; j++ {
-			name := fmt.Sprintf("c%dh%d", i, j)
+			name := c + "h" + strconv.Itoa(j)
 			spec.Hosts = append(spec.Hosts, HostSpec{Name: name, Addr: hostAddr(i, j)})
 			spec.Links = append(spec.Links, LinkSpec{
 				A: name, B: sw, BandwidthBps: 100e6, Delay: 25 * simcore.Microsecond,
@@ -178,24 +190,30 @@ func genStar(rng *rand.Rand, g GenSpec, k int) *Spec {
 // routers over wide-area links — a 2-level multipath core.
 func genFatTree(rng *rand.Rand, g GenSpec, k int) *Spec {
 	cores := 2 + rng.Intn(3)
-	spec := &Spec{Name: fmt.Sprintf("gen-fattree-%dx%dc%d-s%d", g.Hosts, k, cores, g.Seed)}
+	spec := &Spec{
+		Name:    fmt.Sprintf("gen-fattree-%dx%dc%d-s%d", g.Hosts, k, cores, g.Seed),
+		Hosts:   make([]HostSpec, 0, g.Hosts),
+		Routers: make([]string, 0, cores+k),
+		Links:   make([]LinkSpec, 0, g.Hosts+cores*k),
+	}
 	wanFid := genWANFidelity(g)
 	for m := 0; m < cores; m++ {
-		spec.Routers = append(spec.Routers, fmt.Sprintf("core%d", m))
+		spec.Routers = append(spec.Routers, "core"+strconv.Itoa(m))
 	}
 	for i, hn := range splitHosts(g.Hosts, k) {
-		sw := fmt.Sprintf("e%dsw", i)
+		e := "e" + strconv.Itoa(i)
+		sw := e + "sw"
 		spec.Routers = append(spec.Routers, sw)
 		for j := 0; j < hn; j++ {
-			name := fmt.Sprintf("e%dh%d", i, j)
+			name := e + "h" + strconv.Itoa(j)
 			spec.Hosts = append(spec.Hosts, HostSpec{Name: name, Addr: hostAddr(i, j)})
 			spec.Links = append(spec.Links, LinkSpec{
 				A: name, B: sw, BandwidthBps: 100e6, Delay: 25 * simcore.Microsecond,
 			})
 		}
-		for m := 0; m < cores; m++ {
+		for _, core := range spec.Routers[:cores] {
 			spec.Links = append(spec.Links, LinkSpec{
-				A: sw, B: fmt.Sprintf("core%d", m),
+				A: sw, B: core,
 				BandwidthBps: OC12Bps, Delay: genWANDelay(rng), Fidelity: wanFid,
 			})
 		}

@@ -95,6 +95,7 @@ func (s *Spec) Build(eng *simcore.Engine) (*netsim.Network, error) {
 // virtual.Grid materializes a topology with simulation-rate scaling.
 // Routes are not recomputed.
 func (s *Spec) Apply(nw *netsim.Network, scale func(netsim.LinkConfig) netsim.LinkConfig) error {
+	nw.Grow(len(s.Hosts)+len(s.Routers), len(s.Links))
 	for _, h := range s.Hosts {
 		addr, err := netsim.ParseAddr(h.Addr)
 		if err != nil {

@@ -90,15 +90,32 @@ type Config struct {
 	// physical host shared by virtual hosts on different engines is an
 	// error.
 	AssignEngines func(nw *netsim.Network) map[string]*simcore.Engine
-	// Lazy defers per-host materialization — the clock, CPU scheduler
-	// task, memory limiter, and physical host — to the first Host()
-	// touch. The topology is still wired in full (routing needs every
-	// node), but a grid declaring 100k hosts allocates host runtime
-	// state only for the hosts a workload actually touches. Lazy
-	// requires Direct mode: fraction controllers are placed at build
-	// time and would defeat the point. Host configurations are still
-	// validated eagerly, so Host() cannot fail later.
-	Lazy bool
+	// Lazy, when non-nil, declares the hosts by rule instead of by list
+	// (Hosts and Phys stay empty) and defers per-host materialization —
+	// the clock, CPU scheduler task, memory limiter, and physical host —
+	// to the first Host() touch. The topology is still wired in full
+	// (routing needs every node), but a grid declaring 100k hosts
+	// allocates host runtime state only for the hosts a workload
+	// actually touches. Lazy requires Direct mode: fraction controllers
+	// are placed at build time and would defeat the point. The
+	// declaration is still validated at build, so Host() cannot fail
+	// later.
+	Lazy *LazyHosts
+}
+
+// LazyHosts declares a lazy grid's hosts. A declared host is a host
+// node of the wired topology: its name and address are the node's, its
+// CPU and memory are the template's, and it runs directly on a physical
+// machine of its own, "phys-<name>", as fast as its virtual CPU. Until
+// first touched it costs its netsim node (and, with Names, one bit).
+type LazyHosts struct {
+	// CPUSpeedMIPS is every declared host's virtual processor speed.
+	CPUSpeedMIPS float64
+	// MemoryBytes is every declared host's memory (0 = unlimited 4 GB).
+	MemoryBytes int64
+	// Names lists the declared hosts; nil declares every host node the
+	// wire function creates.
+	Names []string
 }
 
 // Grid is a running virtual grid.
@@ -118,12 +135,14 @@ type Grid struct {
 	controllers map[string]*cpusched.MultiController
 	stagger     float64
 
-	// lazy grids keep declared-but-untouched hosts as configurations;
-	// materialize moves one to hosts/byIP on first Host() touch.
-	lazy     bool
-	hostCfgs map[string]HostConfig
-	physCfgs map[string]PhysConfig
-	addrName map[netsim.Addr]string
+	// lazy grids keep no record of a declared-but-untouched host: it is
+	// its netsim node plus the shared template, and materialize adds it
+	// to hosts/byIP on first Host() touch. declared marks the declared
+	// host nodes by node index when LazyHosts.Names chose a subset (nil:
+	// every host node); ndeclared counts them.
+	lazy      *LazyHosts
+	declared  []uint64
+	ndeclared int
 
 	sendOverheadOps float64
 	perByteOps      float64
@@ -177,7 +196,7 @@ type Host struct {
 // any routers/links. Link parameters passed to scale() are converted from
 // virtual to engine units.
 func NewGrid(eng *simcore.Engine, cfg Config, wire func(nw *netsim.Network, scale func(netsim.LinkConfig) netsim.LinkConfig) error) (*Grid, error) {
-	if len(cfg.Hosts) == 0 {
+	if len(cfg.Hosts) == 0 && cfg.Lazy == nil {
 		return nil, fmt.Errorf("virtual: no hosts configured")
 	}
 	physCfg := make(map[string]PhysConfig, len(cfg.Phys))
@@ -188,32 +207,9 @@ func NewGrid(eng *simcore.Engine, cfg Config, wire func(nw *netsim.Network, scal
 		physCfg[pc.Name] = pc
 	}
 
-	rate := cfg.Rate
-	if rate == 0 {
-		// The coherent rate is bounded by each physical machine's
-		// capacity against the *sum* of the virtual CPUs mapped onto it
-		// (several virtual hosts may share one machine).
-		demand := map[string]float64{}
-		for _, h := range cfg.Hosts {
-			if _, ok := physCfg[h.MappedPhysical]; !ok {
-				return nil, fmt.Errorf("virtual: host %s maps to unknown physical %q", h.Name, h.MappedPhysical)
-			}
-			demand[h.MappedPhysical] += h.CPUSpeedMIPS
-		}
-		var rr []vtime.ResourceRate
-		for name, d := range demand {
-			rr = append(rr, vtime.ResourceRate{
-				Resource: name, Kind: "cpu",
-				Physical: physCfg[name].CPUSpeedMIPS, Virtual: d,
-			})
-		}
-		rate, _ = vtime.MaxFeasibleRate(rr)
-		if rate > 1 {
-			rate = 1
-		}
-	}
-	if cfg.Direct {
-		rate = 1
+	rate, err := gridRate(&cfg, physCfg)
+	if err != nil {
+		return nil, err
 	}
 
 	g := &Grid{
@@ -253,42 +249,60 @@ func NewGrid(eng *simcore.Engine, cfg Config, wire func(nw *netsim.Network, scal
 		}
 	}
 
-	if cfg.Lazy {
+	if cfg.Lazy != nil {
 		if !cfg.Direct {
 			return nil, fmt.Errorf("virtual: lazy host materialization requires direct mode")
 		}
-		// Validate every declared host now — cheap map lookups against the
-		// wired topology — so a later Host() touch cannot fail. Runtime
-		// state waits for that touch.
-		g.lazy = true
-		g.hostCfgs = make(map[string]HostConfig, len(cfg.Hosts))
-		g.physCfgs = physCfg
-		g.addrName = make(map[netsim.Addr]string, len(cfg.Hosts))
-		for _, hc := range cfg.Hosts {
-			if hc.CPUSpeedMIPS <= 0 {
-				return nil, fmt.Errorf("virtual: host %s needs positive CPU speed", hc.Name)
-			}
-			pc, ok := physCfg[hc.MappedPhysical]
-			if !ok {
-				return nil, fmt.Errorf("virtual: host %s maps to unknown physical %q", hc.Name, hc.MappedPhysical)
-			}
-			if hc.CPUSpeedMIPS > pc.CPUSpeedMIPS+1e-9 {
-				return nil, fmt.Errorf("virtual: direct mode: host %s (%.0f MIPS) exceeds physical %s (%.0f MIPS)",
-					hc.Name, hc.CPUSpeedMIPS, pc.Name, pc.CPUSpeedMIPS)
-			}
-			node := g.vnet.Node(hc.Name)
-			if node == nil {
-				return nil, fmt.Errorf("virtual: topology has no node for host %s", hc.Name)
-			}
-			if node.Addr != hc.IP {
-				return nil, fmt.Errorf("virtual: node %s has address %v, config says %v", hc.Name, node.Addr, hc.IP)
-			}
-			g.hostCfgs[hc.Name] = hc
-			g.addrName[hc.IP] = hc.Name
+		if err := g.declare(cfg.Lazy); err != nil {
+			return nil, err
 		}
 		return g, nil
 	}
 
+	if err := g.place(&cfg, physCfg); err != nil {
+		return nil, err
+	}
+	return g, nil
+}
+
+// gridRate resolves the simulation rate: cfg.Rate, or when that is zero
+// the fastest rate every physical machine sustains; 1 in direct mode.
+func gridRate(cfg *Config, physCfg map[string]PhysConfig) (float64, error) {
+	rate := cfg.Rate
+	if rate == 0 {
+		// The coherent rate is bounded by each physical machine's
+		// capacity against the *sum* of the virtual CPUs mapped onto it
+		// (several virtual hosts may share one machine).
+		demand := map[string]float64{}
+		for _, h := range cfg.Hosts {
+			if _, ok := physCfg[h.MappedPhysical]; !ok {
+				return 0, fmt.Errorf("virtual: host %s maps to unknown physical %q", h.Name, h.MappedPhysical)
+			}
+			demand[h.MappedPhysical] += h.CPUSpeedMIPS
+		}
+		var rr []vtime.ResourceRate
+		for name, d := range demand {
+			rr = append(rr, vtime.ResourceRate{
+				Resource: name, Kind: "cpu",
+				Physical: physCfg[name].CPUSpeedMIPS, Virtual: d,
+			})
+		}
+		rate, _ = vtime.MaxFeasibleRate(rr)
+		if rate > 1 {
+			rate = 1
+		}
+	}
+	if cfg.Direct {
+		rate = 1
+	}
+	return rate, nil
+}
+
+// place builds an eager grid's hosts: every physical machine, on the
+// engine of the virtual hosts mapped onto it, then every virtual host
+// with its clock, scheduler task, memory limiter and — when emulated —
+// its share of a fraction controller.
+func (g *Grid) place(cfg *Config, physCfg map[string]PhysConfig) error {
 	// Physical hosts are created on the engine of the virtual hosts
 	// mapped onto them, so a host's CPU scheduler shares its shard.
 	physEng := make(map[string]*simcore.Engine, len(cfg.Phys))
@@ -299,14 +313,14 @@ func NewGrid(eng *simcore.Engine, cfg Config, wire func(nw *netsim.Network, scal
 		}
 		he := nd.Engine()
 		if prev, ok := physEng[hc.MappedPhysical]; ok && prev != he {
-			return nil, fmt.Errorf("virtual: physical host %s is shared by virtual hosts on different PDES shards", hc.MappedPhysical)
+			return fmt.Errorf("virtual: physical host %s is shared by virtual hosts on different PDES shards", hc.MappedPhysical)
 		}
 		physEng[hc.MappedPhysical] = he
 	}
 	for _, pc := range cfg.Phys {
 		pe := physEng[pc.Name]
 		if pe == nil {
-			pe = eng
+			pe = g.eng
 		}
 		g.phys[pc.Name] = cpusched.NewHost(pe, pc.Name, pc.CPUSpeedMIPS, pc.Quantum)
 	}
@@ -314,18 +328,18 @@ func NewGrid(eng *simcore.Engine, cfg Config, wire func(nw *netsim.Network, scal
 
 	for _, hc := range cfg.Hosts {
 		if hc.CPUSpeedMIPS <= 0 {
-			return nil, fmt.Errorf("virtual: host %s needs positive CPU speed", hc.Name)
+			return fmt.Errorf("virtual: host %s needs positive CPU speed", hc.Name)
 		}
 		p, ok := phys[hc.MappedPhysical]
 		if !ok {
-			return nil, fmt.Errorf("virtual: host %s maps to unknown physical %q", hc.Name, hc.MappedPhysical)
+			return fmt.Errorf("virtual: host %s maps to unknown physical %q", hc.Name, hc.MappedPhysical)
 		}
 		node := g.vnet.Node(hc.Name)
 		if node == nil {
-			return nil, fmt.Errorf("virtual: topology has no node for host %s", hc.Name)
+			return fmt.Errorf("virtual: topology has no node for host %s", hc.Name)
 		}
 		if node.Addr != hc.IP {
-			return nil, fmt.Errorf("virtual: node %s has address %v, config says %v", hc.Name, node.Addr, hc.IP)
+			return fmt.Errorf("virtual: node %s has address %v, config says %v", hc.Name, node.Addr, hc.IP)
 		}
 		mem := hc.MemoryBytes
 		if mem == 0 {
@@ -335,7 +349,7 @@ func NewGrid(eng *simcore.Engine, cfg Config, wire func(nw *netsim.Network, scal
 		h := &Host{
 			grid:         g,
 			eng:          heng,
-			clock:        vtime.NewClock(heng, rate),
+			clock:        vtime.NewClock(heng, g.rate),
 			Name:         hc.Name,
 			IP:           hc.IP,
 			CPUSpeedMIPS: hc.CPUSpeedMIPS,
@@ -348,25 +362,82 @@ func NewGrid(eng *simcore.Engine, cfg Config, wire func(nw *netsim.Network, scal
 		if cfg.Direct {
 			h.Fraction = 1
 			if hc.CPUSpeedMIPS > p.SpeedMIPS()+1e-9 {
-				return nil, fmt.Errorf("virtual: direct mode: host %s (%.0f MIPS) exceeds physical %s (%.0f MIPS)",
+				return fmt.Errorf("virtual: direct mode: host %s (%.0f MIPS) exceeds physical %s (%.0f MIPS)",
 					hc.Name, hc.CPUSpeedMIPS, p.Name, p.SpeedMIPS())
 			}
 		} else {
-			h.Fraction = hc.CPUSpeedMIPS * rate / p.SpeedMIPS()
+			h.Fraction = hc.CPUSpeedMIPS * g.rate / p.SpeedMIPS()
 			if h.Fraction > 1+1e-9 {
-				return nil, fmt.Errorf("virtual: infeasible rate %.4g: host %s needs fraction %.3f of %s",
-					rate, hc.Name, h.Fraction, p.Name)
+				return fmt.Errorf("virtual: infeasible rate %.4g: host %s needs fraction %.3f of %s",
+					g.rate, hc.Name, h.Fraction, p.Name)
 			}
 			job, err := g.controllerFor(p).AddJob(h.task, h.Fraction)
 			if err != nil {
-				return nil, fmt.Errorf("virtual: mapping %s onto %s: %w", hc.Name, p.Name, err)
+				return fmt.Errorf("virtual: mapping %s onto %s: %w", hc.Name, p.Name, err)
 			}
 			h.job = job
 		}
 		g.hosts[hc.Name] = h
 		g.byIP[hc.IP] = h
 	}
-	return g, nil
+	return nil
+}
+
+// declare validates a lazy grid's declaration against the wired
+// topology, in the order the eager loop checks a host list, so a later
+// Host() touch cannot fail; it records which host nodes are declared.
+// Runtime state waits for that touch.
+func (g *Grid) declare(lh *LazyHosts) error {
+	g.lazy = lh
+	first := ""
+	if lh.Names != nil {
+		if len(lh.Names) > 0 {
+			first = lh.Names[0]
+		}
+	} else {
+		for i := 0; i < g.vnet.NodeCount(); i++ {
+			if nd := g.vnet.NodeAt(i); !nd.Router {
+				if g.ndeclared == 0 {
+					first = nd.Name
+				}
+				g.ndeclared++
+			}
+		}
+	}
+	if first == "" {
+		return fmt.Errorf("virtual: no hosts configured")
+	}
+	if lh.CPUSpeedMIPS <= 0 {
+		return fmt.Errorf("virtual: host %s needs positive CPU speed", first)
+	}
+	if lh.Names == nil {
+		return nil
+	}
+	g.declared = make([]uint64, (g.vnet.NodeCount()+63)/64)
+	for _, name := range lh.Names {
+		node := g.vnet.Node(name)
+		if node == nil || node.Router {
+			return fmt.Errorf("virtual: topology has no node for host %s", name)
+		}
+		if i := node.Index(); g.declared[i/64]&(1<<(i%64)) == 0 {
+			g.declared[i/64] |= 1 << (i % 64)
+			g.ndeclared++
+		}
+	}
+	return nil
+}
+
+// isDeclared reports whether nd is a declared host of a lazy grid,
+// materialized or not.
+func (g *Grid) isDeclared(nd *netsim.Node) bool {
+	if g.lazy == nil || nd == nil || nd.Router {
+		return false
+	}
+	if g.declared == nil {
+		return true
+	}
+	i := nd.Index()
+	return g.declared[i/64]&(1<<(i%64)) != 0
 }
 
 // ScaleLink converts a link specified in virtual units to engine (physical)
@@ -411,9 +482,9 @@ func (g *Grid) Host(name string) *Host {
 	if h, ok := g.hosts[name]; ok {
 		return h
 	}
-	if g.lazy {
-		if hc, ok := g.hostCfgs[name]; ok {
-			return g.materialize(hc)
+	if g.lazy != nil {
+		if nd := g.vnet.Node(name); g.isDeclared(nd) {
+			return g.materialize(nd)
 		}
 	}
 	return nil
@@ -429,24 +500,24 @@ func (g *Grid) MaterializedCount() int { return len(g.hosts) }
 
 // DeclaredHosts reports the total declared host count, materialized or
 // not.
-func (g *Grid) DeclaredHosts() int { return len(g.hosts) + len(g.hostCfgs) }
-
-// materialize builds the runtime state of one declared host: its
-// physical CPU (created on the host's shard on first use), clock, CPU
-// scheduler task, and memory limiter — the body of NewGrid's eager
-// loop, deferred to first touch. Only lazy (hence direct-mode) grids
-// reach here, so there is no fraction controller to register with.
-func (g *Grid) materialize(hc HostConfig) *Host {
-	node := g.vnet.Node(hc.Name)
-	heng := node.Engine()
-	p, ok := g.phys[hc.MappedPhysical]
-	if !ok {
-		pc := g.physCfgs[hc.MappedPhysical]
-		quantum := pc.Quantum
-		p = cpusched.NewHost(heng, pc.Name, pc.CPUSpeedMIPS, quantum)
-		g.phys[pc.Name] = p
+func (g *Grid) DeclaredHosts() int {
+	if g.lazy != nil {
+		return g.ndeclared
 	}
-	mem := hc.MemoryBytes
+	return len(g.hosts)
+}
+
+// materialize builds the runtime state of one declared host from its
+// node and the grid's template: its physical CPU phys-<name> (created on
+// the host's shard), clock, CPU scheduler task, and memory limiter — the
+// body of NewGrid's eager loop, deferred to first touch. Only lazy
+// (hence direct-mode) grids reach here, so there is no fraction
+// controller to register with.
+func (g *Grid) materialize(node *netsim.Node) *Host {
+	heng := node.Engine()
+	p := cpusched.NewHost(heng, "phys-"+node.Name, g.lazy.CPUSpeedMIPS, 0)
+	g.phys[p.Name] = p
+	mem := g.lazy.MemoryBytes
 	if mem == 0 {
 		mem = 4 << 30
 	}
@@ -454,19 +525,18 @@ func (g *Grid) materialize(hc HostConfig) *Host {
 		grid:         g,
 		eng:          heng,
 		clock:        vtime.NewClock(heng, g.rate),
-		Name:         hc.Name,
-		IP:           hc.IP,
-		CPUSpeedMIPS: hc.CPUSpeedMIPS,
+		Name:         node.Name,
+		IP:           node.Addr,
+		CPUSpeedMIPS: g.lazy.CPUSpeedMIPS,
 		Node:         node,
 		Mem:          memmodel.NewLimiter(mem),
 		Phys:         p,
 		Fraction:     1,
 		cpu:          simcore.NewMutex(heng),
 	}
-	h.task = p.NewTask("vhost:" + hc.Name)
-	g.hosts[hc.Name] = h
-	g.byIP[hc.IP] = h
-	delete(g.hostCfgs, hc.Name)
+	h.task = p.NewTask("vhost:" + node.Name)
+	g.hosts[node.Name] = h
+	g.byIP[node.Addr] = h
 	return h
 }
 
@@ -480,14 +550,14 @@ func (g *Grid) Resolve(name string) (netsim.Addr, error) {
 	if h, ok := g.hosts[name]; ok {
 		return h.IP, nil
 	}
-	if hc, ok := g.hostCfgs[name]; ok {
-		return hc.IP, nil
+	if nd := g.vnet.Node(name); g.isDeclared(nd) {
+		return nd.Addr, nil
 	}
 	if a, err := netsim.ParseAddr(name); err == nil {
 		if _, ok := g.byIP[a]; ok {
 			return a, nil
 		}
-		if _, ok := g.addrName[a]; ok {
+		if g.isDeclared(g.vnet.NodeByAddr(a)) {
 			return a, nil
 		}
 	}
@@ -501,8 +571,8 @@ func (g *Grid) HostByIP(a netsim.Addr) *Host {
 	if h, ok := g.byIP[a]; ok {
 		return h
 	}
-	if name, ok := g.addrName[a]; ok {
-		return g.Host(name)
+	if nd := g.vnet.NodeByAddr(a); g.isDeclared(nd) {
+		return g.materialize(nd)
 	}
 	return nil
 }
@@ -541,15 +611,26 @@ func (g *Grid) StopControllers() {
 	}
 }
 
-// Hosts returns all virtual host names (unordered), materialized or
+// HostNames returns all virtual host names (unordered), materialized or
 // not.
 func (g *Grid) HostNames() []string {
-	out := make([]string, 0, len(g.hosts)+len(g.hostCfgs))
+	if g.lazy != nil {
+		return g.declaredNames()
+	}
+	out := make([]string, 0, len(g.hosts))
 	for n := range g.hosts {
 		out = append(out, n)
 	}
-	for n := range g.hostCfgs {
-		out = append(out, n)
+	return out
+}
+
+// declaredNames lists a lazy grid's declared hosts in node order.
+func (g *Grid) declaredNames() []string {
+	out := make([]string, 0, g.ndeclared)
+	for i := 0; i < g.vnet.NodeCount(); i++ {
+		if nd := g.vnet.NodeAt(i); g.isDeclared(nd) {
+			out = append(out, nd.Name)
+		}
 	}
 	return out
 }
