@@ -29,12 +29,22 @@ const (
 // envelopeBytes is the MPI header cost added to every message's wire size.
 const envelopeBytes = 16
 
-// envelope is the on-wire message representation.
+// envelope is the on-wire message representation. Envelopes are pooled
+// per Comm: the sender takes one from its own free list and the receiver
+// returns it to its own once Recv has copied out the data and status, so
+// an envelope migrates with its message, as netsim's pooled events do.
+// Each Comm's list is touched only by its own rank's processes, which
+// share the rank's host and therefore its engine.
 type envelope struct {
 	src, tag int
 	size     int
 	data     any
+	free     *envelope
 }
+
+// maxFreeEnvelopes bounds a Comm's envelope free list, so a rank that
+// receives far more than it sends does not hoard envelopes.
+const maxFreeEnvelopes = 256
 
 // Status describes a received message.
 type Status struct {
@@ -50,9 +60,14 @@ type Comm struct {
 	size int
 
 	conns []*virtual.Conn // by peer rank; nil at self index
-	// inbox holds arrived-but-unmatched envelopes.
+	// inbox holds arrived-but-unmatched envelopes, oldest first.
 	inbox   []*envelope
 	arrived *simcore.Cond
+	// freeEnv lists nfree recycled envelopes.
+	freeEnv *envelope
+	nfree   int
+	// isendName names Isend's helper processes.
+	isendName string
 
 	// Stats
 	Sent, Received int64
@@ -86,11 +101,12 @@ func Connect(p *virtual.Process, rank, size int, basePort netsim.Port, hostOf fu
 		basePort = basePortDefault
 	}
 	c := &Comm{
-		proc:    p,
-		rank:    rank,
-		size:    size,
-		conns:   make([]*virtual.Conn, size),
-		arrived: simcore.NewCond(p.Proc().Engine()),
+		proc:      p,
+		rank:      rank,
+		size:      size,
+		conns:     make([]*virtual.Conn, size),
+		arrived:   simcore.NewCond(p.Proc().Engine()),
+		isendName: fmt.Sprintf("mpi-isend-r%d", rank),
 	}
 	if size == 1 {
 		return c, nil
@@ -175,7 +191,7 @@ func (c *Comm) send(dst, tag, size int, data any) error {
 // sendFrom performs the send on behalf of vp (the application process for
 // blocking sends, a helper process for Isend).
 func (c *Comm) sendFrom(vp *virtual.Process, dst, tag, size int, data any) error {
-	env := &envelope{src: c.rank, tag: tag, size: size, data: data}
+	env := c.newEnvelope(tag, size, data)
 	c.Sent++
 	c.BytesSent += int64(size)
 	if rec := c.rec(); rec.Enabled(trace.CatMPI) {
@@ -191,6 +207,58 @@ func (c *Comm) sendFrom(vp *virtual.Process, dst, tag, size int, data any) error
 	return c.conns[dst].Rebind(vp).Send(size+envelopeBytes, env)
 }
 
+// newEnvelope takes an envelope from the free list, or allocates one.
+func (c *Comm) newEnvelope(tag, size int, data any) *envelope {
+	env := c.freeEnv
+	if env == nil {
+		return &envelope{src: c.rank, tag: tag, size: size, data: data}
+	}
+	c.freeEnv, c.nfree = env.free, c.nfree-1
+	*env = envelope{src: c.rank, tag: tag, size: size, data: data}
+	return env
+}
+
+// freeEnvelope returns a received envelope to the free list, dropping
+// its data reference.
+func (c *Comm) freeEnvelope(env *envelope) {
+	if c.nfree >= maxFreeEnvelopes {
+		return
+	}
+	*env = envelope{free: c.freeEnv}
+	c.freeEnv, c.nfree = env, c.nfree+1
+}
+
+// match returns the inbox index of the oldest envelope matching (src,
+// tag), or -1. AnyTag only matches user (non-negative) tags: collective
+// traffic lives in its own context, as in real MPI.
+func (c *Comm) match(src, tag int) int {
+	for i, env := range c.inbox {
+		tagOK := env.tag == tag || (tag == AnyTag && env.tag >= 0)
+		if (src == AnySource || env.src == src) && tagOK {
+			return i
+		}
+	}
+	return -1
+}
+
+// take removes inbox[i], charges and traces its receipt, and recycles
+// its envelope once the data and status are copied out.
+func (c *Comm) take(i int) (any, Status) {
+	env := c.inbox[i]
+	n := copy(c.inbox[i:], c.inbox[i+1:])
+	c.inbox[i+n] = nil // the vacated tail slot must not alias a recycled envelope
+	c.inbox = c.inbox[:i+n]
+	data, st := env.data, Status{Source: env.src, Tag: env.tag, Size: env.size}
+	c.freeEnvelope(env)
+	c.Received++
+	c.proc.ChargeMessage(st.Size)
+	if rec := c.rec(); rec.Enabled(trace.CatMPI) {
+		rec.Event(trace.CatMPI, "recv", trace.Attr{
+			Host: c.proc.Host().Name, Rank: c.rank, Peer: st.Source, Bytes: int64(st.Size)})
+	}
+	return data, st
+}
+
 // Recv blocks until a message matching (src, tag) arrives — AnySource and
 // AnyTag match anything — and returns its data and status. Matching is
 // FIFO among queued messages.
@@ -199,23 +267,9 @@ func (c *Comm) Recv(src, tag int) (any, Status, error) {
 		return nil, Status{}, fmt.Errorf("mpi: recv from invalid rank %d", src)
 	}
 	for {
-		for i, env := range c.inbox {
-			if env == nil {
-				continue
-			}
-			// AnyTag only matches user (non-negative) tags: collective
-			// traffic lives in its own context, as in real MPI.
-			tagOK := env.tag == tag || (tag == AnyTag && env.tag >= 0)
-			if (src == AnySource || env.src == src) && tagOK {
-				c.inbox = append(c.inbox[:i], c.inbox[i+1:]...)
-				c.Received++
-				c.proc.ChargeMessage(env.size)
-				if rec := c.rec(); rec.Enabled(trace.CatMPI) {
-					rec.Event(trace.CatMPI, "recv", trace.Attr{
-						Host: c.proc.Host().Name, Rank: c.rank, Peer: env.src, Bytes: int64(env.size)})
-				}
-				return env.data, Status{Source: env.src, Tag: env.tag, Size: env.size}, nil
-			}
+		if i := c.match(src, tag); i >= 0 {
+			data, st := c.take(i)
+			return data, st, nil
 		}
 		c.arrived.Wait(c.proc.Proc())
 	}
@@ -231,31 +285,16 @@ func (c *Comm) RecvTimeout(src, tag int, d simcore.Duration) (any, Status, bool,
 	}
 	deadline := c.proc.Gettimeofday().Add(d)
 	for {
-		for i, env := range c.inbox {
-			if env == nil {
-				continue
-			}
-			tagOK := env.tag == tag || (tag == AnyTag && env.tag >= 0)
-			if (src == AnySource || env.src == src) && tagOK {
-				c.inbox = append(c.inbox[:i], c.inbox[i+1:]...)
-				c.Received++
-				c.proc.ChargeMessage(env.size)
-				if rec := c.rec(); rec.Enabled(trace.CatMPI) {
-					rec.Event(trace.CatMPI, "recv", trace.Attr{
-						Host: c.proc.Host().Name, Rank: c.rank, Peer: env.src, Bytes: int64(env.size)})
-				}
-				return env.data, Status{Source: env.src, Tag: env.tag, Size: env.size}, false, nil
-			}
+		if i := c.match(src, tag); i >= 0 {
+			data, st := c.take(i)
+			return data, st, false, nil
 		}
 		remain := deadline.Sub(c.proc.Gettimeofday())
-		if remain <= 0 {
-			if rec := c.rec(); rec.Enabled(trace.CatMPI) {
-				rec.Event(trace.CatMPI, "recv-timeout", trace.Attr{
-					Host: c.proc.Host().Name, Rank: c.rank, Peer: src})
-			}
-			return nil, Status{}, true, nil
+		timedOut := remain <= 0
+		if !timedOut {
+			_, timedOut = c.arrived.WaitTimeout(c.proc.Proc(), c.proc.ToPhysical(remain))
 		}
-		if _, timedOut := c.arrived.WaitTimeout(c.proc.Proc(), c.proc.ToPhysical(remain)); timedOut {
+		if timedOut {
 			if rec := c.rec(); rec.Enabled(trace.CatMPI) {
 				rec.Event(trace.CatMPI, "recv-timeout", trace.Attr{
 					Host: c.proc.Host().Name, Rank: c.rank, Peer: src})
@@ -268,13 +307,12 @@ func (c *Comm) RecvTimeout(src, tag int, d simcore.Duration) (any, Status, bool,
 // Probe reports whether a matching message is already queued, without
 // receiving it.
 func (c *Comm) Probe(src, tag int) (Status, bool) {
-	for _, env := range c.inbox {
-		tagOK := env.tag == tag || (tag == AnyTag && env.tag >= 0)
-		if (src == AnySource || env.src == src) && tagOK {
-			return Status{Source: env.src, Tag: env.tag, Size: env.size}, true
-		}
+	i := c.match(src, tag)
+	if i < 0 {
+		return Status{}, false
 	}
-	return Status{}, false
+	env := c.inbox[i]
+	return Status{Source: env.src, Tag: env.tag, Size: env.size}, true
 }
 
 // Sendrecv performs a combined send and receive, overlapping the two (the
@@ -313,8 +351,7 @@ func (c *Comm) Isend(dst, tag, size int, data any) (*Request, error) {
 		return nil, fmt.Errorf("mpi: isend to invalid rank %d", dst)
 	}
 	r := &Request{comm: c, done: simcore.NewCond(c.proc.Proc().Engine())}
-	name := fmt.Sprintf("mpi-isend-r%d", c.rank)
-	if _, err := c.proc.Host().Spawn(name, func(p *virtual.Process) {
+	if _, err := c.proc.Host().Spawn(c.isendName, func(p *virtual.Process) {
 		r.err = c.sendFrom(p, dst, tag, size, data)
 		r.fin = true
 		r.done.Broadcast()

@@ -92,6 +92,13 @@ func TestTagMatchingOutOfOrder(t *testing.T) {
 		if d2.(string) != "second" || d1.(string) != "first" {
 			return fmt.Errorf("mismatch: %v %v", d1, d2)
 		}
+		// Received envelopes are recycled, so no slot of the inbox's
+		// backing array past its length may still point at one.
+		for _, env := range c.inbox[len(c.inbox):cap(c.inbox)] {
+			if env != nil {
+				return fmt.Errorf("inbox keeps a received envelope: %+v", *env)
+			}
+		}
 		return nil
 	})
 }

@@ -45,7 +45,8 @@ func (c *Conn) connFlow() bool {
 // identity Enqueued = Sent + Dropped + Lost + Aborted + Queued holds with
 // Queued always zero. A link failure mid-flight (epoch bump) aborts the
 // packet on arrival, counted in the arrival shard's bucket exactly like
-// the packet path's propagation-leg abort.
+// the packet path's propagation-leg abort: the packet rides a hop event
+// that starts at its arrival leg.
 func (c *channel) flowTransmit(pkt *Packet) {
 	eng := c.src.eng
 	now := eng.Now()
@@ -64,29 +65,11 @@ func (c *channel) flowTransmit(pkt *Packet) {
 		rec.Event(trace.CatNet, "flow-hop", trace.Attr{
 			Link: c.label(), Bytes: int64(pkt.Size), Detail: pkt.Kind.String()})
 	}
-	epoch := c.epoch
-	arrival := end.Add(c.cfg.Delay).Sub(now)
-	if c.dst.eng != eng {
-		// Legal cross-shard send: arrival-now ≥ the link delay, which on
-		// an inter-cluster link is at least the engine lookahead.
-		eng.SendTo(c.dst.eng, arrival, func() {
-			if c.epoch != epoch {
-				c.dst.stats.PacketsAborted++
-				c.dst.freePacket(pkt)
-				return
-			}
-			c.dst.receive(pkt)
-		})
-	} else {
-		eng.After(arrival, func() {
-			if c.epoch != epoch {
-				c.src.stats.PacketsAborted++
-				c.src.freePacket(pkt)
-				return
-			}
-			c.dst.receive(pkt)
-		})
-	}
+	// A cross-shard send is legal: arrival-now ≥ the link delay, which
+	// on an inter-cluster link is at least the engine lookahead.
+	h := c.src.newHop(c, pkt, tx)
+	h.arrived = true
+	eng.SendTo(c.dst.eng, end.Add(c.cfg.Delay).Sub(now), h.run)
 }
 
 // flowSend delivers a message analytically. Called from Conn.Send when
@@ -124,18 +107,9 @@ func (c *Conn) flowSend(size int, payload any) error {
 	arrival := end.Add(c.flowDelay)
 	peer := c.peer
 	c.Stats.SegmentsSent += int64(segs)
-	deliver := func() {
-		if peer == nil || peer.rcvQ.Closed() {
-			return
-		}
-		peer.rcvQ.TryPut(Message{Size: size, Payload: payload})
-	}
-	if peer != nil && peer.node.eng != eng {
-		// Cross-shard delivery: arrival-now ≥ flowDelay, the path's
-		// propagation, which is at least the engine lookahead.
-		eng.SendTo(peer.node.eng, arrival.Sub(eng.Now()), deliver)
-	} else {
-		eng.At(arrival, deliver)
-	}
+	// A cross-shard delivery is legal: arrival-now ≥ flowDelay, the
+	// path's propagation, which is at least the engine lookahead.
+	eng.SendTo(peer.node.eng, arrival.Sub(eng.Now()),
+		c.node.newMsg(peer, inMsg{size: size, payload: payload}, true).run)
 	return nil
 }

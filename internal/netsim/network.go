@@ -103,10 +103,11 @@ type Network struct {
 	engPools map[*simcore.Engine]*pktPool
 }
 
-// pktPool pools packets, hop events and RTO timers for the nodes on one
-// engine; the packet path runs allocation-free once it is warm. Capacity
-// is bounded so cross-shard migration (packets freed on a shard that
-// never sends them back) cannot grow memory without bound.
+// pktPool pools packets, hop events, RTO timers and message events for
+// the nodes on one engine; the packet and message paths run
+// allocation-free once they are warm. Capacity is bounded so cross-shard
+// migration (packets freed on a shard that never sends them back) cannot
+// grow memory without bound.
 type pktPool struct {
 	pktFree *Packet
 	npkt    int
@@ -114,6 +115,8 @@ type pktPool struct {
 	nhop    int
 	rtoFree *rtoTimer
 	nrto    int
+	msgFree *msgEvent
+	nmsg    int
 }
 
 // maxPooled bounds each free list; excess packets go to the GC.

@@ -210,7 +210,9 @@ func (c *channel) send(pkt *Packet) {
 
 // hopEvent drives one packet's serialize→propagate hop on a channel. The
 // run closure is created once per pooled instance and reused across both
-// legs and across hops, so a hop schedules no per-packet closures.
+// legs and across hops, so a hop schedules no per-packet closures. A hop
+// on a flow-fidelity channel has no serialization event: it starts at
+// its arrival leg (see flowTransmit).
 type hopEvent struct {
 	ch     *channel
 	pkt    *Packet

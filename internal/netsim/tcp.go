@@ -47,7 +47,7 @@ type connKey struct {
 type Listener struct {
 	node    *Node
 	port    Port
-	backlog *simcore.Queue
+	backlog *simcore.Queue[*Conn]
 	closed  bool
 }
 
@@ -56,7 +56,7 @@ func (n *Node) Listen(port Port) (*Listener, error) {
 	if _, dup := n.listeners[port]; dup {
 		return nil, fmt.Errorf("netsim: %s port %d already listening", n.Name, port)
 	}
-	l := &Listener{node: n, port: port, backlog: simcore.NewQueue(n.eng, 0)}
+	l := &Listener{node: n, port: port, backlog: simcore.NewQueue[*Conn](n.eng, 0)}
 	if n.listeners == nil {
 		n.listeners = make(map[Port]*Listener)
 	}
@@ -66,11 +66,11 @@ func (n *Node) Listen(port Port) (*Listener, error) {
 
 // Accept blocks until a connection completes its handshake.
 func (l *Listener) Accept(p *simcore.Proc) (*Conn, error) {
-	v, ok := l.backlog.Get(p)
+	c, ok := l.backlog.Get(p)
 	if !ok {
 		return nil, ErrClosed
 	}
-	return v.(*Conn), nil
+	return c, nil
 }
 
 // Close stops the listener; blocked Accepts return ErrClosed.
@@ -147,11 +147,14 @@ type Conn struct {
 	sendClosed             bool // Close requested
 	finSent                bool
 
-	// Receiver state.
+	// Receiver state. inMsgs[msgHead:] holds the message boundaries not
+	// yet delivered, in stream order; the backing array is reused like a
+	// channel queue's.
 	rcvNxt    int64
 	received  intervalSet
-	inMsgs    []*inMsg
-	rcvQ      *simcore.Queue
+	inMsgs    []inMsg
+	msgHead   int
+	rcvQ      *simcore.Queue[Message]
 	rcvClosed bool
 
 	// Flow-mode state (see flowmode.go). flowPath caches whether the
@@ -178,7 +181,7 @@ func newConn(n *Node, key connKey) *Conn {
 		sndSpace:  simcore.NewCond(n.eng),
 		rto:       initialRTO,
 		srtt:      -1,
-		rcvQ:      simcore.NewQueue(n.eng, 0),
+		rcvQ:      simcore.NewQueue[Message](n.eng, 0),
 	}
 	if n.conns == nil {
 		n.conns = make(map[connKey]*Conn)
@@ -375,7 +378,7 @@ func (c *Conn) Send(p *simcore.Proc, size int, payload any) error {
 		wire = 1
 	}
 	c.sndEnd += int64(wire)
-	c.deliverFrame(&inMsg{end: c.sndEnd, size: size, payload: payload})
+	c.deliverFrame(inMsg{end: c.sndEnd, size: size, payload: payload})
 	c.trySend()
 	return nil
 }
@@ -386,13 +389,63 @@ func (c *Conn) Send(p *simcore.Proc, size int, payload any) error {
 // delay: that is never below the engine lookahead (every cross-shard
 // path crosses an inter-cluster link) and never behind the message's
 // data, which additionally pays serialization on every hop.
-func (c *Conn) deliverFrame(m *inMsg) {
+func (c *Conn) deliverFrame(m inMsg) {
 	peer := c.peer
 	if peer.node.eng == c.node.eng {
 		peer.insertFrame(m)
 		return
 	}
-	c.node.eng.SendTo(peer.node.eng, c.framePathDelay(), func() { peer.insertFrame(m) })
+	c.node.eng.SendTo(peer.node.eng, c.framePathDelay(), c.node.newMsg(peer, m, false).run)
+}
+
+// msgEvent carries one message to its receiving endpoint after a delay:
+// a packet-path frame for insertFrame, or at flow fidelity the whole
+// message for the receive queue. It is pooled like hopEvent, with run
+// bound once per instance. The sender takes it from its own pool and the
+// receiver's engine returns it to the receiver's, so across shards it
+// migrates pools with the send.
+type msgEvent struct {
+	peer *Conn
+	m    inMsg
+	// flow marks a flow-fidelity message, which skips the frame list.
+	flow bool
+	run  func()
+	free *msgEvent
+}
+
+func (n *Node) newMsg(peer *Conn, m inMsg, flow bool) *msgEvent {
+	e := n.pool.msgFree
+	if e == nil {
+		e = &msgEvent{}
+		e.run = e.fire
+	} else {
+		n.pool.msgFree = e.free
+		n.pool.nmsg--
+		e.free = nil
+	}
+	e.peer, e.m, e.flow = peer, m, flow
+	return e
+}
+
+func (n *Node) freeMsg(e *msgEvent) {
+	e.peer, e.m = nil, inMsg{}
+	if n.pool.nmsg >= maxPooled {
+		return
+	}
+	e.free = n.pool.msgFree
+	n.pool.msgFree = e
+	n.pool.nmsg++
+}
+
+// fire returns the event to the receiver's pool, then delivers.
+func (e *msgEvent) fire() {
+	peer, m, flow := e.peer, e.m, e.flow
+	peer.node.freeMsg(e)
+	if flow {
+		peer.enqueue(m)
+	} else {
+		peer.insertFrame(m)
+	}
 }
 
 // framePathDelay returns the current propagation delay to the peer,
@@ -414,25 +467,41 @@ func (c *Conn) framePathDelay() simcore.Duration {
 // across shards if the path delay changed mid-stream) and delivers any
 // messages whose bytes have already been acknowledged — possible when a
 // route change lets data overtake an earlier frame.
-func (c *Conn) insertFrame(m *inMsg) {
+func (c *Conn) insertFrame(m inMsg) {
+	if len(c.inMsgs) == cap(c.inMsgs) && c.msgHead > 0 {
+		// Compact a list that never drained before the append grows it.
+		n := copy(c.inMsgs, c.inMsgs[c.msgHead:])
+		clear(c.inMsgs[n:])
+		c.inMsgs, c.msgHead = c.inMsgs[:n], 0
+	}
 	i := len(c.inMsgs)
-	for i > 0 && c.inMsgs[i-1].end > m.end {
+	for i > c.msgHead && c.inMsgs[i-1].end > m.end {
 		i--
 	}
-	c.inMsgs = append(c.inMsgs, nil)
+	c.inMsgs = append(c.inMsgs, inMsg{})
 	copy(c.inMsgs[i+1:], c.inMsgs[i:])
 	c.inMsgs[i] = m
 	c.drainMsgs()
 }
 
-// drainMsgs delivers every leading message whose last byte has arrived.
+// drainMsgs delivers every leading message whose last byte has arrived,
+// zeroing each delivered slot so the list keeps no payload alive.
 func (c *Conn) drainMsgs() {
-	for len(c.inMsgs) > 0 && c.inMsgs[0].end <= c.rcvNxt {
-		m := c.inMsgs[0]
-		c.inMsgs = c.inMsgs[1:]
-		if !c.rcvQ.Closed() {
-			c.rcvQ.TryPut(Message{Size: m.size, Payload: m.payload})
+	for c.msgHead < len(c.inMsgs) && c.inMsgs[c.msgHead].end <= c.rcvNxt {
+		m := c.inMsgs[c.msgHead]
+		c.inMsgs[c.msgHead] = inMsg{}
+		if c.msgHead++; c.msgHead == len(c.inMsgs) {
+			c.inMsgs, c.msgHead = c.inMsgs[:0], 0
 		}
+		c.enqueue(m)
+	}
+}
+
+// enqueue hands a complete message to Recv, unless the endpoint has
+// stopped receiving.
+func (c *Conn) enqueue(m inMsg) {
+	if !c.rcvQ.Closed() {
+		c.rcvQ.TryPut(Message{Size: m.size, Payload: m.payload})
 	}
 }
 
@@ -440,11 +509,10 @@ func (c *Conn) drainMsgs() {
 // and payload. It returns ErrClosed after the peer closes and all messages
 // are drained.
 func (c *Conn) Recv(p *simcore.Proc) (Message, error) {
-	v, ok := c.rcvQ.Get(p)
+	m, ok := c.rcvQ.Get(p)
 	if !ok {
 		return Message{}, ErrClosed
 	}
-	m := v.(Message)
 	c.Stats.MsgsRecv++
 	c.Stats.BytesRecv += int64(m.Size)
 	return m, nil
@@ -452,17 +520,16 @@ func (c *Conn) Recv(p *simcore.Proc) (Message, error) {
 
 // RecvTimeout is Recv with a deadline; timedOut reports expiry.
 func (c *Conn) RecvTimeout(p *simcore.Proc, d simcore.Duration) (m Message, timedOut bool, err error) {
-	v, ok, to := c.rcvQ.GetTimeout(p, d)
+	m, ok, to := c.rcvQ.GetTimeout(p, d)
 	if to {
 		return Message{}, true, nil
 	}
 	if !ok {
 		return Message{}, false, ErrClosed
 	}
-	mm := v.(Message)
 	c.Stats.MsgsRecv++
-	c.Stats.BytesRecv += int64(mm.Size)
-	return mm, false, nil
+	c.Stats.BytesRecv += int64(m.Size)
+	return m, false, nil
 }
 
 // Pending reports the number of complete messages ready for Recv.

@@ -93,35 +93,43 @@ func laneSlot(d Time) int {
 }
 
 // lane queues the events that wait behind a lane head, all scheduled with
-// one delay d, in a ring buffer that grows by doubling and never
-// shrinks: its capacity stays below twice the lane's peak length (or
-// minLaneCap), even when the lane never empties.
+// one delay d, in a ring whose capacity stays below twice the lane's peak
+// length (or minRingCap), even when the lane never empties. The ring
+// does not hold the head, which sits in the heap.
 type lane struct {
-	d    Time    // the lane's delay; 0 while the slot is free
-	buf  []event // ring buffer; len(buf) is 0 or a power of two
-	head int     // index of the oldest queued event
-	n    int     // queued events, not counting the head in the heap
+	d Time // the lane's delay; 0 while the slot is free
+	ring[event]
 }
 
-const minLaneCap = 8
+// ring is a FIFO ring buffer that grows by doubling and never shrinks. A
+// popped slot is zeroed, so the ring keeps no reference to an item it
+// has handed out.
+type ring[T any] struct {
+	buf  []T // len(buf) is 0 or a power of two
+	head int // index of the oldest item
+	n    int // items queued
+}
 
-func (l *lane) push(ev event) {
-	if l.n == len(l.buf) {
-		buf := make([]event, max(2*len(l.buf), minLaneCap))
-		k := copy(buf, l.buf[l.head:])
-		copy(buf[k:], l.buf[:l.head])
-		l.buf, l.head = buf, 0
+const minRingCap = 8
+
+func (r *ring[T]) push(v T) {
+	if r.n == len(r.buf) {
+		buf := make([]T, max(2*len(r.buf), minRingCap))
+		k := copy(buf, r.buf[r.head:])
+		copy(buf[k:], r.buf[:r.head])
+		r.buf, r.head = buf, 0
 	}
-	l.buf[(l.head+l.n)&(len(l.buf)-1)] = ev
-	l.n++
+	r.buf[(r.head+r.n)&(len(r.buf)-1)] = v
+	r.n++
 }
 
-func (l *lane) pop() event {
-	ev := l.buf[l.head]
-	l.buf[l.head] = event{} // release the fn reference
-	l.head = (l.head + 1) & (len(l.buf) - 1)
-	l.n--
-	return ev
+func (r *ring[T]) pop() T {
+	var zero T
+	v := r.buf[r.head]
+	r.buf[r.head] = zero
+	r.head = (r.head + 1) & (len(r.buf) - 1)
+	r.n--
+	return v
 }
 
 // Engine is a discrete-event simulator. Create one with NewEngine, spawn

@@ -293,7 +293,7 @@ func TestCondWaitTimeoutSignalWins(t *testing.T) {
 
 func TestQueuePutGet(t *testing.T) {
 	e := NewEngine(1)
-	q := NewQueue(e, 0)
+	q := NewQueue[any](e, 0)
 	var got []int
 	e.Spawn("consumer", func(p *Proc) {
 		for i := 0; i < 3; i++ {
@@ -321,7 +321,7 @@ func TestQueuePutGet(t *testing.T) {
 
 func TestQueueCapacityBlocksProducer(t *testing.T) {
 	e := NewEngine(1)
-	q := NewQueue(e, 2)
+	q := NewQueue[any](e, 2)
 	var putDone Time
 	e.Spawn("producer", func(p *Proc) {
 		q.Put(p, 1)
@@ -343,7 +343,7 @@ func TestQueueCapacityBlocksProducer(t *testing.T) {
 
 func TestQueueClose(t *testing.T) {
 	e := NewEngine(1)
-	q := NewQueue(e, 0)
+	q := NewQueue[any](e, 0)
 	var ok bool
 	e.Spawn("consumer", func(p *Proc) {
 		_, ok = q.Get(p)
@@ -362,7 +362,7 @@ func TestQueueClose(t *testing.T) {
 
 func TestQueueGetTimeout(t *testing.T) {
 	e := NewEngine(1)
-	q := NewQueue(e, 0)
+	q := NewQueue[any](e, 0)
 	e.Spawn("c", func(p *Proc) {
 		_, ok, timedOut := q.GetTimeout(p, 5*Millisecond)
 		if ok || !timedOut {
@@ -379,7 +379,7 @@ func TestQueueGetTimeout(t *testing.T) {
 
 func TestQueueGetTimeoutValueArrives(t *testing.T) {
 	e := NewEngine(1)
-	q := NewQueue(e, 0)
+	q := NewQueue[any](e, 0)
 	e.Spawn("c", func(p *Proc) {
 		v, ok, timedOut := q.GetTimeout(p, 50*Millisecond)
 		if !ok || timedOut || v.(string) != "x" {
@@ -397,7 +397,7 @@ func TestQueueGetTimeoutValueArrives(t *testing.T) {
 
 func TestQueueTryPutTryGet(t *testing.T) {
 	e := NewEngine(1)
-	q := NewQueue(e, 1)
+	q := NewQueue[any](e, 1)
 	if !q.TryPut(1) {
 		t.Fatal("TryPut on empty bounded queue failed")
 	}
@@ -418,7 +418,7 @@ func TestQueueTryPutTryGet(t *testing.T) {
 func TestDeterminism(t *testing.T) {
 	run := func() []string {
 		e := NewEngine(99)
-		q := NewQueue(e, 3)
+		q := NewQueue[any](e, 3)
 		c := NewCond(e)
 		var trace []string
 		for i := 0; i < 5; i++ {
@@ -514,7 +514,7 @@ func TestPropertyQueueFIFO(t *testing.T) {
 		items := int(n%64) + 1
 		cap := int(capacity%8) + 1
 		e := NewEngine(11)
-		q := NewQueue(e, cap)
+		q := NewQueue[any](e, cap)
 		var got []int
 		okAll := true
 		e.Spawn("prod", func(p *Proc) {

@@ -245,7 +245,7 @@ func TestLaneBufferBounded(t *testing.T) {
 	if n < 1_000_000 {
 		t.Fatalf("ran %d lane events, want 10⁶", n)
 	}
-	if peak == 0 || len(l.buf) > 2*peak+minLaneCap {
+	if peak == 0 || len(l.buf) > 2*peak+minRingCap {
 		t.Fatalf("lane ring holds %d slots for a peak of %d queued events", len(l.buf), peak)
 	}
 	if l.d != 0 || l.n != 0 {

@@ -102,13 +102,18 @@ type ParallelEngine struct {
 	globalSeq int64
 	globalNow Time
 
-	nwindows    int64
-	ncrossSent  int64
-	crossBySrc  []int64
-	deliverBuf  []delivery
-	activeBuf   []*Engine
-	panicBuf    []any
-	inWindowBuf []bool
+	nwindows   int64
+	ncrossSent int64
+	crossBySrc []int64
+	deliverBuf []delivery
+	activeBuf  []*Engine
+
+	// The window barrier: workers[i] runs shard i's part of the window
+	// on its own goroutine and panics[i] holds what that part panicked
+	// with.
+	wg      sync.WaitGroup
+	workers []func()
+	panics  []any
 }
 
 // shardSeedMix spreads one user seed into per-shard seeds; shard 0 keeps
@@ -127,6 +132,8 @@ func NewParallelEngine(seed int64, n int) *ParallelEngine {
 		queues:     make([][]xevent, n*n),
 		sendSeq:    make([]int64, n),
 		crossBySrc: make([]int64, n),
+		workers:    make([]func(), n),
+		panics:     make([]any, n),
 	}
 	for i := range pe.shards {
 		s := seed
@@ -141,6 +148,10 @@ func NewParallelEngine(seed int64, n int) *ParallelEngine {
 		sh.pe = pe
 		sh.shard = i
 		pe.shards[i] = sh
+		pe.workers[i] = func() {
+			defer pe.wg.Done()
+			pe.runShard(i)
+		}
 	}
 	return pe
 }
@@ -346,14 +357,18 @@ func (pe *ParallelEngine) deliver(end Time) {
 	pe.deliverBuf = due[:0]
 }
 
-// runShards executes one window [*, end) on every shard that has work
-// before end. Shards run concurrently: the coordinator goroutine runs
-// the first active shard itself and starts a goroutine for each of the
-// others, so a window with a single active shard — a model living
-// entirely on one shard — pays no goroutine or barrier overhead. A
-// panic on any shard, the inline one included, is re-raised only after
-// every shard has finished the window.
-func (pe *ParallelEngine) runShards(end Time) {
+// runShards executes the window [*, windowEnd) on every shard that has
+// work before its end. Shards run concurrently: the coordinator
+// goroutine runs the first active shard itself and starts a goroutine
+// for each of the others, so a window with a single active shard — a
+// model living entirely on one shard — pays no goroutine or barrier
+// overhead. A panic on any shard, the inline one included, is re-raised
+// only after every shard has finished the window; the lowest-numbered
+// shard's panic wins. The barrier allocates nothing: the WaitGroup, the
+// per-shard panic slots and each shard's bound worker func live on the
+// engine.
+func (pe *ParallelEngine) runShards() {
+	end := Time(pe.windowEnd.Load())
 	active := pe.activeBuf[:0]
 	for _, sh := range pe.shards {
 		if t, ok := sh.nextEventTime(); ok && t < end {
@@ -368,38 +383,29 @@ func (pe *ParallelEngine) runShards(end Time) {
 		active[0].runWindow(end)
 		return
 	}
-	panics := pe.panicBuf[:0]
-	for range active {
-		panics = append(panics, nil)
+	for _, sh := range active[1:] {
+		pe.wg.Add(1)
+		go pe.workers[sh.shard]()
 	}
-	pe.panicBuf = panics[:0]
-	var wg sync.WaitGroup
-	for i, sh := range active[1:] {
-		wg.Add(1)
-		go func(i int, sh *Engine) {
-			defer wg.Done()
-			defer func() {
-				if r := recover(); r != nil {
-					panics[i] = r
-				}
-			}()
-			sh.runWindow(end)
-		}(i+1, sh)
-	}
-	func() {
-		defer func() {
-			if r := recover(); r != nil {
-				panics[0] = r
-			}
-		}()
-		active[0].runWindow(end)
-	}()
-	wg.Wait()
-	for _, p := range panics {
+	pe.runShard(active[0].shard)
+	pe.wg.Wait()
+	for i, p := range pe.panics {
 		if p != nil {
+			clear(pe.panics[i:])
 			panic(p)
 		}
 	}
+}
+
+// runShard runs shard i's part of the current window, recording a panic
+// in its slot instead of unwinding the caller.
+func (pe *ParallelEngine) runShard(i int) {
+	defer func() {
+		if r := recover(); r != nil {
+			pe.panics[i] = r
+		}
+	}()
+	pe.shards[i].runWindow(Time(pe.windowEnd.Load()))
 }
 
 // Run executes the simulation until every shard event queue and cross-shard
@@ -455,7 +461,7 @@ func (pe *ParallelEngine) RunUntil(limit Time) error {
 		}
 		pe.windowEnd.Store(int64(end))
 		pe.deliver(end)
-		pe.runShards(end)
+		pe.runShards()
 		pe.now = t0
 		pe.nwindows++
 		if pe.anyShardStopped() {

@@ -56,10 +56,10 @@ func runCross(t *testing.T, seed int64, shards int) []string {
 	pe := NewParallelEngine(seed, shards)
 	pe.SetLookahead(Millisecond)
 	la := pe.Lookahead()
-	queues := make([]*Queue, shards)
+	queues := make([]*Queue[any], shards)
 	logs := make([][]string, shards)
 	for i := 0; i < shards; i++ {
-		queues[i] = NewQueue(pe.Shard(i), 0)
+		queues[i] = NewQueue[any](pe.Shard(i), 0)
 	}
 	maxHops := 3 * shards
 	for i := 0; i < shards; i++ {
@@ -316,5 +316,28 @@ func TestParallelWindowCount(t *testing.T) {
 	}
 	if pe.Windows() != 4 {
 		t.Fatalf("windows = %d, want 4", pe.Windows())
+	}
+}
+
+// TestParallelWindowPanicLowestShard panics on two of three shards in
+// one window: Run re-raises the lowest shard's panic, and only after the
+// shard that did not panic has finished its part of the window.
+func TestParallelWindowPanicLowestShard(t *testing.T) {
+	pe := NewParallelEngine(1, 3)
+	pe.SetLookahead(Millisecond)
+	finished := false
+	pe.Shard(0).At(Time(Millisecond+Millisecond/2), func() { finished = true })
+	pe.Shard(1).At(Time(Millisecond), func() { panic("shard 1") })
+	pe.Shard(2).At(Time(Millisecond), func() { panic("shard 2") })
+	var got any
+	func() {
+		defer func() { got = recover() }()
+		_ = pe.Run()
+	}()
+	if got != "shard 1" {
+		t.Errorf("Run panicked with %v, want shard 1's panic", got)
+	}
+	if !finished {
+		t.Error("shard 0 did not finish the window before the panic was re-raised")
 	}
 }

@@ -156,19 +156,20 @@ func (c *Cond) Broadcast() int {
 
 // Queue is a FIFO message queue in simulated time, the basic
 // producer/consumer channel between simulation processes. A capacity of 0
-// means unbounded.
-type Queue struct {
+// means unbounded. Items live by value in a ring, so a warm queue moves
+// them without allocating and keeps none it has handed out.
+type Queue[T any] struct {
 	eng      *Engine
 	cap      int
-	items    []any
+	items    ring[T]
 	notEmpty *Cond
 	notFull  *Cond
 	closed   bool
 }
 
 // NewQueue returns a queue with the given capacity (0 = unbounded).
-func NewQueue(eng *Engine, capacity int) *Queue {
-	return &Queue{
+func NewQueue[T any](eng *Engine, capacity int) *Queue[T] {
+	return &Queue[T]{
 		eng:      eng,
 		cap:      capacity,
 		notEmpty: NewCond(eng),
@@ -177,14 +178,14 @@ func NewQueue(eng *Engine, capacity int) *Queue {
 }
 
 // Len reports the number of queued items.
-func (q *Queue) Len() int { return len(q.items) }
+func (q *Queue[T]) Len() int { return q.items.n }
 
 // Closed reports whether Close has been called.
-func (q *Queue) Closed() bool { return q.closed }
+func (q *Queue[T]) Closed() bool { return q.closed }
 
 // Close marks the queue closed: pending and future Gets on an empty queue
 // return ok=false; Puts panic.
-func (q *Queue) Close() {
+func (q *Queue[T]) Close() {
 	if q.closed {
 		return
 	}
@@ -194,72 +195,71 @@ func (q *Queue) Close() {
 }
 
 // Put appends v, blocking while the queue is at capacity.
-func (q *Queue) Put(p *Proc, v any) {
-	for q.cap > 0 && len(q.items) >= q.cap && !q.closed {
+func (q *Queue[T]) Put(p *Proc, v T) {
+	for q.cap > 0 && q.items.n >= q.cap && !q.closed {
 		q.notFull.Wait(p)
 	}
 	if q.closed {
 		panic("simcore: Put on closed Queue")
 	}
-	q.items = append(q.items, v)
+	q.items.push(v)
 	q.notEmpty.Signal(nil)
 }
 
 // TryPut appends v if there is room, reporting success. It never blocks.
-func (q *Queue) TryPut(v any) bool {
-	if q.closed || (q.cap > 0 && len(q.items) >= q.cap) {
+func (q *Queue[T]) TryPut(v T) bool {
+	if q.closed || (q.cap > 0 && q.items.n >= q.cap) {
 		return false
 	}
-	q.items = append(q.items, v)
+	q.items.push(v)
 	q.notEmpty.Signal(nil)
 	return true
 }
 
 // Get removes and returns the oldest item, blocking while the queue is
 // empty. ok is false if the queue was closed and drained.
-func (q *Queue) Get(p *Proc) (v any, ok bool) {
-	for len(q.items) == 0 && !q.closed {
+func (q *Queue[T]) Get(p *Proc) (v T, ok bool) {
+	for q.items.n == 0 && !q.closed {
 		q.notEmpty.Wait(p)
 	}
-	if len(q.items) == 0 {
-		return nil, false
+	if q.items.n == 0 {
+		return v, false
 	}
 	return q.pop(), true
 }
 
 // GetTimeout is Get with a deadline d from now; timedOut reports expiry.
-func (q *Queue) GetTimeout(p *Proc, d Duration) (v any, ok, timedOut bool) {
+func (q *Queue[T]) GetTimeout(p *Proc, d Duration) (v T, ok, timedOut bool) {
 	deadline := q.eng.now.Add(d)
-	for len(q.items) == 0 && !q.closed {
+	for q.items.n == 0 && !q.closed {
 		remain := deadline.Sub(q.eng.now)
 		if remain <= 0 {
-			return nil, false, true
+			return v, false, true
 		}
 		if _, to := q.notEmpty.WaitTimeout(p, remain); to {
-			if len(q.items) > 0 || q.closed {
+			if q.items.n > 0 || q.closed {
 				break
 			}
-			return nil, false, true
+			return v, false, true
 		}
 	}
-	if len(q.items) == 0 {
-		return nil, false, false
+	if q.items.n == 0 {
+		return v, false, false
 	}
 	return q.pop(), true, false
 }
 
 // TryGet removes and returns the oldest item without blocking.
-func (q *Queue) TryGet() (v any, ok bool) {
-	if len(q.items) == 0 {
-		return nil, false
+func (q *Queue[T]) TryGet() (v T, ok bool) {
+	if q.items.n == 0 {
+		return v, false
 	}
 	return q.pop(), true
 }
 
 // pop removes the oldest item and wakes one blocked Put.
-func (q *Queue) pop() any {
-	v := q.items[0]
-	q.items = q.items[1:]
+func (q *Queue[T]) pop() T {
+	v := q.items.pop()
 	q.notFull.Signal(nil)
 	return v
 }
