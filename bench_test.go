@@ -42,7 +42,7 @@ func runExperiment(b *testing.B, id string, metricsOut map[string]string) {
 	}
 	var exp *core.Experiment
 	for i := 0; i < b.N; i++ {
-		exp, err = fn(false)
+		exp, err = fn(&core.ExperimentRun{})
 		if err != nil {
 			b.Fatal(err)
 		}

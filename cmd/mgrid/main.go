@@ -32,6 +32,7 @@ import (
 	"strings"
 
 	"microgrid"
+	"microgrid/internal/trace"
 )
 
 func main() {
@@ -58,16 +59,14 @@ func main() {
 		fmt.Fprintln(os.Stderr, "error: -shards must be >= 0")
 		os.Exit(1)
 	}
-	if *shards > 0 {
-		microgrid.SetEngineShards(*shards)
-	}
+	x := microgrid.ExperimentRun{Quick: *quick, Shards: *shards}
 	if *partArg != "" {
 		pc, err := microgrid.ParsePartitionFlag(*partArg)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "error:", err)
 			os.Exit(1)
 		}
-		microgrid.SetEnginePartition(pc)
+		x.Partition = pc
 	}
 
 	if *list {
@@ -78,17 +77,26 @@ func main() {
 		return
 	}
 
+	if *traceOut != "" {
+		mask, err := microgrid.ParseTraceCategories(*traceCat)
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "error:", err)
+			os.Exit(1)
+		}
+		x.Trace = &microgrid.ScenarioTrace{Mask: mask, BufSize: *traceBuf}
+	}
+
 	if *scenFile != "" {
-		runScenarioFile(*scenFile, *traceOut, *traceCat, *traceBuf)
+		runScenarioFile(*scenFile, *traceOut, x)
 		return
 	}
 
 	var tasks []microgrid.CampaignTask
 	switch {
 	case *all:
-		tasks = microgrid.Campaign(*quick)
+		tasks = microgrid.Campaign(x)
 	case *runGlob != "":
-		for _, t := range microgrid.Campaign(*quick) {
+		for _, t := range microgrid.Campaign(x) {
 			ok, err := path.Match(*runGlob, t.ID)
 			if err != nil {
 				fmt.Fprintln(os.Stderr, "error: bad -run pattern:", err)
@@ -103,40 +111,31 @@ func main() {
 			os.Exit(1)
 		}
 	case *expID != "":
-		fn, err := microgrid.GetExperiment(*expID)
-		if err != nil {
+		if _, err := microgrid.GetExperiment(*expID); err != nil {
 			fmt.Fprintln(os.Stderr, "error:", err)
 			os.Exit(1)
 		}
-		q := *quick
-		tasks = []microgrid.CampaignTask{{
-			ID: *expID,
-			Run: func(ctx context.Context) (*microgrid.Experiment, error) {
-				if err := ctx.Err(); err != nil {
-					return nil, err
-				}
-				return fn(q)
-			},
-		}}
+		for _, t := range microgrid.Campaign(x) {
+			if t.ID == *expID {
+				tasks = append(tasks, t)
+			}
+		}
 	default:
 		flag.Usage()
 		os.Exit(2)
 	}
 
-	if *traceOut != "" {
-		// A traced invocation must select exactly one experiment: the
-		// export is labeled by build order, which is only deterministic
-		// (and therefore byte-identical at any -j) within one experiment.
-		if len(tasks) != 1 {
-			ids := make([]string, len(tasks))
-			for i, t := range tasks {
-				ids[i] = t.ID
-			}
-			fmt.Fprintf(os.Stderr, "error: -trace requires exactly one experiment, but this invocation selects %d: %s\nuse -experiment or a -run glob matching one id\n",
-				len(tasks), strings.Join(ids, ", "))
-			os.Exit(1)
+	// A traced invocation must select exactly one experiment: the export
+	// is labeled by build order, which is only deterministic (and
+	// therefore byte-identical at any -j) within one experiment.
+	if *traceOut != "" && len(tasks) != 1 {
+		ids := make([]string, len(tasks))
+		for i, t := range tasks {
+			ids[i] = t.ID
 		}
-		enableTracing(*traceCat, *traceBuf)
+		fmt.Fprintf(os.Stderr, "error: -trace requires exactly one experiment, but this invocation selects %d: %s\nuse -experiment or a -run glob matching one id\n",
+			len(tasks), strings.Join(ids, ", "))
+		os.Exit(1)
 	}
 
 	results := microgrid.RunCampaign(context.Background(), tasks, microgrid.CampaignOptions{
@@ -177,8 +176,13 @@ func main() {
 		}
 	}
 
-	if *traceOut != "" {
-		writeTrace(*traceOut)
+	if *traceOut != "" && len(failed) == 0 {
+		exp := results[0].Experiment
+		if len(exp.TraceRuns) == 0 {
+			fmt.Fprintf(os.Stderr, "error: -trace: experiment %s builds no MicroGrid, so it records no trace\n", exp.ID)
+			os.Exit(1)
+		}
+		writeTrace(*traceOut, exp.TraceRuns)
 	}
 
 	if len(failed) > 0 {
@@ -190,30 +194,19 @@ func main() {
 	}
 }
 
-// enableTracing arms global tracing for every grid built afterwards,
-// from the -trace-categories and -trace-buf flags.
-func enableTracing(categories string, bufSize int) {
-	mask, err := microgrid.ParseTraceCategories(categories)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "error:", err)
-		os.Exit(1)
-	}
-	microgrid.EnableTracing(microgrid.ScenarioTrace{Mask: mask, BufSize: bufSize})
-}
-
-// writeTrace writes the collected trace to file: compact JSONL for a
-// .jsonl name, Chrome/Perfetto JSON otherwise.
-func writeTrace(file string) {
-	write := microgrid.WriteTraceChrome
+// writeTrace writes trace runs to file: compact JSONL for a .jsonl
+// name, Chrome/Perfetto JSON otherwise.
+func writeTrace(file string, runs []microgrid.TraceRun) {
+	write := trace.WriteChrome
 	if strings.HasSuffix(file, ".jsonl") {
-		write = microgrid.WriteTraceJSONL
+		write = trace.WriteJSONL
 	}
 	f, err := os.Create(file)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "error writing trace:", err)
 		os.Exit(1)
 	}
-	werr := write(f)
+	werr := write(f, runs)
 	if cerr := f.Close(); werr == nil {
 		werr = cerr
 	}
@@ -224,24 +217,25 @@ func writeTrace(file string) {
 	fmt.Fprintf(os.Stderr, "trace written to %s\n", file)
 }
 
-// runScenarioFile loads a declarative scenario and runs it end to end:
-// parse, validate, build the virtual grid (arming any chaos schedule),
-// run the workload, and print a deterministic report. A non-empty
-// traceOut traces the run with the -trace-* flags, which outrank the
-// scenario's own trace line, and writes the trace there.
-func runScenarioFile(file, traceOut, traceCat string, traceBuf int) {
+// runScenarioFile loads a declarative scenario and runs it end to end
+// as a one-arm experiment: parse, validate, build the virtual grid
+// (arming any chaos schedule) under the flags' engine and trace choices,
+// which outrank the scenario's own lines, run the workload, and print a
+// deterministic report. A non-empty traceOut receives the run's trace.
+func runScenarioFile(file, traceOut string, x microgrid.ExperimentRun) {
 	s, err := microgrid.LoadScenario(file)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "error:", err)
 		os.Exit(1)
 	}
-	if traceOut != "" {
-		s.Trace = nil
-		enableTracing(traceCat, traceBuf)
-	}
 	// Relative references inside the scenario (a gis file= path) resolve
 	// against the scenario file's own directory.
-	report, err := microgrid.RunScenarioEnv(s, microgrid.ScenarioEnv{BaseDir: filepath.Dir(file)})
+	m, err := x.BuildEnv(s, microgrid.ScenarioEnv{BaseDir: filepath.Dir(file)})
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "error:", err)
+		os.Exit(1)
+	}
+	report, err := m.RunWorkload(s)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "error:", err)
 		os.Exit(1)
@@ -250,6 +244,6 @@ func runScenarioFile(file, traceOut, traceCat string, traceBuf int) {
 	// and the service can never drift apart.
 	fmt.Print(microgrid.FormatScenarioReport(s.Name, report))
 	if traceOut != "" {
-		writeTrace(traceOut)
+		writeTrace(traceOut, x.Traces())
 	}
 }

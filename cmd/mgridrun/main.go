@@ -48,22 +48,26 @@ func main() {
 	if *shards < 0 {
 		fail(fmt.Errorf("-shards must be >= 0"))
 	}
-	if *shards > 0 {
-		microgrid.SetEngineShards(*shards)
-	}
+	// The engine flags outrank the scenario's own engine and partition
+	// lines.
+	x := microgrid.ExperimentRun{Shards: *shards}
 	if *partArg != "" {
 		pc, err := microgrid.ParsePartitionFlag(*partArg)
 		if err != nil {
 			fail(err)
 		}
-		microgrid.SetEnginePartition(pc)
+		x.Partition = pc
 	}
 	if *scen != "" {
 		s, err := microgrid.LoadScenario(*scen)
 		if err != nil {
 			fail(err)
 		}
-		report, err := microgrid.RunScenarioEnv(s, microgrid.ScenarioEnv{BaseDir: filepath.Dir(*scen)})
+		m, err := x.BuildEnv(s, microgrid.ScenarioEnv{BaseDir: filepath.Dir(*scen)})
+		if err != nil {
+			fail(err)
+		}
+		report, err := m.RunWorkload(s)
 		if err != nil {
 			fail(err)
 		}
@@ -107,7 +111,7 @@ func main() {
 		fail(err)
 	}
 
-	m, err := microgrid.BuildScenario(s)
+	m, err := x.Build(s)
 	if err != nil {
 		fail(err)
 	}

@@ -61,7 +61,7 @@ func ExampleBuild_emulated() {
 // its own isolated engine. Tables and metrics are deterministic for any
 // worker count; only wall-clock timings vary.
 func ExampleRunCampaign() {
-	tasks := microgrid.Campaign(true)[:1] // fig05 at quick scale
+	tasks := microgrid.Campaign(microgrid.ExperimentRun{Quick: true})[:1] // fig05 at quick scale
 	results := microgrid.RunCampaign(context.Background(), tasks,
 		microgrid.CampaignOptions{Workers: 4})
 	r := results[0]

@@ -142,7 +142,7 @@ func TestGetExperiment(t *testing.T) {
 }
 
 func TestFig05Quick(t *testing.T) {
-	e, err := Fig05Memory(true)
+	e, err := Fig05Memory(&ExperimentRun{Quick: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,7 +158,7 @@ func TestFig05Quick(t *testing.T) {
 }
 
 func TestFig06Quick(t *testing.T) {
-	e, err := Fig06CPUFraction(true)
+	e, err := Fig06CPUFraction(&ExperimentRun{Quick: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,7 +179,7 @@ func TestFig06Quick(t *testing.T) {
 }
 
 func TestFig07Quick(t *testing.T) {
-	e, err := Fig07QuantaDistribution(true)
+	e, err := Fig07QuantaDistribution(&ExperimentRun{Quick: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,7 +198,7 @@ func TestFig07Quick(t *testing.T) {
 }
 
 func TestFig08Quick(t *testing.T) {
-	e, err := Fig08NetworkModel(true)
+	e, err := Fig08NetworkModel(&ExperimentRun{Quick: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,7 +215,7 @@ func TestFig08Quick(t *testing.T) {
 }
 
 func TestFig09(t *testing.T) {
-	e, err := Fig09Configurations(false)
+	e, err := Fig09Configurations(&ExperimentRun{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -228,7 +228,7 @@ func TestFig09(t *testing.T) {
 }
 
 func TestFig10Quick(t *testing.T) {
-	e, err := Fig10NPBClassA(true)
+	e, err := Fig10NPBClassA(&ExperimentRun{Quick: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -257,7 +257,7 @@ func TestFig10Quick(t *testing.T) {
 }
 
 func TestFig11Quick(t *testing.T) {
-	e, err := Fig11QuantumSweep(true)
+	e, err := Fig11QuantumSweep(&ExperimentRun{Quick: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -271,7 +271,7 @@ func TestFig11Quick(t *testing.T) {
 }
 
 func TestFig12Quick(t *testing.T) {
-	e, err := Fig12CPUScaling(true)
+	e, err := Fig12CPUScaling(&ExperimentRun{Quick: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -286,7 +286,7 @@ func TestFig12Quick(t *testing.T) {
 }
 
 func TestFig14Quick(t *testing.T) {
-	e, err := Fig14VBNSDegrade(true)
+	e, err := Fig14VBNSDegrade(&ExperimentRun{Quick: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -309,7 +309,7 @@ func TestFig14Quick(t *testing.T) {
 }
 
 func TestFig15Quick(t *testing.T) {
-	e, err := Fig15EmulationRates(true)
+	e, err := Fig15EmulationRates(&ExperimentRun{Quick: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -327,7 +327,7 @@ func TestFig15Quick(t *testing.T) {
 }
 
 func TestFig16Quick(t *testing.T) {
-	e, err := Fig16Cactus(true)
+	e, err := Fig16Cactus(&ExperimentRun{Quick: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -337,7 +337,7 @@ func TestFig16Quick(t *testing.T) {
 }
 
 func TestFig17Quick(t *testing.T) {
-	e, err := Fig17Autopilot(true)
+	e, err := Fig17Autopilot(&ExperimentRun{Quick: true})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -43,7 +43,7 @@ func ChaosCrashScenario() *scenario.Scenario {
 // chaosCrashArm runs one chaos-crash arm. Failure arms get the partial
 // report back alongside the error so the cost of giving up is still
 // measured.
-func chaosCrashArm(class npb.Class, sched string, retry *scenario.RetrySpec) (*Report, error) {
+func chaosCrashArm(x *ExperimentRun, class npb.Class, sched string, retry *scenario.RetrySpec) (*Report, error) {
 	s := ChaosCrashScenario()
 	s.Workload.Class = byte(class)
 	s.Retry = retry
@@ -54,19 +54,19 @@ func chaosCrashArm(class npb.Class, sched string, retry *scenario.RetrySpec) (*R
 		}
 		s.Chaos = cs
 	}
-	return RunScenario(s)
+	return x.Run(s)
 }
 
 // ChaosCrash kills a host mid-way through NPB BT and measures the
 // gatekeeper-failover recovery: the crashed host's GIS record disappears,
 // the client's submission times out, and the resubmission lands on the
 // spare host. With retry disabled the same fault is a measured failure.
-func ChaosCrash(quick bool) (*Experiment, error) {
+func ChaosCrash(x *ExperimentRun) (*Experiment, error) {
 	class := npb.ClassW
-	if quick {
+	if x.Quick {
 		class = npb.ClassS
 	}
-	baseRep, err := chaosCrashArm(class, "", nil)
+	baseRep, err := chaosCrashArm(x, class, "", nil)
 	if err != nil {
 		return nil, fmt.Errorf("chaos-crash baseline: %w", err)
 	}
@@ -79,14 +79,14 @@ func ChaosCrash(quick bool) (*Experiment, error) {
 		MaxAttempts:   3,
 		Backoff:       100 * simcore.Millisecond,
 	}
-	recRep, err := chaosCrashArm(class, sched, retry)
+	recRep, err := chaosCrashArm(x, class, sched, retry)
 	if err != nil {
 		return nil, fmt.Errorf("chaos-crash recovery: %w", err)
 	}
 
 	noRetry := *retry
 	noRetry.MaxAttempts = 1
-	failRep, failErr := chaosCrashArm(class, sched, &noRetry)
+	failRep, failErr := chaosCrashArm(x, class, sched, &noRetry)
 	if failErr == nil {
 		return nil, fmt.Errorf("chaos-crash: recovery-disabled run unexpectedly succeeded")
 	}
@@ -149,9 +149,9 @@ func ChaosFlapScenario() *scenario.Scenario {
 // completion-time cost. A permanent cut of the same link is the measured
 // failure: the client gives up after its status timeout and the orphaned
 // ranks are bounded by walltime and the transport's retransmission cap.
-func ChaosFlap(quick bool) (*Experiment, error) {
+func ChaosFlap(x *ExperimentRun) (*Experiment, error) {
 	class := npb.ClassW
-	if quick {
+	if x.Quick {
 		class = npb.ClassS
 	}
 	arm := func(sched string) (*scenario.Scenario, error) {
@@ -174,7 +174,7 @@ func ChaosFlap(quick bool) (*Experiment, error) {
 	if err != nil {
 		return nil, err
 	}
-	baseRep, err := RunScenario(baseSc)
+	baseRep, err := x.Run(baseSc)
 	if err != nil {
 		return nil, fmt.Errorf("chaos-flap baseline: %w", err)
 	}
@@ -186,7 +186,7 @@ func ChaosFlap(quick bool) (*Experiment, error) {
 	if err != nil {
 		return nil, err
 	}
-	flapRep, err := RunScenario(flapSc)
+	flapRep, err := x.Run(flapSc)
 	if err != nil {
 		return nil, fmt.Errorf("chaos-flap flap arm: %w", err)
 	}
@@ -198,7 +198,7 @@ func ChaosFlap(quick bool) (*Experiment, error) {
 	bound := frac(base, 2.5) + 5*simcore.Second // past the transport's retransmission cap
 	cutSc.Workload.MaxWallTime = bound
 	cutSc.Retry = &scenario.RetrySpec{StatusTimeout: bound, MaxAttempts: 1}
-	failRep, failErr := RunScenario(cutSc)
+	failRep, failErr := x.Run(cutSc)
 	if failErr == nil {
 		return nil, fmt.Errorf("chaos-flap: blackout arm unexpectedly succeeded")
 	}
@@ -249,10 +249,10 @@ func ChaosWorkerScenario() *scenario.Scenario {
 // farm. The fault-tolerant master re-dispatches the lost chunks and
 // finishes late; the plain master waits forever for the lost report and
 // the engine convicts the hang deterministically.
-func ChaosWorker(quick bool) (*Experiment, error) {
+func ChaosWorker(x *ExperimentRun) (*Experiment, error) {
 	sc := ChaosWorkerScenario()
 	units, ops := sc.Workload.Units, sc.Workload.OpsPerUnit
-	if quick {
+	if x.Quick {
 		units, ops = 60, 2e7
 	}
 

@@ -8,9 +8,6 @@ import (
 	"microgrid/internal/simcore"
 )
 
-// fig08Sizes are the paper's message sizes: 4 B to 256 KB by powers of 4.
-var fig08Sizes = []int{4, 16, 64, 256, 1024, 4096, 16384, 65536, 262144}
-
 // fig08Scenario is one network-model arm: a two-node Alpha/Ethernet
 // grid, direct (the "Ethernet" series) or emulated (the "Mgrid" series).
 func fig08Scenario(emulated bool) *scenario.Scenario {
@@ -43,8 +40,8 @@ type fig08Point struct {
 
 // fig08Run executes the MPI latency/bandwidth micro-benchmarks on the
 // grid one fig08 arm describes.
-func fig08Run(emulated bool, sizes []int) (map[int]fig08Point, error) {
-	m, err := BuildScenario(fig08Scenario(emulated))
+func fig08Run(x *ExperimentRun, emulated bool, sizes []int) (map[int]fig08Point, error) {
+	m, err := x.Build(fig08Scenario(emulated))
 	if err != nil {
 		return nil, err
 	}
@@ -131,16 +128,17 @@ func fig08Run(emulated bool, sizes []int) (map[int]fig08Point, error) {
 // (Fig. 8): MPI latency and bandwidth across message sizes on a 100 Mb
 // Ethernet, real system vs MicroGrid — "the simulated network has similar
 // characteristics with the real system".
-func Fig08NetworkModel(quick bool) (*Experiment, error) {
-	sizes := fig08Sizes
-	if quick {
+func Fig08NetworkModel(x *ExperimentRun) (*Experiment, error) {
+	// The paper's message sizes: 4 B to 256 KB by powers of 4.
+	sizes := []int{4, 16, 64, 256, 1024, 4096, 16384, 65536, 262144}
+	if x.Quick {
 		sizes = []int{4, 1024, 65536}
 	}
-	real, err := fig08Run(false, sizes)
+	real, err := fig08Run(x, false, sizes)
 	if err != nil {
 		return nil, err
 	}
-	emu, err := fig08Run(true, sizes)
+	emu, err := fig08Run(x, true, sizes)
 	if err != nil {
 		return nil, err
 	}
@@ -192,7 +190,7 @@ func Fig09Scenario() *scenario.Scenario {
 
 // Fig09Configurations regenerates the virtual grid configurations table
 // (Fig. 9).
-func Fig09Configurations(bool) (*Experiment, error) {
+func Fig09Configurations(*ExperimentRun) (*Experiment, error) {
 	tbl := metrics.NewTable("Fig. 9 — virtual grid configurations studied",
 		"name", "#procs", "type_procs", "network", "compiler")
 	for _, c := range []scenario.Machine{AlphaCluster, HPVM} {

@@ -31,15 +31,15 @@ func emulateOn(s *scenario.Scenario, hw scenario.Machine, rate float64) *scenari
 
 // npbPair runs physical (direct) and MicroGrid (emulated) instances of
 // one benchmark and returns both virtual times.
-func npbPair(target scenario.Machine, bench string, class npb.Class, quantum simcore.Duration, rate float64) (phys, emu simcore.Duration, err error) {
-	pr, err := RunScenario(npbScenario("fig10-physical", 10, target, bench, class))
+func npbPair(x *ExperimentRun, target scenario.Machine, bench string, class npb.Class, quantum simcore.Duration, rate float64) (phys, emu simcore.Duration, err error) {
+	pr, err := x.Run(npbScenario("fig10-physical", 10, target, bench, class))
 	if err != nil {
 		return 0, 0, fmt.Errorf("%s physical: %w", bench, err)
 	}
 	// Emulate on hardware identical to the target.
 	es := emulateOn(npbScenario("fig10-emulated", 10, target, bench, class), target, rate)
 	es.Quantum = quantum
-	er, err := RunScenario(es)
+	er, err := x.Run(es)
 	if err != nil {
 		return 0, 0, fmt.Errorf("%s emulated: %w", bench, err)
 	}
@@ -70,9 +70,9 @@ func Fig10Scenario() *scenario.Scenario {
 // class A total run times on the Alpha cluster and HPVM configurations,
 // physical grid vs MicroGrid. The paper matches IS/LU/MG within 2% and
 // EP/BT within 4%.
-func Fig10NPBClassA(quick bool) (*Experiment, error) {
+func Fig10NPBClassA(x *ExperimentRun) (*Experiment, error) {
 	class := npb.ClassA
-	if quick {
+	if x.Quick {
 		class = npb.ClassS
 	}
 	tbl := metrics.NewTable(fmt.Sprintf("Fig. 10 — NPB class %c totals: physical vs MicroGrid", class),
@@ -81,7 +81,7 @@ func Fig10NPBClassA(quick bool) (*Experiment, error) {
 	worst := 0.0
 	for _, target := range []scenario.Machine{AlphaCluster, HPVM} {
 		for _, bench := range npb.Names() {
-			phys, emu, err := npbPair(target, bench, class, 0, fig10Rate)
+			phys, emu, err := npbPair(x, target, bench, class, 0, fig10Rate)
 			if err != nil {
 				return nil, err
 			}
@@ -98,7 +98,7 @@ func Fig10NPBClassA(quick bool) (*Experiment, error) {
 	}
 	m["worst_err_pct"] = worst
 	notes := []string{"Paper: IS, LU, MG within 2%; EP, BT within 4%."}
-	if quick {
+	if x.Quick {
 		notes = append(notes, "Quick mode: class S instead of class A.")
 	}
 	return &Experiment{
@@ -132,7 +132,7 @@ func Fig11Scenario() *scenario.Scenario {
 // NPB class S totals under MicroGrid slices of 2.5, 5, 10 and 30 ms,
 // against the physical run. The paper: frequently synchronizing codes
 // match better with shorter quanta.
-func Fig11QuantumSweep(quick bool) (*Experiment, error) {
+func Fig11QuantumSweep(x *ExperimentRun) (*Experiment, error) {
 	benches := []string{"MG", "BT", "LU", "EP"}
 	quanta := []simcore.Duration{
 		2500 * simcore.Microsecond,
@@ -140,7 +140,7 @@ func Fig11QuantumSweep(quick bool) (*Experiment, error) {
 		10 * simcore.Millisecond,
 		30 * simcore.Millisecond,
 	}
-	if quick {
+	if x.Quick {
 		benches = []string{"MG", "EP"}
 		quanta = []simcore.Duration{2500 * simcore.Microsecond, 10 * simcore.Millisecond}
 	}
@@ -148,7 +148,7 @@ func Fig11QuantumSweep(quick bool) (*Experiment, error) {
 		"bench", "pgrid_s", "slice", "mgrid_s", "err_%")
 	m := map[string]float64{}
 	for _, bench := range benches {
-		pr, err := RunScenario(npbScenario("fig11-physical", 11, AlphaCluster, bench, npb.ClassS))
+		pr, err := x.Run(npbScenario("fig11-physical", 11, AlphaCluster, bench, npb.ClassS))
 		if err != nil {
 			return nil, err
 		}
@@ -162,7 +162,7 @@ func Fig11QuantumSweep(quick bool) (*Experiment, error) {
 			// the phase misalignment is what makes the error scale with the
 			// quantum (shorter slice = shorter misalignment stalls).
 			s.Stagger = fig11Stagger
-			er, err := RunScenario(s)
+			er, err := x.Run(s)
 			if err != nil {
 				return nil, err
 			}
@@ -201,10 +201,10 @@ func Fig12Scenario() *scenario.Scenario {
 // (Fig. 12): run times with 1×/2×/4×/8× CPU speed while the network is
 // held at 1 Mb/s with 50 ms latency, normalized to 1×. EP speeds up
 // nearly linearly; communication-bound codes saturate.
-func Fig12CPUScaling(quick bool) (*Experiment, error) {
+func Fig12CPUScaling(x *ExperimentRun) (*Experiment, error) {
 	benches := []string{"MG", "BT", "LU", "EP"}
 	factors := []float64{1, 2, 4, 8}
-	if quick {
+	if x.Quick {
 		benches = []string{"MG", "EP"}
 		factors = []float64{1, 4}
 	}
@@ -215,7 +215,7 @@ func Fig12CPUScaling(quick bool) (*Experiment, error) {
 		var base float64
 		for _, f := range factors {
 			target := fig12SlowNet(AlphaCluster.Scale(f))
-			r, err := RunScenario(npbScenario("fig12-cpu-scaling", 12, target, bench, npb.ClassS))
+			r, err := x.Run(npbScenario("fig12-cpu-scaling", 12, target, bench, npb.ClassS))
 			if err != nil {
 				return nil, err
 			}
@@ -274,10 +274,10 @@ func Fig14Scenario() *scenario.Scenario {
 // vBNS testbed, varying the major WAN link through 622, 155 and 10 Mb/s.
 // The paper: performance is only mildly sensitive to bandwidth — latency
 // dominates for all but EP.
-func Fig14VBNSDegrade(quick bool) (*Experiment, error) {
+func Fig14VBNSDegrade(x *ExperimentRun) (*Experiment, error) {
 	benches := []string{"LU", "BT", "MG", "EP"}
 	bandwidths := []float64{topology.OC12Bps, topology.OC3Bps, 10e6}
-	if quick {
+	if x.Quick {
 		benches = []string{"MG", "EP"}
 		bandwidths = []float64{topology.OC12Bps, 10e6}
 	}
@@ -290,7 +290,7 @@ func Fig14VBNSDegrade(quick bool) (*Experiment, error) {
 			if err != nil {
 				return nil, err
 			}
-			r, err := RunScenario(s)
+			r, err := x.Run(s)
 			if err != nil {
 				return nil, err
 			}
@@ -322,11 +322,11 @@ func Fig15Scenario() *scenario.Scenario {
 // Fig15EmulationRates reproduces the rate-invariance study (Fig. 15): the
 // same workload emulated at 1×, 2×, 4× and 8× slowdown yields (nearly)
 // identical virtual-time results.
-func Fig15EmulationRates(quick bool) (*Experiment, error) {
+func Fig15EmulationRates(x *ExperimentRun) (*Experiment, error) {
 	benches := []string{"MG", "BT", "LU", "EP"}
 	slowdowns := []float64{1, 2, 4, 8}
 	class := npb.ClassA
-	if quick {
+	if x.Quick {
 		benches = []string{"MG", "EP"}
 		slowdowns = []float64{1, 4}
 		class = npb.ClassS
@@ -340,7 +340,7 @@ func Fig15EmulationRates(quick bool) (*Experiment, error) {
 			rate := fig10Rate / slow
 			s := emulateOn(npbScenario("fig15-rate-invariance", 15, AlphaCluster, bench, class),
 				AlphaCluster, rate)
-			r, err := RunScenario(s)
+			r, err := x.Run(s)
 			if err != nil {
 				return nil, err
 			}

@@ -11,6 +11,7 @@ import (
 	"microgrid/internal/scenario"
 	"microgrid/internal/simcore"
 	"microgrid/internal/topology"
+	"microgrid/internal/trace"
 	"microgrid/internal/virtual"
 	"microgrid/internal/vtime"
 )
@@ -73,9 +74,9 @@ type BuildConfig struct {
 	// bit-identical at any shard count — only CatEngine dispatch
 	// telemetry (stripped from partitioned traces) is shard-dependent.
 	Partition *scenario.PartitionSpec
-	// Trace, when non-nil, attaches a structured trace recorder to this
-	// instance's engine. Nil falls back to the global tracing switch (see
-	// EnableTracing), which cmd/mgrid's -trace flag arms.
+	// Trace, when non-nil, attaches a structured trace recorder to every
+	// engine this instance's model spans; MicroGrid.Trace returns the
+	// merged run. Nil traces nothing.
 	Trace *scenario.TraceSpec
 }
 
@@ -109,6 +110,9 @@ type MicroGrid struct {
 	// plan is the resolved cluster→shard placement (nil when the model
 	// is not partitioned).
 	plan *partitionPlan
+	// recs are the trace recorders of Eng or of every shard (nil when
+	// untraced); Trace merges them.
+	recs []*trace.Recorder
 	// The GIS directory lives with Hosts[0]; on a multi-cluster grid,
 	// updates from another cluster bear the inter-cluster latency (and,
 	// when partitioned, cross onto the GIS's shard) so discovery sees
@@ -120,44 +124,6 @@ type MicroGrid struct {
 	gisCluster int
 	gisDelay   simcore.Duration
 	gisEng     *simcore.Engine
-}
-
-// engineShardsOverride, when > 0, forces every subsequently built
-// instance onto the parallel engine with that many shards. The CLIs'
-// -shards flag sets it; it outranks BuildConfig.Shards.
-var engineShardsOverride int
-
-// SetEngineShards installs a process-wide engine override: n ≥ 1 forces
-// the parallel engine with n shards, 0 restores per-config choice.
-func SetEngineShards(n int) { engineShardsOverride = n }
-
-// EngineShards returns the current process-wide engine override.
-func EngineShards() int { return engineShardsOverride }
-
-// resolveShards applies the process-wide override to a config's choice.
-func resolveShards(cfgShards int) int {
-	if engineShardsOverride > 0 {
-		return engineShardsOverride
-	}
-	return cfgShards
-}
-
-// enginePartitionOverride, when non-nil, partitions every subsequently
-// built instance (the CLIs' -partition flag); it outranks
-// BuildConfig.Partition.
-var enginePartitionOverride *scenario.PartitionSpec
-
-// SetEnginePartition installs a process-wide partition override; nil
-// restores per-config choice.
-func SetEnginePartition(pc *scenario.PartitionSpec) { enginePartitionOverride = pc }
-
-// resolvePartition applies the process-wide override to a config's
-// choice.
-func resolvePartition(cfgPartition *scenario.PartitionSpec) *scenario.PartitionSpec {
-	if enginePartitionOverride != nil {
-		return enginePartitionOverride
-	}
-	return cfgPartition
 }
 
 // ParallelEngine returns the parallel engine driving this instance, or
@@ -337,22 +303,21 @@ func gridConfig(cfg BuildConfig) virtual.Config {
 // on every host, registered in server.
 func assemble(cfg BuildConfig, vcfg virtual.Config, wire func(*netsim.Network, func(netsim.LinkConfig) netsim.LinkConfig) error,
 	server *gis.Server, hostNames []string, configName string) (*MicroGrid, error) {
-	partition := resolvePartition(cfg.Partition)
-	if partition != nil && !vcfg.Direct {
+	if cfg.Partition != nil && !vcfg.Direct {
 		return nil, fmt.Errorf("core: partitioning requires direct mode (no emulation platform)")
 	}
 	var eng *simcore.Engine
 	var par *simcore.ParallelEngine
-	if shards := resolveShards(cfg.Shards); shards >= 1 {
-		par = simcore.NewParallelEngine(cfg.Seed, shards)
+	if cfg.Shards >= 1 {
+		par = simcore.NewParallelEngine(cfg.Seed, cfg.Shards)
 		eng = par.Shard(0)
 	} else {
 		eng = simcore.NewEngine(cfg.Seed)
 	}
 
 	var planOf func() (*partitionPlan, error)
-	if par != nil && partition != nil {
-		vcfg.AssignEngines, planOf = partitionAssign(par, partition)
+	if par != nil && cfg.Partition != nil {
+		vcfg.AssignEngines, planOf = partitionAssign(par, cfg.Partition)
 	}
 	grid, err := virtual.NewGrid(eng, vcfg, wire)
 	if err != nil {
@@ -387,7 +352,7 @@ func assemble(cfg BuildConfig, vcfg virtual.Config, wire func(*netsim.Network, f
 			par.SetLookahead(la)
 		}
 	}
-	attachRecorders(eng, par, plan, cfg.Trace, configName)
+	recs := attachRecorders(eng, par, plan, cfg.Trace, configName)
 
 	m := &MicroGrid{
 		Eng:         eng,
@@ -403,6 +368,7 @@ func assemble(cfg BuildConfig, vcfg virtual.Config, wire func(*netsim.Network, f
 		ensured:     make(map[string]bool),
 		par:         par,
 		plan:        plan,
+		recs:        recs,
 	}
 	m.wireGISHome()
 

@@ -17,12 +17,10 @@ import (
 // compares across {serial, shards=2, shards=4} × {-j1, -j4}.
 func chaosTracedRun(t *testing.T, shards int) (*Report, []byte) {
 	t.Helper()
-	EnableTracing(scenario.TraceSpec{Mask: trace.CatAll})
-	defer ResetTracing()
-
 	s := ChaosCrashScenario()
 	s.Workload.Class = 'S'
 	s.EngineShards = shards
+	s.Trace = &scenario.TraceSpec{Mask: trace.CatAll}
 	cs, err := chaos.ParseScheduleString("schedule host-crash\nat 600ms crash vm1\n")
 	if err != nil {
 		t.Fatal(err)
@@ -47,8 +45,9 @@ func chaosTracedRun(t *testing.T, shards int) (*Report, []byte) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	run, _ := m.Trace()
 	var buf bytes.Buffer
-	if err := WriteTraceJSONL(&buf); err != nil {
+	if err := trace.WriteJSONL(&buf, []trace.Run{run}); err != nil {
 		t.Fatal(err)
 	}
 	return rep, buf.Bytes()
@@ -74,15 +73,18 @@ func TestParallelModelRunByteIdentical(t *testing.T) {
 }
 
 // TestShardsOverrideOutranksScenario pins the CLI contract: the -shards
-// flag (SetEngineShards) outranks the scenario's engine line.
+// flag (ExperimentRun.Shards) outranks the scenario's engine line, and
+// leaves the scenario itself untouched.
 func TestShardsOverrideOutranksScenario(t *testing.T) {
-	SetEngineShards(2)
-	defer SetEngineShards(0)
+	x := &ExperimentRun{Shards: 2}
 	s := ChaosCrashScenario()
 	s.EngineShards = 0 // scenario says serial; the override must win
-	m, err := BuildScenario(s)
+	m, err := x.Build(s)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if s.EngineShards != 0 {
+		t.Fatalf("override wrote through to the scenario: engine shards = %d", s.EngineShards)
 	}
 	pe := m.ParallelEngine()
 	if pe == nil || pe.NumShards() != 2 {
@@ -92,5 +94,35 @@ func TestShardsOverrideOutranksScenario(t *testing.T) {
 	// network's cheapest link.
 	if d, ok := m.Grid.Network().MinLinkDelay(); !ok || pe.Lookahead() != d {
 		t.Fatalf("lookahead = %v, want min link delay %v (ok=%v)", pe.Lookahead(), d, ok)
+	}
+}
+
+// TestTraceOverrideOutranksScenario: the -trace* flags
+// (ExperimentRun.Trace) outrank a scenario's own trace line, and only a
+// traced build has a trace to return.
+func TestTraceOverrideOutranksScenario(t *testing.T) {
+	s := ChaosCrashScenario()
+	plain, err := BuildScenario(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := plain.Trace(); ok {
+		t.Fatal("untraced build returned a trace")
+	}
+	netOnly := &scenario.TraceSpec{Mask: trace.CatNet}
+	s.Trace = netOnly
+	x := &ExperimentRun{Trace: &scenario.TraceSpec{Mask: trace.CatAll}}
+	m, err := x.Build(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !m.Eng.Recorder().Enabled(trace.CatProc) {
+		t.Fatal("the scenario's trace line outranked the override")
+	}
+	if s.Trace != netOnly {
+		t.Fatal("override wrote through to the scenario")
+	}
+	if _, ok := m.Trace(); !ok || len(x.Traces()) != 1 {
+		t.Fatalf("traced build: Trace ok=%v, %d runs kept", ok, len(x.Traces()))
 	}
 }

@@ -25,10 +25,8 @@ import (
 // it anyway; see scenario.TraceSpec.Mask).
 func partitionedChaosRun(t *testing.T, shards int) (*Report, string, string, []byte) {
 	t.Helper()
-	EnableTracing(scenario.TraceSpec{Mask: trace.CatAll &^ trace.CatEngine})
-	defer ResetTracing()
-
 	s := Fig14Scenario()
+	s.Trace = &scenario.TraceSpec{Mask: trace.CatAll &^ trace.CatEngine}
 	s.Workload.Bench = "MG"
 	s.Workload.Class = 'S'
 	s.EngineShards = shards
@@ -83,8 +81,9 @@ func partitionedChaosRun(t *testing.T, shards int) (*Report, string, string, []b
 		t.Fatalf("shards=%d: %v", shards, err)
 	}
 	timeline := chaos.FormatTimeline(m.ChaosTimeline())
+	run, _ := m.Trace()
 	var buf bytes.Buffer
-	if err := WriteTraceJSONL(&buf); err != nil {
+	if err := trace.WriteJSONL(&buf, []trace.Run{run}); err != nil {
 		t.Fatal(err)
 	}
 	return rep, FormatScenarioReport(s.Name, rep), timeline, buf.Bytes()

@@ -29,8 +29,9 @@ func TestBareTraceRecordsAll(t *testing.T) {
 		if _, err := m.RunWorkload(s); err != nil {
 			t.Fatal(err)
 		}
+		run, _ := m.Trace()
 		var buf bytes.Buffer
-		if err := trace.WriteJSONL(&buf, []trace.Run{m.Eng.Recorder().Snapshot()}); err != nil {
+		if err := trace.WriteJSONL(&buf, []trace.Run{run}); err != nil {
 			t.Fatal(err)
 		}
 		return buf.Bytes()

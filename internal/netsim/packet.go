@@ -38,6 +38,30 @@ func (k packetKind) String() string {
 	return "?"
 }
 
+// dropReason is why a packet was dropped, for its trace detail.
+type dropReason int
+
+const (
+	dropQueueFull dropReason = iota
+	dropTTLExpired
+	dropNoRoute
+	dropNoConn
+)
+
+// dropDetails holds every drop's trace detail, "<kind> <reason>", as a
+// constant, so a traced drop builds no string.
+var dropDetails = [...][4]string{
+	kindDatagram: {"DGRAM queue full", "DGRAM ttl expired", "DGRAM no route", "DGRAM no conn"},
+	kindSYN:      {"SYN queue full", "SYN ttl expired", "SYN no route", "SYN no conn"},
+	kindSYNACK:   {"SYNACK queue full", "SYNACK ttl expired", "SYNACK no route", "SYNACK no conn"},
+	kindACK:      {"ACK queue full", "ACK ttl expired", "ACK no route", "ACK no conn"},
+	kindData:     {"DATA queue full", "DATA ttl expired", "DATA no route", "DATA no conn"},
+	kindFIN:      {"FIN queue full", "FIN ttl expired", "FIN no route", "FIN no conn"},
+}
+
+// dropDetail is the trace detail of a k packet dropped for r.
+func (k packetKind) dropDetail(r dropReason) string { return dropDetails[k][r] }
+
 // Packet is the unit of transmission. Size includes header overhead.
 // Packets are pooled per node: transports allocate with Node.newPacket
 // and every terminal point of a packet's life (delivery, drop, loss)
@@ -191,7 +215,7 @@ func (c *channel) send(pkt *Packet) {
 		c.src.stats.PacketsDropped++
 		if rec := c.src.eng.Recorder(); rec.Enabled(trace.CatNet) {
 			rec.Event(trace.CatNet, "drop", trace.Attr{
-				Link: c.label(), Bytes: int64(pkt.Size), Detail: pkt.Kind.String() + " queue full"})
+				Link: c.label(), Bytes: int64(pkt.Size), Detail: pkt.Kind.dropDetail(dropQueueFull)})
 		}
 		c.src.freePacket(pkt)
 		return
@@ -369,7 +393,7 @@ func (n *Node) receive(pkt *Packet) {
 			n.stats.PacketsDropped++
 			if rec := n.eng.Recorder(); rec.Enabled(trace.CatNet) {
 				rec.Event(trace.CatNet, "drop", trace.Attr{
-					Host: n.Name, Bytes: int64(pkt.Size), Detail: pkt.Kind.String() + " ttl expired"})
+					Host: n.Name, Bytes: int64(pkt.Size), Detail: pkt.Kind.dropDetail(dropTTLExpired)})
 			}
 			n.freePacket(pkt)
 			return
@@ -379,7 +403,7 @@ func (n *Node) receive(pkt *Packet) {
 			n.stats.PacketsDropped++
 			if rec := n.eng.Recorder(); rec.Enabled(trace.CatNet) {
 				rec.Event(trace.CatNet, "drop", trace.Attr{
-					Host: n.Name, Bytes: int64(pkt.Size), Detail: pkt.Kind.String() + " no route"})
+					Host: n.Name, Bytes: int64(pkt.Size), Detail: pkt.Kind.dropDetail(dropNoRoute)})
 			}
 			n.freePacket(pkt)
 			return

@@ -279,7 +279,7 @@ func (n *Node) deliverTCP(pkt *Packet) {
 	if !ok {
 		if rec := n.eng.Recorder(); rec.Enabled(trace.CatNet) {
 			rec.Event(trace.CatNet, "drop", trace.Attr{
-				Host: n.Name, Bytes: int64(pkt.Size), Detail: pkt.Kind.String() + " no conn"})
+				Host: n.Name, Bytes: int64(pkt.Size), Detail: pkt.Kind.dropDetail(dropNoConn)})
 		}
 		return
 	}

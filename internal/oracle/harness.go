@@ -66,11 +66,7 @@ func RunVariant(s *scenario.Scenario, label string, shards int, auto, flow bool)
 		return out
 	}
 	rep, rerr := m.RunWorkload(&sc)
-	if pe := m.ParallelEngine(); pe != nil {
-		out.Trace = pe.MergedTrace()
-	} else if rec := m.Eng.Recorder(); rec != nil {
-		out.Trace = trace.MergeRuns([]trace.Run{rec.Snapshot()})
-	}
+	out.Trace, _ = m.Trace()
 	var jb bytes.Buffer
 	if err := trace.WriteJSONL(&jb, []trace.Run{out.Trace}); err == nil {
 		out.TraceJSONL = jb.Bytes()

@@ -248,8 +248,9 @@ func runAttempt(ctx context.Context, t Task, timeout time.Duration) (*core.Exper
 }
 
 // Campaign returns one Task per registered experiment, in paper order.
-// quick selects the reduced problem sizes.
-func Campaign(quick bool) []Task {
+// Each attempt runs on its own copy of x (scale, engine and trace
+// choices), and its Experiment carries the traces of its builds.
+func Campaign(x core.ExperimentRun) []Task {
 	regs := core.Experiments()
 	tasks := make([]Task, 0, len(regs))
 	for _, e := range regs {
@@ -260,7 +261,12 @@ func Campaign(quick bool) []Task {
 				if err := ctx.Err(); err != nil {
 					return nil, err
 				}
-				return fn(quick)
+				run := x
+				exp, err := fn(&run)
+				if exp != nil {
+					exp.TraceRuns = run.Traces()
+				}
+				return exp, err
 			},
 		})
 	}

@@ -40,8 +40,8 @@ func okTask(id string) Task {
 // campaign.json.
 func TestCampaignParallelMatchesSequential(t *testing.T) {
 	want := len(core.Experiments())
-	seq := Run(context.Background(), Campaign(true), Options{Workers: 1})
-	par := Run(context.Background(), Campaign(true), Options{Workers: 8})
+	seq := Run(context.Background(), Campaign(core.ExperimentRun{Quick: true}), Options{Workers: 1})
+	par := Run(context.Background(), Campaign(core.ExperimentRun{Quick: true}), Options{Workers: 8})
 	if len(seq) != want || len(par) != want {
 		t.Fatalf("got %d sequential and %d parallel results, want %d", len(seq), len(par), want)
 	}
@@ -99,8 +99,8 @@ func TestScenarioPathByteIdenticalJ1J4(t *testing.T) {
 		}
 		return buf.Bytes()
 	}
-	j1 := Run(context.Background(), Campaign(true), Options{Workers: 1})
-	j4 := Run(context.Background(), Campaign(true), Options{Workers: 4})
+	j1 := Run(context.Background(), Campaign(core.ExperimentRun{Quick: true}), Options{Workers: 1})
+	j4 := Run(context.Background(), Campaign(core.ExperimentRun{Quick: true}), Options{Workers: 4})
 	s1, s4 := render(j1), render(j4)
 	if !bytes.Equal(s1, s4) {
 		t.Fatal("rendered stdout differs between -j 1 and -j 4")
@@ -344,7 +344,7 @@ func TestWriteArtifacts(t *testing.T) {
 
 // TestCampaignRegistryOrder: Campaign mirrors the experiment registry.
 func TestCampaignRegistryOrder(t *testing.T) {
-	tasks := Campaign(true)
+	tasks := Campaign(core.ExperimentRun{Quick: true})
 	regs := core.Experiments()
 	if len(tasks) != len(regs) {
 		t.Fatalf("%d tasks, %d registered", len(tasks), len(regs))

@@ -122,15 +122,8 @@ func (s *Server) runScenario(r *run) (runner.Result, *core.Report, *trace.Run) {
 			return nil, err
 		}
 		rep, rerr := m.RunWorkload(&sc)
-		var tr *trace.Run
-		if pe := m.ParallelEngine(); pe != nil {
-			merged := pe.MergedTrace()
-			tr = &merged
-		} else if rec := m.Eng.Recorder(); rec != nil {
-			snap := rec.Snapshot()
-			tr = &snap
-		}
-		holder.set(rep, tr)
+		tr, _ := m.Trace()
+		holder.set(rep, &tr)
 		if rerr != nil {
 			return nil, rerr
 		}

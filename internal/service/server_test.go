@@ -635,3 +635,39 @@ workload pingpong bytes=1024
 		t.Fatalf("trace.jsonl holds %d runs, want one with events:\n%s", len(runs), body)
 	}
 }
+
+// TestServerSerialTraceCanonical: a serial run's trace.jsonl is the
+// canonical merged run, so it matches the partitioned submission's byte
+// for byte. The trace masks engine telemetry (which only serial runs
+// record) and its ring holds every event, so the two runs must record
+// exactly the same events.
+func TestServerSerialTraceCanonical(t *testing.T) {
+	traced := func(shards int) []byte {
+		text := strings.Replace(partitionScenario(shards), "workload ",
+			"trace categories=all,-engine buf=1048576\nworkload ", 1)
+		s := newTestServer(t, Config{Workers: 1})
+		code, info := submit(t, s, "alice", text)
+		if code != http.StatusAccepted {
+			t.Fatalf("shards=%d: submit status %d", shards, code)
+		}
+		if done := waitTerminal(t, s, info.ID); done.State != string(StateDone) {
+			t.Fatalf("shards=%d: state %s (%s)", shards, done.State, done.Error)
+		}
+		code, body := artifact(t, s, info.ID, "trace.jsonl")
+		if code != http.StatusOK {
+			t.Fatalf("shards=%d: trace.jsonl status %d", shards, code)
+		}
+		runs, err := trace.ReadJSONL(bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(runs) != 1 || len(runs[0].Events) == 0 || runs[0].Dropped != 0 {
+			t.Fatalf("shards=%d: want one run with events and no drops, got %d runs", shards, len(runs))
+		}
+		return body
+	}
+	if serial, part := traced(0), traced(2); !bytes.Equal(serial, part) {
+		t.Fatalf("serial trace.jsonl (%d bytes) differs from the shards=2 partitioned one (%d bytes)",
+			len(serial), len(part))
+	}
+}

@@ -24,7 +24,6 @@ package microgrid
 
 import (
 	"context"
-	"io"
 
 	"microgrid/internal/chaos"
 	"microgrid/internal/core"
@@ -52,6 +51,9 @@ type (
 	Experiment = core.Experiment
 	// ExperimentFunc runs one experiment.
 	ExperimentFunc = core.ExperimentFunc
+	// ExperimentRun is one experiment invocation: its scale and the
+	// caller's engine and trace choices, applied to every arm it builds.
+	ExperimentRun = core.ExperimentRun
 	// Time and Duration are simulated-time types.
 	Time = simcore.Time
 	// Duration is a span of simulated time.
@@ -173,8 +175,9 @@ const (
 	CampaignCanceled = runner.StatusCanceled
 )
 
-// Campaign returns one task per registered experiment, in paper order.
-func Campaign(quick bool) []CampaignTask { return runner.Campaign(quick) }
+// Campaign returns one task per registered experiment, in paper order,
+// each attempt run on its own copy of x.
+func Campaign(x ExperimentRun) []CampaignTask { return runner.Campaign(x) }
 
 // Fault injection (the chaos subsystem). A ChaosSchedule — built
 // programmatically or parsed from text — is armed against a MicroGrid
@@ -217,10 +220,10 @@ func WriteCampaignArtifacts(dir string, results []CampaignResult, quick bool) er
 }
 
 // Structured tracing (internal/trace): deterministic, virtual-time typed
-// events over every layer of the stack. Arm it globally with
-// EnableTracing before building grids (cmd/mgrid's -trace flag does
-// this), or per instance via BuildConfig.Trace; export the collected
-// runs as compact JSONL or Chrome trace-event JSON (Perfetto).
+// events over every layer of the stack. Arm it per instance via a
+// scenario's trace line or BuildConfig.Trace and read the run back with
+// MicroGrid.Trace, or per experiment via ExperimentRun.Trace, whose
+// Experiment.TraceRuns holds every traced build's run.
 type (
 	// TraceCategory is the per-subsystem trace category bitmask.
 	TraceCategory = trace.Category
@@ -237,20 +240,6 @@ const TraceAll = trace.CatAll
 // "all,-engine".
 func ParseTraceCategories(s string) (TraceCategory, error) { return trace.ParseCategories(s) }
 
-// EnableTracing arms global tracing for all subsequently built grids.
-func EnableTracing(cfg ScenarioTrace) { core.EnableTracing(cfg) }
-
-// SetEngineShards installs a process-wide simulation-engine override for
-// all subsequently built grids: n ≥ 1 forces the conservative parallel
-// engine with n shards (cmd/mgrid's and cmd/mgridrun's -shards flag does
-// this), 0 restores the per-scenario engine choice.
-func SetEngineShards(n int) { core.SetEngineShards(n) }
-
-// SetEnginePartition installs a process-wide partition override for all
-// subsequently built grids (cmd/mgrid's and cmd/mgridrun's -partition
-// flag does this); nil restores the per-scenario partition choice.
-func SetEnginePartition(pc *ScenarioPartition) { core.SetEnginePartition(pc) }
-
 // ParsePartitionFlag parses a -partition CLI value: "auto", or a
 // comma-separated "node=shard,..." pin list ("" = nil).
 func ParsePartitionFlag(v string) (*ScenarioPartition, error) { return scenario.ParsePartitionFlag(v) }
@@ -261,16 +250,3 @@ func ParsePartitionFlag(v string) (*ScenarioPartition, error) { return scenario.
 func PartitionPreview(s *Scenario) (map[string]int, Duration, int, error) {
 	return core.PartitionPreview(s)
 }
-
-// ResetTracing disarms global tracing and drops collected recorders.
-func ResetTracing() { core.ResetTracing() }
-
-// TraceSnapshots returns the collected trace runs in build order.
-func TraceSnapshots() []TraceRun { return core.TraceSnapshots() }
-
-// WriteTraceJSONL writes the collected trace runs as compact JSONL.
-func WriteTraceJSONL(w io.Writer) error { return core.WriteTraceJSONL(w) }
-
-// WriteTraceChrome writes the collected trace runs as Chrome trace-event
-// JSON, loadable in Perfetto or chrome://tracing.
-func WriteTraceChrome(w io.Writer) error { return core.WriteTraceChrome(w) }

@@ -111,7 +111,7 @@ func TestExperimentRegistryComplete(t *testing.T) {
 // surface: registry-backed tasks mixed with a synthetic failure, results
 // in task order, artifacts on disk.
 func TestPublicCampaignAPI(t *testing.T) {
-	tasks := Campaign(true)
+	tasks := Campaign(ExperimentRun{Quick: true})
 	if len(tasks) != len(Experiments()) || tasks[0].ID != "fig05" {
 		t.Fatalf("campaign = %d tasks, first %q", len(tasks), tasks[0].ID)
 	}

@@ -7,32 +7,27 @@ import (
 	"encoding/hex"
 	"strings"
 	"testing"
+
+	"microgrid/internal/trace"
 )
 
-// tracedChaosCrashJSONL runs the chaos-crash experiment (quick) under
-// global tracing on a campaign pool of the given width and returns the
-// exported JSONL bytes.
+// tracedChaosCrashJSONL runs the chaos-crash experiment (quick), traced,
+// on a campaign pool of the given width and returns the exported JSONL
+// bytes.
 func tracedChaosCrashJSONL(t *testing.T, workers int) []byte {
 	t.Helper()
-	ResetTracing()
-	defer ResetTracing()
-	EnableTracing(ScenarioTrace{Mask: TraceAll})
-	fn, err := GetExperiment("chaos-crash")
-	if err != nil {
-		t.Fatal(err)
+	var tasks []CampaignTask
+	for _, task := range Campaign(ExperimentRun{Quick: true, Trace: &ScenarioTrace{Mask: TraceAll}}) {
+		if task.ID == "chaos-crash" {
+			tasks = append(tasks, task)
+		}
 	}
-	tasks := []CampaignTask{{
-		ID: "chaos-crash",
-		Run: func(ctx context.Context) (*Experiment, error) {
-			return fn(true)
-		},
-	}}
 	results := RunCampaign(context.Background(), tasks, CampaignOptions{Workers: workers})
 	if results[0].Status != CampaignOK {
 		t.Fatalf("chaos-crash failed: %+v", results[0].Err)
 	}
 	var buf bytes.Buffer
-	if err := WriteTraceJSONL(&buf); err != nil {
+	if err := trace.WriteJSONL(&buf, results[0].Experiment.TraceRuns); err != nil {
 		t.Fatal(err)
 	}
 	return buf.Bytes()
@@ -83,14 +78,14 @@ func TestTraceDigestPinned(t *testing.T) {
 	}
 }
 
-// TestTraceSnapshotsLabeledByBuildOrder checks that the global registry
-// labels recorders by build order so exports sort deterministically.
-func TestTraceSnapshotsLabeledByBuildOrder(t *testing.T) {
-	ResetTracing()
-	defer ResetTracing()
-	EnableTracing(ScenarioTrace{Mask: TraceAll})
+// TestTraceRunsLabeledByBuildOrder checks that an experiment invocation
+// labels each traced build's run by build order, so exports read in the
+// order the arms ran.
+func TestTraceRunsLabeledByBuildOrder(t *testing.T) {
+	x := &ExperimentRun{Trace: &ScenarioTrace{Mask: TraceAll}}
 	for i := 0; i < 2; i++ {
-		m, err := Build(BuildConfig{Seed: 7, Target: AlphaCluster})
+		s := &Scenario{Name: "t", Seed: 7, Target: &AlphaCluster}
+		m, err := x.Build(s)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -101,16 +96,16 @@ func TestTraceSnapshotsLabeledByBuildOrder(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	snaps := TraceSnapshots()
-	if len(snaps) != 2 {
-		t.Fatalf("snapshots = %d, want 2", len(snaps))
+	runs := x.Traces()
+	if len(runs) != 2 {
+		t.Fatalf("runs = %d, want 2", len(runs))
 	}
 	for i, want := range []string{"00:Alpha Cluster", "01:Alpha Cluster"} {
-		if snaps[i].Label != want {
-			t.Errorf("snapshot %d label = %q, want %q", i, snaps[i].Label, want)
+		if runs[i].Label != want {
+			t.Errorf("run %d label = %q, want %q", i, runs[i].Label, want)
 		}
-		if snaps[i].Emitted == 0 {
-			t.Errorf("snapshot %d recorded no events", i)
+		if runs[i].Emitted == 0 {
+			t.Errorf("run %d recorded no events", i)
 		}
 	}
 }
