@@ -54,8 +54,10 @@ type ExperimentRun struct {
 	// Trace, when non-nil, outranks each arm's trace line.
 	Trace *scenario.TraceSpec
 
-	// traced holds each traced build, in build order.
-	traced []*MicroGrid
+	// traced holds each traced build's recorders, in build order; only
+	// the recorders, so a multi-arm experiment does not keep every
+	// arm's grid alive until it returns.
+	traced [][]*trace.Recorder
 }
 
 // Build constructs an arm's MicroGrid (see BuildScenario) from a copy of
@@ -78,7 +80,7 @@ func (x *ExperimentRun) BuildEnv(s *scenario.Scenario, env ScenarioEnv) (*MicroG
 	}
 	m, err := BuildScenarioEnv(&sc, env)
 	if err == nil && m.recs != nil {
-		x.traced = append(x.traced, m)
+		x.traced = append(x.traced, m.recs)
 	}
 	return m, err
 }
@@ -96,8 +98,8 @@ func (x *ExperimentRun) Run(s *scenario.Scenario) (*Report, error) {
 // by build order so the export reads in the order the arms ran.
 func (x *ExperimentRun) Traces() []trace.Run {
 	runs := make([]trace.Run, len(x.traced))
-	for i, m := range x.traced {
-		runs[i], _ = m.Trace()
+	for i, recs := range x.traced {
+		runs[i] = mergeRecorders(recs)
 		runs[i].Label = fmt.Sprintf("%02d:%s", i, runs[i].Label)
 	}
 	return runs

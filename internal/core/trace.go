@@ -44,9 +44,14 @@ func (m *MicroGrid) Trace() (trace.Run, bool) {
 	if len(m.recs) == 0 {
 		return trace.Run{}, false
 	}
-	parts := make([]trace.Run, len(m.recs))
-	for i, r := range m.recs {
+	return mergeRecorders(m.recs), true
+}
+
+// mergeRecorders snapshots one build's recorders into its canonical Run.
+func mergeRecorders(recs []*trace.Recorder) trace.Run {
+	parts := make([]trace.Run, len(recs))
+	for i, r := range recs {
 		parts[i] = r.Snapshot()
 	}
-	return trace.MergeRuns(parts), true
+	return trace.MergeRuns(parts)
 }

@@ -261,7 +261,9 @@ func Campaign(x core.ExperimentRun) []Task {
 				if err := ctx.Err(); err != nil {
 					return nil, err
 				}
-				run := x
+				// A fresh value, so attempts share no traces with x or
+				// with each other.
+				run := core.ExperimentRun{Quick: x.Quick, Shards: x.Shards, Partition: x.Partition, Trace: x.Trace}
 				exp, err := fn(&run)
 				if exp != nil {
 					exp.TraceRuns = run.Traces()

@@ -17,7 +17,9 @@ import (
 
 	"microgrid/internal/core"
 	"microgrid/internal/metrics"
+	"microgrid/internal/scenario"
 	"microgrid/internal/simcore"
+	"microgrid/internal/trace"
 )
 
 // okTask returns a task producing a small deterministic experiment.
@@ -352,6 +354,58 @@ func TestCampaignRegistryOrder(t *testing.T) {
 	for i := range tasks {
 		if tasks[i].ID != regs[i].ID {
 			t.Fatalf("task %d = %s, want %s", i, tasks[i].ID, regs[i].ID)
+		}
+	}
+}
+
+// TestCampaignAttemptsShareNoTraces: builds already made through the
+// caller's ExperimentRun do not leak into a Campaign attempt's
+// TraceRuns, and concurrent attempts of one task keep separate lists.
+func TestCampaignAttemptsShareNoTraces(t *testing.T) {
+	spec := &scenario.TraceSpec{Mask: trace.CatProc}
+	x := core.ExperimentRun{Quick: true, Trace: spec}
+	if _, err := x.Build(core.ChaosCrashScenario()); err != nil {
+		t.Fatal(err)
+	}
+	find := func(tasks []Task) Task {
+		for _, tk := range tasks {
+			if tk.ID == "chaos-crash" {
+				return tk
+			}
+		}
+		t.Fatal("chaos-crash not registered")
+		return Task{}
+	}
+	fresh, err := find(Campaign(core.ExperimentRun{Quick: true, Trace: spec})).Run(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	task := find(Campaign(x))
+	exps := make([]*core.Experiment, 2)
+	var wg sync.WaitGroup
+	for i := range exps {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			exp, err := task.Run(context.Background())
+			if err != nil {
+				t.Error(err)
+			}
+			exps[i] = exp
+		}(i)
+	}
+	wg.Wait()
+	for _, exp := range exps {
+		if exp == nil {
+			continue
+		}
+		if len(exp.TraceRuns) != len(fresh.TraceRuns) || len(exp.TraceRuns) == 0 {
+			t.Fatalf("attempt kept %d traces, a fresh run %d", len(exp.TraceRuns), len(fresh.TraceRuns))
+		}
+		for i, r := range exp.TraceRuns {
+			if r.Label != fresh.TraceRuns[i].Label {
+				t.Fatalf("trace %d labeled %q, want %q", i, r.Label, fresh.TraceRuns[i].Label)
+			}
 		}
 	}
 }
