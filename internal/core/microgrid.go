@@ -68,8 +68,9 @@ type BuildConfig struct {
 	// the shards: each cluster of the virtual topology (connected
 	// component of sub-millisecond links) runs whole on one shard (see
 	// scenario.PartitionSpec for the placement), and wide-area hops
-	// between shards become cross-shard events with the inter-cluster
-	// latency as lookahead. Requires direct mode (nil Emulation); a
+	// between shards become cross-shard events, with the cheapest link
+	// between shards as lookahead (narrowed by ArmChaos for the faults
+	// it arms; see DESIGN.md §10). Requires direct mode (nil Emulation); a
 	// single-cluster topology partitions to a no-op. Results are
 	// bit-identical at any shard count — only CatEngine dispatch
 	// telemetry (stripped from partitioned traces) is shard-dependent.
@@ -331,8 +332,8 @@ func assemble(cfg BuildConfig, vcfg virtual.Config, wire func(*netsim.Network, f
 	}
 	if par != nil {
 		// Conservative lookahead: no packet crosses the virtual network
-		// faster than its cheapest link. Partitioned, only wide-area hops
-		// cross shards, so the window is the cheapest inter-cluster link.
+		// faster than its cheapest link. Partitioned, only links between
+		// shards carry events across, so the window is the plan's.
 		la, ok := grid.Network().MinLinkDelay()
 		if plan != nil {
 			la, ok = plan.lookahead, true
@@ -404,11 +405,18 @@ func (m *MicroGrid) wireGISHome() {
 	home := m.Grid.Host(m.Hosts[0])
 	m.gisCluster = clusters.Of(home.Node)
 	m.gisEng = home.Engine()
+	m.gisDelay = interClusterDelay(nw)
+}
+
+// interClusterDelay is the cheapest inter-cluster link, or the cheapest
+// link when no link joins clusters: the latency gisDo charges a GIS
+// update from another cluster.
+func interClusterDelay(nw *netsim.Network) simcore.Duration {
 	if d, ok := nw.InterClusterMinDelay(); ok {
-		m.gisDelay = d
-	} else if d, ok := nw.MinLinkDelay(); ok {
-		m.gisDelay = d
+		return d
 	}
+	d, _ := nw.MinLinkDelay()
+	return d
 }
 
 // gisDo runs fn against the GIS directory, which lives with Hosts[0]
@@ -494,11 +502,23 @@ func (m *MicroGrid) IsDirect() bool { return m.direct }
 // ArmChaos arms a fault schedule against this grid and wires the
 // middleware to notice failures: when a host crashes its gatekeeper's
 // GIS record disappears (so discovery stops offering the host), and
-// when it reboots a fresh gatekeeper starts and re-registers. Call
-// before RunApp; the injections fire while the application runs.
+// when it reboots a fresh gatekeeper starts and re-registers. On a
+// partitioned grid it first narrows the synchronization window to what
+// the faults need (see chaosLookahead). Call before RunApp; the
+// injections fire while the application runs.
 func (m *MicroGrid) ArmChaos(s *chaos.Schedule) (*chaos.Injector, error) {
 	if m.injector != nil {
 		return nil, fmt.Errorf("core: chaos already armed")
+	}
+	if m.plan != nil {
+		la, err := m.plan.chaosLookahead(m.Grid.Network(), s, m.Hosts[0], m.gisDelay)
+		if err != nil {
+			return nil, err
+		}
+		if la < m.plan.lookahead {
+			m.plan.lookahead = la
+			m.par.SetLookahead(la)
+		}
 	}
 	m.Grid.OnCrash = func(h *virtual.Host) {
 		if gk := m.takeGatekeeper(h.Name); gk != nil {

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"sort"
 
+	"microgrid/internal/chaos"
 	"microgrid/internal/netsim"
 	"microgrid/internal/scenario"
 	"microgrid/internal/simcore"
@@ -17,8 +18,12 @@ type partitionPlan struct {
 	shardOf map[string]int
 	// clusters is the number of topology clusters.
 	clusters int
-	// lookahead is the minimum inter-cluster link delay — the
-	// conservative synchronization window for the partitioned run.
+	// lookahead is the conservative synchronization window: the cheapest
+	// coupling that can carry an event from one shard to another. The
+	// plan sets it to the cheapest link whose ends sit on different
+	// shards, since every cross-shard packet, frame or flow message
+	// crosses one; ArmChaos narrows it for the faults it arms (see
+	// chaosLookahead).
 	lookahead simcore.Duration
 }
 
@@ -68,11 +73,18 @@ func planPartition(nw *netsim.Network, nshards int, pc *scenario.PartitionSpec) 
 		}
 	}
 	joinRouters(clusters, shard, nshards)
-	la, ok := nw.InterClusterMinDelay()
+	la, ok := simcore.Duration(0), false
+	for ci := range shard {
+		clusters.Border(ci, func(to int, d simcore.Duration) {
+			if shard[to] != shard[ci] && (!ok || d < la) {
+				la, ok = d, true
+			}
+		})
+	}
 	if !ok {
-		// Disconnected clusters exchange nothing; any positive window
-		// works, so fall back to the cheapest link.
-		la, _ = nw.MinLinkDelay()
+		// No link joins two shards, so the shards exchange nothing and
+		// any positive window works.
+		la = interClusterDelay(nw)
 	}
 	plan := &partitionPlan{
 		shardOf:   make(map[string]int),
@@ -85,6 +97,40 @@ func planPartition(nw *netsim.Network, nshards int, pc *scenario.PartitionSpec) 
 		}
 	}
 	return plan, nil
+}
+
+// chaosLookahead returns the window a fault schedule leaves the plan.
+// Two faults couple shards more tightly than the plan's links do:
+//
+//   - a degrade of a link between shards can lower its delay, so the
+//     window drops to the lowest delay any armed degrade gives it;
+//   - a crash, and the reboot that may follow it, of a host on another
+//     shard than the GIS home sends a directory update there after
+//     gisDelay (see gisDo), so the window drops to gisDelay.
+//
+// Other faults change no delay. A window that reaches zero cannot be
+// run in parallel and is an error.
+func (p *partitionPlan) chaosLookahead(nw *netsim.Network, s *chaos.Schedule, gisHome string, gisDelay simcore.Duration) (simcore.Duration, error) {
+	la := p.lookahead
+	for _, e := range s.Events {
+		switch e.Kind {
+		case chaos.LinkDegrade:
+			l := nw.FindLink(e.A, e.B)
+			if l == nil || p.shardOf[l.A.Name] == p.shardOf[l.B.Name] {
+				continue
+			}
+			la = min(la, l.DegradedDelay(e.DelayFactor))
+		case chaos.HostCrash:
+			if p.shardOf[e.Host] != p.shardOf[gisHome] {
+				la = min(la, gisDelay)
+			}
+		}
+	}
+	if la <= 0 {
+		return 0, fmt.Errorf("core: chaos schedule %s leaves a lookahead of %v; the parallel engine "+
+			"needs a positive lookahead", s.Name, la)
+	}
+	return la, nil
 }
 
 // hasHost reports whether a cluster has a member that is not a router.
@@ -197,10 +243,11 @@ func partitionAssign(par *simcore.ParallelEngine, pc *scenario.PartitionSpec) (f
 
 // PartitionPreview resolves a scenario's partition offline, without
 // building hosts or running anything: the scenario's topology is wired
-// into a throwaway network and planned exactly as Build would. It
-// returns the node→shard placement, the synchronization lookahead, and
-// the shard count. A nil map with a nil error means partitioning would
-// be a no-op for this scenario.
+// into a throwaway network and planned exactly as Build would, and its
+// chaos schedule narrows the window as ArmChaos would. It returns the
+// node→shard placement, the synchronization lookahead, and the shard
+// count. A nil map with a nil error means partitioning would be a no-op
+// for this scenario.
 func PartitionPreview(s *scenario.Scenario) (map[string]int, simcore.Duration, int, error) {
 	shards, pc := s.EngineShards, s.Partition
 	topo := s.Topology
@@ -222,7 +269,18 @@ func PartitionPreview(s *scenario.Scenario) (map[string]int, simcore.Duration, i
 	if err != nil || plan == nil {
 		return nil, 0, shards, err
 	}
-	return plan.shardOf, plan.lookahead, shards, nil
+	la := plan.lookahead
+	if s.Chaos != nil {
+		// The GIS lives with the first virtual host, as in Build.
+		home := topo.Hosts[0].Name
+		if s.TopoGen == nil && len(s.HostRanks) > 0 {
+			home = s.HostRanks[0]
+		}
+		if la, err = plan.chaosLookahead(nw, s.Chaos, home, interClusterDelay(nw)); err != nil {
+			return nil, 0, shards, err
+		}
+	}
+	return plan.shardOf, la, shards, nil
 }
 
 // Partitioned reports whether this instance's model is spread across

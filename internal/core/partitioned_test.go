@@ -57,8 +57,11 @@ func partitionedChaosRun(t *testing.T, shards int) (*Report, string, string, []b
 	}
 	if m.Partitioned() {
 		shardOf, lookahead := m.PartitionShards()
+		// The backbone alone joins the shards, but uiuc0's crash sends
+		// GIS updates from its shard to ucsd0's after the 1 ms
+		// inter-cluster latency, which narrows the window to it.
 		if lookahead != simcore.Millisecond {
-			t.Fatalf("lookahead = %v, want the 1ms OC3 access delay", lookahead)
+			t.Fatalf("lookahead = %v, want the 1ms GIS update latency", lookahead)
 		}
 		// The two sites must never share a shard with each other when
 		// there are at least two shards to spread over.
@@ -152,12 +155,13 @@ func TestPlanPartition(t *testing.T) {
 			t.Errorf("shardOf[%s] = %d, want %d", name, got, shard)
 		}
 	}
-	if plan.lookahead != simcore.Millisecond {
-		t.Errorf("lookahead = %v, want 1ms", plan.lookahead)
-	}
-	// So the 28 ms backbone is the only link between shards.
+	// So the 28 ms backbone is the only link between shards, and the
+	// window is its delay: the 1 ms access circuits stay inside a shard.
 	if got := crossingLinks(nw, plan); len(got) != 1 || got[0] != "vbns-west-vbns-east" {
 		t.Errorf("links crossing shards = %v, want just the backbone", got)
+	}
+	if plan.lookahead != 28*simcore.Millisecond {
+		t.Errorf("lookahead = %v, want the 28ms backbone", plan.lookahead)
 	}
 	// Repeated planning gives the same placement.
 	again, err := planPartition(nw, 2, &scenario.PartitionSpec{Auto: true})
@@ -178,6 +182,15 @@ func TestPlanPartition(t *testing.T) {
 	if plan.shardOf["vbns-east"] != 3 || plan.shardOf["vbns-west"] != 0 {
 		t.Errorf("pinned uiuc0 to 3: vbns-east on %d, vbns-west on %d; want 3 and 0",
 			plan.shardOf["vbns-east"], plan.shardOf["vbns-west"])
+	}
+	// Pinning uiuc's backbone router away from it puts the 1 ms access
+	// circuit between shards, and the window shrinks to it.
+	plan, err = planPartition(nw, 2, &scenario.PartitionSpec{Assign: map[string]int{"uiuc0": 1, "vbns-east": 0}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if plan.lookahead != simcore.Millisecond {
+		t.Errorf("vbns-east pinned away from uiuc: lookahead = %v, want the 1ms access circuit", plan.lookahead)
 	}
 
 	for _, tc := range []struct {
@@ -310,12 +323,55 @@ func TestPartitionPreview(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if shards != 2 || lookahead != simcore.Millisecond {
-		t.Fatalf("shards=%d lookahead=%v, want 2 and 1ms", shards, lookahead)
+	if shards != 2 || lookahead != 28*simcore.Millisecond {
+		t.Fatalf("shards=%d lookahead=%v, want 2 and the 28ms backbone", shards, lookahead)
 	}
 	if shardOf["ucsd0"] != 0 || shardOf["uiuc0"] != 1 {
 		t.Fatalf("placement %v, want ucsd on 0 and uiuc on 1", shardOf)
 	}
+	// The chaos schedule narrows the preview's window as it narrows the
+	// build's: a degrade to a tenth of the backbone delay, then (lower
+	// still) a crash across shards from the GIS home at ucsd0.
+	for _, tc := range []struct {
+		chaos string
+		want  simcore.Duration
+	}{
+		{"at 1ms degrade vbns-west vbns-east delay=0.1", 2800 * simcore.Microsecond},
+		{"at 1ms degrade ucsd-gw vbns-west delay=0.1", 28 * simcore.Millisecond},
+		{"at 1ms crash ucsd1", 28 * simcore.Millisecond},
+		{"at 1ms crash uiuc0\nat 2ms degrade vbns-west vbns-east delay=0.1", simcore.Millisecond},
+	} {
+		cs, err := chaos.ParseScheduleString("schedule preview\n" + tc.chaos + "\n")
+		if err != nil {
+			t.Fatal(err)
+		}
+		s.Chaos = cs
+		_, lookahead, _, err := PartitionPreview(s)
+		if err != nil || lookahead != tc.want {
+			t.Errorf("chaos %q: preview lookahead = %v, %v; want %v", tc.chaos, lookahead, err, tc.want)
+		}
+		m, err := BuildScenario(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, built := m.PartitionShards(); built != lookahead {
+			t.Errorf("chaos %q: build lookahead %v, preview %v", tc.chaos, built, lookahead)
+		}
+	}
+	// A degrade that takes a link between shards to zero delay leaves no
+	// window to run in: preview and build both refuse it.
+	cs, err := chaos.ParseScheduleString("schedule zero\nat 1ms degrade vbns-west vbns-east delay=0.0000000001\n")
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Chaos = cs
+	if _, _, _, err := PartitionPreview(s); err == nil || !strings.Contains(err.Error(), "positive lookahead") {
+		t.Errorf("zero-delay degrade: preview err = %v, want a positive-lookahead error", err)
+	}
+	if _, err := BuildScenario(s); err == nil || !strings.Contains(err.Error(), "positive lookahead") {
+		t.Errorf("zero-delay degrade: build err = %v, want a positive-lookahead error", err)
+	}
+	s.Chaos = nil
 	// Serial scenario: preview reports a no-op.
 	s.EngineShards = 0
 	if m, _, _, err := PartitionPreview(s); err != nil || m != nil {
@@ -335,5 +391,137 @@ func TestPartitionRequiresDirectMode(t *testing.T) {
 	})
 	if err == nil || !strings.Contains(err.Error(), "direct mode") {
 		t.Fatalf("err = %v, want direct-mode rejection", err)
+	}
+}
+
+// runWindowed builds s at the given shard count — 0 is serial; otherwise
+// partitioned automatically — runs its workload, and returns the report
+// text, the chaos timeline and the synchronization window (0 serially).
+func runWindowed(t *testing.T, s *scenario.Scenario, shards int) (string, string, simcore.Duration) {
+	t.Helper()
+	s.EngineShards, s.Partition = shards, nil
+	if shards > 0 {
+		s.Partition = &scenario.PartitionSpec{Auto: true}
+	}
+	m, err := BuildScenario(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m.Partitioned() != (shards > 0) {
+		t.Fatalf("shards=%d: partitioned = %v", shards, m.Partitioned())
+	}
+	_, la := m.PartitionShards()
+	rep, err := m.RunWorkload(s)
+	if err != nil {
+		t.Fatalf("shards=%d: %v", shards, err)
+	}
+	return FormatScenarioReport(s.Name, rep), chaos.FormatTimeline(m.ChaosTimeline()), la
+}
+
+// TestDegradedBackbonePartitionedMatchesSerial runs the committed
+// backbone-degrade example. The degrade lowers the only link between
+// the shards from 28 ms to 280 µs, so the window must start at 280 µs:
+// a window sized by the undegraded link let a frame cross shards inside
+// the window that sent it, and the run panicked. Every shard count must
+// report what the serial engine does.
+func TestDegradedBackbonePartitionedMatchesSerial(t *testing.T) {
+	s, err := scenario.Load("../../examples/wide-area-vbns/lu-degrade.scenario")
+	if err != nil {
+		t.Fatal(err)
+	}
+	serial, serialTL, _ := runWindowed(t, s, 0)
+	if !strings.Contains(serialTL, "degrade") {
+		t.Fatalf("chaos timeline lacks the degrade:\n%s", serialTL)
+	}
+	for _, shards := range []int{2, 4} {
+		rep, tl, la := runWindowed(t, s, shards)
+		if la != 280*simcore.Microsecond {
+			t.Errorf("shards=%d: lookahead %v, want the degraded backbone's 280µs", shards, la)
+		}
+		if rep != serial || tl != serialTL {
+			t.Errorf("shards=%d diverged from serial:\n%s%s\nserial:\n%s%s", shards, rep, tl, serial, serialTL)
+		}
+	}
+}
+
+// starCrash is the shape of mgridfuzz seed 9: four sites hang off one
+// core router over wide-area links, and the site c1 host c1h0 crashes
+// while a ping-pong runs between c0h0 and c1h0.
+const starCrash = `scenario star-crash
+seed 9
+target procs=3 cpu=400 net=100Mbps delay=25µs name="FuzzCluster"
+topology
+  topology star-4x2
+  host c0h0 10.1.1.1
+  host c0h1 10.1.1.2
+  host c1h0 10.2.1.1
+  host c1h1 10.2.1.2
+  host c2h0 10.3.1.1
+  host c2h1 10.3.1.2
+  host c3h0 10.4.1.1
+  host c3h1 10.4.1.2
+  router core
+  router c0sw
+  router c0gw
+  router c1sw
+  router c1gw
+  router c2sw
+  router c2gw
+  router c3sw
+  router c3gw
+  link c0h0 c0sw 100Mbps 25µs
+  link c0h1 c0sw 100Mbps 25µs
+  link c0sw c0gw 1Gbps 100µs
+  link c0gw core 622Mbps 20ms
+  link c1h0 c1sw 100Mbps 25µs
+  link c1h1 c1sw 100Mbps 25µs
+  link c1sw c1gw 1Gbps 100µs
+  link c1gw core 155Mbps 20ms loss=0.003
+  link c2h0 c2sw 100Mbps 25µs
+  link c2h1 c2sw 100Mbps 25µs
+  link c2sw c2gw 1Gbps 100µs
+  link c2gw core 155Mbps 8ms
+  link c3h0 c3sw 100Mbps 25µs
+  link c3h1 c3sw 100Mbps 25µs
+  link c3sw c3gw 1Gbps 100µs
+  link c3gw core 622Mbps 9ms
+end
+ranks c0h0 c1h0 c2h0
+workload pingpong bytes=131072 ranks=2
+retry timeout=1m0s attempts=3 backoff=24ms
+chaos
+  schedule crash-failover
+  at 32ms crash c1h0
+end
+`
+
+// TestPartitionWindowCoversGISUpdates pins the GIS term of the window.
+// On two shards c0 and c2 (with the core router, behind c2's 8 ms link)
+// land on shard 0 and c1 and c3 on shard 1, so the cheapest link between
+// shards is c3's 9 ms one. But c1h0's crash sends its GIS update to the
+// directory at c0h0 after the 8 ms inter-cluster latency: a 9 ms window
+// opening at the crash would receive it inside itself. The window must
+// be 8 ms, and the run must report what the serial engine does.
+func TestPartitionWindowCoversGISUpdates(t *testing.T) {
+	s, err := scenario.ParseString(starCrash)
+	if err != nil {
+		t.Fatal(err)
+	}
+	serial, serialTL, _ := runWindowed(t, s, 0)
+	if !strings.Contains(serialTL, "crash") {
+		t.Fatalf("chaos timeline lacks the crash:\n%s", serialTL)
+	}
+	rep, tl, la := runWindowed(t, s, 2)
+	if la != 8*simcore.Millisecond {
+		t.Errorf("lookahead %v, want the 8ms GIS update latency", la)
+	}
+	if rep != serial || tl != serialTL {
+		t.Errorf("partitioned run diverged from serial:\n%s%s\nserial:\n%s%s", rep, tl, serial, serialTL)
+	}
+	// Without the crash only links join the shards.
+	s.Chaos = nil
+	s.EngineShards, s.Partition = 2, &scenario.PartitionSpec{Auto: true}
+	if _, la, _, err := PartitionPreview(s); err != nil || la != 9*simcore.Millisecond {
+		t.Errorf("crash-free lookahead = %v, %v; want the 9ms c3 link", la, err)
 	}
 }

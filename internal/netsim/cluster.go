@@ -129,10 +129,9 @@ func (c ClusterIDs) Border(id int, fn func(to int, delay simcore.Duration)) {
 
 // InterClusterMinDelay returns the smallest propagation delay over links
 // joining different clusters of the routing hierarchy; ok is false when
-// no link crosses clusters. It is the natural conservative lookahead for
-// a parallel engine running one cluster per shard: no packet crosses
-// between clusters in less than this. The hierarchy's border edges are
-// exactly the crossing links, so this reads them instead of every link.
+// no link crosses clusters. No packet crosses between clusters in less
+// than this. The hierarchy's border edges are exactly the crossing
+// links, so this reads them instead of every link.
 func (n *Network) InterClusterMinDelay() (d simcore.Duration, ok bool) {
 	if !n.routed {
 		n.ComputeRoutes()

@@ -84,9 +84,7 @@ func (l *Link) Degrade(bwFactor, delayFactor, loss float64) {
 	if bwFactor > 0 {
 		cfg.BandwidthBps = l.orig.BandwidthBps * bwFactor
 	}
-	if delayFactor > 0 {
-		cfg.Delay = simcore.Duration(float64(l.orig.Delay) * delayFactor)
-	}
+	cfg.Delay = l.DegradedDelay(delayFactor)
 	if loss >= 0 {
 		cfg.LossProb = loss
 	}
@@ -97,6 +95,20 @@ func (l *Link) Degrade(bwFactor, delayFactor, loss float64) {
 		})
 	}
 	l.applyConfig(cfg)
+}
+
+// DegradedDelay returns the propagation delay Degrade gives the link
+// for delayFactor: the original delay scaled by it, or left unchanged
+// when it is ≤ 0.
+func (l *Link) DegradedDelay(delayFactor float64) simcore.Duration {
+	d := l.Config.Delay
+	if l.orig != nil {
+		d = l.orig.Delay
+	}
+	if delayFactor > 0 {
+		d = simcore.Duration(float64(d) * delayFactor)
+	}
+	return d
 }
 
 // Degraded reports whether the link currently runs degraded.

@@ -66,7 +66,7 @@ func (c *channel) flowTransmit(pkt *Packet) {
 			Link: c.label(), Bytes: int64(pkt.Size), Detail: pkt.Kind.String()})
 	}
 	// A cross-shard send is legal: arrival-now ≥ the link delay, which
-	// on an inter-cluster link is at least the engine lookahead.
+	// on a link between shards is at least the engine lookahead.
 	h := c.src.newHop(c, pkt, tx)
 	h.arrived = true
 	eng.SendTo(c.dst.eng, end.Add(c.cfg.Delay).Sub(now), h.run)

@@ -387,8 +387,9 @@ func (c *Conn) Send(p *simcore.Proc, size int, payload any) error {
 // same-engine peer gets it immediately, as before. A peer on another
 // shard gets it via a cross-shard send after the path's propagation
 // delay: that is never below the engine lookahead (every cross-shard
-// path crosses an inter-cluster link) and never behind the message's
-// data, which additionally pays serialization on every hop.
+// path crosses a link between shards, and the lookahead is at most the
+// delay of each such link) and never behind the message's data, which
+// additionally pays serialization on every hop.
 func (c *Conn) deliverFrame(m inMsg) {
 	peer := c.peer
 	if peer.node.eng == c.node.eng {

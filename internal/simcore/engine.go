@@ -8,7 +8,8 @@
 // engine, which advances virtual time to the next event.
 // Events run in one total order, (time, sequence), so runs are
 // bit-for-bit deterministic for a given seed. The queue behind that
-// order is a min-heap merged with two kinds of FIFO that are sorted by
+// order is two min-heaps, one for events due soon and one for events
+// scheduled far ahead, merged with two kinds of FIFO that are sorted by
 // construction: the same-instant FIFO, and delay lanes that hold events
 // sharing one delay (see Engine).
 package simcore
@@ -60,7 +61,7 @@ func DurationOfSeconds(s float64) Duration {
 }
 
 // event is a scheduled callback. Events are stored by value — no per-event
-// pointer, no interface boxing — in the heap, the same-instant FIFO and
+// pointer, no interface boxing — in the heaps, the same-instant FIFO and
 // the delay lanes (see Engine).
 type event struct {
 	t   Time
@@ -74,17 +75,27 @@ func (a *event) before(b *event) bool {
 	return a.t < b.t || (a.t == b.t && a.seq < b.seq)
 }
 
-// heapEntry is an event in the heap, tagged with the delay lane it heads.
+// heapEntry is an event in a heap, tagged with the delay lane it heads.
 type heapEntry struct {
 	event
 	lane int32 // 1 + the lane slot this entry heads; 0 for a stray event
 }
 
+// farHorizon splits the queue's heaps: an event scheduled at least this
+// far ahead goes to the far heap, anything sooner to the near one. Long
+// timers (a TCP retransmission timeout is armed on every segment and
+// almost never fires) and wide-area packet hops then wait in the far heap
+// without deepening the near heap that most dispatches pop from.
+const farHorizon = Time(Millisecond)
+
 // laneSlots is the number of delay lanes; a power of two, so laneSlot
-// can take the top bits of a Fibonacci hash.
+// can take the top bits of a Fibonacci hash. One more lane, at
+// inboxSlot, holds cross-shard deliveries (see inject); no delay hashes
+// to it.
 const (
 	laneBits  = 6
 	laneSlots = 1 << laneBits
+	inboxSlot = laneSlots
 )
 
 // laneSlot hashes a positive delay to its lane slot.
@@ -95,7 +106,7 @@ func laneSlot(d Time) int {
 // lane queues the events that wait behind a lane head, all scheduled with
 // one delay d, in a ring whose capacity stays below twice the lane's peak
 // length (or minRingCap), even when the lane never empties. The ring
-// does not hold the head, which sits in the heap.
+// does not hold the head, which sits in the heap d selects.
 type lane struct {
 	d Time // the lane's delay; 0 while the slot is free
 	ring[event]
@@ -148,23 +159,31 @@ func (r *ring[T]) pop() T {
 //     a slot; a live lane with the same d takes the event at its tail,
 //     with no heap operation. Because now never decreases and seq always
 //     increases, t = now + d and seq both grow along a lane, so every
-//     lane is already sorted by (t, seq). Only a lane's head sits in the
-//     heap; popping it replaces the root with the lane's next event (one
-//     sift-down instead of a pop plus a push), and popping a lane's last
-//     event frees its slot.
-//   - heap is a 4-ary min-heap of lane heads and of stray events (those
-//     whose slot holds another delay) with t after now, plus, transiently,
-//     events at now that were scheduled before time advanced here.
+//     lane is already sorted by (t, seq). Only a lane's head sits in a
+//     heap, always the one its delay selects; popping it replaces that
+//     heap's root with the lane's next event (one sift-down instead of a
+//     pop plus a push), and popping a lane's last event frees its slot.
+//   - the inbox lane holds the cross-shard deliveries a ParallelEngine
+//     injects at a window barrier. They arrive in (t, seq) order and all
+//     run before the next barrier, so the inbox is sorted as it fills
+//     and merges like a delay lane, its head in near.
+//   - near and far are 4-ary min-heaps of lane heads and of stray events
+//     (those whose slot holds another delay) with t after now, plus,
+//     transiently, events at now that were scheduled before time
+//     advanced here. An event scheduled farHorizon or more ahead goes to
+//     far, any other to near; dispatch takes the earlier of the two
+//     roots.
 //
-// Merging sorted streams through a heap of their heads yields exactly
+// Merging sorted streams through heaps of their heads yields exactly
 // the (time, seq) total order of a single heap of all events.
 //
 // An Engine is not safe for concurrent use from outside its own processes;
 // all interaction must happen from processes, event callbacks, or before/after Run.
 type Engine struct {
 	now      Time
-	heap     []heapEntry
-	lanes    [laneSlots]lane
+	near     eventHeap
+	far      eventHeap
+	lanes    [laneSlots + 1]lane
 	fifo     []event
 	fifoHead int
 	seq      int64
@@ -277,7 +296,7 @@ func (e *Engine) Recorder() *trace.Recorder { return e.rec }
 // seq) total order because time never advances while the FIFO is
 // non-empty, so each FIFO entry's seq exceeds that of any heap entry at
 // the same time. Later events join the delay lane of t - now when one is
-// live, and the heap otherwise (see Engine).
+// live, and the near or far heap otherwise (see Engine).
 func (e *Engine) At(t Time, fn func()) {
 	if t < e.now {
 		panic(fmt.Sprintf("simcore: scheduling event at %v before now %v", t, e.now))
@@ -295,55 +314,98 @@ func (e *Engine) At(t Time, fn func()) {
 		l.push(ev)
 	case 0:
 		l.d = d
-		e.heapPush(heapEntry{event: ev, lane: int32(slot) + 1})
+		e.heapFor(d).push(heapEntry{event: ev, lane: int32(slot) + 1})
 	default:
-		e.heapPush(heapEntry{event: ev})
+		e.heapFor(d).push(heapEntry{event: ev})
 	}
 }
 
-// heapPush inserts he into the 4-ary heap, sifting up with hole shifting.
-func (e *Engine) heapPush(he heapEntry) {
-	e.heap = append(e.heap, heapEntry{})
-	h := e.heap
-	i := len(h) - 1
+// inject schedules a cross-shard delivery at a window barrier; see
+// ParallelEngine.deliver. The barrier injects each window's deliveries
+// in (t, source shard, send seq) order and every one of them runs in the
+// window the barrier opens, so the inbox lane is empty at each barrier
+// and sorted by (t, seq) as it fills: it takes the event at its tail,
+// and only its head waits in the near heap.
+func (e *Engine) inject(t Time, fn func()) {
+	e.seq++
+	ev := event{t: t, seq: e.seq, fn: fn}
+	l := &e.lanes[inboxSlot]
+	if l.d != 0 {
+		l.push(ev)
+		return
+	}
+	l.d = 1 // live: pop frees it with the last event
+	e.near.push(heapEntry{event: ev, lane: inboxSlot + 1})
+}
+
+// heapFor returns the heap that holds events scheduled d ahead.
+func (e *Engine) heapFor(d Time) *eventHeap {
+	if d >= farHorizon {
+		return &e.far
+	}
+	return &e.near
+}
+
+// nextHeap returns the heap whose root runs first, or nil when both are
+// empty.
+func (e *Engine) nextHeap() *eventHeap {
+	switch {
+	case len(e.far) == 0:
+		if len(e.near) == 0 {
+			return nil
+		}
+		return &e.near
+	case len(e.near) == 0 || e.far[0].before(&e.near[0].event):
+		return &e.far
+	}
+	return &e.near
+}
+
+// eventHeap is a 4-ary min-heap in (time, seq) order.
+type eventHeap []heapEntry
+
+// push inserts he, sifting up with hole shifting.
+func (h *eventHeap) push(he heapEntry) {
+	*h = append(*h, heapEntry{})
+	hh := *h
+	i := len(hh) - 1
 	for i > 0 {
 		p := (i - 1) >> 2
-		if h[p].before(&he.event) {
+		if hh[p].before(&he.event) {
 			break
 		}
-		h[i] = h[p]
+		hh[i] = hh[p]
 		i = p
 	}
-	h[i] = he
+	hh[i] = he
 }
 
-// heapPop removes and returns the minimum event. A lane head is replaced
-// at the root by its lane's next event; the lane's last event frees its
+// pop removes and returns h's minimum event. A lane head is replaced at
+// the root by its lane's next event; the lane's last event frees its
 // slot.
-func (e *Engine) heapPop() event {
-	h := e.heap
-	top := h[0]
+func (e *Engine) pop(h *eventHeap) event {
+	hh := *h
+	top := hh[0]
 	if top.lane != 0 {
 		l := &e.lanes[top.lane-1]
 		if l.n > 0 {
-			e.siftDown(heapEntry{event: l.pop(), lane: top.lane})
+			hh.siftDown(heapEntry{event: l.pop(), lane: top.lane})
 			return top.event
 		}
 		l.d = 0
 	}
-	n := len(h) - 1
-	last := h[n]
-	h[n] = heapEntry{} // release the fn reference
-	e.heap = h[:n]
+	n := len(hh) - 1
+	last := hh[n]
+	hh[n] = heapEntry{} // release the fn reference
+	*h = hh[:n]
 	if n > 0 {
-		e.siftDown(last)
+		hh[:n].siftDown(last)
 	}
 	return top.event
 }
 
 // siftDown places he starting from the root, shifting smaller children up.
-func (e *Engine) siftDown(he heapEntry) {
-	h := e.heap
+func (h eventHeap) siftDown(he heapEntry) {
 	n := len(h)
 	i := 0
 	for {
@@ -372,7 +434,7 @@ func (e *Engine) siftDown(he heapEntry) {
 
 // pending reports the number of scheduled events.
 func (e *Engine) pending() int {
-	n := len(e.heap) + len(e.fifo) - e.fifoHead
+	n := len(e.near) + len(e.far) + len(e.fifo) - e.fifoHead
 	for i := range e.lanes {
 		n += e.lanes[i].n
 	}
@@ -440,15 +502,16 @@ func (e *Engine) RunUntil(limit Time) error {
 // nextEventTime reports the time of the earliest pending event, or
 // ok=false when nothing is scheduled. The FIFO only holds events for the
 // current instant, so a non-empty FIFO means the next event is at now;
-// lane events never precede their lane's head in the heap.
+// lane events never precede their lane's head in its heap.
 func (e *Engine) nextEventTime() (t Time, ok bool) {
 	if e.fifoHead < len(e.fifo) {
 		return e.now, true
 	}
-	if len(e.heap) == 0 {
+	h := e.nextHeap()
+	if h == nil {
 		return 0, false
 	}
-	return e.heap[0].t, true
+	return (*h)[0].t, true
 }
 
 // runWindow is the dispatch loop: it executes events with time strictly
@@ -463,8 +526,9 @@ func (e *Engine) nextEventTime() (t Time, ok bool) {
 func (e *Engine) runWindow(end Time) {
 	for !e.stopped {
 		var ev event
+		h := e.nextHeap()
 		switch {
-		case e.fifoHead < len(e.fifo) && (len(e.heap) == 0 || e.heap[0].t != e.now):
+		case e.fifoHead < len(e.fifo) && (h == nil || (*h)[0].t != e.now):
 			ev = e.fifo[e.fifoHead]
 			e.fifo[e.fifoHead] = event{} // release the fn reference
 			e.fifoHead++
@@ -472,11 +536,11 @@ func (e *Engine) runWindow(end Time) {
 				e.fifo = e.fifo[:0]
 				e.fifoHead = 0
 			}
-		case e.fifoHead < len(e.fifo) || (len(e.heap) > 0 && e.heap[0].t < end):
+		case e.fifoHead < len(e.fifo) || (h != nil && (*h)[0].t < end):
 			// Heap entries at the current instant were scheduled before
 			// any FIFO entry and run first; out-of-window events stay
 			// queued.
-			ev = e.heapPop()
+			ev = e.pop(h)
 			e.now = ev.t
 		default:
 			return

@@ -184,12 +184,15 @@ func (s *shadow) at(t Time, id int, fn func()) {
 	s.ids[s.e.seq] = id
 }
 
-// queued returns every event the engine holds: heap, lanes and FIFO.
+// queued returns every event the engine holds: both heaps, lanes and
+// FIFO.
 func (s *shadow) queued() map[int64]Time {
 	e := s.e
 	q := make(map[int64]Time, e.pending())
-	for _, he := range e.heap {
-		q[he.seq] = he.t
+	for _, h := range []eventHeap{e.near, e.far} {
+		for _, he := range h {
+			q[he.seq] = he.t
+		}
 	}
 	for i := range e.lanes {
 		l := &e.lanes[i]

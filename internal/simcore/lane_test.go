@@ -254,8 +254,8 @@ func TestLaneBufferBounded(t *testing.T) {
 }
 
 // TestPendingCountsLanes blocks a process forever while the only
-// scheduled events sit in one delay lane: a head in the heap and the rest
-// behind it. pending must count them all, so RunUntil stopping short of
+// scheduled events sit in one delay lane: a head in the far heap and the
+// rest behind it. pending must count them all, so RunUntil stopping short of
 // them is no deadlock — for the serial engine and a ParallelEngine alike
 // — while draining them is.
 func TestPendingCountsLanes(t *testing.T) {
@@ -272,8 +272,11 @@ func TestPendingCountsLanes(t *testing.T) {
 	if err := e.RunUntil(Time(10 * Microsecond)); err != nil {
 		t.Fatalf("RunUntil before the lane drains: %v", err)
 	}
-	if l := &e.lanes[laneSlot(d)]; len(e.heap) != 1 || l.n != 4 || e.pending() != 5 {
-		t.Fatalf("heap %d, lane %d, pending %d; want 1, 4, 5", len(e.heap), l.n, e.pending())
+	// A 1 ms delay is at the far horizon, so the lane's head waits in the
+	// far heap.
+	if l := &e.lanes[laneSlot(d)]; len(e.near) != 0 || len(e.far) != 1 || l.n != 4 || e.pending() != 5 {
+		t.Fatalf("near %d, far %d, lane %d, pending %d; want 0, 1, 4, 5",
+			len(e.near), len(e.far), l.n, e.pending())
 	}
 
 	e = NewEngine(1)
@@ -290,5 +293,67 @@ func TestPendingCountsLanes(t *testing.T) {
 	}
 	if pe.pending() != 5 {
 		t.Fatalf("parallel pending = %d, want 5", pe.pending())
+	}
+}
+
+// TestHeapsMatchHeapOrderAcrossHorizon is the exact-order differential
+// test for the near/far heap split. Delays straddle farHorizon — just
+// under, at and just over it, plus quarters of it that sum to it — so
+// events scheduled far ahead meet events scheduled near at one instant,
+// and ties fall across the two heaps and the same-instant FIFO. The
+// engine must dispatch the single heap's (t, seq, id) sequence and keep
+// the same events queued after RunUntil limits and Stop.
+func TestHeapsMatchHeapOrderAcrossHorizon(t *testing.T) {
+	const h = farHorizon
+	delays := []Time{h - 1, h, h + 1, h / 4, h / 2, 3 * h / 4, 2 * h, 0}
+	ties := 0
+	for seed := int64(1); seed <= 8; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		e := NewEngine(seed)
+		s := newShadow(e)
+		budget, nextID := 4000, 0
+		var fire func()
+		fire = func() {
+			if len(e.near) > 0 && len(e.far) > 0 && e.near[0].t == e.far[0].t {
+				ties++
+			}
+			if budget <= 0 {
+				return
+			}
+			budget--
+			for k := 1 + rng.Intn(2); k > 0; k-- {
+				d := delays[rng.Intn(len(delays))]
+				if rng.Intn(6) == 0 {
+					d = Time(1 + rng.Intn(int(3*h))) // a stray anywhere
+				}
+				nextID++
+				s.at(e.Now()+d, nextID, fire)
+			}
+		}
+		for i := 0; i < 20; i++ {
+			nextID++
+			s.at(delays[rng.Intn(len(delays))], nextID, fire)
+		}
+		limit := Time(0)
+		for seg := 0; seg < 3; seg++ {
+			limit += Time(rng.Intn(int(40 * h)))
+			if err := e.RunUntil(limit); err != nil {
+				t.Fatal(err)
+			}
+			s.check(t, fmt.Sprintf("seed %d RunUntil(%v)", seed, limit))
+		}
+		if seed%2 == 0 {
+			s.at(e.Now()+h, -2, e.Stop)
+		}
+		if err := e.Run(); err != nil {
+			t.Fatal(err)
+		}
+		s.check(t, fmt.Sprintf("seed %d Run", seed))
+		if len(s.got) < 2000 {
+			t.Fatalf("seed %d: only %d dispatches", seed, len(s.got))
+		}
+	}
+	if ties < 100 {
+		t.Fatalf("only %d instants had both heap roots tied; the schedule does not straddle the horizon", ties)
 	}
 }

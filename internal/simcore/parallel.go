@@ -28,12 +28,12 @@ type xevent struct {
 }
 
 // delivery is a due cross-shard event plus the coordinates that define
-// its deterministic injection order.
+// its deterministic injection order into its destination.
 type delivery struct {
-	t        Time
-	src, dst int
-	seq      int64
-	fn       func()
+	t   Time
+	seq int64
+	fn  func()
+	src int
 }
 
 // gevent is a global barrier action: a callback that must observe and
@@ -319,17 +319,19 @@ func (pe *ParallelEngine) nextTime() (Time, bool) {
 // deliver injects every queued cross-shard event with t < end into its
 // destination shard, in (time, source shard, send seq) order. It runs
 // single-threaded between windows, so destination seq assignment — and
-// therefore all downstream ordering — is deterministic.
+// therefore all downstream ordering — is deterministic. Each event runs
+// before end, so a shard's deliveries of one window have all run when
+// the next barrier injects more (see Engine.inject).
 func (pe *ParallelEngine) deliver(end Time) {
-	due := pe.deliverBuf[:0]
 	n := len(pe.shards)
-	for src := 0; src < n; src++ {
-		for dst := 0; dst < n; dst++ {
+	for dst := 0; dst < n; dst++ {
+		due := pe.deliverBuf[:0]
+		for src := 0; src < n; src++ {
 			q := pe.queues[src*n+dst]
 			keep := q[:0]
 			for _, xe := range q {
 				if xe.t < end {
-					due = append(due, delivery{t: xe.t, src: src, dst: dst, seq: xe.seq, fn: xe.fn})
+					due = append(due, delivery{t: xe.t, seq: xe.seq, fn: xe.fn, src: src})
 				} else {
 					keep = append(keep, xe)
 				}
@@ -339,22 +341,23 @@ func (pe *ParallelEngine) deliver(end Time) {
 			}
 			pe.queues[src*n+dst] = keep
 		}
-	}
-	slices.SortFunc(due, func(a, b delivery) int {
-		if c := cmp.Compare(a.t, b.t); c != 0 {
-			return c
+		slices.SortFunc(due, func(a, b delivery) int {
+			if c := cmp.Compare(a.t, b.t); c != 0 {
+				return c
+			}
+			if c := cmp.Compare(a.src, b.src); c != 0 {
+				return c
+			}
+			return cmp.Compare(a.seq, b.seq)
+		})
+		sh := pe.shards[dst]
+		for i := range due {
+			sh.inject(due[i].t, due[i].fn)
+			due[i] = delivery{} // release the fn reference
 		}
-		if c := cmp.Compare(a.src, b.src); c != 0 {
-			return c
-		}
-		return cmp.Compare(a.seq, b.seq)
-	})
-	for i := range due {
-		d := &due[i]
-		pe.shards[d.dst].At(d.t, d.fn)
+		pe.ncrossSent += int64(len(due))
+		pe.deliverBuf = due[:0]
 	}
-	pe.ncrossSent += int64(len(due))
-	pe.deliverBuf = due[:0]
 }
 
 // runShards executes the window [*, windowEnd) on every shard that has
