@@ -49,7 +49,7 @@ func main() {
 		outDir   = flag.String("out", "", "directory for campaign.json and timings.csv artifacts")
 		traceOut = flag.String("trace", "", "write a structured trace of the experiment or scenario (.jsonl = compact stream, anything else = Chrome/Perfetto JSON)")
 		traceCat = flag.String("trace-categories", "all", "trace categories, e.g. 'net,mpi' or 'all,-engine'")
-		traceBuf = flag.Int("trace-buf", 0, "trace ring-buffer capacity in events (0 = default 65536)")
+		traceBuf = flag.Int("trace-buf", 0, "trace ring-buffer capacity in events (0 = default 65536, at most 16777216)")
 		shards   = flag.Int("shards", 0, "simulation engine: 0 = serial (default), N >= 1 = conservative parallel engine with N shards")
 		partArg  = flag.String("partition", "", "partition the grid model across shards: 'auto' or 'node=shard,...' (requires -shards >= 2 or a scenario engine line)")
 	)
@@ -84,6 +84,10 @@ func main() {
 			os.Exit(1)
 		}
 		x.Trace = &microgrid.ScenarioTrace{Mask: mask, BufSize: *traceBuf}
+		if err := x.Trace.Validate(); err != nil {
+			fmt.Fprintln(os.Stderr, "error: -trace-buf:", err)
+			os.Exit(1)
+		}
 	}
 
 	if *scenFile != "" {

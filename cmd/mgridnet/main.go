@@ -35,7 +35,7 @@ func main() {
 		chaosF   = flag.String("chaos", "", "chaos schedule file to replay against the topology")
 		traceOut = flag.String("trace", "", "write a structured trace (.jsonl = compact stream, anything else = Chrome/Perfetto JSON)")
 		traceCat = flag.String("trace-categories", "all", "trace categories, e.g. 'net,link'")
-		traceBuf = flag.Int("trace-buf", 0, "trace ring-buffer capacity in events (0 = default 65536)")
+		traceBuf = flag.Int("trace-buf", 0, "trace ring-buffer capacity in events (0 = default 65536, at most 16777216)")
 	)
 	flag.Parse()
 
@@ -45,6 +45,10 @@ func main() {
 		mask, err := trace.ParseCategories(*traceCat)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "error:", err)
+			os.Exit(1)
+		}
+		if *traceBuf < 0 || *traceBuf > trace.MaxBufSize {
+			fmt.Fprintf(os.Stderr, "error: -trace-buf %d outside 0..%d events\n", *traceBuf, trace.MaxBufSize)
 			os.Exit(1)
 		}
 		rec := trace.NewRecorder(*traceBuf, mask)

@@ -307,6 +307,11 @@ func assemble(cfg BuildConfig, vcfg virtual.Config, wire func(*netsim.Network, f
 	if cfg.Partition != nil && !vcfg.Direct {
 		return nil, fmt.Errorf("core: partitioning requires direct mode (no emulation platform)")
 	}
+	if cfg.Trace != nil {
+		if err := cfg.Trace.Validate(); err != nil {
+			return nil, fmt.Errorf("core: %w", err)
+		}
+	}
 	var eng *simcore.Engine
 	var par *simcore.ParallelEngine
 	if cfg.Shards >= 1 {

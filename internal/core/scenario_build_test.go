@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -94,6 +95,18 @@ func TestBuildScenarioErrors(t *testing.T) {
 		if _, err := BuildScenario(s); err == nil || !strings.Contains(err.Error(), "link "+tc.link+" has delay 0s") {
 			t.Fatalf("zero-delay link under %q: %v", tc.engine, err)
 		}
+	}
+
+	// A trace ring over trace.MaxBufSize that bypassed the parser (an
+	// ExperimentRun's override, a hand-built config) is a build error,
+	// not a panic in the recorder.
+	s, err := scenario.ParseString("scenario huge-ring\nseed 1\ntarget procs=2 cpu=533 net=100Mbps delay=25us\n")
+	if err != nil {
+		t.Fatal(err)
+	}
+	x := &ExperimentRun{Trace: &scenario.TraceSpec{BufSize: trace.MaxBufSize + 1}}
+	if _, err := x.Build(s); err == nil || !strings.Contains(err.Error(), fmt.Sprint(trace.MaxBufSize)) {
+		t.Fatalf("oversized trace ring: %v", err)
 	}
 }
 

@@ -56,9 +56,10 @@ func RunVariant(s *scenario.Scenario, label string, shards int, auto, flow bool)
 		}
 	}
 	sc.FlowNetwork = flow
-	// A generous ring: generated workloads stay small, and a dropped
-	// event is itself a violation (trace-complete), so the buffer must
-	// not be the limiting factor.
+	// A generous ring: a dropped event is itself a violation
+	// (trace-complete), so the buffer must not be the limiting factor.
+	// Its slots are allocated as records arrive, so a generated
+	// workload, which stays small, pays only for the records it emits.
 	sc.Trace = &scenario.TraceSpec{Mask: trace.CatAll &^ trace.CatEngine, BufSize: 1 << 20}
 	m, err := core.BuildScenarioEnv(&sc, core.ScenarioEnv{})
 	if err != nil {

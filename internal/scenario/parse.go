@@ -712,7 +712,9 @@ func parseTrace(opts []string, fail failFunc) (*TraceSpec, error) {
 		case "categories":
 			t.Mask, err = trace.ParseCategories(v)
 		case "buf":
-			t.BufSize, err = strconv.Atoi(v)
+			if t.BufSize, err = strconv.Atoi(v); err == nil {
+				err = t.Validate()
+			}
 		default:
 			return nil, fail(opt, "unknown trace option %q", k)
 		}

@@ -163,8 +163,22 @@ type TraceSpec struct {
 	// partition-dependent, while every other category is byte-identical
 	// at any shard count.
 	Mask trace.Category
-	// BufSize bounds the ring in events (0 = trace.DefaultBufSize).
+	// BufSize bounds the ring in events (0 = trace.DefaultBufSize, at
+	// most trace.MaxBufSize).
 	BufSize int
+}
+
+// Validate checks the ring size. Scenario.Validate runs it; callers
+// that build a TraceSpec from other input (a command-line flag) run it
+// themselves.
+func (t *TraceSpec) Validate() error {
+	switch {
+	case t.BufSize < 0:
+		return fmt.Errorf("trace buf must be non-negative")
+	case t.BufSize > trace.MaxBufSize:
+		return fmt.Errorf("trace buf %d exceeds the maximum of %d events", t.BufSize, trace.MaxBufSize)
+	}
+	return nil
 }
 
 // Scenario is one complete run description.
@@ -345,8 +359,10 @@ func (s *Scenario) Validate() error {
 			return err
 		}
 	}
-	if s.Trace != nil && s.Trace.BufSize < 0 {
-		return fmt.Errorf("trace buf must be non-negative")
+	if s.Trace != nil {
+		if err := s.Trace.Validate(); err != nil {
+			return err
+		}
 	}
 	if s.Chaos != nil {
 		if err := s.Chaos.Validate(); err != nil {

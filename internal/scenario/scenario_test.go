@@ -1,6 +1,7 @@
 package scenario
 
 import (
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
@@ -190,6 +191,37 @@ func TestValidateRejects(t *testing.T) {
 		if _, err := ParseString(text); err == nil {
 			t.Errorf("accepted invalid scenario:\n%s", text)
 		}
+	}
+}
+
+// TestTraceBufLimit: a trace ring may hold trace.MaxBufSize events and
+// no more. A larger buf is a positioned error naming the limit, whether
+// it arrives in the text or in a programmatic scenario.
+func TestTraceBufLimit(t *testing.T) {
+	limit := fmt.Sprint(trace.MaxBufSize)
+	text := func(buf string) string {
+		return "scenario x\ntarget procs=1 cpu=1\ntrace buf=" + buf + "\n"
+	}
+	s, err := ParseString(text(limit))
+	if err != nil {
+		t.Fatalf("buf at the limit rejected: %v", err)
+	}
+	if s.Trace.BufSize != trace.MaxBufSize {
+		t.Fatalf("BufSize = %d, want %d", s.Trace.BufSize, trace.MaxBufSize)
+	}
+	for _, buf := range []string{fmt.Sprint(trace.MaxBufSize + 1), "99999999999", "-1"} {
+		_, err := ParseAt("demo.scenario", strings.NewReader(text(buf)))
+		if err == nil || !strings.HasPrefix(err.Error(), "scenario: demo.scenario:3: bad buf: ") ||
+			!strings.HasSuffix(err.Error(), `(at "buf=`+buf+`")`) {
+			t.Fatalf("buf=%s: got %v, want a line-3 error at the buf token", buf, err)
+		}
+		if buf != "-1" && !strings.Contains(err.Error(), limit) {
+			t.Errorf("buf=%s: error %q does not name the limit %s", buf, err, limit)
+		}
+	}
+	s.Trace.BufSize = trace.MaxBufSize + 1
+	if err := s.Validate(); err == nil || !strings.Contains(err.Error(), limit) {
+		t.Fatalf("Validate over the limit: got %v, want an error naming %s", err, limit)
 	}
 }
 

@@ -406,6 +406,29 @@ func TestServerSubmitValidation(t *testing.T) {
 	}
 }
 
+// TestServerRejectsOversizedTraceRing: a posted trace buf sizes a ring
+// in the server's memory, so one above trace.MaxBufSize is refused with
+// 400 naming the limit, and no run is queued, built or started.
+func TestServerRejectsOversizedTraceRing(t *testing.T) {
+	s := newTestServer(t, Config{Workers: 1})
+	w := doReq(t, s, "POST", "/v1/runs", "a", pingScenario("buf", 1)+"trace buf=99999999999\n")
+	if w.Code != http.StatusBadRequest {
+		t.Fatalf("status %d, want 400: %s", w.Code, w.Body.String())
+	}
+	if !strings.Contains(w.Body.String(), fmt.Sprint(trace.MaxBufSize)) {
+		t.Errorf("error does not name the limit %d: %s", trace.MaxBufSize, w.Body.String())
+	}
+	if list := doReq(t, s, "GET", "/v1/runs", "", ""); !strings.Contains(list.Body.String(), `"runs":[]`) {
+		t.Errorf("a run was recorded: %s", list.Body.String())
+	}
+	prom := scrape(t, s)
+	for _, want := range []string{"mgridd_runs_started_total 0", `mgridd_cache_requests_total{result="miss"} 0`} {
+		if !strings.Contains(prom, want) {
+			t.Errorf("/metrics missing %q:\n%s", want, prom)
+		}
+	}
+}
+
 // TestServerQuickFlagSeparatesCache: the same scenario under quick and
 // full modes occupies distinct cache entries.
 func TestServerQuickFlagSeparatesCache(t *testing.T) {

@@ -14,6 +14,9 @@
 // counter is part of every export — truncation is never silent. Each
 // record's fields are written straight into its ring slot, so recording
 // costs one slot write whether or not the record survives to export.
+// The ring's slots are allocated in fixed-length chunks the first time a
+// record lands in each, so a ring costs memory for the records it has
+// held rather than for its capacity.
 //
 // Recording is gated per category by a bitmask with a strict
 // zero-overhead-when-disabled fast path: a nil recorder or a masked-out
@@ -165,26 +168,62 @@ type Recorder struct {
 	// Label identifies this recorder's run in multi-run exports.
 	Label string
 
-	mask    Category
-	now     func() int64
-	sink    func(Event)
-	buf     []Event
-	start   int // index of the oldest retained event
-	count   int // number of retained events
-	seq     uint64
-	dropped uint64
+	mask Category
+	now  func() int64
+	sink func(Event)
+	size int // ring capacity in records
+	// chunks holds the ring's slots, chunkLen to a chunk (the last may
+	// be shorter). A chunk is allocated when the first record lands in
+	// it, so a ring costs memory only for the records it has held.
+	chunks [][]slot
+	ci     int    // index of the chunk the write cursor is in
+	cur    []slot // chunks[ci]
+	off    int    // write cursor: the next record goes to cur[off]
+	seq    uint64
 }
+
+// slot is one stored record: an Event without its Seq, which the ring
+// position implies (the i-th oldest retained record is dropped+i+1).
+type slot struct {
+	T, Dur, Bytes            int64
+	Rank, Peer               int
+	Cat                      Category
+	Name, Host, Link, Detail string
+}
+
+// event rebuilds the exported record with sequence number seq.
+func (s *slot) event(seq uint64) Event {
+	return Event{T: s.T, Seq: seq, Cat: s.Cat, Name: s.Name,
+		Host: s.Host, Link: s.Link, Rank: s.Rank, Peer: s.Peer,
+		Bytes: s.Bytes, Dur: s.Dur, Detail: s.Detail}
+}
+
+// chunkLen is the ring's allocation unit in slots (112 KB a chunk).
+const chunkLen = 1024
 
 // DefaultBufSize is the default ring capacity in events.
 const DefaultBufSize = 1 << 16
 
+// MaxBufSize is the largest ring capacity in events. Sizes arrive from
+// scenario files, command-line flags and HTTP bodies, which validate
+// against it; a full ring of this size holds about 1.9 GB.
+const MaxBufSize = 1 << 24
+
 // NewRecorder returns a recorder with the given ring capacity
-// (DefaultBufSize if size <= 0) and initial category mask.
+// (DefaultBufSize if size <= 0) and initial category mask. It allocates
+// only the chunk table; slots are allocated as records arrive. A size
+// above MaxBufSize panics: callers check outside input against it.
 func NewRecorder(size int, mask Category) *Recorder {
 	if size <= 0 {
 		size = DefaultBufSize
 	}
-	return &Recorder{mask: mask, buf: make([]Event, size)}
+	if size > MaxBufSize {
+		panic(fmt.Sprintf("trace: ring of %d events exceeds MaxBufSize (%d)", size, MaxBufSize))
+	}
+	n := (size + chunkLen - 1) / chunkLen
+	// The cursor starts at the end of the last chunk, so the first
+	// record wraps it to chunk 0.
+	return &Recorder{mask: mask, size: size, chunks: make([][]slot, n), ci: n - 1}
 }
 
 // SetClock installs the virtual-time source (the owning engine's now).
@@ -211,7 +250,7 @@ func (r *Recorder) Enable(c Category) { r.mask |= c }
 func (r *Recorder) Disable(c Category) { r.mask &^= c }
 
 // BufSize returns the ring capacity in events.
-func (r *Recorder) BufSize() int { return len(r.buf) }
+func (r *Recorder) BufSize() int { return r.size }
 
 // Emitted returns how many events were emitted in total (retained plus
 // dropped).
@@ -219,7 +258,10 @@ func (r *Recorder) Emitted() uint64 { return r.seq }
 
 // Dropped returns how many events the ring has overwritten. Exports
 // surface this count so truncation is never silent.
-func (r *Recorder) Dropped() uint64 { return r.dropped }
+func (r *Recorder) Dropped() uint64 { return r.seq - uint64(r.retained()) }
+
+// retained is the number of records the ring holds.
+func (r *Recorder) retained() int { return int(min(r.seq, uint64(r.size))) }
 
 // Event records an instant event at the current virtual time. Masked-out
 // categories return immediately.
@@ -245,34 +287,53 @@ func (r *Recorder) Span(cat Category, name string, start, dur int64, a Attr) {
 }
 
 // record assigns the next sequence number and writes the fields straight
-// into the next ring slot, overwriting the oldest record when full.
+// into the slot under the write cursor, which overwrites the oldest
+// record once the ring is full.
 func (r *Recorder) record(t, dur int64, cat Category, name string, a *Attr) {
+	if r.off == len(r.cur) {
+		r.nextChunk()
+	}
+	s := &r.cur[r.off]
+	r.off++
 	r.seq++
-	i := r.count // start stays 0 until the ring first fills
-	if i == len(r.buf) {
-		i = r.start
-		if r.start++; r.start == len(r.buf) {
-			r.start = 0
-		}
-		r.dropped++
-	} else {
-		r.count++
-	}
-	ev := &r.buf[i]
-	ev.T, ev.Seq, ev.Cat, ev.Name, ev.Dur = t, r.seq, cat, name, dur
-	ev.Host, ev.Link, ev.Rank, ev.Peer = a.Host, a.Link, a.Rank, a.Peer
-	ev.Bytes, ev.Detail = a.Bytes, a.Detail
+	s.T, s.Cat, s.Name, s.Dur = t, cat, name, dur
+	s.Host, s.Link, s.Rank, s.Peer = a.Host, a.Link, a.Rank, a.Peer
+	s.Bytes, s.Detail = a.Bytes, a.Detail
 	if r.sink != nil {
-		r.sink(*ev)
+		r.sink(s.event(r.seq))
 	}
+}
+
+// nextChunk moves the write cursor to the start of the next chunk,
+// wrapping after the last, and allocates the chunk on its first use.
+func (r *Recorder) nextChunk() {
+	if r.ci++; r.ci == len(r.chunks) {
+		r.ci = 0
+	}
+	if r.chunks[r.ci] == nil {
+		r.chunks[r.ci] = make([]slot, min(chunkLen, r.size-r.ci*chunkLen))
+	}
+	r.cur, r.off = r.chunks[r.ci], 0
 }
 
 // Events returns the retained events in emission order (oldest first).
 func (r *Recorder) Events() []Event {
-	// Oldest first: buf[start:count], then the wrapped buf[:start]
-	// (start is 0 until the ring first fills, and count is then len).
-	out := append(make([]Event, 0, r.count), r.buf[r.start:r.count]...)
-	return append(out, r.buf[:r.start]...)
+	out := make([]Event, r.retained())
+	dropped := r.seq - uint64(len(out))
+	// The oldest record is in slot 0 until the ring first fills, and
+	// under the write cursor from then on.
+	i := 0
+	if dropped > 0 {
+		i = r.ci*chunkLen + r.off
+	}
+	for k := range out {
+		if i == r.size {
+			i = 0
+		}
+		out[k] = r.chunks[i/chunkLen][i%chunkLen].event(dropped + uint64(k) + 1)
+		i++
+	}
+	return out
 }
 
 // Run is one recorder's snapshot for export and analysis.
@@ -288,9 +349,9 @@ type Run struct {
 func (r *Recorder) Snapshot() Run {
 	return Run{
 		Label:   r.Label,
-		BufSize: len(r.buf),
+		BufSize: r.size,
 		Emitted: r.seq,
-		Dropped: r.dropped,
+		Dropped: r.Dropped(),
 		Events:  r.Events(),
 	}
 }
