@@ -50,46 +50,50 @@ func main() {
 	}
 	opts := scengen.Options{Quick: *quick}
 
-	results := make([]*oracle.SeedResult, hi-lo)
-	var wg sync.WaitGroup
-	work := make(chan int64)
+	// Workers hand back each seed's formatted lines; the main goroutine
+	// prints them in seed order as soon as every lower seed is printed,
+	// and drops them then. Only a failing seed keeps its full result, for
+	// its repro bundle, so memory is bounded by the seeds in flight and
+	// those finished ahead of a slow one, not by the range.
 	if *jobs < 1 {
 		*jobs = 1
 	}
+	work := make(chan int64)
+	done := make(chan outcome)
+	var wg sync.WaitGroup
 	for w := 0; w < *jobs; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for seed := range work {
-				results[seed-lo] = oracle.CheckSeed(seed, opts)
+				done <- check(seed, opts, *verbose)
 			}
 		}()
 	}
-	for seed := lo; seed < hi; seed++ {
-		work <- seed
-	}
-	close(work)
-	wg.Wait()
+	go func() {
+		for seed := lo; seed < hi; seed++ {
+			work <- seed
+		}
+		close(work)
+		wg.Wait()
+		close(done)
+	}()
 
 	failed := 0
-	for _, r := range results {
-		status := "pass"
-		if r.Failed() {
+	pending := make(map[int64]outcome)
+	next := lo
+	for o := range done {
+		pending[o.seed] = o
+		for p, ok := pending[next]; ok; p, ok = pending[next] {
+			delete(pending, next)
+			next++
+			fmt.Print(p.text)
+			if p.fail == nil {
+				continue
+			}
 			failed++
-			status = fmt.Sprintf("FAIL (%d violations)", len(r.Violations))
-		}
-		fmt.Printf("seed %4d  %-8s %-9s chaos=%-7s engine=%-12s %s\n",
-			r.Seed, r.Scenario.Workload.Kind, r.Meta.Family,
-			orDash(r.Meta.ChaosFlavor), engineLabel(r), status)
-		if *verbose {
-			fmt.Println(indent(r.Text))
-		}
-		for _, v := range r.Violations {
-			fmt.Printf("    %s\n", v)
-		}
-		if r.Failed() {
-			if err := writeBundle(*outDir, r); err != nil {
-				fmt.Fprintf(os.Stderr, "error: repro bundle for seed %d: %v\n", r.Seed, err)
+			if err := writeBundle(*outDir, p.fail); err != nil {
+				fmt.Fprintf(os.Stderr, "error: repro bundle for seed %d: %v\n", p.seed, err)
 			}
 		}
 	}
@@ -98,6 +102,38 @@ func main() {
 		fmt.Fprintf(os.Stderr, "repro bundles under %s/\n", *outDir)
 		os.Exit(1)
 	}
+}
+
+// outcome is one checked seed: its stdout lines, and its full result
+// when it failed.
+type outcome struct {
+	seed int64
+	text string
+	fail *oracle.SeedResult
+}
+
+// check runs the oracle on one seed and formats its lines.
+func check(seed int64, opts scengen.Options, verbose bool) outcome {
+	r := oracle.CheckSeed(seed, opts)
+	status := "pass"
+	if r.Failed() {
+		status = fmt.Sprintf("FAIL (%d violations)", len(r.Violations))
+	}
+	var b strings.Builder
+	fmt.Fprintf(&b, "seed %4d  %-8s %-9s chaos=%-7s engine=%-12s %s\n",
+		r.Seed, r.Scenario.Workload.Kind, r.Meta.Family,
+		orDash(r.Meta.ChaosFlavor), engineLabel(r), status)
+	if verbose {
+		fmt.Fprintln(&b, indent(r.Text))
+	}
+	for _, v := range r.Violations {
+		fmt.Fprintf(&b, "    %s\n", v)
+	}
+	o := outcome{seed: seed, text: b.String()}
+	if r.Failed() {
+		o.fail = r
+	}
+	return o
 }
 
 func parseRange(s string) (lo, hi int64, err error) {

@@ -123,7 +123,7 @@ func (c ClusterIDs) Members(id int) []*Node { return c.members[id] }
 // propagation delay.
 func (c ClusterIDs) Border(id int, fn func(to int, delay simcore.Duration)) {
 	for _, be := range c.border[id] {
-		fn(int(be.to), be.ifc.ch.cfg.Delay)
+		fn(int(be.to), be.ifc.link.Config.Delay)
 	}
 }
 
@@ -138,7 +138,7 @@ func (n *Network) InterClusterMinDelay() (d simcore.Duration, ok bool) {
 	}
 	for _, edges := range n.hier.borderOut {
 		for _, be := range edges {
-			if dd := be.ifc.ch.cfg.Delay; !ok || dd < d {
+			if dd := be.ifc.link.Config.Delay; !ok || dd < d {
 				d, ok = dd, true
 			}
 		}

@@ -14,3 +14,17 @@ func (n *Network) EgressRowsBuilt() int {
 	}
 	return built
 }
+
+// OpenDirections lists the "src->dst" names of the link directions whose
+// channel is open, in link creation order, A→B before B→A.
+func (n *Network) OpenDirections() []string {
+	var out []string
+	for _, l := range n.links {
+		for _, c := range l.ch {
+			if c != nil {
+				out = append(out, c.label())
+			}
+		}
+	}
+	return out
+}

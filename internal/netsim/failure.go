@@ -23,15 +23,18 @@ func (l *Link) SetDown(down bool) {
 		return
 	}
 	l.down = down
-	l.ab.setDown(down)
-	l.ba.setDown(down)
+	for _, c := range l.ch {
+		if c != nil {
+			c.setDown(down)
+		}
+	}
 	nw := l.A.net
 	if rec := l.A.eng.Recorder(); rec.Enabled(trace.CatLink) {
 		name := "link-up"
 		if down {
 			name = "link-down"
 		}
-		rec.Event(trace.CatLink, name, trace.Attr{Link: l.ab.label()})
+		rec.Event(trace.CatLink, name, trace.Attr{Link: l.label()})
 	}
 	nw.invalidateRoutes()
 }
@@ -65,8 +68,11 @@ func (l *Link) ScheduleFlap(at simcore.Time, downFor, upFor simcore.Duration, co
 // both directions (a lossy but live link, unlike SetDown).
 func (l *Link) SetLossProb(p float64) {
 	l.Config.LossProb = p
-	l.ab.cfg.LossProb = p
-	l.ba.cfg.LossProb = p
+	for _, c := range l.ch {
+		if c != nil {
+			c.cfg.LossProb = p
+		}
+	}
 }
 
 // Degrade scales the link's bandwidth and delay by the given factors and
@@ -90,7 +96,7 @@ func (l *Link) Degrade(bwFactor, delayFactor, loss float64) {
 	}
 	if rec := l.A.eng.Recorder(); rec.Enabled(trace.CatLink) {
 		rec.Event(trace.CatLink, "link-degrade", trace.Attr{
-			Link:   l.ab.label(),
+			Link:   l.label(),
 			Detail: fmt.Sprintf("bw=%.3g delay=%v loss=%.3g", cfg.BandwidthBps, cfg.Delay, cfg.LossProb),
 		})
 	}
@@ -122,15 +128,18 @@ func (l *Link) Restore() {
 	cfg := *l.orig
 	l.orig = nil
 	if rec := l.A.eng.Recorder(); rec.Enabled(trace.CatLink) {
-		rec.Event(trace.CatLink, "link-restore", trace.Attr{Link: l.ab.label()})
+		rec.Event(trace.CatLink, "link-restore", trace.Attr{Link: l.label()})
 	}
 	l.applyConfig(cfg)
 }
 
 func (l *Link) applyConfig(cfg LinkConfig) {
 	l.Config = cfg
-	l.ab.cfg = cfg
-	l.ba.cfg = cfg
+	for _, c := range l.ch {
+		if c != nil {
+			c.cfg = cfg
+		}
+	}
 	// Route costs changed; stale tables rebuild lazily. Cluster structure
 	// is pinned at ComputeRoutes time, so a degraded LAN link does not
 	// reshuffle clusters mid-run.

@@ -57,10 +57,10 @@ func refClusters(n *Network, threshold simcore.Duration) [][]*Node {
 	return out
 }
 
-// refIfaceFor finds nd's attachment that transmits on ch.
-func refIfaceFor(nd *Node, ch *channel) *iface {
+// refIfaceFor finds nd's attachment that transmits toward peer over l.
+func refIfaceFor(nd *Node, l *Link, peer *Node) *iface {
 	for _, ifc := range nd.ifaces {
-		if ifc.ch == ch {
+		if ifc.link == l && ifc.peer() == peer {
 			return ifc
 		}
 	}
@@ -97,15 +97,15 @@ func refLocalTab(n *Network, nd *Node) []*iface {
 		}
 		visited[ui] = true
 		for _, ifc := range u.ifaces {
-			if ifc.ch.down {
+			if ifc.link.down {
 				continue
 			}
-			v := ifc.ch.dst
+			v := ifc.peer()
 			if h.clusterOf[v.idx] != c {
 				continue
 			}
 			vi := h.localIdx[v.idx]
-			cost := best + ifc.ch.cfg.Delay + hopPenalty
+			cost := best + ifc.link.Config.Delay + hopPenalty
 			if !reached[vi] || cost < dist[vi] {
 				dist[vi], reached[vi] = cost, true
 				if u == nd {
@@ -146,10 +146,10 @@ func refEgressRow(n *Network, c int32) []*iface {
 		}
 		visited[u] = true
 		for _, be := range h.borderOut[u] {
-			if be.ifc == nil || be.ifc.ch.down {
+			if be.ifc == nil || be.ifc.link.down {
 				continue
 			}
-			cost := best + be.ifc.ch.cfg.Delay + hopPenalty
+			cost := best + be.ifc.link.Config.Delay + hopPenalty
 			if !reached[be.to] || cost < dist[be.to] {
 				dist[be.to], reached[be.to] = cost, true
 				if u == c {
@@ -231,7 +231,7 @@ func CheckLinearScanRouting(n *Network, srcs, dsts []*Node) error {
 		if ca == cb {
 			continue
 		}
-		if refIfaceFor(l.A, &l.ab) != &l.abIf || refIfaceFor(l.B, &l.ba) != &l.baIf {
+		if refIfaceFor(l.A, l, l.B) != &l.ends[0] || refIfaceFor(l.B, l, l.A) != &l.ends[1] {
 			return fmt.Errorf("link %s-%s: recorded interfaces differ from the node's", l.A.Name, l.B.Name)
 		}
 		border++
@@ -263,5 +263,5 @@ func hopName(ifc *iface) string {
 	if ifc == nil {
 		return "<none>"
 	}
-	return ifc.ch.dst.Name
+	return ifc.peer().Name
 }

@@ -888,11 +888,11 @@ func TestConnKeyPacked(t *testing.T) {
 	}
 }
 
-// channel stays at 208 bytes. Every Link embeds two, and a large grid
-// declares hundreds of thousands of links that never carry a packet, so
-// one more word — an int queue head instead of the int32 tucked into
-// the padding after down — would cost two words per link and megabytes
-// per build.
+// channel stays at 208 bytes, an exact size class. A Link no longer
+// embeds its two channels: each direction allocates one on its first
+// packet, so idle links cost nothing here. One more word — an int queue
+// head instead of the int32 tucked into the padding after down — would
+// still move every opened direction up to the 224-byte class.
 func TestChannelSizeClass(t *testing.T) {
 	if got := unsafe.Sizeof(channel{}); got != 208 {
 		t.Fatalf("unsafe.Sizeof(channel{}) = %d, want 208", got)

@@ -272,26 +272,73 @@ func (nd *Node) Engine() *simcore.Engine { return nd.eng }
 // or bitset instead of a map.
 func (nd *Node) Index() int { return int(nd.idx) }
 
-// iface is one direction of attachment: sending on it transmits over ch.
+// iface is one end of a link. Sending on it transmits in the direction
+// that leaves node: which of the link's two ends is in hand says which
+// direction that is.
 type iface struct {
 	node *Node
-	ch   *channel
+	link *Link
+}
+
+// dir returns the index of the direction ifc transmits on: 0 for A→B,
+// 1 for B→A.
+func (ifc *iface) dir() int {
+	if ifc == &ifc.link.ends[0] {
+		return 0
+	}
+	return 1
+}
+
+// peer returns the node at the far end of ifc's link.
+func (ifc *iface) peer() *Node {
+	if ifc.dir() == 0 {
+		return ifc.link.B
+	}
+	return ifc.link.A
+}
+
+// channel returns the channel ifc transmits on, opening it on the first
+// packet sent that way. Only the source node's engine sends on a
+// direction, so each direction's slot is written from one shard.
+func (ifc *iface) channel() *channel {
+	d := ifc.dir()
+	if c := ifc.link.ch[d]; c != nil {
+		return c
+	}
+	return ifc.link.open(d)
 }
 
 // Link is a full-duplex link between two nodes, made of two independent
-// directed channels. The channels and both attachments live inside the
-// Link, so wiring a link is one allocation however large the grid.
+// directed channels. An idle link costs only its endpoints and config:
+// both attachments live inside the Link, and a direction's channel is
+// allocated by the first packet sent that way, copying the link's
+// current Config and failure state. Config and down are the one source
+// for routing, path queries and link events, which never open a channel.
 type Link struct {
 	A, B   *Node
 	Config LinkConfig
-	ab, ba channel
-	// abIf and baIf are the attachments that transmit on ab and ba: A's
-	// and B's ends of the link.
-	abIf, baIf iface
-	down       bool
+	// ends are A's and B's attachments, transmitting on ch[0] (A→B) and
+	// ch[1] (B→A); a nil channel has carried no packet yet.
+	ends [2]iface
+	ch   [2]*channel
+	down bool
 	// orig remembers the pre-Degrade configuration (nil when undegraded).
 	orig *LinkConfig
 }
+
+// open allocates the channel of direction d (0: A→B, 1: B→A).
+func (l *Link) open(d int) *channel {
+	src, dst := l.A, l.B
+	if d == 1 {
+		src, dst = l.B, l.A
+	}
+	c := &channel{link: l, src: src, dst: dst, cfg: l.Config, down: l.down}
+	l.ch[d] = c
+	return c
+}
+
+// label returns the link's "A->B" name, which link trace events carry.
+func (l *Link) label() string { return l.A.Name + "->" + l.B.Name }
 
 // AddHost adds a host node with a fixed address.
 func (n *Network) AddHost(name string, addr Addr) *Node {
@@ -322,6 +369,24 @@ func (n *Network) Grow(nodes, links int) {
 	}
 }
 
+// ReserveIfaces presizes the interface lists of the nodes with indices
+// first, first+1, ... to hold degree[i] more links each, cutting them
+// from one slab, so wiring a topology of known shape grows no per-node
+// slice.
+func (n *Network) ReserveIfaces(first int, degree []int32) {
+	total := 0
+	for i, d := range degree {
+		total += len(n.all[first+i].ifaces) + int(d)
+	}
+	slab := make([]*iface, total)
+	for i, d := range degree {
+		nd := n.all[first+i]
+		k := len(nd.ifaces) + int(d)
+		nd.ifaces = append(slab[:0:k], nd.ifaces...)
+		slab = slab[k:]
+	}
+}
+
 // next returns the next free element of a slab Grow reserved, or a
 // fresh allocation when the slab is used up.
 func next[T any](slab *[]T) *T {
@@ -342,24 +407,41 @@ func growMap[K comparable, V any](m map[K]V, extra int) map[K]V {
 	return out
 }
 
+// addNode checks for a duplicate name or address by inserting into
+// nodes and byAddr and seeing whether the map grew, so each map is probed
+// once. On a duplicate it puts back the entry it replaced before it
+// panics, leaving the network as it was.
 func (n *Network) addNode(name string, addr Addr, router bool) *Node {
-	if _, dup := n.nodes[name]; dup {
+	nd := next(&n.nodeSlab)
+	size := len(n.nodes)
+	if n.nodes[name] = nd; len(n.nodes) == size {
+		n.nodes[name] = n.scan(func(o *Node) bool { return o.Name == name })
 		panic(fmt.Sprintf("netsim: duplicate node name %q", name))
 	}
-	if _, dup := n.byAddr[addr]; dup {
+	size = len(n.byAddr)
+	if n.byAddr[addr] = nd; len(n.byAddr) == size {
+		n.byAddr[addr] = n.scan(func(o *Node) bool { return o.Addr == addr })
+		delete(n.nodes, name)
 		panic(fmt.Sprintf("netsim: duplicate address %v", addr))
 	}
 	// Fields are set one by one on the zeroed element: a composite
 	// literal would stage the whole Node on the stack first.
-	nd := next(&n.nodeSlab)
 	nd.net, nd.Name, nd.Addr, nd.Router = n, name, addr, router
 	nd.eng, nd.stats, nd.pool = n.eng, &n.Stats, &n.pool
 	nd.idx, nd.nextPort = int32(len(n.all)), 49152
 	n.all = append(n.all, nd)
-	n.nodes[name] = nd
-	n.byAddr[addr] = nd
 	n.routed = false
 	return nd
+}
+
+// scan returns the first node, in index order, that match accepts.
+func (n *Network) scan(match func(*Node) bool) *Node {
+	for _, nd := range n.all {
+		if match(nd) {
+			return nd
+		}
+	}
+	return nil
 }
 
 // Node returns the named node, or nil.
@@ -410,8 +492,8 @@ func (n *Network) FindLink(a, b string) *Link {
 		na, nb = nb, na
 	}
 	for _, ifc := range na.ifaces {
-		if ifc.ch.dst == nb {
-			return ifc.ch.link
+		if ifc.peer() == nb {
+			return ifc.link
 		}
 	}
 	return nil
@@ -431,31 +513,30 @@ func (n *Network) Connect(a, b *Node, cfg LinkConfig) *Link {
 	}
 	l := next(&n.linkSlab)
 	l.A, l.B, l.Config = a, b, cfg
-	l.ab.link, l.ab.src, l.ab.dst, l.ab.cfg = l, a, b, cfg
-	l.ba.link, l.ba.src, l.ba.dst, l.ba.cfg = l, b, a, cfg
-	l.abIf.node, l.abIf.ch = a, &l.ab
-	l.baIf.node, l.baIf.ch = b, &l.ba
-	a.ifaces = append(a.ifaces, &l.abIf)
-	b.ifaces = append(b.ifaces, &l.baIf)
+	l.ends[0] = iface{node: a, link: l}
+	l.ends[1] = iface{node: b, link: l}
+	a.ifaces = append(a.ifaces, &l.ends[0])
+	b.ifaces = append(b.ifaces, &l.ends[1])
 	n.links = append(n.links, l)
 	n.routed = false
 	return l
 }
 
-// walk calls visit on each channel of the routed path from a to b, in
-// order. It reports whether the walk reached b: false if b is
-// unreachable, on a routing loop, or when visit returns false.
-func (n *Network) walk(a, b *Node, visit func(*channel) bool) bool {
+// walk calls visit on the config of each link on the routed path from a
+// to b, in order. It reads links only and opens no channel. It reports
+// whether the walk reached b: false if b is unreachable, on a routing
+// loop, or when visit returns false.
+func (n *Network) walk(a, b *Node, visit func(*LinkConfig) bool) bool {
 	if !n.routed {
 		n.ComputeRoutes()
 	}
 	hops := 0
 	for cur := a; cur != b; {
 		ifc := n.nextHop(cur, b.idx)
-		if ifc == nil || !visit(ifc.ch) {
+		if ifc == nil || !visit(&ifc.link.Config) {
 			return false
 		}
-		cur = ifc.ch.dst
+		cur = ifc.peer()
 		hops++
 		if hops > len(n.nodes) {
 			return false // routing loop
@@ -469,8 +550,8 @@ func (n *Network) walk(a, b *Node, visit func(*channel) bool) bool {
 func (n *Network) PathDelay(a, b *Node) (simcore.Duration, int, bool) {
 	var total simcore.Duration
 	hops := 0
-	if !n.walk(a, b, func(ch *channel) bool {
-		total += ch.cfg.Delay
+	if !n.walk(a, b, func(cfg *LinkConfig) bool {
+		total += cfg.Delay
 		hops++
 		return true
 	}) {
@@ -484,9 +565,9 @@ func (n *Network) PathDelay(a, b *Node) (simcore.Duration, int, bool) {
 // has no bandwidth constraint and reports +Inf.
 func (n *Network) PathBottleneckBps(a, b *Node) (float64, bool) {
 	bw := math.Inf(1)
-	if !n.walk(a, b, func(ch *channel) bool {
-		if ch.cfg.BandwidthBps < bw {
-			bw = ch.cfg.BandwidthBps
+	if !n.walk(a, b, func(cfg *LinkConfig) bool {
+		if cfg.BandwidthBps < bw {
+			bw = cfg.BandwidthBps
 		}
 		return true
 	}) {
@@ -503,7 +584,7 @@ func (n *Network) PathAllFlow(a, b *Node) bool {
 	if a == b || b == nil {
 		return false
 	}
-	return n.walk(a, b, func(ch *channel) bool { return ch.cfg.Fidelity == FidelityFlow })
+	return n.walk(a, b, func(cfg *LinkConfig) bool { return cfg.Fidelity == FidelityFlow })
 }
 
 // DirectionStats reports one link direction's counters. At quiescence
@@ -532,9 +613,13 @@ type DirectionStats struct {
 	Utilization float64
 }
 
-// Stats returns both directions' counters, A→B first.
+// Stats returns both directions' counters, A→B first. A direction that
+// has carried no packet reports zeros.
 func (l *Link) Stats() [2]DirectionStats {
 	mk := func(c *channel, from, to string) DirectionStats {
+		if c == nil {
+			return DirectionStats{From: from, To: to}
+		}
 		util := 0.0
 		if now := c.src.eng.Now(); now > 0 {
 			util = float64(c.busyTime) / float64(now)
@@ -548,8 +633,8 @@ func (l *Link) Stats() [2]DirectionStats {
 		}
 	}
 	return [2]DirectionStats{
-		mk(&l.ab, l.A.Name, l.B.Name),
-		mk(&l.ba, l.B.Name, l.A.Name),
+		mk(l.ch[0], l.A.Name, l.B.Name),
+		mk(l.ch[1], l.B.Name, l.A.Name),
 	}
 }
 
@@ -557,9 +642,9 @@ func (l *Link) Stats() [2]DirectionStats {
 // (DefaultMTU if a == b); ok is false if unreachable.
 func (n *Network) PathMTU(a, b *Node) (int, bool) {
 	mtu := DefaultMTU
-	if !n.walk(a, b, func(ch *channel) bool {
-		if ch.cfg.MTU < mtu {
-			mtu = ch.cfg.MTU
+	if !n.walk(a, b, func(cfg *LinkConfig) bool {
+		if cfg.MTU < mtu {
+			mtu = cfg.MTU
 		}
 		return true
 	}) {

@@ -148,8 +148,8 @@ type channel struct {
 	// transmissions when the link fails.
 	down bool
 	// head sits in the padding after down, keeping channel at 208
-	// bytes: every Link embeds two, and a large network's many idle
-	// links pay for both.
+	// bytes, an exact size class: every direction that carries a packet
+	// allocates one.
 	head  int32
 	epoch int64
 	// lossRng draws random loss from a per-channel stream derived from the
@@ -376,7 +376,7 @@ func (n *Node) sendPacket(pkt *Packet) error {
 		return fmt.Errorf("netsim: no route from %s to %v", n.Name, pkt.Dst)
 	}
 	n.stats.PacketsOriginated++
-	ifc.ch.send(pkt)
+	ifc.channel().send(pkt)
 	return nil
 }
 
@@ -409,7 +409,7 @@ func (n *Node) receive(pkt *Packet) {
 			return
 		}
 		n.Forwarded++
-		ifc.ch.send(pkt)
+		ifc.channel().send(pkt)
 		return
 	}
 	n.Delivered++

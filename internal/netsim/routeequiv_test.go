@@ -3,6 +3,7 @@ package netsim_test
 import (
 	"os"
 	"path/filepath"
+	"slices"
 	"sync"
 	"testing"
 
@@ -303,5 +304,50 @@ func TestRoutingConcurrentLookups(t *testing.T) {
 				t.Fatalf("worker %d, lookup %d: next hop %q, serial walk gives %q", w, k, hops[k], want[(off+k)%len(want)])
 			}
 		}
+	}
+}
+
+// TestIdleLinksOpenNoChannel pins the lazy channels at scale: a 10k-host
+// generated star wires, routes and answers path queries with no channel
+// open, and one datagram opens exactly the directions on its routed
+// path.
+func TestIdleLinksOpenNoChannel(t *testing.T) {
+	topo, err := topology.Generate(topology.GenSpec{Kind: topology.GenStar, Hosts: 10000, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng := simcore.NewEngine(1)
+	nw, err := topo.Build(eng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, b := nw.Node(topo.Hosts[0].Name), nw.Node(topo.Hosts[len(topo.Hosts)-1].Name)
+	nw.PathDelay(a, b)
+	nw.PathMTU(a, b)
+	nw.PathBottleneckBps(a, b)
+	nw.PathAllFlow(a, b)
+	nw.FindLink(a.Name, "c0sw")
+	if got := nw.OpenDirections(); len(got) != 0 {
+		t.Fatalf("wiring and path queries opened %d channels: %v", len(got), got)
+	}
+	var want []string
+	for cur := a; cur != b; {
+		next := nw.Node(nw.NextHopName(cur, b))
+		want = append(want, cur.Name+"->"+next.Name)
+		cur = next
+	}
+	eng.At(0, func() {
+		if err := a.SendDatagram(b.Addr, 9, 9, 100, nil); err != nil {
+			t.Error(err)
+		}
+	})
+	if err := eng.Run(); err != nil {
+		t.Fatal(err)
+	}
+	got := nw.OpenDirections()
+	slices.Sort(got)
+	slices.Sort(want)
+	if len(want) != 6 || !slices.Equal(got, want) {
+		t.Fatalf("one datagram opened %v, want its path %v", got, want)
 	}
 }

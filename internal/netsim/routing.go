@@ -123,8 +123,8 @@ func (n *Network) ComputeRoutes() {
 		if ca == cb {
 			continue
 		}
-		h.borderOut[ca] = append(h.borderOut[ca], borderEdge{to: cb, ifc: &l.abIf})
-		h.borderOut[cb] = append(h.borderOut[cb], borderEdge{to: ca, ifc: &l.baIf})
+		h.borderOut[ca] = append(h.borderOut[ca], borderEdge{to: cb, ifc: &l.ends[0]})
+		h.borderOut[cb] = append(h.borderOut[cb], borderEdge{to: ca, ifc: &l.ends[1]})
 	}
 	h.egress = make([]atomic.Pointer[egressRow], len(clusters))
 	n.hier = h
@@ -181,10 +181,10 @@ func (n *Network) buildLocalTab(nd *Node) *localTab {
 	mem := h.members[c]
 	first := firstHops(len(mem), h.localIdx[nd.idx], func(u int32, relax func(int32, *iface)) {
 		for _, ifc := range mem[u].ifaces {
-			if ifc.ch.down {
+			if ifc.link.down {
 				continue
 			}
-			if v := ifc.ch.dst; h.clusterOf[v.idx] == c {
+			if v := ifc.peer(); h.clusterOf[v.idx] == c {
 				relax(h.localIdx[v.idx], ifc)
 			}
 		}
@@ -227,7 +227,7 @@ func (n *Network) buildEgress(c int32) *egressRow {
 	nc := len(h.members)
 	first := firstHops(nc, c, func(u int32, relax func(int32, *iface)) {
 		for _, be := range h.borderOut[u] {
-			if !be.ifc.ch.down {
+			if !be.ifc.link.down {
 				relax(be.to, be.ifc)
 			}
 		}
@@ -266,7 +266,7 @@ func firstHops(size int, src int32, edges func(u int32, relax func(v int32, ifc 
 	var u int32
 	var best simcore.Duration
 	relax := func(v int32, ifc *iface) {
-		cost := best + ifc.ch.cfg.Delay + hopPenalty
+		cost := best + ifc.link.Config.Delay + hopPenalty
 		if !reached[v] || cost < dist[v] {
 			dist[v], reached[v] = cost, true
 			if u == src {
@@ -351,7 +351,7 @@ func (n *Network) NextHopName(nd, dst *Node) string {
 	if ifc == nil {
 		return ""
 	}
-	return ifc.ch.dst.Name
+	return ifc.peer().Name
 }
 
 // RouteStateBytes estimates the memory held by materialized routing

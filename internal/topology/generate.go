@@ -159,29 +159,32 @@ func genStar(rng *rand.Rand, g GenSpec, k int) *Spec {
 		Routers: make([]string, 0, 1+2*k),
 		Links:   make([]LinkSpec, 0, g.Hosts+2*k),
 	}
+	// Router r sits at position g.Hosts+r: the core, then each
+	// cluster's switch and gateway.
 	spec.Routers = append(spec.Routers, "core")
 	wanFid := genWANFidelity(g)
 	for i, hn := range splitHosts(g.Hosts, k) {
 		c := "c" + strconv.Itoa(i)
 		sw, gw := c+"sw", c+"gw"
+		swPos, gwPos := g.Hosts+len(spec.Routers), g.Hosts+len(spec.Routers)+1
 		spec.Routers = append(spec.Routers, sw, gw)
 		for j := 0; j < hn; j++ {
 			name := c + "h" + strconv.Itoa(j)
 			spec.Hosts = append(spec.Hosts, HostSpec{Name: name, Addr: hostAddr(i, j)})
-			spec.Links = append(spec.Links, LinkSpec{
+			spec.addLink(LinkSpec{
 				A: name, B: sw, BandwidthBps: 100e6, Delay: 25 * simcore.Microsecond,
-			})
+			}, len(spec.Hosts)-1, swPos)
 		}
-		spec.Links = append(spec.Links, LinkSpec{
+		spec.addLink(LinkSpec{
 			A: sw, B: gw, BandwidthBps: 1e9, Delay: 100 * simcore.Microsecond,
-		})
+		}, swPos, gwPos)
 		access := LinkSpec{A: gw, B: "core", Delay: genWANDelay(rng), Fidelity: wanFid}
 		if rng.Intn(2) == 0 {
 			access.BandwidthBps = OC3Bps
 		} else {
 			access.BandwidthBps = OC12Bps
 		}
-		spec.Links = append(spec.Links, access)
+		spec.addLink(access, gwPos, g.Hosts)
 	}
 	return spec
 }
@@ -200,22 +203,24 @@ func genFatTree(rng *rand.Rand, g GenSpec, k int) *Spec {
 	for m := 0; m < cores; m++ {
 		spec.Routers = append(spec.Routers, "core"+strconv.Itoa(m))
 	}
+	// Router r sits at position g.Hosts+r: the cores, then each edge
+	// switch.
 	for i, hn := range splitHosts(g.Hosts, k) {
 		e := "e" + strconv.Itoa(i)
-		sw := e + "sw"
+		sw, swPos := e+"sw", g.Hosts+len(spec.Routers)
 		spec.Routers = append(spec.Routers, sw)
 		for j := 0; j < hn; j++ {
 			name := e + "h" + strconv.Itoa(j)
 			spec.Hosts = append(spec.Hosts, HostSpec{Name: name, Addr: hostAddr(i, j)})
-			spec.Links = append(spec.Links, LinkSpec{
+			spec.addLink(LinkSpec{
 				A: name, B: sw, BandwidthBps: 100e6, Delay: 25 * simcore.Microsecond,
-			})
+			}, len(spec.Hosts)-1, swPos)
 		}
-		for _, core := range spec.Routers[:cores] {
-			spec.Links = append(spec.Links, LinkSpec{
+		for m, core := range spec.Routers[:cores] {
+			spec.addLink(LinkSpec{
 				A: sw, B: core,
 				BandwidthBps: OC12Bps, Delay: genWANDelay(rng), Fidelity: wanFid,
-			})
+			}, swPos, g.Hosts+m)
 		}
 	}
 	return spec

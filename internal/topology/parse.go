@@ -71,17 +71,24 @@ func ParseSpecAt(name string, firstLine int, r io.Reader) (*Spec, error) {
 	fail := func(token, format string, args ...any) (*Spec, error) {
 		return nil, &ParseError{File: name, Line: lineNo, Token: token, Msg: fmt.Sprintf(format, args...)}
 	}
-	// Node and address declarations by line, for positioned duplicate and
-	// unknown-endpoint errors; linkLines remembers where each link was
-	// declared so endpoint resolution at EOF can still point at a line.
-	decl := map[string]int{}
+	// Node declarations by line and index, for positioned duplicate and
+	// unknown-endpoint errors and for the endpoint positions Apply wires
+	// by; address declarations by line; linkLines remembers where each
+	// link was declared so endpoint resolution at EOF can still point at
+	// a line.
+	type nodeDecl struct {
+		line   int
+		router bool
+		index  int
+	}
+	decl := map[string]nodeDecl{}
 	addrs := map[string]int{}
 	var linkLines []int
-	declare := func(nodeName string) (*Spec, error) {
+	declare := func(nodeName string, router bool, index int) (*Spec, error) {
 		if prev, dup := decl[nodeName]; dup {
-			return fail(nodeName, "duplicate node name %q (first declared on line %d)", nodeName, prev)
+			return fail(nodeName, "duplicate node name %q (first declared on line %d)", nodeName, prev.line)
 		}
-		decl[nodeName] = lineNo
+		decl[nodeName] = nodeDecl{line: lineNo, router: router, index: index}
 		return nil, nil
 	}
 	for sc.Scan() {
@@ -101,7 +108,7 @@ func ParseSpecAt(name string, firstLine int, r io.Reader) (*Spec, error) {
 			if len(fields) != 3 {
 				return fail(fields[0], "want 'host <name> <addr>'")
 			}
-			if s, err := declare(fields[1]); err != nil {
+			if s, err := declare(fields[1], false, len(spec.Hosts)); err != nil {
 				return s, err
 			}
 			if prev, dup := addrs[fields[2]]; dup {
@@ -113,7 +120,7 @@ func ParseSpecAt(name string, firstLine int, r io.Reader) (*Spec, error) {
 			if len(fields) != 2 {
 				return fail(fields[0], "want 'router <name>'")
 			}
-			if s, err := declare(fields[1]); err != nil {
+			if s, err := declare(fields[1], true, len(spec.Routers)); err != nil {
 				return s, err
 			}
 			spec.Routers = append(spec.Routers, fields[1])
@@ -175,12 +182,18 @@ func ParseSpecAt(name string, firstLine int, r io.Reader) (*Spec, error) {
 	}
 	// Links may reference nodes declared later in the file, so endpoint
 	// resolution waits for EOF; linkLines keeps the errors positioned.
-	for i, l := range spec.Links {
+	for i := range spec.Links {
+		l := &spec.Links[i]
 		lineNo = linkLines[i]
-		for _, end := range []string{l.A, l.B} {
-			if _, ok := decl[end]; !ok {
+		for e, end := range [2]string{l.A, l.B} {
+			d, ok := decl[end]
+			if !ok {
 				return fail(end, "link endpoint %q is not a declared host or router", end)
 			}
+			if d.router {
+				d.index += len(spec.Hosts)
+			}
+			l.pos[e] = int32(d.index) + 1
 		}
 	}
 	return spec, nil

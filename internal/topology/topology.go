@@ -39,6 +39,10 @@ type LinkSpec struct {
 	// Fidelity selects the link's simulation fidelity: packet-level (the
 	// default) or analytic flow-level.
 	Fidelity netsim.Fidelity
+	// pos holds A's and B's positions in the spec's node order (hosts,
+	// then routers), plus one, as the generators and the parser record
+	// them; zero is unrecorded, and Apply then looks the name up.
+	pos [2]int32
 }
 
 // Validate checks structural invariants that hold independently of any
@@ -80,6 +84,13 @@ func (s *Spec) Validate() error {
 	return nil
 }
 
+// addLink appends l with its endpoints at positions a and b of the spec's
+// node order (hosts, then routers).
+func (s *Spec) addLink(l LinkSpec, a, b int) {
+	l.pos = [2]int32{int32(a) + 1, int32(b) + 1}
+	s.Links = append(s.Links, l)
+}
+
 // Build instantiates the spec on a fresh Network bound to eng.
 func (s *Spec) Build(eng *simcore.Engine) (*netsim.Network, error) {
 	nw := netsim.New(eng)
@@ -94,8 +105,14 @@ func (s *Spec) Build(eng *simcore.Engine) (*netsim.Network, error) {
 // is non-nil every link config passes through it first — this is how a
 // virtual.Grid materializes a topology with simulation-rate scaling.
 // Routes are not recomputed.
+//
+// A link endpoint is found by its recorded spec position when the node
+// there carries the endpoint's name, else by name, so the two always
+// build the same network. Every node's interface list is presized from
+// the spec's degree counts.
 func (s *Spec) Apply(nw *netsim.Network, scale func(netsim.LinkConfig) netsim.LinkConfig) error {
-	nw.Grow(len(s.Hosts)+len(s.Routers), len(s.Links))
+	base, count := nw.NodeCount(), len(s.Hosts)+len(s.Routers)
+	nw.Grow(count, len(s.Links))
 	for _, h := range s.Hosts {
 		addr, err := netsim.ParseAddr(h.Addr)
 		if err != nil {
@@ -106,11 +123,28 @@ func (s *Spec) Apply(nw *netsim.Network, scale func(netsim.LinkConfig) netsim.Li
 	for _, r := range s.Routers {
 		nw.AddRouter(r)
 	}
+	resolve := func(pos int32, name string) *netsim.Node {
+		if pos > 0 && int(pos) <= count {
+			if nd := nw.NodeAt(base + int(pos) - 1); nd.Name == name {
+				return nd
+			}
+		}
+		return nw.Node(name)
+	}
+	degree := make([]int32, count)
 	for _, l := range s.Links {
-		a, b := nw.Node(l.A), nw.Node(l.B)
+		a, b := resolve(l.pos[0], l.A), resolve(l.pos[1], l.B)
 		if a == nil || b == nil {
 			return fmt.Errorf("topology %s: link %s--%s references unknown node", s.Name, l.A, l.B)
 		}
+		for _, nd := range [2]*netsim.Node{a, b} {
+			if p := nd.Index() - base; p >= 0 {
+				degree[p]++
+			}
+		}
+	}
+	nw.ReserveIfaces(base, degree)
+	for _, l := range s.Links {
 		cfg := netsim.LinkConfig{
 			BandwidthBps: l.BandwidthBps,
 			Delay:        l.Delay,
@@ -121,7 +155,7 @@ func (s *Spec) Apply(nw *netsim.Network, scale func(netsim.LinkConfig) netsim.Li
 		if scale != nil {
 			cfg = scale(cfg)
 		}
-		nw.Connect(a, b, cfg)
+		nw.Connect(resolve(l.pos[0], l.A), resolve(l.pos[1], l.B), cfg)
 	}
 	return nil
 }
