@@ -185,11 +185,14 @@ func BenchmarkAblationChargePolicy(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				eng := simcore.NewEngine(3)
 				h := cpusched.NewHost(eng, "h", 533, 0)
-				cpusched.StartCPUCompetitor(h, "hog")
+				h.StartCompetitor("hog")
 				job := h.NewTask("job")
-				fc := cpusched.NewFractionController(h, job, 0.45)
-				fc.ChargeActualCPU = chargeCPU
-				fc.Spawn()
+				mc := cpusched.NewMultiController(h)
+				mc.ChargeActualCPU = chargeCPU
+				if _, err := mc.AddJob(job, 0.45); err != nil {
+					b.Fatal(err)
+				}
+				mc.Spawn()
 				jp := eng.Spawn("job", func(p *simcore.Proc) {
 					for {
 						job.ComputeSeconds(p, 1)

@@ -60,8 +60,8 @@ func Fig05Memory(x *ExperimentRun) (*Experiment, error) {
 }
 
 // Fig06Scenario defines the processor micro-benchmark's machine: the
-// measurement runs one fraction-scheduled host from this spec (seed and
-// CPU speed are sourced from here).
+// measurement runs one host under the scheduler daemon every emulated
+// grid runs, from this spec (seed and CPU speed are sourced from here).
 func Fig06Scenario() *scenario.Scenario {
 	return &scenario.Scenario{
 		Name:        "fig06-cpu-fraction",
@@ -78,13 +78,16 @@ func fig06Measure(sc *scenario.Scenario, fraction float64, competition string, s
 	h := cpusched.NewHost(eng, "alpha", sc.Target.CPUMIPS, 0)
 	switch competition {
 	case "cpu":
-		cpusched.StartCPUCompetitor(h, "hog")
+		h.StartCompetitor("hog")
 	case "io":
 		cpusched.StartIOCompetitor(h, "io")
 	}
 	job := h.NewTask("reference")
-	fc := cpusched.NewFractionController(h, job, fraction)
-	fc.Spawn()
+	mc := cpusched.NewMultiController(h)
+	if _, err := mc.AddJob(job, fraction); err != nil {
+		return -1
+	}
+	mc.Spawn()
 	jp := eng.Spawn("job", func(p *simcore.Proc) {
 		for {
 			job.ComputeSeconds(p, 1)
@@ -173,21 +176,24 @@ func Fig07QuantaDistribution(x *ExperimentRun) (*Experiment, error) {
 		h.PreemptLatencyMax = 300 * simcore.Microsecond
 		switch comp {
 		case "cpu":
-			cpusched.StartCPUCompetitor(h, "hog")
+			h.StartCompetitor("hog")
 		case "io":
 			cpusched.StartIOCompetitor(h, "io")
 		}
 		// The paper measures with "an inactive process that constantly
 		// sleeps": no demand, the daemon cycles anyway.
 		job := h.NewTask("inactive")
-		fc := cpusched.NewFractionController(h, job, 0.5)
-		fc.AlwaysOn = true
-		fc.DispatchJitter = 0.25
+		mc := cpusched.NewMultiController(h)
+		mc.DispatchJitter = 0.25
+		cj, err := mc.AddJob(job, 0.5)
+		if err != nil {
+			return nil, err
+		}
 		var lengths []float64
-		fc.OnQuantum = func(_ simcore.Time, l simcore.Duration) {
+		cj.OnQuantum = func(_ simcore.Time, l simcore.Duration) {
 			lengths = append(lengths, l.Seconds())
 		}
-		fc.Spawn()
+		mc.Spawn()
 		eng.Spawn("end", func(p *simcore.Proc) {
 			p.Sleep(simcore.DurationOfSeconds(seconds))
 			eng.Stop()

@@ -5,9 +5,11 @@
 // counter-based dynamic priorities with a recharge epoch, a configurable
 // timeslice quantum (10 ms by default, "as supported by the Linux
 // timesharing scheduler"), wakeup preemption, and a non-preemptible kernel
-// priority class. On top of that, FractionController implements the paper's
-// Figure-4 scheduler daemon: it starts and stops a job with signals so the
-// job's consumed time tracks cpu_Fraction × elapsed.
+// priority class. On top of that, MultiController implements the paper's
+// Figure-4 scheduler daemon, one per physical host: it starts and stops
+// each job with signals so the job's consumed time tracks cpu_Fraction ×
+// elapsed. The same daemon serves the Fig. 6–7 micro-benchmarks and every
+// emulated grid.
 //
 // The scheduler model is what produces the paper's observed phenomena: the
 // delivered-fraction knee under competition (Fig. 6), quanta-size jitter

@@ -71,7 +71,7 @@ func TestTwoEqualTasksShareFairly(t *testing.T) {
 func TestBusyLoopDoesNotStarveJob(t *testing.T) {
 	eng := simcore.NewEngine(1)
 	h := NewHost(eng, "h", 100, 0)
-	StartCPUCompetitor(h, "hog")
+	h.StartCompetitor("hog")
 	job := h.NewTask("job")
 	var done simcore.Time
 	eng.Spawn("job", func(p *simcore.Proc) {
@@ -179,184 +179,6 @@ func TestUtilization(t *testing.T) {
 	}
 }
 
-func TestFractionControllerNoCompetition(t *testing.T) {
-	for _, frac := range []float64{0.2, 0.5, 0.8} {
-		eng := simcore.NewEngine(1)
-		h := NewHost(eng, "h", 533, 0)
-		job := h.NewTask("job")
-		fc := NewFractionController(h, job, frac)
-		fc.Spawn()
-		jobProc := eng.Spawn("job", func(p *simcore.Proc) {
-			for {
-				job.ComputeSeconds(p, 1)
-			}
-		})
-		jobProc.SetDaemon(true)
-		eng.Spawn("end", func(p *simcore.Proc) {
-			p.Sleep(20 * simcore.Second)
-			eng.Stop()
-		})
-		if err := eng.Run(); err != nil {
-			t.Fatal(err)
-		}
-		got := job.UsedCPU().Seconds() / 20
-		if math.Abs(got-frac) > 0.05*frac+0.01 {
-			t.Errorf("fraction %.2f: delivered %.3f", frac, got)
-		}
-	}
-}
-
-func TestFractionControllerCPUCompetitionSaturates(t *testing.T) {
-	// Above ~50% requested, a busy-loop competitor prevents the virtual
-	// machine from receiving its specified fraction (paper Fig. 6).
-	eng := simcore.NewEngine(1)
-	h := NewHost(eng, "h", 533, 0)
-	StartCPUCompetitor(h, "hog")
-	job := h.NewTask("job")
-	fc := NewFractionController(h, job, 0.9)
-	fc.Spawn()
-	jp := eng.Spawn("job", func(p *simcore.Proc) {
-		for {
-			job.ComputeSeconds(p, 1)
-		}
-	})
-	jp.SetDaemon(true)
-	eng.Spawn("end", func(p *simcore.Proc) {
-		p.Sleep(30 * simcore.Second)
-		eng.Stop()
-	})
-	if err := eng.Run(); err != nil {
-		t.Fatal(err)
-	}
-	got := job.UsedCPU().Seconds() / 30
-	if got > 0.75 {
-		t.Fatalf("delivered %.3f at requested 0.9 under CPU competition; expected saturation below 0.75", got)
-	}
-	if got < 0.35 {
-		t.Fatalf("delivered %.3f is implausibly low", got)
-	}
-}
-
-func TestFractionControllerLowFractionUnaffectedByCompetition(t *testing.T) {
-	// At 20% requested, competition should not matter much (Fig. 6 below
-	// the knee).
-	eng := simcore.NewEngine(1)
-	h := NewHost(eng, "h", 533, 0)
-	StartCPUCompetitor(h, "hog")
-	job := h.NewTask("job")
-	fc := NewFractionController(h, job, 0.2)
-	fc.Spawn()
-	jp := eng.Spawn("job", func(p *simcore.Proc) {
-		for {
-			job.ComputeSeconds(p, 1)
-		}
-	})
-	jp.SetDaemon(true)
-	eng.Spawn("end", func(p *simcore.Proc) {
-		p.Sleep(30 * simcore.Second)
-		eng.Stop()
-	})
-	if err := eng.Run(); err != nil {
-		t.Fatal(err)
-	}
-	got := job.UsedCPU().Seconds() / 30
-	if math.Abs(got-0.2) > 0.05 {
-		t.Fatalf("delivered %.3f at requested 0.2 under competition", got)
-	}
-}
-
-func TestFractionControllerQuantumObserver(t *testing.T) {
-	eng := simcore.NewEngine(1)
-	h := NewHost(eng, "h", 533, 0)
-	job := h.NewTask("job")
-	fc := NewFractionController(h, job, 0.5)
-	var lengths []simcore.Duration
-	fc.OnQuantum = func(_ simcore.Time, l simcore.Duration) { lengths = append(lengths, l) }
-	fc.Spawn()
-	jp := eng.Spawn("job", func(p *simcore.Proc) {
-		for {
-			job.ComputeSeconds(p, 1)
-		}
-	})
-	jp.SetDaemon(true)
-	eng.Spawn("end", func(p *simcore.Proc) {
-		p.Sleep(2 * simcore.Second)
-		eng.Stop()
-	})
-	if err := eng.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if len(lengths) < 50 {
-		t.Fatalf("only %d quanta observed", len(lengths))
-	}
-	for _, l := range lengths {
-		if l < h.Quantum || l > h.Quantum+2*simcore.Millisecond {
-			t.Fatalf("quantum length %v outside [10ms, 12ms]", l)
-		}
-	}
-}
-
-func TestFractionControllerCustomQuantum(t *testing.T) {
-	eng := simcore.NewEngine(1)
-	h := NewHost(eng, "h", 533, 0)
-	job := h.NewTask("job")
-	fc := NewFractionController(h, job, 0.5)
-	fc.Quantum = 2500 * simcore.Microsecond
-	count := 0
-	fc.OnQuantum = func(_ simcore.Time, _ simcore.Duration) { count++ }
-	fc.Spawn()
-	jp := eng.Spawn("job", func(p *simcore.Proc) {
-		for {
-			job.ComputeSeconds(p, 1)
-		}
-	})
-	jp.SetDaemon(true)
-	eng.Spawn("end", func(p *simcore.Proc) {
-		p.Sleep(simcore.Second)
-		eng.Stop()
-	})
-	if err := eng.Run(); err != nil {
-		t.Fatal(err)
-	}
-	// ~50% duty at 2.5ms windows over 1s → ≈200 windows.
-	if count < 150 || count > 250 {
-		t.Fatalf("windows = %d, want ≈200", count)
-	}
-}
-
-func TestChargeActualCPUAblation(t *testing.T) {
-	// With a hog, wall-charging under-delivers; CPU-charging tracks the
-	// target more closely.
-	measure := func(chargeCPU bool) float64 {
-		eng := simcore.NewEngine(1)
-		h := NewHost(eng, "h", 533, 0)
-		StartCPUCompetitor(h, "hog")
-		job := h.NewTask("job")
-		fc := NewFractionController(h, job, 0.45)
-		fc.ChargeActualCPU = chargeCPU
-		fc.Spawn()
-		jp := eng.Spawn("job", func(p *simcore.Proc) {
-			for {
-				job.ComputeSeconds(p, 1)
-			}
-		})
-		jp.SetDaemon(true)
-		eng.Spawn("end", func(p *simcore.Proc) {
-			p.Sleep(30 * simcore.Second)
-			eng.Stop()
-		})
-		if err := eng.Run(); err != nil {
-			t.Fatal(err)
-		}
-		return job.UsedCPU().Seconds() / 30
-	}
-	wall := measure(false)
-	cpu := measure(true)
-	if cpu < wall {
-		t.Fatalf("CPU-charging (%.3f) should deliver at least wall-charging (%.3f)", cpu, wall)
-	}
-}
-
 func TestIOCompetitorRunsForever(t *testing.T) {
 	eng := simcore.NewEngine(3)
 	h := NewHost(eng, "h", 533, 0)
@@ -417,37 +239,6 @@ func TestPropertyCPUConservation(t *testing.T) {
 		return total <= elapsed+simcore.Microsecond
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// Property: fraction enforcement without competition delivers the target
-// within tolerance for any fraction in (0.05, 0.95).
-func TestPropertyFractionDelivery(t *testing.T) {
-	f := func(fr uint8) bool {
-		frac := 0.05 + float64(fr%90)/100.0
-		eng := simcore.NewEngine(9)
-		h := NewHost(eng, "h", 533, 0)
-		job := h.NewTask("job")
-		fc := NewFractionController(h, job, frac)
-		fc.Spawn()
-		jp := eng.Spawn("job", func(p *simcore.Proc) {
-			for {
-				job.ComputeSeconds(p, 1)
-			}
-		})
-		jp.SetDaemon(true)
-		eng.Spawn("end", func(p *simcore.Proc) {
-			p.Sleep(10 * simcore.Second)
-			eng.Stop()
-		})
-		if err := eng.Run(); err != nil {
-			return false
-		}
-		got := job.UsedCPU().Seconds() / 10
-		return math.Abs(got-frac) < 0.08*frac+0.02
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
 		t.Fatal(err)
 	}
 }

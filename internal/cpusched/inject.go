@@ -1,11 +1,15 @@
 package cpusched
 
-// Fault and load injection hooks for the chaos subsystem: a physical
-// machine can fail outright (nothing schedules until it is restored), a
-// killed process's queued demand can be cancelled, and a competing
-// compute-bound process can be started to steal cycles.
+// Fault and load injection: a physical machine can fail outright (nothing
+// schedules until it is restored), a killed process's queued demand can be
+// cancelled, and a competing compute-bound or IO-bound process can be
+// started to steal cycles — the chaos subsystem's CPU load and the paper's
+// Fig. 6–7 competitors.
 
-import "microgrid/internal/trace"
+import (
+	"microgrid/internal/simcore"
+	"microgrid/internal/trace"
+)
 
 // Fail marks the host failed: the in-progress slice ends and no task is
 // scheduled until Restore. Task state (registrations, counters, pending
@@ -66,4 +70,27 @@ func (h *Host) StartCompetitor(name string) *Task {
 	t := h.NewTask(name)
 	t.SetBusyLoop(true)
 	return t
+}
+
+// StartIOCompetitor spawns the paper's IO-intensive competitor: it
+// repeatedly "flushes a 1 MB buffer to disk", modeled as a short burst of
+// non-preemptible kernel CPU (copying/driver work) followed by sleeping on
+// the disk. Returns the controlling process.
+func StartIOCompetitor(h *Host, name string) *simcore.Proc {
+	user := h.NewTask(name)
+	kern := h.NewTask(name + ":kflush")
+	kern.Kernel = true
+	pr := h.eng.Spawn(name, func(p *simcore.Proc) {
+		rng := h.eng.DeriveRand("cpusched:io:" + h.Name + ":" + name)
+		for {
+			// Prepare the buffer in user mode (~0.3 ms of CPU).
+			user.ComputeSeconds(p, 0.0003)
+			// Kernel-side flush: 0.2–1.2 ms non-preemptible.
+			kern.Compute(p, (0.0002+0.001*rng.Float64())*h.speedOps)
+			// Wait for the disk (5–12 ms).
+			p.Sleep(5*simcore.Millisecond + simcore.Duration(rng.Intn(7))*simcore.Millisecond)
+		}
+	})
+	pr.SetDaemon(true)
+	return pr
 }

@@ -7,8 +7,8 @@ import (
 	"microgrid/internal/simcore"
 )
 
-// quantaDevs measures the normalized quanta-size deviation for a given
-// host/controller configuration.
+// quantaDevs measures the normalized quanta-size deviation of the
+// scheduler daemon for a given host/daemon configuration.
 func quantaDevs(t *testing.T, preempt simcore.Duration, jitter float64, competition string) float64 {
 	t.Helper()
 	eng := simcore.NewEngine(7)
@@ -16,19 +16,23 @@ func quantaDevs(t *testing.T, preempt simcore.Duration, jitter float64, competit
 	h.PreemptLatencyMax = preempt
 	switch competition {
 	case "cpu":
-		StartCPUCompetitor(h, "hog")
+		h.StartCompetitor("hog")
 	case "io":
 		StartIOCompetitor(h, "io")
 	}
-	job := h.NewTask("inactive")
-	fc := NewFractionController(h, job, 0.5)
-	fc.AlwaysOn = true
-	fc.DispatchJitter = jitter
+	// An inactive job, as in Fig. 7: the daemon cycles without demand.
+	task := h.NewTask("inactive")
+	mc := NewMultiController(h)
+	mc.DispatchJitter = jitter
+	job, err := mc.AddJob(task, 0.5)
+	if err != nil {
+		t.Fatal(err)
+	}
 	var lengths []float64
-	fc.OnQuantum = func(_ simcore.Time, l simcore.Duration) {
+	job.OnQuantum = func(_ simcore.Time, l simcore.Duration) {
 		lengths = append(lengths, l.Seconds())
 	}
-	fc.Spawn()
+	mc.Spawn()
 	eng.Spawn("end", func(p *simcore.Proc) {
 		p.Sleep(20 * simcore.Second)
 		eng.Stop()
@@ -69,37 +73,6 @@ func TestCompetitionOrderingOfDeviations(t *testing.T) {
 	io := quantaDevs(t, 300*simcore.Microsecond, 0.25, "io")
 	if !(none < cpu && cpu < io) {
 		t.Fatalf("ordering violated: none=%v cpu=%v io=%v", none, cpu, io)
-	}
-}
-
-func TestStartDelay(t *testing.T) {
-	eng := simcore.NewEngine(1)
-	h := NewHost(eng, "h", 533, 0)
-	job := h.NewTask("job")
-	fc := NewFractionController(h, job, 0.5)
-	fc.StartDelay = 7 * simcore.Millisecond
-	var firstWindow simcore.Time = -1
-	fc.OnQuantum = func(start simcore.Time, _ simcore.Duration) {
-		if firstWindow < 0 {
-			firstWindow = start
-		}
-	}
-	fc.Spawn()
-	jp := eng.Spawn("job", func(p *simcore.Proc) {
-		for {
-			job.ComputeSeconds(p, 1)
-		}
-	})
-	jp.SetDaemon(true)
-	eng.Spawn("end", func(p *simcore.Proc) {
-		p.Sleep(100 * simcore.Millisecond)
-		eng.Stop()
-	})
-	if err := eng.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if firstWindow < simcore.Time(7*simcore.Millisecond) {
-		t.Fatalf("first window at %v, before the 7ms start delay", firstWindow)
 	}
 }
 

@@ -3,6 +3,7 @@ package cpusched
 import (
 	"math"
 	"testing"
+	"testing/quick"
 
 	"microgrid/internal/simcore"
 )
@@ -41,10 +42,12 @@ func multiSetup(t *testing.T, fractions []float64, seconds float64) []*Controlle
 }
 
 func TestMultiControllerSingleJob(t *testing.T) {
-	jobs := multiSetup(t, []float64{0.5}, 20)
-	got := jobs[0].Task.UsedCPU().Seconds() / 20
-	if math.Abs(got-0.5) > 0.03 {
-		t.Fatalf("delivered %.3f, want 0.5", got)
+	for _, frac := range []float64{0.2, 0.5, 0.8} {
+		jobs := multiSetup(t, []float64{frac}, 20)
+		got := jobs[0].Task.UsedCPU().Seconds() / 20
+		if math.Abs(got-frac) > 0.02 {
+			t.Errorf("fraction %.2f: delivered %.3f", frac, got)
+		}
 	}
 }
 
@@ -224,5 +227,123 @@ func TestMultiControllerStartDelayIsPhaseShift(t *testing.T) {
 	got := job.Task.UsedCPU().Seconds() / 10
 	if math.Abs(got-0.5) > 0.04 {
 		t.Fatalf("delivered %.3f", got)
+	}
+}
+
+// fractionRun runs one endlessly computing job at fraction under a
+// MultiController for seconds, with an optional "cpu" or "io" competitor
+// started first, as in the Fig. 6 micro-benchmark; setup, if non-nil,
+// configures the daemon and job before it starts. It returns the job's
+// delivered CPU fraction.
+func fractionRun(t *testing.T, seed int64, competition string, fraction, seconds float64, setup func(*MultiController, *ControlledJob)) float64 {
+	t.Helper()
+	eng := simcore.NewEngine(seed)
+	h := NewHost(eng, "h", 533, 0)
+	switch competition {
+	case "cpu":
+		h.StartCompetitor("hog")
+	case "io":
+		StartIOCompetitor(h, "io")
+	}
+	task := h.NewTask("job")
+	mc := NewMultiController(h)
+	job, err := mc.AddJob(task, fraction)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if setup != nil {
+		setup(mc, job)
+	}
+	mc.Spawn()
+	jp := eng.Spawn("job", func(p *simcore.Proc) {
+		for {
+			task.ComputeSeconds(p, 1)
+		}
+	})
+	jp.SetDaemon(true)
+	eng.Spawn("end", func(p *simcore.Proc) {
+		p.Sleep(simcore.DurationOfSeconds(seconds))
+		eng.Stop()
+	})
+	if err := eng.Run(); err != nil {
+		t.Fatal(err)
+	}
+	return task.UsedCPU().Seconds() / seconds
+}
+
+func TestMultiControllerCPUCompetitionSaturates(t *testing.T) {
+	// Above ~50% requested, a busy-loop competitor prevents the virtual
+	// machine from receiving its specified fraction (paper Fig. 6).
+	got := fractionRun(t, 1, "cpu", 0.9, 30, nil)
+	if got > 0.75 {
+		t.Fatalf("delivered %.3f at requested 0.9 under CPU competition; expected saturation below 0.75", got)
+	}
+	if got < 0.35 {
+		t.Fatalf("delivered %.3f is implausibly low", got)
+	}
+}
+
+func TestMultiControllerLowFractionUnaffectedByCompetition(t *testing.T) {
+	// At 20% requested, competition should not matter much (Fig. 6 below
+	// the knee).
+	if got := fractionRun(t, 1, "cpu", 0.2, 30, nil); math.Abs(got-0.2) > 0.05 {
+		t.Fatalf("delivered %.3f at requested 0.2 under competition", got)
+	}
+}
+
+func TestMultiControllerQuantumObserver(t *testing.T) {
+	var lengths []simcore.Duration
+	var quantum simcore.Duration
+	fractionRun(t, 1, "none", 0.5, 2, func(mc *MultiController, j *ControlledJob) {
+		quantum = mc.Quantum
+		j.OnQuantum = func(_ simcore.Time, l simcore.Duration) { lengths = append(lengths, l) }
+	})
+	if len(lengths) < 50 {
+		t.Fatalf("only %d quanta observed", len(lengths))
+	}
+	for _, l := range lengths {
+		if l < quantum || l > quantum+2*simcore.Millisecond {
+			t.Fatalf("quantum length %v outside [10ms, 12ms]", l)
+		}
+	}
+}
+
+func TestMultiControllerCustomQuantum(t *testing.T) {
+	count := 0
+	fractionRun(t, 1, "none", 0.5, 1, func(mc *MultiController, j *ControlledJob) {
+		mc.Quantum = 2500 * simcore.Microsecond
+		j.OnQuantum = func(_ simcore.Time, _ simcore.Duration) { count++ }
+	})
+	// ~50% duty at 2.5ms windows over 1s → ≈200 windows.
+	if count < 150 || count > 250 {
+		t.Fatalf("windows = %d, want ≈200", count)
+	}
+}
+
+func TestChargeActualCPUAblation(t *testing.T) {
+	// With a hog, wall-charging under-delivers; CPU-charging tracks the
+	// target more closely, so the flag must move the delivered fraction.
+	measure := func(chargeCPU bool) float64 {
+		return fractionRun(t, 1, "cpu", 0.45, 30, func(mc *MultiController, _ *ControlledJob) {
+			mc.ChargeActualCPU = chargeCPU
+		})
+	}
+	wall := measure(false)
+	cpu := measure(true)
+	if cpu <= wall {
+		t.Fatalf("CPU-charging (%.3f) should deliver more than wall-charging (%.3f)", cpu, wall)
+	}
+}
+
+// Property: fraction enforcement without competition delivers the target
+// within tolerance for any fraction in (0.05, 0.95).
+func TestPropertyFractionDelivery(t *testing.T) {
+	f := func(fr uint8) bool {
+		frac := 0.05 + float64(fr%90)/100.0
+		got := fractionRun(t, 9, "none", frac, 10, nil)
+		return math.Abs(got-frac) < 0.08*frac+0.02
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -79,9 +79,6 @@ type dgramMeta struct {
 	payload any
 }
 
-// dgramReassembly tracks received fragment counts per datagram.
-var _ = dgramKey{} // used below
-
 func (n *Node) deliverDatagram(pkt *Packet) {
 	h, ok := n.handlers[pkt.DstPort]
 	if !ok {

@@ -888,13 +888,13 @@ func TestConnKeyPacked(t *testing.T) {
 	}
 }
 
-// channel stays at 208 bytes, an exact size class. A Link no longer
-// embeds its two channels: each direction allocates one on its first
-// packet, so idle links cost nothing here. One more word — an int queue
-// head instead of the int32 tucked into the padding after down — would
-// still move every opened direction up to the 224-byte class.
+// channel stays at 200 bytes, inside the 208-byte size class. A Link
+// does not embed its two channels: each direction allocates one on its
+// first packet, so idle links cost nothing here. The queue head is an
+// int32 tucked into the padding after down; two more words would move
+// every opened direction up to the 224-byte class.
 func TestChannelSizeClass(t *testing.T) {
-	if got := unsafe.Sizeof(channel{}); got != 208 {
-		t.Fatalf("unsafe.Sizeof(channel{}) = %d, want 208", got)
+	if got := unsafe.Sizeof(channel{}); got != 200 {
+		t.Fatalf("unsafe.Sizeof(channel{}) = %d, want 200", got)
 	}
 }

@@ -332,7 +332,7 @@ func (l *Link) open(d int) *channel {
 	if d == 1 {
 		src, dst = l.B, l.A
 	}
-	c := &channel{link: l, src: src, dst: dst, cfg: l.Config, down: l.down}
+	c := &channel{src: src, dst: dst, cfg: l.Config, down: l.down}
 	l.ch[d] = c
 	return c
 }

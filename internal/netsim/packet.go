@@ -129,8 +129,6 @@ const defaultTTL = 64
 // the source node's engine; when the destination lives on another shard
 // the propagation leg crosses as a cross-shard send.
 type channel struct {
-	// link is the Link this channel is one direction of.
-	link *Link
 	// name is the "src->dst" label trace events and the loss stream
 	// carry; label builds it on first use. Only the source node's engine
 	// (or a global action at a barrier) reads it, so the cache is never
@@ -147,9 +145,9 @@ type channel struct {
 	// down marks a failed link direction; epoch invalidates in-flight
 	// transmissions when the link fails.
 	down bool
-	// head sits in the padding after down, keeping channel at 208
-	// bytes, an exact size class: every direction that carries a packet
-	// allocates one.
+	// head sits in the padding after down, keeping channel at 200
+	// bytes, inside the 208-byte size class: every direction that
+	// carries a packet allocates one.
 	head  int32
 	epoch int64
 	// lossRng draws random loss from a per-channel stream derived from the

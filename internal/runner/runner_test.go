@@ -3,6 +3,8 @@ package runner
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -77,6 +79,27 @@ func TestCampaignParallelMatchesSequential(t *testing.T) {
 	if !bytes.Equal(sj, pj) {
 		t.Fatal("campaign.json differs between -j 1 and -j 8")
 	}
+	sum := sha256.Sum256(sj)
+	if got, want := hex.EncodeToString(sum[:]), pinnedQuickCampaignSHA(t); got != want {
+		t.Errorf("quick campaign.json sha256 = %s, pinned %s in testdata/quick-campaign.sha256", got, want)
+	}
+}
+
+// pinnedQuickCampaignSHA reads the out-seq/campaign.json digest from the
+// repo's quick-campaign pin, the file CI's smoke job checks mgrid against.
+func pinnedQuickCampaignSHA(t *testing.T) string {
+	t.Helper()
+	data, err := os.ReadFile(filepath.Join("..", "..", "testdata", "quick-campaign.sha256"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, line := range strings.Split(string(data), "\n") {
+		if f := strings.Fields(line); len(f) == 2 && f[1] == "out-seq/campaign.json" {
+			return f[0]
+		}
+	}
+	t.Fatal("testdata/quick-campaign.sha256 has no out-seq/campaign.json line")
+	return ""
 }
 
 // TestScenarioPathByteIdenticalJ1J4 is the acceptance gate for the
