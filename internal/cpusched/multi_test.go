@@ -42,12 +42,10 @@ func multiSetup(t *testing.T, fractions []float64, seconds float64) []*Controlle
 }
 
 func TestMultiControllerSingleJob(t *testing.T) {
-	for _, frac := range []float64{0.2, 0.5, 0.8} {
-		jobs := multiSetup(t, []float64{frac}, 20)
-		got := jobs[0].Task.UsedCPU().Seconds() / 20
-		if math.Abs(got-frac) > 0.02 {
-			t.Errorf("fraction %.2f: delivered %.3f", frac, got)
-		}
+	jobs := multiSetup(t, []float64{0.5}, 20)
+	got := jobs[0].Task.UsedCPU().Seconds() / 20
+	if math.Abs(got-0.5) > 0.03 {
+		t.Fatalf("delivered %.3f, want 0.5", got)
 	}
 }
 
@@ -269,6 +267,15 @@ func fractionRun(t *testing.T, seed int64, competition string, fraction, seconds
 		t.Fatal(err)
 	}
 	return task.UsedCPU().Seconds() / seconds
+}
+
+func TestMultiControllerNoCompetition(t *testing.T) {
+	for _, frac := range []float64{0.2, 0.5, 0.8} {
+		got := fractionRun(t, 1, "", frac, 20, nil)
+		if math.Abs(got-frac) > 0.05*frac+0.01 {
+			t.Errorf("fraction %.2f: delivered %.3f", frac, got)
+		}
+	}
 }
 
 func TestMultiControllerCPUCompetitionSaturates(t *testing.T) {
