@@ -2,7 +2,9 @@
 // paper uses for internal validation (§3.6, Fig. 17): sensors attached to
 // application counter variables, sampled on a fixed schedule, producing
 // traces that can be compared between a physical run and a MicroGrid run
-// via the root-mean-square percentage skew.
+// via the root-mean-square percentage skew. Only this monitoring half of
+// Autopilot is modeled; its decision procedures and actuators are not,
+// since no experiment adapts through them.
 //
 // Sampling is scheduled in *virtual* time: the paper samples every 1 s of
 // Alpha-cluster time and every 25 s of wallclock for the 4%-rate MicroGrid

@@ -178,6 +178,16 @@ func TestFig06Quick(t *testing.T) {
 	}
 }
 
+// A fraction the daemon refuses fails the measurement instead of
+// reporting a delivered fraction.
+func TestFig06MeasureRejectsFraction(t *testing.T) {
+	for _, f := range []float64{0, 1.5} {
+		if d, err := fig06Measure(Fig06Scenario(), f, "none", 1); err == nil {
+			t.Errorf("fraction %v: delivered %v, want an error", f, d)
+		}
+	}
+}
+
 func TestFig07Quick(t *testing.T) {
 	e, err := Fig07QuantaDistribution(&ExperimentRun{Quick: true})
 	if err != nil {

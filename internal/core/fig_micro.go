@@ -73,7 +73,7 @@ func Fig06Scenario() *scenario.Scenario {
 
 // fig06Measure runs the processor micro-benchmark for one requested
 // fraction under a competition mode, returning the delivered fraction.
-func fig06Measure(sc *scenario.Scenario, fraction float64, competition string, seconds float64) float64 {
+func fig06Measure(sc *scenario.Scenario, fraction float64, competition string, seconds float64) (float64, error) {
 	eng := simcore.NewEngine(sc.Seed)
 	h := cpusched.NewHost(eng, "alpha", sc.Target.CPUMIPS, 0)
 	switch competition {
@@ -85,7 +85,7 @@ func fig06Measure(sc *scenario.Scenario, fraction float64, competition string, s
 	job := h.NewTask("reference")
 	mc := cpusched.NewMultiController(h)
 	if _, err := mc.AddJob(job, fraction); err != nil {
-		return -1
+		return 0, err
 	}
 	mc.Spawn()
 	jp := eng.Spawn("job", func(p *simcore.Proc) {
@@ -99,9 +99,9 @@ func fig06Measure(sc *scenario.Scenario, fraction float64, competition string, s
 		eng.Stop()
 	})
 	if err := eng.Run(); err != nil {
-		return -1
+		return 0, err
 	}
-	return job.UsedCPU().Seconds() / seconds
+	return job.UsedCPU().Seconds() / seconds, nil
 }
 
 // Fig06CPUFraction reproduces the processor micro-benchmark (Fig. 6):
@@ -121,14 +121,17 @@ func Fig06CPUFraction(x *ExperimentRun) (*Experiment, error) {
 	sc := Fig06Scenario()
 	m := map[string]float64{}
 	for _, f := range fractions {
-		none := fig06Measure(sc, f, "none", seconds)
-		io := fig06Measure(sc, f, "io", seconds)
-		cpu := fig06Measure(sc, f, "cpu", seconds)
-		tbl.AddRow(100*f, 100*none, 100*io, 100*cpu)
 		key := fmt.Sprintf("spec%02.0f", f*100)
-		m[key+"_none"] = 100 * none
-		m[key+"_io"] = 100 * io
-		m[key+"_cpu"] = 100 * cpu
+		row := []any{100 * f}
+		for _, comp := range []string{"none", "io", "cpu"} {
+			d, err := fig06Measure(sc, f, comp, seconds)
+			if err != nil {
+				return nil, fmt.Errorf("fig06: %.0f%% under %s competition: %w", 100*f, comp, err)
+			}
+			row = append(row, 100*d)
+			m[key+"_"+comp] = 100 * d
+		}
+		tbl.AddRow(row...)
 	}
 	return &Experiment{
 		ID:      "fig06",

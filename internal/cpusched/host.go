@@ -49,15 +49,13 @@ type Host struct {
 	tasks   []*Task
 	nextID  int
 	current *Task
-	// failed freezes the scheduler entirely (see Fail/Restore).
-	failed bool
 	// sliceGen invalidates stale slice-end events; sliceFree pools them.
 	sliceGen   int64
 	sliceStart simcore.Time
 	sliceFree  *sliceEnd
-	// IdleTime accumulates time with no runnable task, for utilization
+	// idleTime accumulates time with no runnable task, for utilization
 	// reporting.
-	IdleTime  simcore.Duration
+	idleTime  simcore.Duration
 	idleSince simcore.Time
 	idle      bool
 }
@@ -94,10 +92,6 @@ func (h *Host) hostRand() *rand.Rand {
 // SpeedMIPS reports the host's CPU speed in MIPS.
 func (h *Host) SpeedMIPS() float64 { return h.speedOps / 1e6 }
 
-// SecondsFor returns the time this CPU needs, running alone, to execute
-// ops operations.
-func (h *Host) SecondsFor(ops float64) float64 { return ops / h.speedOps }
-
 // Task is a schedulable entity on a Host. Tasks demand CPU via Compute (or
 // BusyLoop) and may be suspended/resumed by SIGSTOP/SIGCONT analogs.
 type Task struct {
@@ -114,11 +108,8 @@ type Task struct {
 	counter    simcore.Duration // remaining timeslice credit
 	usedCPU    simcore.Duration
 	done       *simcore.Cond
-	demand     *simcore.Cond // signaled when demand appears from idle
 	// waiting guards the single-waiter Compute contract.
 	waiting bool
-	// OnSliceEnd, when set, observes every CPU slice this task receives.
-	OnSliceEnd func(start simcore.Time, ran simcore.Duration)
 }
 
 // NewTask registers a new task, initially stopped == false with no demand.
@@ -130,7 +121,6 @@ func (h *Host) NewTask(name string) *Task {
 		Name:    name,
 		counter: h.Quantum,
 		done:    simcore.NewCond(h.eng),
-		demand:  simcore.NewCond(h.eng),
 	}
 	h.tasks = append(h.tasks, t)
 	return t
@@ -176,7 +166,8 @@ func (t *Task) Compute(p *simcore.Proc, ops float64) {
 	if t.waiting {
 		panic(fmt.Sprintf("cpusched: concurrent Compute on task %q", t.Name))
 	}
-	t.addDemand(ops)
+	t.pendingOps += ops
+	t.host.wakeup(t)
 	t.waiting = true
 	for t.pendingOps > 0 {
 		t.done.Wait(p)
@@ -189,47 +180,17 @@ func (t *Task) ComputeSeconds(p *simcore.Proc, s float64) {
 	t.Compute(p, s*t.host.speedOps)
 }
 
-// AddDemand queues ops of work without blocking (event-style callers).
-func (t *Task) AddDemand(ops float64) {
-	if ops <= 0 {
-		return
-	}
-	t.addDemand(ops)
-}
-
-func (t *Task) addDemand(ops float64) {
-	wasIdle := !t.HasDemand()
-	t.pendingOps += ops
-	t.host.wakeup(t)
-	if wasIdle {
-		t.demand.Broadcast()
-	}
-}
-
 // HasDemand reports whether the task currently wants CPU (ignoring
 // suspension).
 func (t *Task) HasDemand() bool { return t.busyLoop || t.pendingOps > 0 }
-
-// WaitDemand parks p until the task has CPU demand. Used by the
-// fraction-controller daemon so an idle virtual host generates no
-// simulation events.
-func (t *Task) WaitDemand(p *simcore.Proc) {
-	for !t.HasDemand() {
-		t.demand.Wait(p)
-	}
-}
 
 // SetBusyLoop makes the task demand CPU forever (the paper's
 // "computationally intense process doing floating-point divisions
 // continuously").
 func (t *Task) SetBusyLoop(on bool) {
-	wasIdle := !t.HasDemand()
 	t.busyLoop = on
 	if on {
 		t.host.wakeup(t)
-		if wasIdle {
-			t.demand.Broadcast()
-		}
 	} else if t.host.current == t && t.pendingOps <= 0 {
 		// The CPU is free now: hand it on, or mark the host idle.
 		t.host.endSlice()
@@ -339,7 +300,7 @@ func (h *Host) pick() *Task {
 
 // maybeSchedule starts a slice if the CPU is free and work exists.
 func (h *Host) maybeSchedule() {
-	if h.current != nil || h.failed {
+	if h.current != nil {
 		return
 	}
 	t := h.pick()
@@ -351,7 +312,7 @@ func (h *Host) maybeSchedule() {
 		return
 	}
 	if h.idle {
-		h.IdleTime += h.eng.Now().Sub(h.idleSince)
+		h.idleTime += h.eng.Now().Sub(h.idleSince)
 		h.idle = false
 	}
 	h.current = t
@@ -432,9 +393,6 @@ func (h *Host) endSlice() {
 			t.done.Broadcast()
 		}
 	}
-	if t.OnSliceEnd != nil && ran > 0 {
-		t.OnSliceEnd(h.sliceStart, ran)
-	}
 	if ran > 0 {
 		if rec := h.eng.Recorder(); rec.Enabled(trace.CatCPU) {
 			rec.Span(trace.CatCPU, "slice", int64(h.sliceStart), int64(ran),
@@ -449,7 +407,7 @@ func (h *Host) Utilization() float64 {
 	if now == 0 {
 		return 0
 	}
-	idle := h.IdleTime
+	idle := h.idleTime
 	if h.idle {
 		idle += now.Sub(h.idleSince)
 	}

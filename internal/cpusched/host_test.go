@@ -296,7 +296,7 @@ func TestQuantumZeroAlloc(t *testing.T) {
 	eng := simcore.NewEngine(1)
 	h := NewHost(eng, "h", 533, simcore.Millisecond)
 	for _, name := range []string{"t0", "t1", "t2", "t3"} {
-		h.NewTask(name).AddDemand(1e15)
+		h.NewTask(name).SetBusyLoop(true)
 	}
 	step := func() {
 		if err := eng.RunUntil(eng.Now().Add(simcore.Millisecond)); err != nil {

@@ -1,49 +1,15 @@
 package cpusched
 
-// Fault and load injection: a physical machine can fail outright (nothing
-// schedules until it is restored), a killed process's queued demand can be
-// cancelled, and a competing compute-bound or IO-bound process can be
+// Crash cleanup and load injection: a killed process's queued demand can
+// be cancelled, and a competing compute-bound or IO-bound process can be
 // started to steal cycles — the chaos subsystem's CPU load and the paper's
-// Fig. 6–7 competitors.
+// Fig. 6–7 competitors. A physical machine never fails here: chaos
+// schedules crash virtual hosts, whose resident work CancelPending drops.
 
 import (
 	"microgrid/internal/simcore"
 	"microgrid/internal/trace"
 )
-
-// Fail marks the host failed: the in-progress slice ends and no task is
-// scheduled until Restore. Task state (registrations, counters, pending
-// demand) is preserved but frozen; the virtual layer crashes the
-// machine's virtual hosts separately.
-func (h *Host) Fail() {
-	if h.failed {
-		return
-	}
-	h.endSlice()
-	h.failed = true
-	if !h.idle {
-		h.idle = true
-		h.idleSince = h.eng.Now()
-	}
-	if rec := h.eng.Recorder(); rec.Enabled(trace.CatCPU) {
-		rec.Event(trace.CatCPU, "host-fail", trace.Attr{Host: h.Name})
-	}
-}
-
-// Failed reports whether the host is failed.
-func (h *Host) Failed() bool { return h.failed }
-
-// Restore brings a failed host back; runnable tasks resume scheduling.
-func (h *Host) Restore() {
-	if !h.failed {
-		return
-	}
-	h.failed = false
-	if rec := h.eng.Recorder(); rec.Enabled(trace.CatCPU) {
-		rec.Event(trace.CatCPU, "host-restore", trace.Attr{Host: h.Name})
-	}
-	h.maybeSchedule()
-}
 
 // CancelPending discards the task's queued compute demand — the crash
 // cleanup for a killed process that will never collect its Compute

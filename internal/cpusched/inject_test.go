@@ -6,28 +6,6 @@ import (
 	"microgrid/internal/simcore"
 )
 
-// A failed host freezes compute; Restore resumes it and the work
-// completes late by exactly the outage.
-func TestHostFailRestore(t *testing.T) {
-	eng := simcore.NewEngine(1)
-	h := NewHost(eng, "p0", 100, 0) // 100 MIPS
-	task := h.NewTask("t")
-	var done simcore.Time
-	eng.Spawn("worker", func(p *simcore.Proc) {
-		task.ComputeSeconds(p, 1) // 1 s of CPU
-		done = p.Now()
-	})
-	eng.After(500*simcore.Millisecond, func() { h.Fail() })
-	eng.After(2500*simcore.Millisecond, func() { h.Restore() })
-	if err := eng.Run(); err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-	want := simcore.Time(3 * simcore.Second) // 1 s work + 2 s outage
-	if done != want {
-		t.Errorf("completion at %v, want %v", done, want)
-	}
-}
-
 // A busy-loop competitor halves delivered CPU under the fair scheduler.
 func TestStartCompetitorHalvesThroughput(t *testing.T) {
 	eng := simcore.NewEngine(1)
@@ -54,7 +32,10 @@ func TestCancelPending(t *testing.T) {
 	eng := simcore.NewEngine(1)
 	h := NewHost(eng, "p0", 100, 0)
 	task := h.NewTask("t")
-	task.AddDemand(100e6 * 10) // 10 s of work, event-style
+	// 10 s of work for a process that, like a crashed host's, never
+	// collects the result.
+	pr := eng.Spawn("worker", func(p *simcore.Proc) { task.ComputeSeconds(p, 10) })
+	pr.SetDaemon(true)
 	eng.After(1*simcore.Second, func() {
 		task.CancelPending()
 		if task.HasDemand() {

@@ -2,6 +2,7 @@ package cpusched
 
 import (
 	"fmt"
+	"slices"
 
 	"microgrid/internal/simcore"
 	"microgrid/internal/trace"
@@ -32,11 +33,17 @@ type MultiController struct {
 	// instead of wall time — an ablation of the paper's algorithm.
 	ChargeActualCPU bool
 
+	// jobs holds the live jobs in the order they were added.
 	jobs       []*ControlledJob
 	daemonTask *Task
 	stopped    bool
 	startTime  simcore.Time
-	rrIndex    int
+	// rrIndex is where the next round-robin scan starts. A grant moves it
+	// just past the granted job, so a job added later is scanned first,
+	// except that a grant to the newest job (the last one added, removed
+	// or not) wraps it to 0.
+	rrIndex int
+	newest  *ControlledJob
 }
 
 // ControlledJob is one job under a MultiController.
@@ -46,14 +53,10 @@ type ControlledJob struct {
 	used     simcore.Duration
 	// start anchors the job's target accounting, so jobs added mid-run
 	// (migration) don't receive a catch-up burst.
-	start   simcore.Time
-	removed bool
+	start simcore.Time
 	// OnQuantum observes each granted window.
 	OnQuantum func(start simcore.Time, length simcore.Duration)
 }
-
-// UsedTime returns the time charged to the job.
-func (j *ControlledJob) UsedTime() simcore.Duration { return j.used }
 
 // NewMultiController creates the daemon for a host.
 func NewMultiController(host *Host) *MultiController {
@@ -73,9 +76,7 @@ func (mc *MultiController) AddJob(task *Task, fraction float64) (*ControlledJob,
 	}
 	total := fraction
 	for _, j := range mc.jobs {
-		if !j.removed {
-			total += j.Fraction
-		}
+		total += j.Fraction
 	}
 	if total > 1+1e-9 {
 		return nil, fmt.Errorf("cpusched: host %s oversubscribed: fractions sum to %.3f", mc.Host.Name, total)
@@ -83,13 +84,22 @@ func (mc *MultiController) AddJob(task *Task, fraction float64) (*ControlledJob,
 	task.Stop()
 	j := &ControlledJob{Task: task, Fraction: fraction, start: mc.Host.eng.Now()}
 	mc.jobs = append(mc.jobs, j)
+	mc.newest = j
 	return j, nil
 }
 
-// RemoveJob detaches a job (for virtual-host migration); the job's task
-// is left suspended.
+// RemoveJob detaches a job (for a virtual host's crash or migration);
+// the job's task is left suspended. The round robin keeps its place in
+// the order the jobs were added.
 func (mc *MultiController) RemoveJob(j *ControlledJob) {
-	j.removed = true
+	i := slices.Index(mc.jobs, j)
+	if i < 0 {
+		return
+	}
+	mc.jobs = slices.Delete(mc.jobs, i, i+1)
+	if i < mc.rrIndex {
+		mc.rrIndex--
+	}
 }
 
 // Terminate stops the daemon loop.
@@ -160,13 +170,14 @@ func (mc *MultiController) Run(p *simcore.Proc) {
 func (mc *MultiController) nextLagging(now simcore.Time) *ControlledJob {
 	n := len(mc.jobs)
 	for k := 0; k < n; k++ {
-		j := mc.jobs[(mc.rrIndex+k)%n]
-		if j.removed {
-			continue
-		}
+		i := (mc.rrIndex + k) % n
+		j := mc.jobs[i]
 		elapsed := now.Sub(j.start)
 		if j.used <= simcore.Duration(j.Fraction*float64(elapsed)) {
-			mc.rrIndex = (mc.rrIndex + k + 1) % n
+			mc.rrIndex = i + 1
+			if j == mc.newest {
+				mc.rrIndex = 0
+			}
 			return j
 		}
 	}

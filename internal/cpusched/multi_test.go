@@ -1,6 +1,8 @@
 package cpusched
 
 import (
+	"crypto/sha256"
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
@@ -225,6 +227,78 @@ func TestMultiControllerStartDelayIsPhaseShift(t *testing.T) {
 	got := job.Task.UsedCPU().Seconds() / 10
 	if math.Abs(got-0.5) > 0.04 {
 		t.Fatalf("delivered %.3f", got)
+	}
+}
+
+// Co-located jobs removed and re-added, as a virtual host's crash and
+// reboot or a migration does, leave no entry behind in the daemon's job
+// list, and the round robin grants the same windows as the daemon that
+// kept removed jobs in its list and skipped them: grantsDigest is the
+// SHA-256 of the (job, start, length) grant sequence that daemon gave.
+// A cursor that wraps to 0 whenever it reaches the end of the list gives
+// a different sequence here.
+func TestMultiControllerRemoveAddCycles(t *testing.T) {
+	const grantsDigest = "281739cd817527762517df42e248459af7eaab4650e66412f061aaf2698515a5"
+	eng := simcore.NewEngine(5)
+	h := NewHost(eng, "h", 533, 0)
+	mc := NewMultiController(h)
+	sum := sha256.New()
+	grants := 0
+	var live []*ControlledJob
+	checkLive := func(when string) {
+		if len(mc.jobs) != len(live) {
+			t.Errorf("%s at %v: daemon holds %d jobs, %d live", when, eng.Now(), len(mc.jobs), len(live))
+		}
+	}
+	add := func(task *Task) {
+		job, err := mc.AddJob(task, 0.3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		job.OnQuantum = func(s simcore.Time, l simcore.Duration) {
+			fmt.Fprintf(sum, "%s %d %d\n", task.Name, s, l)
+			grants++
+		}
+		task.SetBusyLoop(true)
+		live = append(live, job)
+		checkLive("add")
+	}
+	for i := 0; i < 3; i++ {
+		add(h.NewTask(fmt.Sprintf("job%d", i)))
+	}
+	mc.Spawn()
+	// Cycle k removes live[victims[k%8]] at 37 ms + k×61 ms and re-adds
+	// gaps[k%5] later its task (even k, as a reboot does) or a fresh one
+	// (odd k, as a migration does).
+	victims := []int{2, 0, 2, 1, 2, 2, 0, 1}
+	gaps := []simcore.Duration{0, 23, 7, 13, 31}
+	for k := 0; k < 30; k++ {
+		at := simcore.Time(37*simcore.Millisecond) + simcore.Time(k)*simcore.Time(61*simcore.Millisecond)
+		eng.At(at, func() {
+			v := victims[k%8]
+			job := live[v]
+			live = append(live[:v], live[v+1:]...)
+			mc.RemoveJob(job)
+			checkLive("remove")
+			task := job.Task
+			if k%2 == 1 {
+				task = h.NewTask(fmt.Sprintf("job%d", 3+k))
+			}
+			eng.After(gaps[k%5]*simcore.Millisecond, func() { add(task) })
+		})
+	}
+	eng.Spawn("end", func(p *simcore.Proc) {
+		p.Sleep(2 * simcore.Second)
+		eng.Stop()
+	})
+	if err := eng.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if grants < 50 {
+		t.Fatalf("only %d windows granted", grants)
+	}
+	if got := fmt.Sprintf("%x", sum.Sum(nil)); got != grantsDigest {
+		t.Fatalf("grant sequence digest %s, want %s", got, grantsDigest)
 	}
 }
 

@@ -182,7 +182,12 @@ func TestTransferSurvivesFlap(t *testing.T) {
 	eng := simcore.NewEngine(1)
 	nw, a, b := twoHosts(eng, crashLink)
 	l := nw.FindLink("a", "b")
-	l.ScheduleFlap(simcore.Time(50*simcore.Millisecond), 200*simcore.Millisecond, 100*simcore.Millisecond, 3)
+	// Three cycles from 50 ms: down for 200 ms, up for 100 ms.
+	for i := 0; i < 3; i++ {
+		down := simcore.Time(50*simcore.Millisecond) + simcore.Time(i)*simcore.Time(300*simcore.Millisecond)
+		eng.At(down, func() { l.SetDown(true) })
+		eng.At(down.Add(200*simcore.Millisecond), func() { l.SetDown(false) })
+	}
 
 	ln, _ := b.Listen(5000)
 	var got int

@@ -8,12 +8,14 @@ import (
 	"microgrid/internal/trace"
 )
 
-// Link and node failure injection: Grid environments "exhibit extreme
+// Link and node fault primitives: Grid environments "exhibit extreme
 // heterogeneity of configuration, performance, and reliability" (paper
 // §1); adaptive middleware studies need links that fail, flap, degrade
-// and lose packets, and hosts that crash and reboot. A downed link drops
-// everything in flight and in queue; routes recompute around it. The
-// chaos subsystem (internal/chaos) drives these hooks from schedules.
+// and lose packets, and hosts that crash and reboot. netsim schedules no
+// fault itself: chaos schedules (internal/chaos) are the one source of
+// faults, and they drive these state changes (SetDown, Degrade, Restore,
+// SetCrashed) at their chosen instants. A downed link drops everything in
+// flight and in queue; routes recompute around it.
 
 // SetDown changes the link's failure state. Taking a link down drops its
 // queued packets; routes are recomputed either way so traffic immediately
@@ -41,39 +43,6 @@ func (l *Link) SetDown(down bool) {
 
 // Down reports the link's failure state.
 func (l *Link) Down() bool { return l.down }
-
-// ScheduleFailure takes the link down at 'at' and restores it after
-// 'duration' (no restore if duration ≤ 0).
-func (l *Link) ScheduleFailure(at simcore.Time, duration simcore.Duration) {
-	eng := l.A.net.eng
-	eng.At(at, func() { l.SetDown(true) })
-	if duration > 0 {
-		eng.At(at.Add(duration), func() { l.SetDown(false) })
-	}
-}
-
-// ScheduleFlap schedules count down/up cycles starting at 'at': the link
-// goes down for downFor, comes back for upFor, and repeats.
-func (l *Link) ScheduleFlap(at simcore.Time, downFor, upFor simcore.Duration, count int) {
-	eng := l.A.net.eng
-	t := at
-	for i := 0; i < count; i++ {
-		eng.At(t, func() { l.SetDown(true) })
-		eng.At(t.Add(downFor), func() { l.SetDown(false) })
-		t = t.Add(downFor + upFor)
-	}
-}
-
-// SetLossProb sets the link's independent per-packet loss probability in
-// both directions (a lossy but live link, unlike SetDown).
-func (l *Link) SetLossProb(p float64) {
-	l.Config.LossProb = p
-	for _, c := range l.ch {
-		if c != nil {
-			c.cfg.LossProb = p
-		}
-	}
-}
 
 // Degrade scales the link's bandwidth and delay by the given factors and
 // sets a loss probability, remembering the original configuration for

@@ -103,7 +103,8 @@ func TestTCPSurvivesTransientFailure(t *testing.T) {
 	nw.Connect(r2, b, backup)
 	nw.ComputeRoutes()
 	// Outage of the primary from 50ms to 250ms.
-	primary.ScheduleFailure(simcore.Time(50*simcore.Millisecond), 200*simcore.Millisecond)
+	eng.At(simcore.Time(50*simcore.Millisecond), func() { primary.SetDown(true) })
+	eng.At(simcore.Time(250*simcore.Millisecond), func() { primary.SetDown(false) })
 
 	ln, _ := b.Listen(80)
 	const n = 50
@@ -145,18 +146,5 @@ func TestTCPSurvivesTransientFailure(t *testing.T) {
 	}
 	if received != n {
 		t.Fatalf("received %d/%d through the outage", received, n)
-	}
-}
-
-func TestScheduleFailureNoRestore(t *testing.T) {
-	eng := simcore.NewEngine(1)
-	nw, _, _ := twoHosts(eng, LinkConfig{BandwidthBps: 1e6, Delay: simcore.Millisecond})
-	link := nw.Links()[0]
-	link.ScheduleFailure(simcore.Time(5*simcore.Millisecond), 0)
-	if err := eng.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if !link.Down() {
-		t.Fatal("link restored without a restore schedule")
 	}
 }

@@ -51,8 +51,7 @@ func runLazyScript(t *testing.T, eager, opsFirst bool) lazyRun {
 		burst(t, b, a, 12)
 	}
 	ops := func() {
-		l.Degrade(0.5, 2, -1)
-		l.SetLossProb(0.25)
+		l.Degrade(0.5, 2, 0.25)
 		l.SetDown(true)
 		l.SetDown(false)
 	}
@@ -68,7 +67,7 @@ func runLazyScript(t *testing.T, eager, opsFirst bool) lazyRun {
 	eng.At(ms(210), func() { l.SetDown(false) })
 	eng.At(ms(220), l.Restore)
 	eng.At(ms(230), send)
-	eng.At(ms(400), func() { l.SetLossProb(0.5) })
+	eng.At(ms(400), func() { l.Degrade(0, 0, 0.5) })
 	eng.At(ms(410), send)
 	if err := eng.Run(); err != nil {
 		t.Fatal(err)

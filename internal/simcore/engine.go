@@ -240,12 +240,6 @@ func (e *Engine) DeriveRand(label string) *rand.Rand {
 	return rand.New(rand.NewSource(seed))
 }
 
-// SetBaseSeed overrides the seed DeriveRand mixes entity labels with.
-// ParallelEngine uses it so every shard derives identical per-entity
-// streams from the one user seed even though shard event streams are
-// decorrelated.
-func (e *Engine) SetBaseSeed(seed int64) { e.baseSeed = seed }
-
 // ShardIndex returns this engine's shard number within its parallel
 // engine (0 for a stand-alone serial engine).
 func (e *Engine) ShardIndex() int { return e.shard }

@@ -2,7 +2,6 @@ package virtual
 
 import (
 	"fmt"
-	"sort"
 
 	"microgrid/internal/simcore"
 )
@@ -52,13 +51,11 @@ func (h *Host) Crash() {
 // Reboot restores a crashed host: it answers the network again and can
 // spawn processes. Nothing that ran before the crash survives; the
 // Grid's OnReboot hook restarts middleware daemons in the assembled
-// system. Reboot fails while the underlying physical machine is failed.
+// system. Reboot fails only if the host's scheduler daemon cannot take
+// its CPU fraction back.
 func (h *Host) Reboot() error {
 	if !h.down {
 		return nil
-	}
-	if h.Phys.Failed() {
-		return fmt.Errorf("virtual: reboot %s: physical host %s is failed", h.Name, h.Phys.Name)
 	}
 	h.down = false
 	h.Node.SetCrashed(false)
@@ -74,44 +71,5 @@ func (h *Host) Reboot() error {
 	if h.grid.OnReboot != nil {
 		h.grid.OnReboot(h)
 	}
-	return nil
-}
-
-// CrashPhysHost fails a physical machine: its CPU scheduler freezes,
-// every virtual host mapped onto it crashes (in name order, for
-// determinism), and its MicroGrid scheduler daemon — if one was running —
-// terminates. Virtual hosts mapped there cannot Reboot until
-// RestorePhysHost.
-func (g *Grid) CrashPhysHost(name string) error {
-	p, ok := g.phys[name]
-	if !ok {
-		return fmt.Errorf("virtual: unknown physical host %q", name)
-	}
-	var resident []string
-	for n, h := range g.hosts {
-		if h.Phys == p {
-			resident = append(resident, n)
-		}
-	}
-	sort.Strings(resident)
-	p.Fail()
-	for _, n := range resident {
-		g.hosts[n].Crash()
-	}
-	if mc, ok := g.controllers[name]; ok {
-		mc.Terminate()
-		delete(g.controllers, name)
-	}
-	return nil
-}
-
-// RestorePhysHost brings a failed physical machine back. Its virtual
-// hosts stay down until individually rebooted.
-func (g *Grid) RestorePhysHost(name string) error {
-	p, ok := g.phys[name]
-	if !ok {
-		return fmt.Errorf("virtual: unknown physical host %q", name)
-	}
-	p.Restore()
 	return nil
 }

@@ -39,9 +39,6 @@ func (h *Host) checkMigrate(target *cpusched.Host) (float64, error) {
 	if h.down {
 		return 0, fmt.Errorf("virtual: migrate %s: host is down", h.Name)
 	}
-	if target.Failed() {
-		return 0, fmt.Errorf("virtual: migrate %s: target %s is failed", h.Name, target.Name)
-	}
 	if target.Engine() != h.eng {
 		return 0, fmt.Errorf("virtual: migrate %s: target %s lives on a different PDES shard", h.Name, target.Name)
 	}
@@ -118,11 +115,9 @@ func (m *Migration) Wait(p *simcore.Proc) {
 // MigrateStaged migrates with an explicit copy phase of copyTime engine
 // time, modeling checkpoint transfer: the host keeps running on the
 // source during the copy, and at copy end the move either commits
-// atomically or rolls back — if the source crashed, the target machine
-// failed, or the host is not quiescent at the commit point, the
-// placement stays where it was. In every outcome the vIP table and the
-// placement remain consistent: they never point at a machine that died
-// mid-migration.
+// atomically or rolls back — if the source crashed or the host is not
+// quiescent at the commit point, the placement stays where it was. In
+// every outcome the vIP table and the placement remain consistent.
 func (h *Host) MigrateStaged(target *cpusched.Host, copyTime simcore.Duration) (*Migration, error) {
 	mig := &Migration{host: h, target: target, fin: simcore.NewCond(h.eng)}
 	if target == h.Phys {
@@ -140,8 +135,6 @@ func (h *Host) MigrateStaged(target *cpusched.Host, copyTime simcore.Duration) (
 		switch {
 		case h.down:
 			mig.reason = "source host crashed during copy"
-		case target.Failed():
-			mig.reason = fmt.Sprintf("target %s failed during copy; rolled back", target.Name)
 		case h.cpu.Held() || h.task.HasDemand():
 			mig.reason = "host not quiescent at commit; rolled back"
 		default:
