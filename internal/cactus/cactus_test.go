@@ -21,7 +21,7 @@ func runWaveToy(t *testing.T, n, edge, steps int) simcore.Duration {
 	for i := range hosts {
 		hosts[i] = g.Host(fmt.Sprintf("vm%d", i))
 	}
-	w, err := mpi.Launch(g, hosts, "wavetoy", 0, func(c *mpi.Comm) error {
+	w, err := mpi.Launch(hosts, "wavetoy", 0, mpi.LaunchOptions{}, func(c *mpi.Comm) error {
 		return RunWaveToy(c, Params{GridEdge: edge, Steps: steps})
 	})
 	if err != nil {
@@ -61,7 +61,7 @@ func TestWaveToyProgressHook(t *testing.T) {
 		t.Fatal(err)
 	}
 	var norms []float64
-	w, err := mpi.Launch(g, []*virtual.Host{g.Host("vm0"), g.Host("vm1")}, "wt", 0, func(c *mpi.Comm) error {
+	w, err := mpi.Launch([]*virtual.Host{g.Host("vm0"), g.Host("vm1")}, "wt", 0, mpi.LaunchOptions{}, func(c *mpi.Comm) error {
 		return RunWaveToy(c, Params{GridEdge: 16, Steps: 20, Progress: func(rank, step int, v float64) {
 			if rank == 0 && step%10 == 0 {
 				norms = append(norms, v)
@@ -90,7 +90,7 @@ func TestWaveToyProgressHook(t *testing.T) {
 func TestWaveToyValidation(t *testing.T) {
 	eng := simcore.NewEngine(1)
 	g, _ := virtual.NewLANGrid(eng, "vm", 1, 533, 533, 100e6, 25*simcore.Microsecond, 0, true, 0)
-	w, err := mpi.Launch(g, []*virtual.Host{g.Host("vm0")}, "bad", 0, func(c *mpi.Comm) error {
+	w, err := mpi.Launch([]*virtual.Host{g.Host("vm0")}, "bad", 0, mpi.LaunchOptions{}, func(c *mpi.Comm) error {
 		return RunWaveToy(c, Params{GridEdge: 1})
 	})
 	if err != nil {
@@ -119,7 +119,7 @@ func TestWaveToyDefaultSteps(t *testing.T) {
 	eng := simcore.NewEngine(1)
 	g, _ := virtual.NewLANGrid(eng, "vm", 1, 533, 533, 100e6, 25*simcore.Microsecond, 0, true, 0)
 	steps := 0
-	w, err := mpi.Launch(g, []*virtual.Host{g.Host("vm0")}, "wt", 0, func(c *mpi.Comm) error {
+	w, err := mpi.Launch([]*virtual.Host{g.Host("vm0")}, "wt", 0, mpi.LaunchOptions{}, func(c *mpi.Comm) error {
 		return RunWaveToy(c, Params{GridEdge: 8, Progress: func(_, step int, _ float64) {
 			if step > steps {
 				steps = step

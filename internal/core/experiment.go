@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"sort"
 
 	"microgrid/internal/metrics"
 	"microgrid/internal/scenario"
@@ -24,16 +23,6 @@ type Experiment struct {
 	// TraceRuns holds each traced build's run (see ExperimentRun.Traces);
 	// empty unless the invocation set Trace.
 	TraceRuns []trace.Run
-}
-
-// MetricKeys returns metric names sorted.
-func (e *Experiment) MetricKeys() []string {
-	out := make([]string, 0, len(e.Metrics))
-	for k := range e.Metrics {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
 }
 
 // ExperimentFunc runs one experiment under the given invocation.

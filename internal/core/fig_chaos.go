@@ -262,7 +262,7 @@ func ChaosWorker(x *ExperimentRun) (*Experiment, error) {
 		deadlock *simcore.DeadlockError
 		hungAt   simcore.Time
 	}
-	// The farm drives mpi.LaunchWith directly (the workqueue needs
+	// The farm drives mpi.Launch directly (the workqueue needs
 	// SkipExitBarrier on fault-tolerant runs, which RunApp does not
 	// expose), but every parameter comes from the scenario.
 	farm := func(ft bool, sched string) (*armOut, error) {
@@ -292,7 +292,7 @@ func ChaosWorker(x *ExperimentRun) (*Experiment, error) {
 			FaultTolerant: ft, LostTimeout: sc.Workload.LostTimeout,
 		}
 		out := &armOut{}
-		w, err := mpi.LaunchWith(g, hosts, "farm", 0,
+		w, err := mpi.Launch(hosts, "farm", 0,
 			// A crashed rank never reaches the exit barrier; fault-tolerant
 			// runs must not wait for it.
 			mpi.LaunchOptions{SkipExitBarrier: ft},

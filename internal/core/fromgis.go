@@ -44,7 +44,13 @@ func buildFromGIS(server *gis.Server, configName string, physMIPS map[string]flo
 	vcfg := gridConfig(cfg)
 	var hostNames []string
 	ipOwner := make(map[netsim.Addr]string, len(hosts))
-	for _, h := range hosts {
+	for i, h := range hosts {
+		if h.Hostname == virtual.LANSwitch {
+			return nil, fmt.Errorf("core: host record %s: the name is reserved for the grid's LAN switch", h.Hostname)
+		}
+		if i > 0 && hosts[i-1].Hostname == h.Hostname {
+			return nil, fmt.Errorf("core: two host records are named %s", h.Hostname)
+		}
 		if h.VirtualIP == "" {
 			return nil, fmt.Errorf("core: host record %s has no Virtual_IP", h.Hostname)
 		}

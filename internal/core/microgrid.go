@@ -13,7 +13,6 @@ import (
 	"microgrid/internal/topology"
 	"microgrid/internal/trace"
 	"microgrid/internal/virtual"
-	"microgrid/internal/vtime"
 )
 
 // OrgUnit is the GIS organizational unit all records live under, matching
@@ -497,9 +496,6 @@ func (m *MicroGrid) registeredHostCount() int {
 
 // Rate returns the grid's simulation rate.
 func (m *MicroGrid) Rate() float64 { return m.Grid.Rate() }
-
-// Clock returns the grid's virtual clock.
-func (m *MicroGrid) Clock() *vtime.Clock { return m.Grid.Clock() }
 
 // IsDirect reports whether this instance models the target natively.
 func (m *MicroGrid) IsDirect() bool { return m.direct }

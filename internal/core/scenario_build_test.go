@@ -110,6 +110,61 @@ func TestBuildScenarioErrors(t *testing.T) {
 	}
 }
 
+// Bad scenario inputs end in an error, never a panic: each text goes
+// through parse, BuildScenario and RunWorkload, and the first error must
+// name the problem.
+func TestScenarioInputsNeverPanic(t *testing.T) {
+	const lan = "target procs=2 cpu=533 net=100Mbps\ntopology\n  host a0 10.1.0.1\n  host a1 10.1.0.2\n  router sw\n" +
+		"  link a0 sw %s\n  link a1 sw 100Mbps 25us\nend\nranks a0 a1\n"
+	dir := t.TempDir()
+	ldif, err := os.ReadFile(filepath.Join("..", "..", "examples", "gis-defined-grid", "slow-cpu.ldif"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for file, dn := range map[string]string{"switch.ldif": "hn=lan-switch, ou=CSAG", "dup.ldif": "hn=vm1.ucsd.edu, ou=Other"} {
+		b := bytes.Replace(ldif, []byte("hn=vm2.ucsd.edu, ou=Concurrent Systems Architecture Group"), []byte(dn), 1)
+		if err := os.WriteFile(filepath.Join(dir, file), b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	gisGrid := func(file string) string {
+		return fmt.Sprintf("gis file=%q config=Slow_CPU_Configuration phys=csag-226-67.ucsd.edu:533\n", filepath.Join(dir, file))
+	}
+	for _, tc := range []struct{ name, grid, want string }{
+		{"zero-bandwidth link", fmt.Sprintf(lan, "0Mbps 25us"), "link bandwidth must be positive"},
+		{"GIS host named lan-switch", gisGrid("switch.ldif"), "host record lan-switch"},
+		{"two GIS hosts with one name", gisGrid("dup.ldif"), "two host records are named vm1.ucsd.edu"},
+		{"negative-bandwidth link", fmt.Sprintf(lan, "-5Mbps 25us"), "bad bandwidth"},
+		{"zero target bandwidth", "target procs=2 cpu=533 net=0Mbps delay=25us\n", "LAN needs positive bandwidth"},
+		{"zero-bandwidth degrade", "target procs=2 cpu=533 net=100Mbps delay=25us\n" +
+			"chaos\n  schedule s\n  at 1ms degrade vm0 lan-switch bw=0 for=1s\nend\n", "degrade changes nothing"},
+		{"zero-delay link, partitioned", fmt.Sprintf(lan, "100Mbps 0us") + "engine parallel shards=2\n", "link a0--sw has delay 0s"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var err error
+			func() {
+				defer func() {
+					if r := recover(); r != nil {
+						t.Fatalf("panic: %v", r)
+					}
+				}()
+				var s *scenario.Scenario
+				if s, err = scenario.ParseString("scenario bad\nseed 1\n" + tc.grid + "workload pingpong bytes=1024\n"); err != nil {
+					return
+				}
+				var m *MicroGrid
+				if m, err = BuildScenario(s); err != nil {
+					return
+				}
+				_, err = m.RunWorkload(s)
+			}()
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("err = %v, want one naming %q", err, tc.want)
+			}
+		})
+	}
+}
+
 func TestRunWorkloadErrors(t *testing.T) {
 	s := &scenario.Scenario{Name: "w", Seed: 1, Target: machinePtr(AlphaCluster)}
 	m, err := BuildScenario(s)

@@ -78,9 +78,6 @@ func NewHost(eng *simcore.Engine, name string, speedMIPS float64, quantum simcor
 	}
 }
 
-// Engine returns the engine the host runs on.
-func (h *Host) Engine() *simcore.Engine { return h.eng }
-
 // hostRand returns the host's per-entity random stream.
 func (h *Host) hostRand() *rand.Rand {
 	if h.rng == nil {
@@ -136,9 +133,6 @@ func (t *Task) UsedCPU() simcore.Duration {
 	return u
 }
 
-// Stopped reports whether the task is suspended.
-func (t *Task) Stopped() bool { return t.stopped }
-
 // runnable reports whether the task wants CPU now.
 func (t *Task) runnable() bool {
 	return !t.stopped && (t.busyLoop || t.pendingOps > 0)
@@ -179,10 +173,6 @@ func (t *Task) Compute(p *simcore.Proc, ops float64) {
 func (t *Task) ComputeSeconds(p *simcore.Proc, s float64) {
 	t.Compute(p, s*t.host.speedOps)
 }
-
-// HasDemand reports whether the task currently wants CPU (ignoring
-// suspension).
-func (t *Task) HasDemand() bool { return t.busyLoop || t.pendingOps > 0 }
 
 // SetBusyLoop makes the task demand CPU forever (the paper's
 // "computationally intense process doing floating-point divisions

@@ -38,7 +38,7 @@ func TestCancelPending(t *testing.T) {
 	pr.SetDaemon(true)
 	eng.After(1*simcore.Second, func() {
 		task.CancelPending()
-		if task.HasDemand() {
+		if task.pendingOps > 0 {
 			t.Error("task still has demand after CancelPending")
 		}
 	})

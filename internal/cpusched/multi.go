@@ -52,7 +52,7 @@ type ControlledJob struct {
 	Fraction float64
 	used     simcore.Duration
 	// start anchors the job's target accounting, so jobs added mid-run
-	// (migration) don't receive a catch-up burst.
+	// (a rebooted host's) don't receive a catch-up burst.
 	start simcore.Time
 	// OnQuantum observes each granted window.
 	OnQuantum func(start simcore.Time, length simcore.Duration)
@@ -88,7 +88,7 @@ func (mc *MultiController) AddJob(task *Task, fraction float64) (*ControlledJob,
 	return j, nil
 }
 
-// RemoveJob detaches a job (for a virtual host's crash or migration);
+// RemoveJob detaches a job (for a virtual host's crash);
 // the job's task is left suspended. The round robin keeps its place in
 // the order the jobs were added.
 func (mc *MultiController) RemoveJob(j *ControlledJob) {

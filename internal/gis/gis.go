@@ -137,15 +137,6 @@ func (e *Entry) Attrs() []string {
 	return append([]string(nil), e.order...)
 }
 
-// Clone returns a deep copy of the entry.
-func (e *Entry) Clone() *Entry {
-	c := NewEntry(e.DN)
-	for _, k := range e.order {
-		c.Set(k, e.attrs[k]...)
-	}
-	return c
-}
-
 // Scope selects how much of the tree Search visits.
 type Scope int
 
@@ -183,24 +174,6 @@ func (s *Server) Add(e *Entry) error {
 func (s *Server) Upsert(e *Entry) {
 	e.DN = e.DN.Normalize()
 	s.entries[e.DN] = e
-}
-
-// Modify applies attribute changes to an existing entry, LDAP-modify
-// style: for each change, values replace the attribute (empty values
-// delete it). It fails without side effects if the entry is absent.
-func (s *Server) Modify(dn DN, changes map[string][]string) error {
-	e := s.Lookup(dn)
-	if e == nil {
-		return fmt.Errorf("gis: modify: no entry %q", dn.Normalize())
-	}
-	for attr, values := range changes {
-		if len(values) == 0 {
-			e.Remove(attr)
-			continue
-		}
-		e.Set(attr, values...)
-	}
-	return nil
 }
 
 // Delete removes the entry at dn, reporting whether it existed.

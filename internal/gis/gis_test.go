@@ -62,11 +62,6 @@ func TestEntryAttrs(t *testing.T) {
 	if got := e.GetAll("member"); len(got) != 1 || got[0] != "z" {
 		t.Fatalf("Set did not replace: %v", got)
 	}
-	c := e.Clone()
-	c.Set("cpuspeed", "20")
-	if e.Get("cpuspeed") != "10" {
-		t.Fatal("Clone aliases storage")
-	}
 }
 
 func buildTestDir(t *testing.T) *Server {
@@ -146,35 +141,9 @@ func TestAddDuplicateDeleteLookup(t *testing.T) {
 		t.Fatal("delete semantics wrong")
 	}
 	s.Upsert(e)
-	s.Upsert(e.Clone().Set("x", "1"))
+	s.Upsert(NewEntry(e.DN).Set("x", "1"))
 	if s.Len() != 1 || s.Lookup(e.DN).Get("x") != "1" {
 		t.Fatal("upsert failed")
-	}
-}
-
-func TestModify(t *testing.T) {
-	s := buildTestDir(t)
-	dn := DN("hn=vm.ucsd.edu, ou=CSAG, o=Grid")
-	err := s.Modify(dn, map[string][]string{
-		AttrCPUSpeed:   {"20"},     // replace
-		"NewAttr":      {"x", "y"}, // add
-		AttrMemorySize: {},         // delete
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	e := s.Lookup(dn)
-	if e.Get(AttrCPUSpeed) != "20" {
-		t.Fatalf("CpuSpeed = %q", e.Get(AttrCPUSpeed))
-	}
-	if got := e.GetAll("newattr"); len(got) != 2 {
-		t.Fatalf("NewAttr = %v", got)
-	}
-	if e.Has(AttrMemorySize) {
-		t.Fatal("MemorySize not deleted")
-	}
-	if err := s.Modify("hn=ghost, o=Grid", map[string][]string{"a": {"1"}}); err == nil {
-		t.Fatal("modify of missing entry accepted")
 	}
 }
 

@@ -16,12 +16,11 @@ func TestParseRSL(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.Executable() != "ep.A.4" || r.Count() != 4 {
-		t.Fatalf("exe=%q count=%d", r.Executable(), r.Count())
+	if r.Executable() != "ep.A.4" || r.Get("count") != "4" {
+		t.Fatalf("exe=%q count=%q", r.Executable(), r.Get("count"))
 	}
-	args := r.Arguments()
-	if len(args) != 3 || args[0] != "-v" {
-		t.Fatalf("args = %v", args)
+	if args := r.Get("arguments"); args != "-v --class A" {
+		t.Fatalf("args = %q", args)
 	}
 	// Round trip.
 	r2, err := ParseRSL(r.String())
@@ -35,8 +34,8 @@ func TestParseRSLDefaults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.Count() != 1 || r.Arguments() != nil {
-		t.Fatalf("defaults: count=%d args=%v", r.Count(), r.Arguments())
+	if r.Get("count") != "" || r.Get("arguments") != "" {
+		t.Fatalf("defaults: count=%q args=%q", r.Get("count"), r.Get("arguments"))
 	}
 	if r.Get("EXECUTABLE") != "x" {
 		t.Fatal("case-insensitive Get failed")
@@ -99,10 +98,10 @@ func newTestbed(t *testing.T, n int) *testbed {
 func TestSubmitRunsJob(t *testing.T) {
 	tb := newTestbed(t, 2)
 	ran := false
-	var gotArgs []string
+	var gotArgs string
 	if err := tb.reg.Register("hello", func(ctx *JobContext) error {
 		ran = true
-		gotArgs = ctx.RSL.Arguments()
+		gotArgs = ctx.RSL.Get("arguments")
 		ctx.Proc.ComputeVirtualSeconds(0.05)
 		return nil
 	}); err != nil {
@@ -128,8 +127,8 @@ func TestSubmitRunsJob(t *testing.T) {
 	if jobErr != nil {
 		t.Fatal(jobErr)
 	}
-	if !ran || len(gotArgs) != 2 {
-		t.Fatalf("ran=%v args=%v", ran, gotArgs)
+	if !ran || gotArgs != "a b" {
+		t.Fatalf("ran=%v args=%q", ran, gotArgs)
 	}
 	if tb.gks[0].Submitted != 1 {
 		t.Fatalf("submitted = %d", tb.gks[0].Submitted)
@@ -339,10 +338,10 @@ func TestGatekeeperClose(t *testing.T) {
 
 func TestJobContextCarriesRSLArguments(t *testing.T) {
 	tb := newTestbed(t, 2)
-	var got []string
+	var got string
 	var rank, count int
 	_ = tb.reg.Register("argy", func(ctx *JobContext) error {
-		got = ctx.RSL.Arguments()
+		got = ctx.RSL.Get("arguments")
 		rank, count = ctx.Rank, ctx.Count
 		return nil
 	})
@@ -361,8 +360,8 @@ func TestJobContextCarriesRSLArguments(t *testing.T) {
 	if err := tb.eng.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if len(got) != 4 || got[0] != "--class" {
-		t.Fatalf("args = %v", got)
+	if got != "--class A -n 4" {
+		t.Fatalf("args = %q", got)
 	}
 	if rank != 3 || count != 8 {
 		t.Fatalf("rank/count = %d/%d", rank, count)

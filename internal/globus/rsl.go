@@ -10,7 +10,6 @@ package globus
 
 import (
 	"fmt"
-	"sort"
 	"strconv"
 	"strings"
 )
@@ -47,16 +46,6 @@ func (r *RSL) Get(key string) string { return r.attrs[strings.ToLower(key)] }
 // Executable returns the executable attribute.
 func (r *RSL) Executable() string { return r.Get("executable") }
 
-// Count returns the process count (default 1).
-func (r *RSL) Count() int {
-	if s := r.Get("count"); s != "" {
-		if n, err := strconv.Atoi(s); err == nil && n > 0 {
-			return n
-		}
-	}
-	return 1
-}
-
 // MaxWallTime returns the maxwalltime attribute in virtual seconds
 // (0 = unlimited). GRAM's maxwalltime was minutes; seconds suit the
 // short experiment timescales here.
@@ -69,15 +58,6 @@ func (r *RSL) MaxWallTime() float64 {
 	return 0
 }
 
-// Arguments returns the space-split arguments attribute.
-func (r *RSL) Arguments() []string {
-	s := r.Get("arguments")
-	if s == "" {
-		return nil
-	}
-	return strings.Fields(s)
-}
-
 // String renders the canonical "&(k=v)(k=v)" form.
 func (r *RSL) String() string {
 	var b strings.Builder
@@ -86,16 +66,6 @@ func (r *RSL) String() string {
 		fmt.Fprintf(&b, "(%s=%s)", k, r.attrs[k])
 	}
 	return b.String()
-}
-
-// Attrs returns attribute keys in insertion order.
-func (r *RSL) Attrs() []string { return append([]string(nil), r.order...) }
-
-// SortedAttrs returns attribute keys sorted (for stable comparisons).
-func (r *RSL) SortedAttrs() []string {
-	out := append([]string(nil), r.order...)
-	sort.Strings(out)
-	return out
 }
 
 // ParseRSL parses the RSL subset: '&' followed by (key=value) clauses.

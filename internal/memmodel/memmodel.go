@@ -41,9 +41,6 @@ func (l *Limiter) Limit() int64 { return l.limit }
 // Used returns the bytes currently charged against the limit.
 func (l *Limiter) Used() int64 { return l.used }
 
-// Available returns the bytes still allocatable.
-func (l *Limiter) Available() int64 { return l.limit - l.used }
-
 // ProcMem is one process's memory account on a virtual host.
 type ProcMem struct {
 	l     *Limiter
@@ -90,19 +87,6 @@ func (p *ProcMem) Malloc(n int64) error {
 	p.used += n
 	p.l.charge(n)
 	return nil
-}
-
-// Free returns n bytes (clamped to the process's allocation beyond its
-// overhead).
-func (p *ProcMem) Free(n int64) {
-	if n < 0 {
-		return
-	}
-	if max := p.used - ProcessOverheadBytes; n > max {
-		n = max
-	}
-	p.used -= n
-	p.l.used -= n
 }
 
 // Used returns the bytes charged to this process, including overhead.

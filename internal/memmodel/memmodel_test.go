@@ -26,25 +26,8 @@ func TestMallocUpToLimit(t *testing.T) {
 	if err := p.Malloc(1); !errors.Is(err, ErrOutOfMemory) {
 		t.Fatalf("over-limit Malloc = %v", err)
 	}
-	if l.Available() != 0 {
-		t.Fatalf("available = %d", l.Available())
-	}
-}
-
-func TestFreeReturnsMemory(t *testing.T) {
-	l := NewLimiter(4096)
-	p, _ := l.NewProcess("p")
-	if err := p.Malloc(2000); err != nil {
-		t.Fatal(err)
-	}
-	p.Free(1000)
-	if p.Used() != ProcessOverheadBytes+1000 {
-		t.Fatalf("used = %d", p.Used())
-	}
-	// Freeing more than allocated clamps at the overhead floor.
-	p.Free(1 << 30)
-	if p.Used() != ProcessOverheadBytes {
-		t.Fatalf("used after over-free = %d", p.Used())
+	if l.Used() != l.Limit() {
+		t.Fatalf("used = %d of %d", l.Used(), l.Limit())
 	}
 }
 
@@ -94,7 +77,7 @@ func TestPeakTracking(t *testing.T) {
 	l := NewLimiter(1 << 20)
 	p, _ := l.NewProcess("p")
 	_ = p.Malloc(5000)
-	p.Free(4000)
+	p.Release()
 	if l.Peak != ProcessOverheadBytes+5000 {
 		t.Fatalf("peak = %d", l.Peak)
 	}
@@ -127,8 +110,9 @@ func TestPropertyMaxAllocatable(t *testing.T) {
 	}
 }
 
-// Property: any sequence of mallocs/frees keeps the limiter's accounting
-// consistent: Used == sum of process usage, never exceeding the limit.
+// Property: any sequence of mallocs, negative and over-limit ones
+// rejected, keeps the limiter's accounting consistent: Used == sum of
+// process usage, never exceeding the limit.
 func TestPropertyAccountingConsistent(t *testing.T) {
 	f := func(ops []int16) bool {
 		l := NewLimiter(64 * 1024)
@@ -137,10 +121,8 @@ func TestPropertyAccountingConsistent(t *testing.T) {
 			return false
 		}
 		for _, op := range ops {
-			if op >= 0 {
-				_ = p.Malloc(int64(op) * 16)
-			} else {
-				p.Free(int64(-op) * 16)
+			if err := p.Malloc(int64(op) * 16); op < 0 && err == nil {
+				return false
 			}
 			if l.Used() != p.Used() || l.Used() > l.Limit() || p.Used() < ProcessOverheadBytes {
 				return false

@@ -1,5 +1,5 @@
 // Package metrics provides the statistics the paper's validation uses:
-// means and deviations of quanta distributions (Fig. 7), histograms,
+// means and deviations of quanta distributions (Fig. 7),
 // root-mean-square percentage skew between sampled traces (Fig. 17),
 // percentage error between physical and emulated runs (Figs. 10–16), and
 // linear regression for the memory micro-benchmark (Fig. 5).
@@ -8,8 +8,6 @@ package metrics
 import (
 	"fmt"
 	"math"
-	"sort"
-	"strings"
 )
 
 // Mean returns the arithmetic mean of xs (0 for empty input).
@@ -36,55 +34,6 @@ func StdDev(xs []float64) float64 {
 		s += d * d
 	}
 	return math.Sqrt(s / float64(len(xs)))
-}
-
-// Min and Max return the extrema of xs (0 for empty input).
-func Min(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	m := xs[0]
-	for _, x := range xs[1:] {
-		if x < m {
-			m = x
-		}
-	}
-	return m
-}
-
-// Max returns the maximum of xs (0 for empty input).
-func Max(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	m := xs[0]
-	for _, x := range xs[1:] {
-		if x > m {
-			m = x
-		}
-	}
-	return m
-}
-
-// Percentile returns the p-th percentile (0–100) by nearest-rank on a copy
-// of xs.
-func Percentile(xs []float64, p float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	s := append([]float64(nil), xs...)
-	sort.Float64s(s)
-	if p <= 0 {
-		return s[0]
-	}
-	if p >= 100 {
-		return s[len(s)-1]
-	}
-	rank := int(math.Ceil(p/100*float64(len(s)))) - 1
-	if rank < 0 {
-		rank = 0
-	}
-	return s[rank]
 }
 
 // Normalize scales xs so its mean is 1 (as in the paper's quanta-size
@@ -156,93 +105,4 @@ func LinearFit(x, y []float64) (slope, intercept float64, err error) {
 	slope = sxy / sxx
 	intercept = my - slope*mx
 	return slope, intercept, nil
-}
-
-// Histogram bins xs into n equal-width buckets over [lo, hi); values
-// outside the range clamp to the first/last bucket.
-type Histogram struct {
-	Lo, Hi float64
-	Counts []int
-	N      int
-}
-
-// NewHistogram bins xs into n buckets spanning [lo, hi).
-func NewHistogram(xs []float64, lo, hi float64, n int) *Histogram {
-	if n <= 0 || hi <= lo {
-		panic("metrics: invalid histogram parameters")
-	}
-	h := &Histogram{Lo: lo, Hi: hi, Counts: make([]int, n)}
-	w := (hi - lo) / float64(n)
-	for _, x := range xs {
-		i := int((x - lo) / w)
-		if i < 0 {
-			i = 0
-		}
-		if i >= n {
-			i = n - 1
-		}
-		h.Counts[i]++
-		h.N++
-	}
-	return h
-}
-
-// Frequencies returns each bucket's fraction of all samples.
-func (h *Histogram) Frequencies() []float64 {
-	out := make([]float64, len(h.Counts))
-	if h.N == 0 {
-		return out
-	}
-	for i, c := range h.Counts {
-		out[i] = float64(c) / float64(h.N)
-	}
-	return out
-}
-
-// String renders a compact ASCII histogram.
-func (h *Histogram) String() string {
-	var b strings.Builder
-	w := (h.Hi - h.Lo) / float64(len(h.Counts))
-	maxC := 0
-	for _, c := range h.Counts {
-		if c > maxC {
-			maxC = c
-		}
-	}
-	for i, c := range h.Counts {
-		bar := 0
-		if maxC > 0 {
-			bar = c * 40 / maxC
-		}
-		fmt.Fprintf(&b, "%8.4f–%8.4f %6d %s\n", h.Lo+float64(i)*w, h.Lo+float64(i+1)*w, c,
-			strings.Repeat("#", bar))
-	}
-	return b.String()
-}
-
-// Summary holds descriptive statistics of a sample.
-type Summary struct {
-	N             int
-	Mean, StdDev  float64
-	Min, Max      float64
-	P50, P95, P99 float64
-}
-
-// Summarize computes a Summary of xs.
-func Summarize(xs []float64) Summary {
-	return Summary{
-		N:      len(xs),
-		Mean:   Mean(xs),
-		StdDev: StdDev(xs),
-		Min:    Min(xs),
-		Max:    Max(xs),
-		P50:    Percentile(xs, 50),
-		P95:    Percentile(xs, 95),
-		P99:    Percentile(xs, 99),
-	}
-}
-
-func (s Summary) String() string {
-	return fmt.Sprintf("n=%d mean=%.4g sd=%.3g min=%.4g p50=%.4g p95=%.4g max=%.4g",
-		s.N, s.Mean, s.StdDev, s.Min, s.P50, s.P95, s.Max)
 }

@@ -22,29 +22,6 @@ func TestMeanStdDev(t *testing.T) {
 	}
 }
 
-func TestMinMax(t *testing.T) {
-	xs := []float64{3, -1, 7, 2}
-	if Min(xs) != -1 || Max(xs) != 7 {
-		t.Fatalf("min/max = %v/%v", Min(xs), Max(xs))
-	}
-	if Min(nil) != 0 || Max(nil) != 0 {
-		t.Fatal("empty extrema wrong")
-	}
-}
-
-func TestPercentile(t *testing.T) {
-	xs := []float64{1, 2, 3, 4, 5, 6, 7, 8, 9, 10}
-	if p := Percentile(xs, 50); p != 5 {
-		t.Fatalf("p50 = %v", p)
-	}
-	if p := Percentile(xs, 0); p != 1 {
-		t.Fatalf("p0 = %v", p)
-	}
-	if p := Percentile(xs, 100); p != 10 {
-		t.Fatalf("p100 = %v", p)
-	}
-}
-
 func TestNormalize(t *testing.T) {
 	xs := []float64{5, 10, 15}
 	n := Normalize(xs)
@@ -115,53 +92,6 @@ func TestLinearFit(t *testing.T) {
 	}
 	if _, _, err := LinearFit([]float64{2, 2}, []float64{1, 5}); err == nil {
 		t.Fatal("degenerate x accepted")
-	}
-}
-
-func TestHistogram(t *testing.T) {
-	xs := []float64{0.1, 0.1, 0.5, 0.9, 1.5, -2}
-	h := NewHistogram(xs, 0, 1, 10)
-	if h.N != 6 {
-		t.Fatalf("N = %d", h.N)
-	}
-	if h.Counts[0] != 1 { // the clamped -2
-		t.Fatalf("bucket0 = %d", h.Counts[0])
-	}
-	if h.Counts[1] != 2 { // 0.1 sits on the [0.1, 0.2) boundary
-		t.Fatalf("bucket1 = %d", h.Counts[1])
-	}
-	if h.Counts[9] != 2 { // 0.9 and the clamped 1.5
-		t.Fatalf("bucket9 = %d", h.Counts[9])
-	}
-	fr := h.Frequencies()
-	sum := 0.0
-	for _, f := range fr {
-		sum += f
-	}
-	if !almostEq(sum, 1, 1e-12) {
-		t.Fatalf("frequencies sum = %v", sum)
-	}
-	if !strings.Contains(h.String(), "#") {
-		t.Fatal("ASCII render missing bars")
-	}
-}
-
-func TestHistogramInvalid(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("invalid histogram accepted")
-		}
-	}()
-	NewHistogram(nil, 1, 1, 10)
-}
-
-func TestSummarize(t *testing.T) {
-	s := Summarize([]float64{1, 2, 3, 4})
-	if s.N != 4 || s.Mean != 2.5 || s.Min != 1 || s.Max != 4 {
-		t.Fatalf("summary = %+v", s)
-	}
-	if !strings.Contains(s.String(), "n=4") {
-		t.Fatalf("String = %q", s.String())
 	}
 }
 

@@ -185,20 +185,6 @@ func (g Gauge) Set(v float64) {
 	g.s.mu.Unlock()
 }
 
-// Add adjusts the gauge by d (either sign).
-func (g Gauge) Add(d float64) {
-	g.s.mu.Lock()
-	g.s.value += d
-	g.s.mu.Unlock()
-}
-
-// Value returns the current level.
-func (g Gauge) Value() float64 {
-	g.s.mu.Lock()
-	defer g.s.mu.Unlock()
-	return g.s.value
-}
-
 // Observe records one sample.
 func (d Distribution) Observe(v float64) {
 	d.s.mu.Lock()

@@ -14,7 +14,7 @@ func TestPromCounterGauge(t *testing.T) {
 	depth := r.Gauge("queue_depth", "queued runs per client", "client")
 	depth.With("bob").Set(2)
 	depth.With("alice").Set(5)
-	depth.With("bob").Add(-1)
+	depth.With("bob").Set(1)
 
 	var b strings.Builder
 	if err := r.WriteProm(&b); err != nil {

@@ -42,7 +42,7 @@ func TestSendRecvZeroAlloc(t *testing.T) {
 	g := testGrid(t, eng, 2)
 	payload := &struct{ n int }{}
 	rounds := 0
-	_, err := Launch(g, hostsOf(g, 2), "pingpong", 0, func(c *Comm) error {
+	_, err := Launch(hostsOf(g, 2), "pingpong", 0, LaunchOptions{}, func(c *Comm) error {
 		peer := 1 - c.Rank()
 		for {
 			if c.Rank() == 0 {

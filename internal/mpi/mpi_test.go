@@ -32,7 +32,7 @@ func runWorld(t *testing.T, n int, fn func(c *Comm) error) *World {
 	t.Helper()
 	eng := simcore.NewEngine(1)
 	g := testGrid(t, eng, n)
-	w, err := Launch(g, hostsOf(g, n), "test", 0, fn)
+	w, err := Launch(hostsOf(g, n), "test", 0, LaunchOptions{}, fn)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,7 +158,7 @@ func TestBarrierSynchronizes(t *testing.T) {
 	var after [4]simcore.Time
 	eng := simcore.NewEngine(1)
 	g := testGrid(t, eng, 4)
-	w, err := Launch(g, hostsOf(g, 4), "bar", 0, func(c *Comm) error {
+	w, err := Launch(hostsOf(g, 4), "bar", 0, LaunchOptions{}, func(c *Comm) error {
 		// Stagger arrival: rank r sleeps r*100ms before the barrier.
 		c.Proc().Sleep(simcore.Duration(c.Rank()) * 100 * simcore.Millisecond)
 		if err := c.Barrier(); err != nil {
@@ -385,9 +385,7 @@ func TestConnectValidation(t *testing.T) {
 }
 
 func TestLaunchEmptyHosts(t *testing.T) {
-	eng := simcore.NewEngine(1)
-	g := testGrid(t, eng, 1)
-	if _, err := Launch(g, nil, "x", 0, func(*Comm) error { return nil }); err == nil {
+	if _, err := Launch(nil, "x", 0, LaunchOptions{}, func(*Comm) error { return nil }); err == nil {
 		t.Fatal("empty host list accepted")
 	}
 }
@@ -426,7 +424,7 @@ func TestRandomTrafficConservation(t *testing.T) {
 	const n = 5
 	eng := simcore.NewEngine(31)
 	g := testGrid(t, eng, n)
-	w, err := Launch(g, hostsOf(g, n), "chaos", 0, func(c *Comm) error {
+	w, err := Launch(hostsOf(g, n), "chaos", 0, LaunchOptions{}, func(c *Comm) error {
 		rng := c.Proc().Proc().Engine().Rand()
 		// Plan: sends[j] messages to rank j.
 		sends := make([]int, n)
@@ -493,7 +491,7 @@ func TestDeterministicWorld(t *testing.T) {
 	run := func() simcore.Duration {
 		eng := simcore.NewEngine(17)
 		g := testGrid(t, eng, 4)
-		w, err := Launch(g, hostsOf(g, 4), "det", 0, func(c *Comm) error {
+		w, err := Launch(hostsOf(g, 4), "det", 0, LaunchOptions{}, func(c *Comm) error {
 			for i := 0; i < 10; i++ {
 				if _, err := c.AllreduceFloat64([]float64{1}, Sum); err != nil {
 					return err

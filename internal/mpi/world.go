@@ -29,7 +29,6 @@ func (r RankResult) Elapsed() simcore.Duration { return r.End.Sub(r.Start) }
 type World struct {
 	Results []RankResult
 	done    int
-	fin     *simcore.Cond
 }
 
 // LaunchOptions tunes Launch for non-SPMD-perfect worlds.
@@ -44,30 +43,19 @@ type LaunchOptions struct {
 // disambiguates concurrent worlds (0 = default). The returned World
 // completes when the engine runs; call Wait from a process or inspect
 // Results after Engine.Run returns.
-func Launch(grid *virtual.Grid, hosts []*virtual.Host, name string, basePort netsim.Port, fn func(c *Comm) error) (*World, error) {
-	return LaunchWith(grid, hosts, name, basePort, LaunchOptions{}, fn)
-}
-
-// LaunchWith is Launch with explicit options.
-func LaunchWith(grid *virtual.Grid, hosts []*virtual.Host, name string, basePort netsim.Port, opt LaunchOptions, fn func(c *Comm) error) (*World, error) {
+func Launch(hosts []*virtual.Host, name string, basePort netsim.Port, opt LaunchOptions, fn func(c *Comm) error) (*World, error) {
 	n := len(hosts)
 	if n == 0 {
 		return nil, fmt.Errorf("mpi: empty host list")
 	}
-	w := &World{
-		Results: make([]RankResult, n),
-		fin:     simcore.NewCond(grid.Engine()),
-	}
+	w := &World{Results: make([]RankResult, n)}
 	hostOf := func(r int) string { return hosts[r].Name }
 	for rank := range hosts {
 		rank := rank
 		w.Results[rank].Rank = rank
 		_, err := hosts[rank].Spawn(fmt.Sprintf("%s-rank%d", name, rank), func(p *virtual.Process) {
 			res := &w.Results[rank]
-			defer func() {
-				w.done++
-				w.fin.Broadcast()
-			}()
+			defer func() { w.done++ }()
 			c, err := Connect(p, rank, n, basePort, hostOf)
 			if err != nil {
 				res.Err = err
@@ -96,13 +84,6 @@ func LaunchWith(grid *virtual.Grid, hosts []*virtual.Host, name string, basePort
 		}
 	}
 	return w, nil
-}
-
-// Wait blocks p until every rank has finished.
-func (w *World) Wait(p *simcore.Proc) {
-	for w.done < len(w.Results) {
-		w.fin.Wait(p)
-	}
 }
 
 // Done reports whether all ranks have finished.

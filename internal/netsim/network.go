@@ -184,9 +184,6 @@ func New(eng *simcore.Engine) *Network {
 	}
 }
 
-// Engine returns the network's default engine.
-func (n *Network) Engine() *simcore.Engine { return n.eng }
-
 // statsFor returns the counter bucket for nodes running on eng.
 func (n *Network) statsFor(eng *simcore.Engine) *NetStats {
 	if eng == n.eng {
@@ -254,8 +251,6 @@ type Node struct {
 	// the source address, so per-node numbering is collision-free and —
 	// unlike a network-global counter — partition-independent).
 	dgramID int64
-	// genSeq numbers this node's traffic generators for stable RNG labels.
-	genSeq int64
 	// crashed makes the node drop every packet addressed to or routed
 	// through it (see SetCrashed).
 	crashed bool

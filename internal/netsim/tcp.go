@@ -83,12 +83,6 @@ func (l *Listener) Close() {
 	l.backlog.Close()
 }
 
-// Addr returns the listener's node address.
-func (l *Listener) Addr() Addr { return l.node.Addr }
-
-// Port returns the listening port.
-func (l *Listener) Port() Port { return l.port }
-
 // outMsg and inMsg track application message boundaries in the byte stream.
 // The payload itself does not ride inside simulated packets (this is a
 // simulator, not a data plane); delivery *timing* is governed entirely by
@@ -189,15 +183,6 @@ func newConn(n *Node, key connKey) *Conn {
 	n.conns[key] = c
 	return c
 }
-
-// LocalAddr returns this endpoint's address.
-func (c *Conn) LocalAddr() Addr { return c.node.Addr }
-
-// RemoteAddr returns the peer's address.
-func (c *Conn) RemoteAddr() Addr { return c.key.remote }
-
-// RemotePort returns the peer's port.
-func (c *Conn) RemotePort() Port { return c.key.remotePort }
 
 // SRTT returns the smoothed RTT estimate (0 before the first sample).
 func (c *Conn) SRTT() simcore.Duration {
@@ -532,9 +517,6 @@ func (c *Conn) RecvTimeout(p *simcore.Proc, d simcore.Duration) (m Message, time
 	c.Stats.BytesRecv += int64(m.Size)
 	return m, false, nil
 }
-
-// Pending reports the number of complete messages ready for Recv.
-func (c *Conn) Pending() int { return c.rcvQ.Len() }
 
 // Close flushes outstanding data, then sends FIN. Recv on the peer drains
 // buffered messages and then reports ErrClosed.

@@ -18,7 +18,6 @@ type TrafficGen struct {
 	Sent int64
 	// SentBytes counts payload bytes emitted.
 	SentBytes int64
-	proc      *simcore.Proc
 	stopped   bool
 }
 
@@ -31,36 +30,14 @@ func StartCBR(src, dst *Node, port Port, rateBps float64, pktBytes int) (*Traffi
 	if rateBps <= 0 || pktBytes <= 0 {
 		return nil, fmt.Errorf("netsim: CBR needs positive rate and packet size")
 	}
-	interval := simcore.DurationOfSeconds(float64(pktBytes) * 8 / rateBps)
-	return startGen("cbr", src, dst, port, pktBytes, func() simcore.Duration { return interval })
-}
-
-// StartPoisson emits Poisson traffic from src to dst:port: pktBytes-sized
-// datagrams with exponentially distributed inter-arrival times averaging
-// meanRateBps of payload. Draws come from the engine's deterministic RNG.
-func StartPoisson(src, dst *Node, port Port, meanRateBps float64, pktBytes int) (*TrafficGen, error) {
-	if meanRateBps <= 0 || pktBytes <= 0 {
-		return nil, fmt.Errorf("netsim: Poisson needs positive rate and packet size")
-	}
-	mean := float64(pktBytes) * 8 / meanRateBps
-	// Per-generator stream derived from a stable label, so draws are
-	// partition-independent and generators never share a stream.
-	src.genSeq++
-	rng := src.eng.DeriveRand(fmt.Sprintf("netsim:poisson:%s->%s:%d:%d", src.Name, dst.Name, port, src.genSeq))
-	return startGen("poisson", src, dst, port, pktBytes, func() simcore.Duration {
-		return simcore.DurationOfSeconds(rng.ExpFloat64() * mean)
-	})
-}
-
-// startGen spawns the sender loop.
-func startGen(kind string, src, dst *Node, port Port, pktBytes int, next func() simcore.Duration) (*TrafficGen, error) {
 	if src.net != dst.net {
 		return nil, fmt.Errorf("netsim: traffic endpoints on different networks")
 	}
+	interval := simcore.DurationOfSeconds(float64(pktBytes) * 8 / rateBps)
 	g := &TrafficGen{}
-	g.proc = src.eng.Spawn(fmt.Sprintf("%s:%s->%s", kind, src.Name, dst.Name), func(p *simcore.Proc) {
+	pr := src.eng.Spawn(fmt.Sprintf("cbr:%s->%s", src.Name, dst.Name), func(p *simcore.Proc) {
 		for !g.stopped {
-			p.Sleep(next())
+			p.Sleep(interval)
 			if g.stopped {
 				return
 			}
@@ -71,7 +48,7 @@ func startGen(kind string, src, dst *Node, port Port, pktBytes int, next func() 
 			g.SentBytes += int64(pktBytes)
 		}
 	})
-	g.proc.SetDaemon(true)
+	pr.SetDaemon(true)
 	return g, nil
 }
 

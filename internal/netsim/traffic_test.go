@@ -34,35 +34,13 @@ func TestCBRRate(t *testing.T) {
 	}
 }
 
-func TestPoissonApproximatesRate(t *testing.T) {
-	eng := simcore.NewEngine(42)
-	_, a, b := twoHosts(eng, LinkConfig{BandwidthBps: 100e6, Delay: simcore.Millisecond})
-	got, _ := CountingSink(b, 7)
-	gen, err := StartPoisson(a, b, 7, 8e6, 1000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	eng.Spawn("end", func(p *simcore.Proc) {
-		p.Sleep(5 * simcore.Second)
-		gen.Stop()
-		eng.Stop()
-	})
-	if err := eng.Run(); err != nil {
-		t.Fatal(err)
-	}
-	// 5000 expected ± ~4σ (σ=√5000≈71).
-	if *got < 4600 || *got > 5400 {
-		t.Fatalf("delivered %d, want ≈5000", *got)
-	}
-}
-
 func TestTrafficValidation(t *testing.T) {
 	eng := simcore.NewEngine(1)
 	_, a, b := twoHosts(eng, LinkConfig{BandwidthBps: 1e6, Delay: simcore.Millisecond})
 	if _, err := StartCBR(a, b, 7, 0, 100); err == nil {
 		t.Fatal("zero rate accepted")
 	}
-	if _, err := StartPoisson(a, b, 7, 1e6, 0); err == nil {
+	if _, err := StartCBR(a, b, 7, 1e6, 0); err == nil {
 		t.Fatal("zero packet size accepted")
 	}
 }

@@ -34,21 +34,6 @@ const (
 	ClassB Class = 'B'
 )
 
-// ParseClass converts "S"/"W"/"A"/"B".
-func ParseClass(s string) (Class, error) {
-	switch s {
-	case "S", "s":
-		return ClassS, nil
-	case "W", "w":
-		return ClassW, nil
-	case "A", "a":
-		return ClassA, nil
-	case "B", "b":
-		return ClassB, nil
-	}
-	return 0, fmt.Errorf("npb: unknown class %q", s)
-}
-
 // Hooks lets instrumentation (Autopilot sensors) observe kernel progress.
 type Hooks struct {
 	// Progress is called by every rank as iterations complete, with a

@@ -25,7 +25,7 @@ func runBench(t *testing.T, name string, class Class, n int) simcore.Duration {
 	if err != nil {
 		t.Fatal(err)
 	}
-	w, err := mpi.Launch(g, hosts, name, 0, func(c *mpi.Comm) error {
+	w, err := mpi.Launch(hosts, name, 0, mpi.LaunchOptions{}, func(c *mpi.Comm) error {
 		return fn(c, Params{Class: class})
 	})
 	if err != nil {
@@ -96,18 +96,6 @@ func TestGetUnknown(t *testing.T) {
 	}
 }
 
-func TestParseClass(t *testing.T) {
-	for in, want := range map[string]Class{"S": ClassS, "w": ClassW, "A": ClassA, "b": ClassB} {
-		got, err := ParseClass(in)
-		if err != nil || got != want {
-			t.Fatalf("ParseClass(%q) = %v, %v", in, got, err)
-		}
-	}
-	if _, err := ParseClass("X"); err == nil {
-		t.Fatal("class X accepted")
-	}
-}
-
 func TestAllClassesDefinedForAllBenchmarks(t *testing.T) {
 	// Every kernel must accept every class's size lookup; exercised via a
 	// zero-compute dry run is too slow for A/B, so check the size tables
@@ -152,7 +140,7 @@ func TestUnsupportedClassErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	w, err := mpi.Launch(g, []*virtual.Host{g.Host("vm0")}, "bad", 0, func(c *mpi.Comm) error {
+	w, err := mpi.Launch([]*virtual.Host{g.Host("vm0")}, "bad", 0, mpi.LaunchOptions{}, func(c *mpi.Comm) error {
 		return RunEP(c, Params{Class: Class('Z')})
 	})
 	if err != nil {
@@ -179,7 +167,7 @@ func TestHooksProgress(t *testing.T) {
 			count++
 		}
 	}}
-	w, err := mpi.Launch(g, hosts, "mg", 0, func(c *mpi.Comm) error {
+	w, err := mpi.Launch(hosts, "mg", 0, mpi.LaunchOptions{}, func(c *mpi.Comm) error {
 		return RunMG(c, Params{Class: ClassS, Hooks: hooks})
 	})
 	if err != nil {

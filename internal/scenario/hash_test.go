@@ -7,8 +7,9 @@ import (
 
 // Two differently formatted texts describing the same scenario: extra
 // whitespace, comments, reordered directives, and reordered key=value
-// options must all collapse to one canonical hash — the property the
-// mgridd result cache relies on to dedupe overlapping submissions.
+// options must all collapse to one canonical text (String) — the property
+// mgridd's result cache relies on to dedupe overlapping submissions, as
+// service.CacheKey hashes that text.
 const hashScenarioTidy = `scenario cache-probe
 describe a tiny ping-pong for hash tests
 seed 42
@@ -39,45 +40,37 @@ func mustParse(t *testing.T, text string) *Scenario {
 }
 
 // TestHashCollapsesFormatting: semantically identical but differently
-// formatted scenario files hash to the same value.
+// formatted scenario files serialize to the same canonical text.
 func TestHashCollapsesFormatting(t *testing.T) {
 	a := mustParse(t, hashScenarioTidy)
 	b := mustParse(t, hashScenarioMessy)
-	if a.Hash() != b.Hash() {
-		t.Fatalf("hashes differ for equivalent scenarios:\n  tidy  %s\n  messy %s\ncanonical tidy:\n%s\ncanonical messy:\n%s",
-			a.Hash(), b.Hash(), a.String(), b.String())
-	}
-	if len(a.Hash()) != 64 || strings.ToLower(a.Hash()) != a.Hash() {
-		t.Fatalf("hash %q is not lowercase hex sha256", a.Hash())
+	if a.String() != b.String() {
+		t.Fatalf("canonical texts differ for equivalent scenarios:\ntidy:\n%s\nmessy:\n%s", a.String(), b.String())
 	}
 }
 
-// TestHashStableUnderRoundTrip: parse → serialize → parse → Hash is a
-// fixed point, so the hash of a scenario equals the hash of its
-// canonical text.
+// TestHashStableUnderRoundTrip: parse → serialize → parse → serialize is
+// a fixed point, so a scenario and its canonical text share one key.
 func TestHashStableUnderRoundTrip(t *testing.T) {
 	a := mustParse(t, hashScenarioTidy)
 	b := mustParse(t, a.String())
-	if a.Hash() != b.Hash() {
-		t.Fatalf("round-trip changed the hash: %s vs %s", a.Hash(), b.Hash())
-	}
 	if b.String() != a.String() {
 		t.Fatalf("round-trip changed the canonical text:\n%s\nvs\n%s", a.String(), b.String())
 	}
 }
 
 // TestHashDistinguishesContent: any semantic difference — a different
-// seed, a different workload size — changes the hash.
+// seed, a different workload size — changes the canonical text.
 func TestHashDistinguishesContent(t *testing.T) {
 	base := mustParse(t, hashScenarioTidy)
 
 	seed := mustParse(t, strings.Replace(hashScenarioTidy, "seed 42", "seed 43", 1))
-	if base.Hash() == seed.Hash() {
-		t.Fatal("different seeds must hash differently")
+	if base.String() == seed.String() {
+		t.Fatal("different seeds must serialize differently")
 	}
 
 	size := mustParse(t, strings.Replace(hashScenarioTidy, "bytes=1024", "bytes=2048", 1))
-	if base.Hash() == size.Hash() {
-		t.Fatal("different workloads must hash differently")
+	if base.String() == size.String() {
+		t.Fatal("different workloads must serialize differently")
 	}
 }

@@ -222,10 +222,6 @@ func orNone(s string) string {
 	return s
 }
 
-// Text renders the scenario in its canonical text form — the bytes that
-// must round-trip through scenario.Parse unchanged.
-func Text(s *scenario.Scenario) string { return s.String() }
-
 // drawTopology picks the family and builds the spec, recording the WAN
 // link pairs in meta.
 func drawTopology(rng *rand.Rand, meta *Meta) *topology.Spec {

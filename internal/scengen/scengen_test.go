@@ -17,7 +17,7 @@ func TestGeneratedScenariosRoundTrip(t *testing.T) {
 		if err := s.Validate(); err != nil {
 			t.Fatalf("seed %d: generated scenario invalid: %v", seed, err)
 		}
-		text := Text(s)
+		text := s.String()
 		parsed, err := scenario.ParseString(text)
 		if err != nil {
 			t.Fatalf("seed %d: canonical text does not parse: %v\n%s", seed, err, text)
@@ -39,7 +39,7 @@ func TestGenerateDeterministic(t *testing.T) {
 	for seed := int64(0); seed < 50; seed++ {
 		a, am := Generate(seed, Options{Quick: true})
 		b, bm := Generate(seed, Options{Quick: true})
-		if Text(a) != Text(b) {
+		if a.String() != b.String() {
 			t.Fatalf("seed %d: two generations differ", seed)
 		}
 		if !reflect.DeepEqual(am, bm) {

@@ -151,15 +151,3 @@ func (q *FairQueue[T]) Depth(client string) int {
 	defer q.mu.Unlock()
 	return len(q.fifos[client])
 }
-
-// Depths returns every client's queued count (clients with zero entries
-// are absent).
-func (q *FairQueue[T]) Depths() map[string]int {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	out := make(map[string]int, len(q.fifos))
-	for c, f := range q.fifos {
-		out[c] = len(f)
-	}
-	return out
-}

@@ -110,7 +110,7 @@ func TestFairQueueBoundedDepth(t *testing.T) {
 		t.Fatalf("Len = %d, want 3", q.Len())
 	}
 	if q.Depth("a") != 2 || q.Depth("b") != 1 {
-		t.Fatalf("Depths = %v, want a:2 b:1", q.Depths())
+		t.Fatalf("depths a:%d b:%d, want a:2 b:1", q.Depth("a"), q.Depth("b"))
 	}
 }
 

@@ -240,10 +240,6 @@ func (e *Engine) DeriveRand(label string) *rand.Rand {
 	return rand.New(rand.NewSource(seed))
 }
 
-// ShardIndex returns this engine's shard number within its parallel
-// engine (0 for a stand-alone serial engine).
-func (e *Engine) ShardIndex() int { return e.shard }
-
 // Parallel returns the ParallelEngine this engine is a shard of, or nil.
 func (e *Engine) Parallel() *ParallelEngine { return e.pe }
 

@@ -102,20 +102,6 @@ func TestProcInterleaving(t *testing.T) {
 	}
 }
 
-func TestSleepUntilPastIsNoop(t *testing.T) {
-	e := NewEngine(1)
-	e.Spawn("p", func(p *Proc) {
-		p.Sleep(10 * Millisecond)
-		p.SleepUntil(Time(5 * Millisecond)) // in the past: returns immediately
-		if p.Now() != Time(10*Millisecond) {
-			t.Errorf("time moved: %v", p.Now())
-		}
-	})
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestYieldRunsAfterQueuedEvents(t *testing.T) {
 	e := NewEngine(1)
 	var trace []string
@@ -395,7 +381,7 @@ func TestQueueGetTimeoutValueArrives(t *testing.T) {
 	}
 }
 
-func TestQueueTryPutTryGet(t *testing.T) {
+func TestQueueTryPut(t *testing.T) {
 	e := NewEngine(1)
 	q := NewQueue[any](e, 1)
 	if !q.TryPut(1) {
@@ -404,12 +390,11 @@ func TestQueueTryPutTryGet(t *testing.T) {
 	if q.TryPut(2) {
 		t.Fatal("TryPut over capacity succeeded")
 	}
-	v, ok := q.TryGet()
-	if !ok || v.(int) != 1 {
-		t.Fatalf("TryGet = %v, %v", v, ok)
+	if q.Len() != 1 || q.pop().(int) != 1 {
+		t.Fatal("TryPut did not queue its item")
 	}
-	if _, ok := q.TryGet(); ok {
-		t.Fatal("TryGet on empty queue succeeded")
+	if !q.TryPut(3) {
+		t.Fatal("TryPut after a pop failed")
 	}
 }
 

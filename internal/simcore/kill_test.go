@@ -60,7 +60,7 @@ func TestKillMutexHolderForceUnlock(t *testing.T) {
 	if !got {
 		t.Error("waiter never acquired the force-unlocked mutex")
 	}
-	if mu.Held() {
+	if mu.held {
 		t.Error("mutex still held at end of run")
 	}
 }

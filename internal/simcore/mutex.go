@@ -33,16 +33,6 @@ func (m *Mutex) Lock(p *Proc) {
 	m.owner = p
 }
 
-// TryLock acquires the mutex if free, reporting success. It never blocks.
-// A TryLock acquisition has no recorded owner.
-func (m *Mutex) TryLock() bool {
-	if m.held {
-		return false
-	}
-	m.held = true
-	return true
-}
-
 // Unlock releases the mutex and wakes the next waiter. Unlocking a free
 // mutex panics, as with sync.Mutex.
 func (m *Mutex) Unlock() {
@@ -67,9 +57,5 @@ func (m *Mutex) ForceUnlock() {
 	m.cond.Signal(nil)
 }
 
-// Held reports whether the mutex is currently locked.
-func (m *Mutex) Held() bool { return m.held }
-
-// Owner returns the process that acquired the mutex via Lock (nil when
-// unheld or acquired via TryLock).
+// Owner returns the process that holds the mutex (nil when unheld).
 func (m *Mutex) Owner() *Proc { return m.owner }

@@ -30,28 +30,12 @@ func TestMutexExclusion(t *testing.T) {
 	if maxInside != 1 {
 		t.Fatalf("max concurrent holders = %d", maxInside)
 	}
-	if m.Held() {
+	if m.held {
 		t.Fatal("mutex left held")
 	}
 	if m.Contentions == 0 {
 		t.Fatal("no contention recorded despite 5 workers")
 	}
-}
-
-func TestMutexTryLock(t *testing.T) {
-	e := NewEngine(1)
-	m := NewMutex(e)
-	if !m.TryLock() {
-		t.Fatal("TryLock on free mutex failed")
-	}
-	if m.TryLock() {
-		t.Fatal("TryLock on held mutex succeeded")
-	}
-	m.Unlock()
-	if !m.TryLock() {
-		t.Fatal("TryLock after Unlock failed")
-	}
-	m.Unlock()
 }
 
 func TestMutexUnlockUnheldPanics(t *testing.T) {

@@ -104,7 +104,6 @@ type ParallelEngine struct {
 
 	nwindows   int64
 	ncrossSent int64
-	crossBySrc []int64
 	deliverBuf []delivery
 	activeBuf  []*Engine
 
@@ -128,12 +127,11 @@ func NewParallelEngine(seed int64, n int) *ParallelEngine {
 		panic(fmt.Sprintf("simcore: parallel engine needs at least 1 shard, got %d", n))
 	}
 	pe := &ParallelEngine{
-		shards:     make([]*Engine, n),
-		queues:     make([][]xevent, n*n),
-		sendSeq:    make([]int64, n),
-		crossBySrc: make([]int64, n),
-		workers:    make([]func(), n),
-		panics:     make([]any, n),
+		shards:  make([]*Engine, n),
+		queues:  make([][]xevent, n*n),
+		sendSeq: make([]int64, n),
+		workers: make([]func(), n),
+		panics:  make([]any, n),
 	}
 	for i := range pe.shards {
 		s := seed
@@ -165,20 +163,11 @@ func (pe *ParallelEngine) NumShards() int { return len(pe.shards) }
 // through Send.
 func (pe *ParallelEngine) Shard(i int) *Engine { return pe.shards[i] }
 
-// Now returns the start time of the most recent window.
-func (pe *ParallelEngine) Now() Time { return pe.now }
-
 // Windows returns how many barrier-synchronized windows have executed.
 func (pe *ParallelEngine) Windows() int64 { return pe.nwindows }
 
 // CrossEvents returns how many cross-shard events have been sent.
 func (pe *ParallelEngine) CrossEvents() int64 { return pe.ncrossSent }
-
-// CrossEventsFrom returns how many cross-shard events shard src has sent.
-func (pe *ParallelEngine) CrossEventsFrom(src int) int64 {
-	pe.checkShard(src)
-	return pe.crossBySrc[src]
-}
 
 // AtGlobal schedules fn to run single-threaded at the barrier opening
 // the window that starts at time t, before any shard executes events at
@@ -289,7 +278,6 @@ func (pe *ParallelEngine) Send(src, dst int, t Time, fn func()) {
 			src, dst, t, we))
 	}
 	pe.sendSeq[src]++
-	pe.crossBySrc[src]++
 	pe.queues[src*len(pe.shards)+dst] = append(
 		pe.queues[src*len(pe.shards)+dst],
 		xevent{t: t, seq: pe.sendSeq[src], fn: fn},

@@ -86,7 +86,7 @@ func (e *Engine) SpawnAt(t Time, name string, fn func(p *Proc)) *Proc {
 }
 
 // resume is the process's wakeup event (p.wake): its first firing starts
-// the coroutine, later ones end a Sleep, SleepUntil or Yield.
+// the coroutine, later ones end a Sleep or Yield.
 func (p *Proc) resume() {
 	if p.next == nil {
 		if p.state != procParked || p.killed { // aborted before it ran
@@ -153,15 +153,6 @@ func (p *Proc) Sleep(d Duration) {
 		panic(fmt.Sprintf("simcore: negative sleep %v", d))
 	}
 	p.scheduleResume(p.eng.now.Add(d))
-	p.park()
-}
-
-// SleepUntil suspends the process until absolute time t (no-op if t ≤ now).
-func (p *Proc) SleepUntil(t Time) {
-	if t <= p.eng.now {
-		return
-	}
-	p.scheduleResume(t)
 	p.park()
 }
 

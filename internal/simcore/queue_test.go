@@ -13,9 +13,11 @@ func TestQueueRingWraparound(t *testing.T) {
 	next, want := 0, 0
 	get := func() {
 		t.Helper()
-		v, ok := q.TryGet()
-		if !ok || v != want {
-			t.Fatalf("TryGet = %v, %v; want %v", v, ok, want)
+		if q.Len() == 0 {
+			t.Fatalf("queue empty; want %v", want)
+		}
+		if v := q.pop(); v != want {
+			t.Fatalf("pop = %v; want %v", v, want)
 		}
 		want++
 	}
@@ -61,7 +63,7 @@ func TestQueuePopZeroesSlot(t *testing.T) {
 			q.TryPut(&i)
 		}
 		for q.Len() > 1 {
-			q.TryGet()
+			q.pop()
 		}
 		live := 0
 		for _, p := range q.items.buf {
@@ -72,7 +74,7 @@ func TestQueuePopZeroesSlot(t *testing.T) {
 		if live != 1 {
 			t.Fatalf("round %d: %d non-nil slots for 1 queued item", round, live)
 		}
-		q.TryGet()
+		q.pop()
 	}
 }
 

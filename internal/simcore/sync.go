@@ -249,14 +249,6 @@ func (q *Queue[T]) GetTimeout(p *Proc, d Duration) (v T, ok, timedOut bool) {
 	return q.pop(), true, false
 }
 
-// TryGet removes and returns the oldest item without blocking.
-func (q *Queue[T]) TryGet() (v T, ok bool) {
-	if q.items.n == 0 {
-		return v, false
-	}
-	return q.pop(), true
-}
-
 // pop removes the oldest item and wakes one blocked Put.
 func (q *Queue[T]) pop() T {
 	v := q.items.pop()

@@ -100,7 +100,7 @@ func waiterScenario(t *testing.T, e *Engine) *[]string {
 			e.At(deadline, signal)
 		}
 		e.Spawn(name, func(p *Proc) {
-			p.SleepUntil(deadline - Time(Millisecond))
+			p.Sleep(deadline.Sub(p.Now()) - Millisecond)
 			v, timedOut := rc.WaitTimeout(p, Millisecond)
 			logf("%s woke v=%v timedOut=%v", name, v, timedOut)
 			if v != nil == timedOut {

@@ -31,12 +31,12 @@ func FuzzParseSpec(f *testing.F) {
 		f.Add(string(data))
 	}
 	f.Fuzz(func(t *testing.T, text string) {
-		s1, err := ParseSpec(strings.NewReader(text))
+		s1, err := ParseSpecAt("<topology>", 1, strings.NewReader(text))
 		if err != nil {
 			return // rejected input is fine; panics are not
 		}
 		out := s1.String()
-		s2, err := ParseSpec(strings.NewReader(out))
+		s2, err := ParseSpecAt("<topology>", 1, strings.NewReader(out))
 		if err != nil {
 			t.Fatalf("serialized form does not reparse: %v\ninput: %q\nserialized:\n%s", err, text, out)
 		}

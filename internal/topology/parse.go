@@ -34,22 +34,6 @@ func (e *ParseError) Error() string {
 	return fmt.Sprintf("topology: %s:%d: %s", e.File, e.Line, e.Msg)
 }
 
-// ParseSpec reads the text topology format:
-//
-//	# comment
-//	topology my-testbed
-//	host  ucsd0  1.11.11.1
-//	router core1
-//	link  ucsd0 core1 100Mbps 25us
-//	link  core1 core2 622Mbps 28ms queue=512KB loss=0.001
-//
-// Bandwidth accepts the GIS record notation (100Mbps, 1.2Gb/s); delay
-// accepts Go duration syntax (50ms, 25us). Errors are *ParseError values
-// carrying source name, line and offending token.
-func ParseSpec(r io.Reader) (*Spec, error) {
-	return ParseSpecAt("<topology>", 1, r)
-}
-
 // LoadSpec parses a topology file; errors name the file.
 func LoadSpec(path string) (*Spec, error) {
 	f, err := os.Open(path)
@@ -60,10 +44,20 @@ func LoadSpec(path string) (*Spec, error) {
 	return ParseSpecAt(path, 1, f)
 }
 
-// ParseSpecAt parses the topology format from r, reporting errors
-// against the given source name with lines counted from firstLine — the
-// hook that lets an embedding format (a scenario file's "topology"
-// section) surface errors at their true file position.
+// ParseSpecAt reads the text topology format from r:
+//
+//	# comment
+//	topology my-testbed
+//	host  ucsd0  1.11.11.1
+//	router core1
+//	link  ucsd0 core1 100Mbps 25us
+//	link  core1 core2 622Mbps 28ms queue=512KB loss=0.001
+//
+// Bandwidth accepts the GIS record notation (100Mbps, 1.2Gb/s); delay
+// accepts Go duration syntax (50ms, 25us). Errors are *ParseError values
+// carrying the given source name, the line counted from firstLine, and
+// the offending token, so an embedding format (a scenario file's
+// "topology" section) surfaces errors at their true file position.
 func ParseSpecAt(name string, firstLine int, r io.Reader) (*Spec, error) {
 	sc := bufio.NewScanner(r)
 	spec := &Spec{}
@@ -131,6 +125,9 @@ func ParseSpecAt(name string, firstLine int, r io.Reader) (*Spec, error) {
 			bw, err := gis.ParseBandwidth(fields[3])
 			if err != nil {
 				return fail(fields[3], "bad bandwidth: %v", err)
+			}
+			if bw <= 0 {
+				return fail(fields[3], "link bandwidth must be positive")
 			}
 			delay, err := gis.ParseLatency(fields[4])
 			if err != nil {

@@ -32,7 +32,7 @@ func positionSpecs(t *testing.T) map[string]*Spec {
 		}
 		specs[g.Kind] = s
 	}
-	parsed, err := ParseSpec(strings.NewReader(`topology mixed
+	parsed, err := ParseSpecAt("<topology>", 1, strings.NewReader(`topology mixed
 router core
 link h1 sw 100Mbps 25us
 host h1 10.0.0.1
@@ -52,7 +52,7 @@ link core h2 10Mbps 5ms
 		if err != nil {
 			t.Fatal(err)
 		}
-		s, err := ParseSpec(strings.NewReader(string(data)))
+		s, err := ParseSpecAt("<topology>", 1, strings.NewReader(string(data)))
 		if err != nil {
 			t.Fatal(err)
 		}

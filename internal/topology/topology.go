@@ -1,7 +1,7 @@
 // Package topology builds simulated network topologies for MicroGrid
-// experiments: switched-Ethernet clusters, Myrinet-class system-area
-// networks, and the paper's fictional vBNS wide-area distributed cluster
-// testbed (Fig. 13). It also parses a small text configuration format so
+// experiments: the paper's fictional vBNS wide-area distributed cluster
+// testbed (Fig. 13) and seeded star and fat-tree grids of campus
+// clusters. It also parses a small text configuration format so
 // arbitrary topologies can be described in files, the way the MicroGrid
 // "reads desired network configuration files and inputs a network
 // configuration for NSE".
@@ -47,7 +47,7 @@ type LinkSpec struct {
 
 // Validate checks structural invariants that hold independently of any
 // Network: unique node names, unique host addresses, no self-links, and
-// every link endpoint declared as a host or router. ParseSpec enforces
+// every link endpoint declared as a host or router. ParseSpecAt enforces
 // the same rules with positioned errors; Validate covers specs built
 // programmatically (or mutated after parse).
 func (s *Spec) Validate() error {
@@ -137,6 +137,9 @@ func (s *Spec) Apply(nw *netsim.Network, scale func(netsim.LinkConfig) netsim.Li
 		if a == nil || b == nil {
 			return fmt.Errorf("topology %s: link %s--%s references unknown node", s.Name, l.A, l.B)
 		}
+		if !(l.BandwidthBps > 0) {
+			return fmt.Errorf("topology %s: link %s--%s needs positive bandwidth, got %g", s.Name, l.A, l.B, l.BandwidthBps)
+		}
 		for _, nd := range [2]*netsim.Node{a, b} {
 			if p := nd.Index() - base; p >= 0 {
 				degree[p]++
@@ -160,71 +163,6 @@ func (s *Spec) Apply(nw *netsim.Network, scale func(netsim.LinkConfig) netsim.Li
 	return nil
 }
 
-// EthernetLAN describes a switched LAN: per-host links to a central switch.
-// The paper's Alpha cluster used 100 Mb Ethernet; host-to-switch delay
-// defaults to 25 µs per side (~50 µs host-to-host).
-type EthernetLAN struct {
-	// Name prefixes the switch node name.
-	Name string
-	// Hosts are the attached host names with addresses.
-	Hosts []HostSpec
-	// BandwidthBps per host link (e.g. 100e6).
-	BandwidthBps float64
-	// PerSideDelay is the host↔switch propagation delay (default 25 µs).
-	PerSideDelay simcore.Duration
-}
-
-// AddTo attaches the LAN to an existing network, creating the switch and
-// host nodes, and returns the switch node. Routes are not recomputed.
-func (l *EthernetLAN) AddTo(nw *netsim.Network) (*netsim.Node, error) {
-	if l.BandwidthBps <= 0 {
-		return nil, fmt.Errorf("topology: LAN %s needs positive bandwidth", l.Name)
-	}
-	delay := l.PerSideDelay
-	if delay == 0 {
-		delay = 25 * simcore.Microsecond
-	}
-	sw := nw.AddRouter(l.Name + "-switch")
-	for _, h := range l.Hosts {
-		addr, err := netsim.ParseAddr(h.Addr)
-		if err != nil {
-			return nil, fmt.Errorf("topology: LAN %s host %s: %v", l.Name, h.Name, err)
-		}
-		host := nw.AddHost(h.Name, addr)
-		nw.Connect(host, sw, netsim.LinkConfig{BandwidthBps: l.BandwidthBps, Delay: delay})
-	}
-	return sw, nil
-}
-
-// Cluster builds a LAN-only network of n hosts named <prefix>0..<prefix>n-1
-// with addresses base+i, connected through one switch.
-func Cluster(eng *simcore.Engine, prefix string, n int, baseAddr string, bandwidthBps float64, perSide simcore.Duration) (*netsim.Network, error) {
-	base, err := netsim.ParseAddr(baseAddr)
-	if err != nil {
-		return nil, err
-	}
-	lan := &EthernetLAN{Name: prefix, BandwidthBps: bandwidthBps, PerSideDelay: perSide}
-	for i := 0; i < n; i++ {
-		lan.Hosts = append(lan.Hosts, HostSpec{
-			Name: fmt.Sprintf("%s%d", prefix, i),
-			Addr: (base + netsim.Addr(i)).String(),
-		})
-	}
-	nw := netsim.New(eng)
-	if _, err := lan.AddTo(nw); err != nil {
-		return nil, err
-	}
-	nw.ComputeRoutes()
-	return nw, nil
-}
-
-// Myrinet builds a system-area network: like a LAN but with very low
-// per-side latency (default 5 µs) and gigabit-class bandwidth, as in the
-// paper's HPVM configuration (1.2 Gb Myrinet).
-func Myrinet(eng *simcore.Engine, prefix string, n int, baseAddr string, bandwidthBps float64) (*netsim.Network, error) {
-	return Cluster(eng, prefix, n, baseAddr, bandwidthBps, 5*simcore.Microsecond)
-}
-
 // OC bandwidths for the vBNS testbed.
 const (
 	OC3Bps  = 155e6
@@ -246,15 +184,6 @@ type VBNSConfig struct {
 	// BackboneDelay is the one-way coast-to-coast propagation delay across
 	// the backbone (default 28 ms, a realistic San Diego–Urbana path).
 	BackboneDelay simcore.Duration
-}
-
-// VBNSSiteHosts returns the host names created per site.
-func VBNSSiteHosts(site string, n int) []string {
-	out := make([]string, n)
-	for i := range out {
-		out[i] = fmt.Sprintf("%s%d", site, i)
-	}
-	return out
 }
 
 // VBNSSpec constructs the testbed's topology spec:

@@ -4,44 +4,8 @@ import (
 	"strings"
 	"testing"
 
-	"microgrid/internal/netsim"
 	"microgrid/internal/simcore"
 )
-
-func TestClusterBuild(t *testing.T) {
-	eng := simcore.NewEngine(1)
-	nw, err := Cluster(eng, "alpha", 4, "10.0.0.1", 100e6, 25*simcore.Microsecond)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(nw.Nodes()) != 5 { // 4 hosts + switch
-		t.Fatalf("nodes = %d", len(nw.Nodes()))
-	}
-	a, b := nw.Node("alpha0"), nw.Node("alpha3")
-	d, hops, ok := nw.PathDelay(a, b)
-	if !ok || hops != 2 || d != 50*simcore.Microsecond {
-		t.Fatalf("path d=%v hops=%d ok=%v", d, hops, ok)
-	}
-	if a.Addr.String() != "10.0.0.1" || b.Addr.String() != "10.0.0.4" {
-		t.Fatalf("addrs = %v %v", a.Addr, b.Addr)
-	}
-}
-
-func TestMyrinetLowLatency(t *testing.T) {
-	eng := simcore.NewEngine(1)
-	nw, err := Myrinet(eng, "hpvm", 4, "10.1.0.1", 1.2e9)
-	if err != nil {
-		t.Fatal(err)
-	}
-	d, _, ok := nw.PathDelay(nw.Node("hpvm0"), nw.Node("hpvm1"))
-	if !ok || d != 10*simcore.Microsecond {
-		t.Fatalf("d = %v", d)
-	}
-	bw, _ := nw.PathBottleneckBps(nw.Node("hpvm0"), nw.Node("hpvm1"))
-	if bw != 1.2e9 {
-		t.Fatalf("bw = %v", bw)
-	}
-}
 
 func TestBuildVBNS(t *testing.T) {
 	eng := simcore.NewEngine(1)
@@ -95,13 +59,6 @@ func TestBuildVBNSValidation(t *testing.T) {
 	}
 }
 
-func TestVBNSSiteHosts(t *testing.T) {
-	got := VBNSSiteHosts("ucsd", 2)
-	if len(got) != 2 || got[0] != "ucsd0" || got[1] != "ucsd1" {
-		t.Fatalf("got %v", got)
-	}
-}
-
 const specText = `
 # test topology
 topology demo
@@ -113,7 +70,7 @@ link r b 622Mb/s 28ms queue=512KB loss=0.01
 `
 
 func TestParseSpecAndBuild(t *testing.T) {
-	spec, err := ParseSpec(strings.NewReader(specText))
+	spec, err := ParseSpecAt("<topology>", 1, strings.NewReader(specText))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,9 +107,9 @@ func TestParseSpecErrors(t *testing.T) {
 	}
 	for _, text := range bad {
 		if text == "host a not-an-addr" {
-			spec, err := ParseSpec(strings.NewReader(text))
+			spec, err := ParseSpecAt("<topology>", 1, strings.NewReader(text))
 			if err != nil {
-				t.Errorf("ParseSpec(%q) rejected at parse; want Build-time error", text)
+				t.Errorf("ParseSpecAt(%q) rejected at parse; want Build-time error", text)
 				continue
 			}
 			if _, err := spec.Build(simcore.NewEngine(1)); err == nil {
@@ -160,8 +117,8 @@ func TestParseSpecErrors(t *testing.T) {
 			}
 			continue
 		}
-		if _, err := ParseSpec(strings.NewReader(text)); err == nil {
-			t.Errorf("ParseSpec(%q) accepted", text)
+		if _, err := ParseSpecAt("<topology>", 1, strings.NewReader(text)); err == nil {
+			t.Errorf("ParseSpecAt(%q) accepted", text)
 		}
 	}
 }
@@ -173,12 +130,31 @@ func TestSpecBuildUnknownLinkNode(t *testing.T) {
 	}
 }
 
+// A link without positive bandwidth is an error, never a netsim panic:
+// parsed, it points at the bandwidth token; built from a programmatic
+// spec, Apply refuses it.
+func TestZeroBandwidthLink(t *testing.T) {
+	_, err := ParseSpecAt("<topology>", 1, strings.NewReader("host a 1.0.0.1\nhost b 1.0.0.2\nlink a b 0Mbps 25us\n"))
+	if pe, ok := err.(*ParseError); !ok || pe.Line != 3 || pe.Token != "0Mbps" {
+		t.Fatalf("parse error = %v, want one at line 3 on 0Mbps", err)
+	}
+	for _, bw := range []float64{0, -1e6} {
+		spec := &Spec{
+			Hosts: []HostSpec{{Name: "a", Addr: "1.0.0.1"}, {Name: "b", Addr: "1.0.0.2"}},
+			Links: []LinkSpec{{A: "a", B: "b", BandwidthBps: bw, Delay: simcore.Microsecond}},
+		}
+		if _, err := spec.Build(simcore.NewEngine(1)); err == nil || !strings.Contains(err.Error(), "positive bandwidth") {
+			t.Fatalf("bandwidth %g: Build error = %v", bw, err)
+		}
+	}
+}
+
 func TestSpecStringRoundTrip(t *testing.T) {
-	spec, err := ParseSpec(strings.NewReader(specText))
+	spec, err := ParseSpecAt("<topology>", 1, strings.NewReader(specText))
 	if err != nil {
 		t.Fatal(err)
 	}
-	spec2, err := ParseSpec(strings.NewReader(spec.String()))
+	spec2, err := ParseSpecAt("<topology>", 1, strings.NewReader(spec.String()))
 	if err != nil {
 		t.Fatalf("re-parse failed: %v\n%s", err, spec.String())
 	}
@@ -189,17 +165,5 @@ func TestSpecStringRoundTrip(t *testing.T) {
 		spec2.Links[1].Delay != spec.Links[1].Delay ||
 		spec2.Links[1].LossProb != spec.Links[1].LossProb {
 		t.Fatalf("link round trip: %+v vs %+v", spec2.Links[1], spec.Links[1])
-	}
-}
-
-func TestEthernetLANValidation(t *testing.T) {
-	nw := netsim.New(simcore.NewEngine(1))
-	lan := &EthernetLAN{Name: "x"}
-	if _, err := lan.AddTo(nw); err == nil {
-		t.Fatal("zero bandwidth accepted")
-	}
-	lan = &EthernetLAN{Name: "y", BandwidthBps: 1e6, Hosts: []HostSpec{{Name: "h", Addr: "bad"}}}
-	if _, err := lan.AddTo(nw); err == nil {
-		t.Fatal("bad address accepted")
 	}
 }

@@ -24,7 +24,7 @@ func TestParseSpecStructuralErrors(t *testing.T) {
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			_, err := ParseSpec(strings.NewReader(c.text))
+			_, err := ParseSpecAt("<topology>", 1, strings.NewReader(c.text))
 			if err == nil {
 				t.Fatalf("parse accepted:\n%s", c.text)
 			}
@@ -52,7 +52,7 @@ func asParseError(err error, out **ParseError) bool {
 
 func TestParseSpecForwardLinkReference(t *testing.T) {
 	// Links may name nodes declared later in the file.
-	spec, err := ParseSpec(strings.NewReader("link a b 100Mbps 25us\nhost a 1.0.0.1\nhost b 1.0.0.2\n"))
+	spec, err := ParseSpecAt("<topology>", 1, strings.NewReader("link a b 100Mbps 25us\nhost a 1.0.0.1\nhost b 1.0.0.2\n"))
 	if err != nil {
 		t.Fatalf("forward reference rejected: %v", err)
 	}

@@ -38,10 +38,10 @@ func checkRingAgainstReference(t *testing.T, size int, seed int64) {
 	maskAt, sinkAt := rng.Intn(n), rng.Intn(n)
 	for k := 0; k < n; k++ {
 		if k == maskAt {
-			r.Disable(CatNet | CatCPU)
+			r.mask &^= CatNet | CatCPU
 		}
 		if k == maskAt+size {
-			r.Enable(CatNet)
+			r.mask |= CatNet
 		}
 		if k == sinkAt {
 			r.SetSink(func(ev Event) { sunk = append(sunk, ev) })

@@ -240,18 +240,6 @@ func (r *Recorder) Enabled(c Category) bool {
 	return r != nil && r.mask&c != 0
 }
 
-// Mask returns the current category mask.
-func (r *Recorder) Mask() Category { return r.mask }
-
-// Enable adds categories to the mask.
-func (r *Recorder) Enable(c Category) { r.mask |= c }
-
-// Disable removes categories from the mask.
-func (r *Recorder) Disable(c Category) { r.mask &^= c }
-
-// BufSize returns the ring capacity in events.
-func (r *Recorder) BufSize() int { return r.size }
-
 // Emitted returns how many events were emitted in total (retained plus
 // dropped).
 func (r *Recorder) Emitted() uint64 { return r.seq }

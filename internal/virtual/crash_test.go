@@ -1,7 +1,6 @@
 package virtual
 
 import (
-	"strings"
 	"testing"
 
 	"microgrid/internal/netsim"
@@ -147,72 +146,5 @@ func TestHostCrashUnblocksPeer(t *testing.T) {
 	}
 	if at > simcore.Time(600*simcore.Second) {
 		t.Errorf("failure detected only at %v", at)
-	}
-}
-
-// Crash during a staged migration: whatever dies mid-copy,
-// the migration must commit or roll back cleanly — the vIP table must
-// never point at a host that is dead while claiming to be alive.
-
-// Source host crashes mid-copy → the migration rolls back and the vIP
-// table's entry truthfully reports the host as down (it does not claim a
-// live host on the target).
-func TestMigrateStagedSourceDiesRollsBack(t *testing.T) {
-	eng := simcore.NewEngine(1)
-	g := crashGrid(t, eng)
-	h := g.Host("vm0")
-	target := g.PhysHost("p1")
-	source := h.Phys
-
-	var mig *Migration
-	eng.After(0, func() {
-		var err error
-		mig, err = h.MigrateStaged(target, 2*simcore.Second)
-		if err != nil {
-			t.Fatalf("MigrateStaged: %v", err)
-		}
-	})
-	eng.After(simcore.Second, func() { h.Crash() })
-	if err := eng.Run(); err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-	if !mig.Done() || mig.Committed() {
-		t.Errorf("migration done=%v committed=%v, want done rollback", mig.Done(), mig.Committed())
-	}
-	if !strings.Contains(mig.Reason(), "crashed") {
-		t.Errorf("reason = %q, want source-crash reason", mig.Reason())
-	}
-	if h.Phys != source {
-		t.Error("placement moved despite source crash")
-	}
-	if got := g.HostByIP(h.IP); got != h {
-		t.Error("vIP table lost the host")
-	} else if !got.Down() {
-		t.Error("vIP table claims a live host after its crash")
-	}
-}
-
-// No crash → staged migration commits and behaves like Migrate.
-func TestMigrateStagedCommits(t *testing.T) {
-	eng := simcore.NewEngine(1)
-	g := crashGrid(t, eng)
-	h := g.Host("vm0")
-	target := g.PhysHost("p1")
-	var mig *Migration
-	eng.After(0, func() {
-		var err error
-		mig, err = h.MigrateStaged(target, simcore.Second)
-		if err != nil {
-			t.Fatalf("MigrateStaged: %v", err)
-		}
-	})
-	if err := eng.Run(); err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-	if !mig.Committed() {
-		t.Fatalf("migration did not commit: %s", mig.Reason())
-	}
-	if h.Phys != target {
-		t.Error("placement did not move on commit")
 	}
 }

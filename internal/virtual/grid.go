@@ -456,15 +456,8 @@ func (g *Grid) ScaleLink(cfg netsim.LinkConfig) netsim.LinkConfig {
 	return cfg
 }
 
-// Engine returns the engine the grid runs on.
-func (g *Grid) Engine() *simcore.Engine { return g.eng }
-
 // Engine returns the PDES shard this host runs on.
 func (h *Host) Engine() *simcore.Engine { return h.eng }
-
-// Clock returns the host-local virtual clock (same rate grid-wide; bound
-// to the host's engine so reads never cross shards).
-func (h *Host) Clock() *vtime.Clock { return h.clock }
 
 // Clock returns the grid's virtual clock.
 func (g *Grid) Clock() *vtime.Clock { return g.clock }
@@ -564,19 +557,6 @@ func (g *Grid) Resolve(name string) (netsim.Addr, error) {
 	return 0, fmt.Errorf("virtual: unknown host %q", name)
 }
 
-// HostByIP is the reverse mapping; a declared-but-untouched host
-// materializes (callers hold a live connection to it, so it is about
-// to be touched anyway).
-func (g *Grid) HostByIP(a netsim.Addr) *Host {
-	if h, ok := g.byIP[a]; ok {
-		return h
-	}
-	if nd := g.vnet.NodeByAddr(a); g.isDeclared(nd) {
-		return g.materialize(nd)
-	}
-	return nil
-}
-
 // controllerFor returns — creating and spawning on demand — the MicroGrid
 // scheduler daemon of a physical host. The daemon cycles on a fixed wall
 // schedule even while its jobs are idle, exactly like the real scheduler:
@@ -609,28 +589,4 @@ func (g *Grid) StopControllers() {
 	for _, mc := range g.controllers {
 		mc.Terminate()
 	}
-}
-
-// HostNames returns all virtual host names (unordered), materialized or
-// not.
-func (g *Grid) HostNames() []string {
-	if g.lazy != nil {
-		return g.declaredNames()
-	}
-	out := make([]string, 0, len(g.hosts))
-	for n := range g.hosts {
-		out = append(out, n)
-	}
-	return out
-}
-
-// declaredNames lists a lazy grid's declared hosts in node order.
-func (g *Grid) declaredNames() []string {
-	out := make([]string, 0, g.ndeclared)
-	for i := 0; i < g.vnet.NodeCount(); i++ {
-		if nd := g.vnet.NodeAt(i); g.isDeclared(nd) {
-			out = append(out, nd.Name)
-		}
-	}
-	return out
 }

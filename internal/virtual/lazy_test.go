@@ -2,7 +2,6 @@ package virtual
 
 import (
 	"fmt"
-	"slices"
 	"strings"
 	"testing"
 
@@ -63,16 +62,19 @@ func TestLazyGridTemplate(t *testing.T) {
 		h.Phys != g.PhysHost("phys-h2") || h.Phys.SpeedMIPS() != 500 || h.Node != g.Network().Node("h2") {
 		t.Fatalf("materialized h2 = %+v", h)
 	}
-	if got := g.HostByIP(netsim.MustParseAddr("10.0.0.5")); got == nil || got.Name != "h4" {
-		t.Fatalf("HostByIP(10.0.0.5) = %v", got)
+	if got := g.Host("h4"); got == nil || got.IP != netsim.MustParseAddr("10.0.0.5") {
+		t.Fatalf("Host(h4) = %v", got)
 	}
 	if g.DeclaredHosts() != 6 || g.MaterializedCount() != 2 {
 		t.Fatalf("declared %d, materialized %d; want 6 and 2", g.DeclaredHosts(), g.MaterializedCount())
 	}
-	names := g.HostNames()
-	slices.Sort(names)
-	if want := []string{"h0", "h1", "h2", "h3", "h4", "h5"}; !slices.Equal(names, want) {
-		t.Fatalf("HostNames = %v, want %v", names, want)
+	for _, name := range []string{"h0", "h1", "h3", "h5"} {
+		if _, err := g.Resolve(name); err != nil {
+			t.Errorf("declared %s: %v", name, err)
+		}
+	}
+	if g.MaterializedCount() != 2 {
+		t.Fatal("Resolve materialized a host")
 	}
 }
 
@@ -82,7 +84,7 @@ func TestLazyGridNamedSubset(t *testing.T) {
 	if g.DeclaredHosts() != 2 {
 		t.Fatalf("declared %d, want 2", g.DeclaredHosts())
 	}
-	if g.Host("h0") != nil || g.HostByIP(netsim.MustParseAddr("10.0.0.1")) != nil {
+	if g.Host("h0") != nil {
 		t.Fatal("undeclared h0 materialized")
 	}
 	if _, err := g.Resolve("h0"); err == nil {
@@ -93,11 +95,6 @@ func TestLazyGridNamedSubset(t *testing.T) {
 	}
 	if g.Host("h1") == nil || g.Host("h4") == nil {
 		t.Fatal("declared host missing")
-	}
-	names := g.HostNames()
-	slices.Sort(names)
-	if !slices.Equal(names, []string{"h1", "h4"}) {
-		t.Fatalf("HostNames = %v", names)
 	}
 }
 

@@ -16,7 +16,6 @@ type Process struct {
 	host *Host
 	proc *simcore.Proc
 	mem  *memmodel.ProcMem
-	name string
 	// CPUTime accumulates virtual CPU consumed by this process.
 	CPUTime simcore.Duration
 	dead    bool
@@ -35,7 +34,7 @@ func (h *Host) Spawn(name string, fn func(p *Process)) (*Process, error) {
 	if err != nil {
 		return nil, err
 	}
-	vp := &Process{host: h, mem: mem, name: pname}
+	vp := &Process{host: h, mem: mem}
 	h.procs = append(h.procs, vp)
 	vp.proc = h.eng.Spawn(pname, func(p *simcore.Proc) {
 		vp.proc = p
@@ -72,9 +71,6 @@ func (h *Host) SpawnDaemon(name string, fn func(p *Process)) (*Process, error) {
 // Host returns the virtual host this process runs on.
 func (p *Process) Host() *Host { return p.host }
 
-// Name returns the process name.
-func (p *Process) Name() string { return p.name }
-
 // Proc exposes the underlying simulation process (for primitives).
 func (p *Process) Proc() *simcore.Proc { return p.proc }
 
@@ -92,9 +88,6 @@ func (p *Process) Gettimeofday() simcore.Time { return p.host.clock.Gettimeofday
 func (p *Process) ToPhysical(d simcore.Duration) simcore.Duration {
 	return p.host.clock.ToPhysical(d)
 }
-
-// Dead reports whether the process has exited or been killed.
-func (p *Process) Dead() bool { return p.dead }
 
 // Kill forcibly terminates the process (the SIGKILL analog): it unwinds
 // at its current blocking point, releasing its memory. If it was holding
@@ -117,12 +110,6 @@ func (p *Process) Sleep(d simcore.Duration) { p.host.clock.SleepVirtual(p.proc, 
 
 // Malloc charges bytes against the virtual host's memory capacity.
 func (p *Process) Malloc(bytes int64) error { return p.mem.Malloc(bytes) }
-
-// Free returns bytes to the virtual host.
-func (p *Process) Free(bytes int64) { p.mem.Free(bytes) }
-
-// MemUsed reports the process's current memory charge.
-func (p *Process) MemUsed() int64 { return p.mem.Used() }
 
 // acquireCPU serializes this host's single virtual CPU among processes.
 func (h *Host) acquireCPU(p *simcore.Proc) { h.cpu.Lock(p) }

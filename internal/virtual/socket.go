@@ -98,20 +98,6 @@ func (c *Conn) Close() { c.c.Close() }
 // connection has failed (crashed peer, exhausted retransmissions).
 func (c *Conn) PeerClosed() bool { return c.c.PeerClosed() }
 
-// RemoteAddr returns the peer's virtual address.
-func (c *Conn) RemoteAddr() netsim.Addr { return c.c.RemoteAddr() }
-
-// RemoteHost returns the peer's virtual host name ("" if unknown).
-func (c *Conn) RemoteHost() string {
-	if h := c.p.host.grid.HostByIP(c.c.RemoteAddr()); h != nil {
-		return h.Name
-	}
-	return ""
-}
-
-// Stats exposes the underlying transport counters.
-func (c *Conn) Stats() netsim.ConnStats { return c.c.Stats }
-
 // RecvRaw blocks for the next message without charging CPU cost; callers
 // that dispatch messages to other processes (e.g. the MPI progress
 // daemons) charge the true recipient themselves.

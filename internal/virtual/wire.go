@@ -7,6 +7,9 @@ import (
 	"microgrid/internal/simcore"
 )
 
+// LANSwitch names the router LANWire adds; no host may take the name.
+const LANSwitch = "lan-switch"
+
 // LANWire returns a wire function building a switched LAN joining all
 // configured hosts: one star link per host at bwBps with perSide
 // propagation delay (the Alpha-cluster 100 Mb Ethernet shape). Link
@@ -16,7 +19,7 @@ func LANWire(hosts []HostConfig, bwBps float64, perSide simcore.Duration) func(*
 		if bwBps <= 0 {
 			return fmt.Errorf("virtual: LAN needs positive bandwidth")
 		}
-		sw := nw.AddRouter("lan-switch")
+		sw := nw.AddRouter(LANSwitch)
 		cfg := scale(netsim.LinkConfig{BandwidthBps: bwBps, Delay: perSide})
 		for _, h := range hosts {
 			node := nw.AddHost(h.Name, h.IP)

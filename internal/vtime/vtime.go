@@ -20,7 +20,6 @@ package vtime
 
 import (
 	"fmt"
-	"sort"
 
 	"microgrid/internal/simcore"
 )
@@ -67,12 +66,6 @@ func MaxFeasibleRate(rates []ResourceRate) (float64, ResourceRate) {
 	return min, best
 }
 
-// SortRates orders rates ascending by Rate (most constrained first), for
-// reporting.
-func SortRates(rates []ResourceRate) {
-	sort.SliceStable(rates, func(i, j int) bool { return rates[i].Rate() < rates[j].Rate() })
-}
-
 // Clock is the time-virtualization library: it converts between the
 // engine's time (the "physical wallclock" of the emulation hosts) and the
 // virtual grid's time, at a fixed simulation rate. Applications call
@@ -94,9 +87,6 @@ func NewClock(eng *simcore.Engine, rate float64) *Clock {
 	}
 	return &Clock{eng: eng, rate: rate, origin: eng.Now()}
 }
-
-// Rate returns the simulation rate (virtual seconds per physical second).
-func (c *Clock) Rate() float64 { return c.rate }
 
 // Gettimeofday returns the current virtual time. This is the analog of the
 // intercepted gettimeofday(): a program running at CPU fraction SR observes

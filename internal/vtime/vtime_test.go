@@ -38,18 +38,6 @@ func TestMaxFeasibleRateEmpty(t *testing.T) {
 	}
 }
 
-func TestSortRates(t *testing.T) {
-	rates := []ResourceRate{
-		{Resource: "a", Physical: 4, Virtual: 1},
-		{Resource: "b", Physical: 1, Virtual: 2},
-		{Resource: "c", Physical: 1, Virtual: 1},
-	}
-	SortRates(rates)
-	if rates[0].Resource != "b" || rates[1].Resource != "c" || rates[2].Resource != "a" {
-		t.Fatalf("order = %v", rates)
-	}
-}
-
 func TestResourceRateZeroVirtualPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {

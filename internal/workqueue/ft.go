@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sort"
 
-	"microgrid/internal/metrics"
 	"microgrid/internal/mpi"
 	"microgrid/internal/simcore"
 )
@@ -200,20 +199,4 @@ func (r *Result) Metrics() map[string]float64 {
 		"redispatched_units": float64(r.RedispatchedUnits),
 		"stragglers":         float64(r.Stragglers),
 	}
-}
-
-// MetricsTable renders the fault-tolerance counters as a metrics table
-// (deterministic row order).
-func (r *Result) MetricsTable(title string) *metrics.Table {
-	t := metrics.NewTable(title, "metric", "value")
-	m := r.Metrics()
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		t.AddRow(k, fmt.Sprintf("%.0f", m[k]))
-	}
-	return t
 }

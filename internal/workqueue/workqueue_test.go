@@ -40,9 +40,9 @@ func hetGrid(t *testing.T, eng *simcore.Engine, workerMIPS []float64) (*virtual.
 func farm(t *testing.T, workerMIPS []float64, cfg Config) (*Result, float64) {
 	t.Helper()
 	eng := simcore.NewEngine(1)
-	g, hosts := hetGrid(t, eng, workerMIPS)
+	_, hosts := hetGrid(t, eng, workerMIPS)
 	var res *Result
-	w, err := mpi.Launch(g, hosts, "farm", 0, func(c *mpi.Comm) error {
+	w, err := mpi.Launch(hosts, "farm", 0, mpi.LaunchOptions{}, func(c *mpi.Comm) error {
 		r, err := Run(c, cfg)
 		if err != nil {
 			return err
@@ -124,7 +124,7 @@ func TestSelfSchedulingAdaptsToContention(t *testing.T) {
 	hogTask := g.Host("vm2").Phys.NewTask("hog")
 	hogTask.SetBusyLoop(true)
 	var res *Result
-	w, err := mpi.Launch(g, hosts, "farm", 0, func(c *mpi.Comm) error {
+	w, err := mpi.Launch(hosts, "farm", 0, mpi.LaunchOptions{}, func(c *mpi.Comm) error {
 		r, err := Run(c, Config{Units: 300, OpsPerUnit: 2e6, Policy: SelfScheduling})
 		if err != nil {
 			return err
@@ -185,8 +185,8 @@ func TestPolicyString(t *testing.T) {
 
 func TestRunValidation(t *testing.T) {
 	eng := simcore.NewEngine(1)
-	g, hosts := hetGrid(t, eng, []float64{533})
-	w, err := mpi.Launch(g, hosts, "bad", 0, func(c *mpi.Comm) error {
+	_, hosts := hetGrid(t, eng, []float64{533})
+	w, err := mpi.Launch(hosts, "bad", 0, mpi.LaunchOptions{}, func(c *mpi.Comm) error {
 		if _, err := Run(c, Config{Units: 0, OpsPerUnit: 1, Policy: Static}); err == nil {
 			return fmt.Errorf("zero units accepted")
 		}
@@ -216,7 +216,7 @@ func TestFaultTolerantWorkerCrash(t *testing.T) {
 		LostTimeout:   simcore.Second,
 	}
 	var res *Result
-	w, err := mpi.LaunchWith(g, hosts, "ftfarm", 0, mpi.LaunchOptions{SkipExitBarrier: true}, func(c *mpi.Comm) error {
+	w, err := mpi.Launch(hosts, "ftfarm", 0, mpi.LaunchOptions{SkipExitBarrier: true}, func(c *mpi.Comm) error {
 		r, err := Run(c, cfg)
 		if err != nil {
 			return err
@@ -254,9 +254,6 @@ func TestFaultTolerantWorkerCrash(t *testing.T) {
 	if m["units_done"] != float64(cfg.Units) {
 		t.Errorf("Metrics units_done = %v", m["units_done"])
 	}
-	if tbl := res.MetricsTable("ft"); len(tbl.Rows) != 5 {
-		t.Errorf("MetricsTable rows = %d, want 5", len(tbl.Rows))
-	}
 }
 
 // Without fault tolerance the same crash deadlocks the farm: the master
@@ -265,7 +262,7 @@ func TestNonFaultTolerantWorkerCrashHangs(t *testing.T) {
 	eng := simcore.NewEngine(1)
 	g, hosts := hetGrid(t, eng, []float64{533, 533, 533, 533})
 	cfg := Config{Units: 60, OpsPerUnit: 2e7, Policy: SelfScheduling}
-	if _, err := mpi.Launch(g, hosts, "farm", 0, func(c *mpi.Comm) error {
+	if _, err := mpi.Launch(hosts, "farm", 0, mpi.LaunchOptions{}, func(c *mpi.Comm) error {
 		_, err := Run(c, cfg)
 		return err
 	}); err != nil {
@@ -281,8 +278,8 @@ func TestFaultTolerantRequiresSelfScheduling(t *testing.T) {
 	_, tm := farm(t, []float64{533}, Config{Units: 4, OpsPerUnit: 1e6, Policy: SelfScheduling})
 	_ = tm
 	eng := simcore.NewEngine(1)
-	g, hosts := hetGrid(t, eng, []float64{533})
-	if _, err := mpi.Launch(g, hosts, "bad", 0, func(c *mpi.Comm) error {
+	_, hosts := hetGrid(t, eng, []float64{533})
+	if _, err := mpi.Launch(hosts, "bad", 0, mpi.LaunchOptions{}, func(c *mpi.Comm) error {
 		_, err := Run(c, Config{Units: 4, OpsPerUnit: 1e6, Policy: Static, FaultTolerant: true})
 		if err == nil && c.Rank() == 0 {
 			return fmt.Errorf("static+FT accepted")
