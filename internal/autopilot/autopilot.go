@@ -23,7 +23,6 @@ import (
 
 // Sensor is one monitored program variable.
 type Sensor struct {
-	Name  string
 	value float64
 	// Updates counts Set/Add calls, a cheap liveness indicator.
 	Updates int64
@@ -52,7 +51,6 @@ type Collector struct {
 	clock   *vtime.Clock
 	sensors map[string]*Sensor
 	traces  map[string][]Sample
-	period  simcore.Duration
 	running bool
 	stopped bool
 }
@@ -72,7 +70,7 @@ func (c *Collector) Register(name string) *Sensor {
 	if s, ok := c.sensors[name]; ok {
 		return s
 	}
-	s := &Sensor{Name: name}
+	s := &Sensor{}
 	c.sensors[name] = s
 	return s
 }
@@ -97,7 +95,6 @@ func (c *Collector) Start(period simcore.Duration) error {
 		return fmt.Errorf("autopilot: non-positive period %v", period)
 	}
 	c.running = true
-	c.period = period
 	p := c.eng.Spawn("autopilot-sampler", func(p *simcore.Proc) {
 		for !c.stopped {
 			c.clock.SleepVirtual(p, period)

@@ -9,7 +9,7 @@ import (
 )
 
 func TestSensorOps(t *testing.T) {
-	s := &Sensor{Name: "x"}
+	s := &Sensor{}
 	s.Set(5)
 	s.Set(7)
 	if s.Value() != 7 || s.Updates != 2 {

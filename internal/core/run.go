@@ -29,8 +29,6 @@ type RunOptions struct {
 	SamplePeriod simcore.Duration
 	// BasePort disambiguates the job's rendezvous ports.
 	BasePort netsim.Port
-	// Credential is presented to the gatekeepers.
-	Credential string
 	// RanksPerHost places several MPI ranks on each virtual host (GRAM
 	// count > host count); ranks on one host timeshare its virtual CPU.
 	// Default 1.
@@ -181,7 +179,7 @@ func (m *MicroGrid) RunApp(name string, fn func(ctx *AppContext) error, opts Run
 	client, err := m.Grid.Host(m.Hosts[0]).Spawn("globus-client", func(p *virtual.Process) {
 		defer col.Stop()
 		defer m.Grid.StopControllers()
-		cl := &globus.Client{Proc: p, Credential: opts.Credential, MaxWallTime: opts.MaxWallTime}
+		cl := &globus.Client{Proc: p, MaxWallTime: opts.MaxWallTime}
 		start := p.Gettimeofday()
 		// Even a failed run has a measured cost: how long the client fought
 		// before giving up.

@@ -113,7 +113,6 @@ func ScenarioRunOptions(s *scenario.Scenario) RunOptions {
 	if w := s.Workload; w != nil {
 		opts.SamplePeriod = w.SamplePeriod
 		opts.BasePort = netsim.Port(w.BasePort)
-		opts.Credential = w.Credential
 		opts.RanksPerHost = w.RanksPerHost
 		opts.Ranks = w.Ranks
 		opts.MaxWallTime = w.MaxWallTime

@@ -47,7 +47,6 @@ type Host struct {
 	rng *rand.Rand
 
 	tasks   []*Task
-	nextID  int
 	current *Task
 	// sliceGen invalidates stale slice-end events; sliceFree pools them.
 	sliceGen   int64
@@ -93,7 +92,6 @@ func (h *Host) SpeedMIPS() float64 { return h.speedOps / 1e6 }
 // BusyLoop) and may be suspended/resumed by SIGSTOP/SIGCONT analogs.
 type Task struct {
 	host *Host
-	id   int
 	Name string
 	// Kernel marks a non-preemptible, always-preferred task (models
 	// in-kernel work such as the IO competitor's buffer flushes).
@@ -111,10 +109,8 @@ type Task struct {
 
 // NewTask registers a new task, initially stopped == false with no demand.
 func (h *Host) NewTask(name string) *Task {
-	h.nextID++
 	t := &Task{
 		host:    h,
-		id:      h.nextID,
 		Name:    name,
 		counter: h.Quantum,
 		done:    simcore.NewCond(h.eng),
@@ -244,8 +240,9 @@ func (h *Host) wakeup(t *Task) {
 }
 
 // pick selects the next task: kernel tasks first, then the largest counter;
-// ties resolve by task id for determinism. Returns nil if no runnable task
-// has credit (after attempting an epoch recharge) or none is runnable.
+// ties resolve in creation order (h.tasks order) for determinism. Returns
+// nil if no runnable task has credit (after attempting an epoch recharge)
+// or none is runnable.
 func (h *Host) pick() *Task {
 	for attempt := 0; attempt < 2; attempt++ {
 		var best *Task

@@ -117,21 +117,6 @@ func (e *Entry) Has(attr string) bool {
 	return len(e.attrs[strings.ToLower(attr)]) > 0
 }
 
-// Remove deletes the attribute entirely.
-func (e *Entry) Remove(attr string) {
-	k := strings.ToLower(attr)
-	if _, ok := e.attrs[k]; !ok {
-		return
-	}
-	delete(e.attrs, k)
-	for i, name := range e.order {
-		if name == k {
-			e.order = append(e.order[:i], e.order[i+1:]...)
-			break
-		}
-	}
-}
-
 // Attrs returns attribute names in insertion order.
 func (e *Entry) Attrs() []string {
 	return append([]string(nil), e.order...)

@@ -147,19 +147,6 @@ func TestAddDuplicateDeleteLookup(t *testing.T) {
 	}
 }
 
-func TestEntryRemove(t *testing.T) {
-	e := NewEntry("hn=a, o=g")
-	e.Set("x", "1").Set("y", "2")
-	e.Remove("X")
-	if e.Has("x") {
-		t.Fatal("Remove failed")
-	}
-	if got := e.Attrs(); len(got) != 1 || got[0] != "y" {
-		t.Fatalf("attrs = %v", got)
-	}
-	e.Remove("absent") // no-op
-}
-
 func TestParseFilter(t *testing.T) {
 	f, err := ParseFilter("(&(Is_Virtual_Resource=Yes)(Configuration_Name=Slow_CPU*))")
 	if err != nil {

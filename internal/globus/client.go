@@ -17,8 +17,6 @@ import (
 type Client struct {
 	// Proc is the client's process.
 	Proc *virtual.Process
-	// Credential is presented to gatekeepers (checked against gridmaps).
-	Credential string
 	// MaxWallTime, if nonzero, is injected as the RSL maxwalltime of every
 	// submitted job: jobmanagers kill ranks that exceed it. Essential for
 	// fault experiments, where a network partition can leave ranks running
@@ -32,8 +30,6 @@ type JobHandle struct {
 	Host string
 	conn *virtual.Conn
 	proc *virtual.Process
-	// State is the last observed job state.
-	State string
 	// FailReason holds the error text for StateFailed.
 	FailReason string
 }
@@ -50,12 +46,11 @@ func (cl *Client) Submit(gatekeeperHost string, port netsim.Port, rsl *RSL, rank
 		return nil, fmt.Errorf("globus: submit to %s: %w", gatekeeperHost, err)
 	}
 	req := &submitReq{
-		rslText:    rsl.String(),
-		rank:       rank,
-		count:      count,
-		hosts:      hosts,
-		basePort:   basePort,
-		credential: cl.Credential,
+		rslText:  rsl.String(),
+		rank:     rank,
+		count:    count,
+		hosts:    hosts,
+		basePort: basePort,
 	}
 	if err := conn.Send(len(req.rslText)+64, req); err != nil {
 		return nil, fmt.Errorf("globus: submit to %s: %w", gatekeeperHost, err)
@@ -64,7 +59,7 @@ func (cl *Client) Submit(gatekeeperHost string, port netsim.Port, rsl *RSL, rank
 		r.Event(trace.CatGlobus, "submit", trace.Attr{
 			Host: gatekeeperHost, Detail: fmt.Sprintf("rank %d/%d", rank, count)})
 	}
-	return &JobHandle{Host: gatekeeperHost, conn: conn, proc: cl.Proc, State: StatePending}, nil
+	return &JobHandle{Host: gatekeeperHost, conn: conn, proc: cl.Proc}, nil
 }
 
 // NextState blocks for the next status notification.
@@ -77,7 +72,6 @@ func (j *JobHandle) NextState() (string, error) {
 	if !ok {
 		return "", fmt.Errorf("globus: job on %s: malformed status", j.Host)
 	}
-	j.State = st.state
 	j.FailReason = st.err
 	if r := j.proc.Proc().Engine().Recorder(); r.Enabled(trace.CatGlobus) {
 		r.Event(trace.CatGlobus, "job-state", trace.Attr{Host: j.Host, Detail: st.state})
@@ -116,7 +110,6 @@ func (j *JobHandle) NextStateTimeout(d simcore.Duration) (state string, timedOut
 	if !ok {
 		return "", false, fmt.Errorf("globus: job on %s: malformed status", j.Host)
 	}
-	j.State = st.state
 	j.FailReason = st.err
 	if r := j.proc.Proc().Engine().Recorder(); r.Enabled(trace.CatGlobus) {
 		r.Event(trace.CatGlobus, "job-state", trace.Attr{Host: j.Host, Detail: st.state})
@@ -133,8 +126,6 @@ func (j *JobHandle) Cancel() { j.conn.Close() }
 // DUROC analog used to launch one MPI rank per virtual host).
 type MultiJob struct {
 	Handles []*JobHandle
-	// Start is the virtual time the last subjob was submitted.
-	Start simcore.Time
 }
 
 // SubmitMPIJob submits executable as a count-wide MPI job with rank i on
@@ -168,7 +159,6 @@ func (cl *Client) SubmitMPIJob(server *gis.Server, executable string, hosts []st
 		}
 		mj.Handles = append(mj.Handles, handle)
 	}
-	mj.Start = cl.Proc.Gettimeofday()
 	return mj, nil
 }
 

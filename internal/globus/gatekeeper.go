@@ -65,12 +65,11 @@ type JobContext struct {
 
 // submitReq is the client→gatekeeper submission message.
 type submitReq struct {
-	rslText    string
-	rank       int
-	count      int
-	hosts      []string
-	basePort   netsim.Port
-	credential string
+	rslText  string
+	rank     int
+	count    int
+	hosts    []string
+	basePort netsim.Port
 }
 
 // statusMsg is the jobmanager→client notification.
@@ -79,17 +78,12 @@ type statusMsg struct {
 	err   string
 }
 
-// Gatekeeper authenticates submissions on a virtual host and hands them to
-// a jobmanager.
+// Gatekeeper accepts submissions on a virtual host and hands them to a
+// jobmanager.
 type Gatekeeper struct {
-	Host *virtual.Host
-	Port netsim.Port
-	// Gridmap is the set of authorized credentials; empty means allow all
-	// (convenient for experiments).
-	Gridmap  map[string]bool
+	Host     *virtual.Host
+	Port     netsim.Port
 	registry *Registry
-	ln       *virtual.Listener
-	closed   bool
 	// Stats
 	Submitted, Rejected int64
 }
@@ -106,12 +100,6 @@ func StartGatekeeper(host *virtual.Host, port netsim.Port, registry *Registry) (
 		if err != nil {
 			return
 		}
-		gk.ln = ln
-		if gk.closed {
-			// Closed before the daemon came up.
-			ln.Close()
-			return
-		}
 		for {
 			conn, err := ln.Accept(p)
 			if err != nil {
@@ -124,18 +112,6 @@ func StartGatekeeper(host *virtual.Host, port netsim.Port, registry *Registry) (
 		return nil, fmt.Errorf("globus: gatekeeper on %s: %w", host.Name, err)
 	}
 	return gk, nil
-}
-
-// Close stops accepting new submissions. It may be called before the
-// simulation starts.
-func (gk *Gatekeeper) Close() {
-	if gk.closed {
-		return
-	}
-	gk.closed = true
-	if gk.ln != nil {
-		gk.ln.Close()
-	}
 }
 
 // handle processes one submission connection on a fresh handler process.
@@ -152,12 +128,6 @@ func (gk *Gatekeeper) handle(conn *virtual.Conn) {
 			return
 		}
 		p.ChargeMessage(m.Size)
-		// Authentication: the analog of the gatekeeper's gridmap check.
-		if len(gk.Gridmap) > 0 && !gk.Gridmap[req.credential] {
-			gk.Rejected++
-			_ = c.Send(16, &statusMsg{state: StateFailed, err: "authentication failed"})
-			return
-		}
 		rsl, err := ParseRSL(req.rslText)
 		if err != nil {
 			gk.Rejected++

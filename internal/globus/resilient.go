@@ -48,10 +48,6 @@ func (p SubmitRetryPolicy) withDefaults() SubmitRetryPolicy {
 type ResilientOutcome struct {
 	// Attempts is the number of submissions made (1 = no fault hit).
 	Attempts int
-	// Hosts is the host set of the final (successful or last) attempt.
-	Hosts []string
-	// BasePort is the rendezvous base of the final attempt.
-	BasePort netsim.Port
 }
 
 // RunMPIJobResilient submits a count-wide MPI job and shepherds it to
@@ -88,7 +84,6 @@ func (cl *Client) RunMPIJobResilient(server *gis.Server, configName, executable 
 				hosts[i] = avail[i%len(avail)]
 			}
 			port := basePort + netsim.Port((attempt-1)*pol.PortStride)
-			out.Hosts, out.BasePort = hosts, port
 			mj, err := cl.SubmitMPIJob(server, executable, hosts, port)
 			if err == nil {
 				if pol.StatusTimeout > 0 {

@@ -1,11 +1,10 @@
 // Package globus is the Grid middleware substrate the MicroGrid runs
 // underneath applications: a Globus-1.1-shaped stack with gatekeepers,
-// jobmanagers, an RSL subset, a gridmap authorization file, and GIS (MDS)
-// registration. As in the paper, "all gatekeeper, jobmanager and client
-// processes run on virtual hosts", so job submission crosses from the
-// physical into the virtual domain through the virtual gatekeeper, and
-// process creation is captured through the Globus resource-management
-// mechanisms.
+// jobmanagers, an RSL subset, and GIS (MDS) registration. As in the
+// paper, "all gatekeeper, jobmanager and client processes run on virtual
+// hosts", so job submission crosses from the physical into the virtual
+// domain through the virtual gatekeeper, and process creation is captured
+// through the Globus resource-management mechanisms.
 package globus
 
 import (

@@ -425,7 +425,7 @@ func TestRandomTrafficConservation(t *testing.T) {
 	eng := simcore.NewEngine(31)
 	g := testGrid(t, eng, n)
 	w, err := Launch(hostsOf(g, n), "chaos", 0, LaunchOptions{}, func(c *Comm) error {
-		rng := c.Proc().Proc().Engine().Rand()
+		rng := c.Proc().Proc().Engine().DeriveRand(fmt.Sprintf("rank%d", c.Rank()))
 		// Plan: sends[j] messages to rank j.
 		sends := make([]int, n)
 		total := 0

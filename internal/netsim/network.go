@@ -254,8 +254,7 @@ type Node struct {
 	// crashed makes the node drop every packet addressed to or routed
 	// through it (see SetCrashed).
 	crashed bool
-	// Stats per node.
-	Delivered int64
+	// Forwarded counts the packets this node routed onward.
 	Forwarded int64
 }
 

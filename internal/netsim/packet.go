@@ -410,7 +410,6 @@ func (n *Node) receive(pkt *Packet) {
 		ifc.channel().send(pkt)
 		return
 	}
-	n.Delivered++
 	n.stats.PacketsDelivered++
 	n.stats.BytesDelivered += int64(pkt.Size)
 	n.demux(pkt)

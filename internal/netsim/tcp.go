@@ -56,7 +56,7 @@ func (n *Node) Listen(port Port) (*Listener, error) {
 	if _, dup := n.listeners[port]; dup {
 		return nil, fmt.Errorf("netsim: %s port %d already listening", n.Name, port)
 	}
-	l := &Listener{node: n, port: port, backlog: simcore.NewQueue[*Conn](n.eng, 0)}
+	l := &Listener{node: n, port: port, backlog: simcore.NewQueue[*Conn](n.eng)}
 	if n.listeners == nil {
 		n.listeners = make(map[Port]*Listener)
 	}
@@ -101,13 +101,11 @@ type Message struct {
 
 // ConnStats counts transport events on one connection endpoint.
 type ConnStats struct {
-	MsgsSent, MsgsRecv    int64
-	BytesSent, BytesRecv  int64
-	SegmentsSent          int64
-	Retransmits           int64
-	FastRetransmits       int64
-	Timeouts              int64
-	AcksReceived, DupAcks int64
+	MsgsSent     int64
+	BytesSent    int64
+	SegmentsSent int64
+	Retransmits  int64
+	AcksReceived int64
 }
 
 // Conn is one endpoint of a reliable, ordered, message-framed stream over
@@ -175,7 +173,7 @@ func newConn(n *Node, key connKey) *Conn {
 		sndSpace:  simcore.NewCond(n.eng),
 		rto:       initialRTO,
 		srtt:      -1,
-		rcvQ:      simcore.NewQueue[Message](n.eng, 0),
+		rcvQ:      simcore.NewQueue[Message](n.eng),
 	}
 	if n.conns == nil {
 		n.conns = make(map[connKey]*Conn)
@@ -499,8 +497,6 @@ func (c *Conn) Recv(p *simcore.Proc) (Message, error) {
 	if !ok {
 		return Message{}, ErrClosed
 	}
-	c.Stats.MsgsRecv++
-	c.Stats.BytesRecv += int64(m.Size)
 	return m, nil
 }
 
@@ -513,8 +509,6 @@ func (c *Conn) RecvTimeout(p *simcore.Proc, d simcore.Duration) (m Message, time
 	if !ok {
 		return Message{}, false, ErrClosed
 	}
-	c.Stats.MsgsRecv++
-	c.Stats.BytesRecv += int64(m.Size)
 	return m, false, nil
 }
 
@@ -687,7 +681,6 @@ func (r *rtoTimer) fire() {
 }
 
 func (c *Conn) onTimeout() {
-	c.Stats.Timeouts++
 	c.consecTimeouts++
 	if c.consecTimeouts >= maxConsecTimeouts {
 		// The peer is unreachable (crashed host, partitioned link):
@@ -775,13 +768,11 @@ func (c *Conn) onACK(pkt *Packet) {
 		c.sndSpace.Broadcast()
 		c.trySend()
 	case pkt.Ack == c.sndUna && c.sndNxt > c.sndUna:
-		c.Stats.DupAcks++
 		c.dupAcks++
 		if c.fastRecovery {
 			c.cwnd += float64(c.mss) // inflate
 			c.trySend()
 		} else if c.dupAcks == 3 {
-			c.Stats.FastRetransmits++
 			inflight := float64(c.sndNxt - c.sndUna)
 			c.ssthresh = math.Max(inflight/2, 2*float64(c.mss))
 			c.retransmitFirst()

@@ -15,10 +15,8 @@ import (
 // TrafficGen is a running background-traffic source.
 type TrafficGen struct {
 	// Sent counts datagrams emitted.
-	Sent int64
-	// SentBytes counts payload bytes emitted.
-	SentBytes int64
-	stopped   bool
+	Sent    int64
+	stopped bool
 }
 
 // Stop ends the generator at its next send.
@@ -45,7 +43,6 @@ func StartCBR(src, dst *Node, port Port, rateBps float64, pktBytes int) (*Traffi
 				return
 			}
 			g.Sent++
-			g.SentBytes += int64(pktBytes)
 		}
 	})
 	pr.SetDaemon(true)

@@ -496,7 +496,7 @@ func parseGIS(opts []string, fail failFunc) (*GISRef, error) {
 }
 
 // workloadOptions lists the per-kind options; the submission options
-// (ranks, rph, sample, walltime, port, credential) apply to every kind.
+// (ranks, rph, sample, walltime, port) apply to every kind.
 var workloadOptions = map[string]string{
 	"npb":       "bench,class",
 	"cactus":    "edge,steps",
@@ -504,7 +504,7 @@ var workloadOptions = map[string]string{
 	"pingpong":  "bytes",
 }
 
-const commonWorkloadOptions = "ranks,rph,sample,walltime,port,credential"
+const commonWorkloadOptions = "ranks,rph,sample,walltime,port"
 
 func parseWorkload(toks []string, fail failFunc) (*Workload, error) {
 	if len(toks) == 0 {
@@ -567,8 +567,6 @@ func parseWorkload(toks []string, fail failFunc) (*Workload, error) {
 			w.MaxWallTime, err = time.ParseDuration(v)
 		case "port":
 			w.BasePort, err = strconv.Atoi(v)
-		case "credential":
-			w.Credential = v
 		}
 		if err != nil {
 			return nil, fail(opt, "bad %s: %v", k, err)

@@ -118,7 +118,6 @@ type Workload struct {
 	SamplePeriod simcore.Duration
 	MaxWallTime  simcore.Duration
 	BasePort     int
-	Credential   string
 }
 
 // RetrySpec mirrors globus.SubmitRetryPolicy: the resilient-submission
@@ -531,9 +530,6 @@ func (w *Workload) validate() error {
 	}
 	if w.BasePort < 0 || w.BasePort > 65535 {
 		return fmt.Errorf("port must be in 0..65535")
-	}
-	if !cleanString(w.Credential) {
-		return fmt.Errorf("credential must not contain quotes or newlines")
 	}
 	return nil
 }

@@ -33,7 +33,7 @@ topology
   link east uiuc0 100Mbps 25us
 end
 ranks ucsd0 uiuc0
-workload npb bench=BT class=S ranks=2 rph=1 sample=1s walltime=30s port=9000 credential="alice cert"
+workload npb bench=BT class=S ranks=2 rph=1 sample=1s walltime=30s port=9000
 retry timeout=1.5s attempts=3 backoff=100ms jitter=10ms portstride=64
 trace categories=net,mpi buf=4096
 chaos
@@ -76,7 +76,7 @@ func TestParseFull(t *testing.T) {
 		t.Fatalf("ranks: %v", s.HostRanks)
 	}
 	w := s.Workload
-	if w.Kind != "npb" || w.Bench != "BT" || w.Class != 'S' || w.Credential != "alice cert" {
+	if w.Kind != "npb" || w.Bench != "BT" || w.Class != 'S' {
 		t.Fatalf("workload: %+v", w)
 	}
 	if s.Retry.MaxAttempts != 3 || s.Retry.StatusTimeout != 1500*simcore.Millisecond {
@@ -146,6 +146,9 @@ func TestErrorPositions(t *testing.T) {
 			`chaos: demo.scenario:5: crash needs 1 argument`},
 		{"scenario x\ntopology\n  host a 1.0.0.1\n", "unterminated topology section"},
 		{"scenario x\ntarget procs=2 cpu=1 name=\"unclosed\n", "unterminated quote"},
+		// credential= is no workload option: gatekeepers check no gridmap.
+		{"scenario x\ntarget procs=1 cpu=1\nworkload npb bench=BT class=S credential=x\n",
+			`scenario: demo.scenario:3: option "credential" does not apply to workload npb (at "credential=x")`},
 	}
 	for _, c := range cases {
 		_, err := ParseAt("demo.scenario", strings.NewReader(c.text))

@@ -214,8 +214,5 @@ func (w *Workload) write(b *strings.Builder) {
 	if w.BasePort != 0 {
 		fmt.Fprintf(b, " port=%d", w.BasePort)
 	}
-	if w.Credential != "" {
-		fmt.Fprintf(b, " credential=%s", quote(w.Credential))
-	}
 	b.WriteString("\n")
 }

@@ -188,7 +188,6 @@ type Engine struct {
 	fifoHead int
 	seq      int64
 	procs    map[*Proc]struct{}
-	rng      *rand.Rand
 	stopped  bool
 	rec      *trace.Recorder
 	// baseSeed is the user-level seed shared by every shard of a run:
@@ -205,22 +204,16 @@ type Engine struct {
 	waiterFree *waiter
 }
 
-// NewEngine returns an engine with a deterministic random source derived
-// from seed.
+// NewEngine returns an engine whose DeriveRand streams derive from seed.
 func NewEngine(seed int64) *Engine {
 	return &Engine{
 		procs:    make(map[*Proc]struct{}),
-		rng:      rand.New(rand.NewSource(seed)),
 		baseSeed: seed,
 	}
 }
 
 // Now returns the current simulated time.
 func (e *Engine) Now() Time { return e.now }
-
-// Rand returns the engine's deterministic random source. It must only be
-// used from simulation processes or event callbacks, never concurrently.
-func (e *Engine) Rand() *rand.Rand { return e.rng }
 
 // DeriveRand returns a deterministic random stream for a named entity.
 // The stream's seed mixes the run's base seed with a hash of label only —

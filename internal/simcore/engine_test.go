@@ -279,7 +279,7 @@ func TestCondWaitTimeoutSignalWins(t *testing.T) {
 
 func TestQueuePutGet(t *testing.T) {
 	e := NewEngine(1)
-	q := NewQueue[any](e, 0)
+	q := NewQueue[any](e)
 	var got []int
 	e.Spawn("consumer", func(p *Proc) {
 		for i := 0; i < 3; i++ {
@@ -294,7 +294,7 @@ func TestQueuePutGet(t *testing.T) {
 	e.Spawn("producer", func(p *Proc) {
 		for i := 1; i <= 3; i++ {
 			p.Sleep(Millisecond)
-			q.Put(p, i)
+			q.TryPut(i)
 		}
 	})
 	if err := e.Run(); err != nil {
@@ -305,31 +305,9 @@ func TestQueuePutGet(t *testing.T) {
 	}
 }
 
-func TestQueueCapacityBlocksProducer(t *testing.T) {
-	e := NewEngine(1)
-	q := NewQueue[any](e, 2)
-	var putDone Time
-	e.Spawn("producer", func(p *Proc) {
-		q.Put(p, 1)
-		q.Put(p, 2)
-		q.Put(p, 3) // blocks until consumer drains one
-		putDone = p.Now()
-	})
-	e.Spawn("consumer", func(p *Proc) {
-		p.Sleep(20 * Millisecond)
-		q.Get(p)
-	})
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if putDone != Time(20*Millisecond) {
-		t.Fatalf("third Put completed at %v, want 20ms", putDone)
-	}
-}
-
 func TestQueueClose(t *testing.T) {
 	e := NewEngine(1)
-	q := NewQueue[any](e, 0)
+	q := NewQueue[any](e)
 	var ok bool
 	e.Spawn("consumer", func(p *Proc) {
 		_, ok = q.Get(p)
@@ -348,7 +326,7 @@ func TestQueueClose(t *testing.T) {
 
 func TestQueueGetTimeout(t *testing.T) {
 	e := NewEngine(1)
-	q := NewQueue[any](e, 0)
+	q := NewQueue[any](e)
 	e.Spawn("c", func(p *Proc) {
 		_, ok, timedOut := q.GetTimeout(p, 5*Millisecond)
 		if ok || !timedOut {
@@ -365,7 +343,7 @@ func TestQueueGetTimeout(t *testing.T) {
 
 func TestQueueGetTimeoutValueArrives(t *testing.T) {
 	e := NewEngine(1)
-	q := NewQueue[any](e, 0)
+	q := NewQueue[any](e)
 	e.Spawn("c", func(p *Proc) {
 		v, ok, timedOut := q.GetTimeout(p, 50*Millisecond)
 		if !ok || timedOut || v.(string) != "x" {
@@ -374,7 +352,7 @@ func TestQueueGetTimeoutValueArrives(t *testing.T) {
 	})
 	e.Spawn("p", func(p *Proc) {
 		p.Sleep(10 * Millisecond)
-		q.Put(p, "x")
+		q.TryPut("x")
 	})
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
@@ -382,19 +360,16 @@ func TestQueueGetTimeoutValueArrives(t *testing.T) {
 }
 
 func TestQueueTryPut(t *testing.T) {
-	e := NewEngine(1)
-	q := NewQueue[any](e, 1)
-	if !q.TryPut(1) {
-		t.Fatal("TryPut on empty bounded queue failed")
+	q := NewQueue[any](NewEngine(1))
+	if !q.TryPut(1) || !q.TryPut(2) {
+		t.Fatal("TryPut on an open queue failed")
 	}
-	if q.TryPut(2) {
-		t.Fatal("TryPut over capacity succeeded")
+	q.Close()
+	if q.TryPut(3) {
+		t.Fatal("TryPut on a closed queue succeeded")
 	}
-	if q.Len() != 1 || q.pop().(int) != 1 {
-		t.Fatal("TryPut did not queue its item")
-	}
-	if !q.TryPut(3) {
-		t.Fatal("TryPut after a pop failed")
+	if q.Len() != 2 || q.items.pop().(int) != 1 {
+		t.Fatal("TryPut did not queue its items in order")
 	}
 }
 
@@ -403,15 +378,17 @@ func TestQueueTryPut(t *testing.T) {
 func TestDeterminism(t *testing.T) {
 	run := func() []string {
 		e := NewEngine(99)
-		q := NewQueue[any](e, 3)
+		q := NewQueue[any](e)
 		c := NewCond(e)
 		var trace []string
 		for i := 0; i < 5; i++ {
 			i := i
-			e.Spawn(fmt.Sprintf("prod%d", i), func(p *Proc) {
+			name := fmt.Sprintf("prod%d", i)
+			rng := e.DeriveRand(name)
+			e.Spawn(name, func(p *Proc) {
 				for j := 0; j < 10; j++ {
-					p.Sleep(Duration(e.Rand().Intn(1000)) * Microsecond)
-					q.Put(p, i*100+j)
+					p.Sleep(Duration(rng.Intn(1000)) * Microsecond)
+					q.TryPut(i*100 + j)
 				}
 			})
 		}
@@ -492,21 +469,20 @@ func TestPropertyEventOrder(t *testing.T) {
 	}
 }
 
-// Property: a bounded queue never holds more than its capacity, and every
-// item put is eventually got exactly once, in FIFO order per producer.
+// Property: every item put is eventually got exactly once, in FIFO order,
+// however puts in bursts interleave with gets.
 func TestPropertyQueueFIFO(t *testing.T) {
-	f := func(n uint8, capacity uint8) bool {
+	f := func(n uint8, burst uint8) bool {
 		items := int(n%64) + 1
-		cap := int(capacity%8) + 1
+		every := int(burst%8) + 1
 		e := NewEngine(11)
-		q := NewQueue[any](e, cap)
+		q := NewQueue[any](e)
 		var got []int
-		okAll := true
 		e.Spawn("prod", func(p *Proc) {
 			for i := 0; i < items; i++ {
-				q.Put(p, i)
-				if q.Len() > cap {
-					okAll = false
+				q.TryPut(i)
+				if i%every == 0 {
+					p.Sleep(Microsecond)
 				}
 			}
 			q.Close()
@@ -532,7 +508,7 @@ func TestPropertyQueueFIFO(t *testing.T) {
 				return false
 			}
 		}
-		return okAll
+		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
@@ -585,10 +561,10 @@ func TestRecorderLogEvents(t *testing.T) {
 
 func TestRandDeterministic(t *testing.T) {
 	draw := func() []int64 {
-		e := NewEngine(123)
+		r := NewEngine(123).DeriveRand("stream")
 		out := make([]int64, 5)
 		for i := range out {
-			out[i] = e.Rand().Int63()
+			out[i] = r.Int63()
 		}
 		return out
 	}
@@ -599,7 +575,7 @@ func TestRandDeterministic(t *testing.T) {
 		}
 	}
 	// A different seed gives a different stream.
-	c := NewEngine(124).Rand().Int63()
+	c := NewEngine(124).DeriveRand("stream").Int63()
 	if c == a[0] {
 		t.Fatal("seeds 123 and 124 coincide")
 	}

@@ -98,7 +98,7 @@ func TestSignalRedeliveredPastKilledWaiter(t *testing.T) {
 // consumer.
 func TestKillQueueConsumer(t *testing.T) {
 	eng := NewEngine(1)
-	q := NewQueue[any](eng, 0)
+	q := NewQueue[any](eng)
 	var got any
 	dead := eng.Spawn("dead-consumer", func(p *Proc) {
 		v, ok := q.Get(p)

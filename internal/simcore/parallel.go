@@ -68,10 +68,9 @@ type gevent struct {
 // independent of GOMAXPROCS or scheduling.
 //
 // Note that different shard counts are different simulations: shards own
-// disjoint seq spaces and random streams, so observable ordering is only
-// partition-independent for quantities ordered by (time, owner, per-owner
-// order) — see the merge tests. A single-shard ParallelEngine is the
-// exact serial simulation: shard 0 always uses the engine's own seed.
+// disjoint seq spaces, so observable ordering is only partition-independent
+// for quantities ordered by (time, owner, per-owner order) — see the merge
+// tests. A single-shard ParallelEngine is the exact serial simulation.
 type ParallelEngine struct {
 	shards []*Engine
 
@@ -115,13 +114,9 @@ type ParallelEngine struct {
 	panics  []any
 }
 
-// shardSeedMix spreads one user seed into per-shard seeds; shard 0 keeps
-// the seed itself so a 1-shard parallel run is the serial run.
-const shardSeedMix = int64(-0x61c8864680b583eb) // 2^64 / golden ratio
-
 // NewParallelEngine returns a conservative parallel engine with n shards
-// (n ≥ 1). Shard 0's random stream is derived from seed exactly as a
-// serial engine's would be; shards 1..n-1 use decorrelated seeds.
+// (n ≥ 1). Every shard derives its DeriveRand streams from seed, as a
+// serial engine would, so per-entity streams are partition-independent.
 func NewParallelEngine(seed int64, n int) *ParallelEngine {
 	if n < 1 {
 		panic(fmt.Sprintf("simcore: parallel engine needs at least 1 shard, got %d", n))
@@ -134,15 +129,7 @@ func NewParallelEngine(seed int64, n int) *ParallelEngine {
 		panics:  make([]any, n),
 	}
 	for i := range pe.shards {
-		s := seed
-		if i > 0 {
-			s = seed ^ int64(i)*shardSeedMix
-		}
-		sh := NewEngine(s)
-		// Every shard shares the user-level seed for DeriveRand so
-		// per-entity streams are partition-independent; only the legacy
-		// shard-local Rand() stream is decorrelated per shard.
-		sh.baseSeed = seed
+		sh := NewEngine(seed)
 		sh.pe = pe
 		sh.shard = i
 		pe.shards[i] = sh

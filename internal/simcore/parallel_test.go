@@ -13,16 +13,19 @@ import (
 
 // TestParallelSingleShardMatchesSerial runs the same process workload on
 // a plain Engine and a 1-shard ParallelEngine and requires identical
-// observable behavior: shard 0 uses the config seed itself, so a 1-shard
-// parallel run executes the same instruction stream as the plain Engine.
+// observable behavior: every shard derives its streams from the config
+// seed, so a 1-shard parallel run executes the same instruction stream as
+// the plain Engine.
 func TestParallelSingleShardMatchesSerial(t *testing.T) {
 	workload := func(eng *Engine, log *[]string) {
 		for i := 0; i < 3; i++ {
 			i := i
-			eng.Spawn(fmt.Sprintf("w%d", i), func(p *Proc) {
+			name := fmt.Sprintf("w%d", i)
+			rng := eng.DeriveRand(name)
+			eng.Spawn(name, func(p *Proc) {
 				for r := 0; r < 4; r++ {
 					p.Sleep(Duration(i+1) * Millisecond)
-					*log = append(*log, fmt.Sprintf("%s@%v r%d rng=%d", p.Name(), p.Now(), r, eng.Rand().Intn(1000)))
+					*log = append(*log, fmt.Sprintf("%s@%v r%d rng=%d", p.Name(), p.Now(), r, rng.Intn(1000)))
 				}
 			})
 		}
@@ -59,12 +62,14 @@ func runCross(t *testing.T, seed int64, shards int) []string {
 	queues := make([]*Queue[any], shards)
 	logs := make([][]string, shards)
 	for i := 0; i < shards; i++ {
-		queues[i] = NewQueue[any](pe.Shard(i), 0)
+		queues[i] = NewQueue[any](pe.Shard(i))
 	}
 	maxHops := 3 * shards
 	for i := 0; i < shards; i++ {
 		i := i
-		pe.Shard(i).Spawn(fmt.Sprintf("relay%d", i), func(p *Proc) {
+		name := fmt.Sprintf("relay%d", i)
+		rng := pe.Shard(i).DeriveRand(name)
+		pe.Shard(i).Spawn(name, func(p *Proc) {
 			for {
 				v, ok := queues[i].Get(p)
 				if !ok {
@@ -72,7 +77,7 @@ func runCross(t *testing.T, seed int64, shards int) []string {
 				}
 				hops := v.(int)
 				logs[i] = append(logs[i], fmt.Sprintf("hop%02d shard%d @%v rng=%d",
-					hops, i, p.Now(), pe.Shard(i).Rand().Intn(1000)))
+					hops, i, p.Now(), rng.Intn(1000)))
 				if hops >= maxHops {
 					pe.Stop()
 					return

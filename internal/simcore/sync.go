@@ -154,27 +154,20 @@ func (c *Cond) Broadcast() int {
 	return n
 }
 
-// Queue is a FIFO message queue in simulated time, the basic
-// producer/consumer channel between simulation processes. A capacity of 0
-// means unbounded. Items live by value in a ring, so a warm queue moves
-// them without allocating and keeps none it has handed out.
+// Queue is an unbounded FIFO message queue in simulated time, the basic
+// producer/consumer channel between simulation processes. Items live by
+// value in a ring, so a warm queue moves them without allocating and keeps
+// none it has handed out.
 type Queue[T any] struct {
 	eng      *Engine
-	cap      int
 	items    ring[T]
 	notEmpty *Cond
-	notFull  *Cond
 	closed   bool
 }
 
-// NewQueue returns a queue with the given capacity (0 = unbounded).
-func NewQueue[T any](eng *Engine, capacity int) *Queue[T] {
-	return &Queue[T]{
-		eng:      eng,
-		cap:      capacity,
-		notEmpty: NewCond(eng),
-		notFull:  NewCond(eng),
-	}
+// NewQueue returns an empty queue.
+func NewQueue[T any](eng *Engine) *Queue[T] {
+	return &Queue[T]{eng: eng, notEmpty: NewCond(eng)}
 }
 
 // Len reports the number of queued items.
@@ -184,31 +177,19 @@ func (q *Queue[T]) Len() int { return q.items.n }
 func (q *Queue[T]) Closed() bool { return q.closed }
 
 // Close marks the queue closed: pending and future Gets on an empty queue
-// return ok=false; Puts panic.
+// return ok=false; TryPuts fail.
 func (q *Queue[T]) Close() {
 	if q.closed {
 		return
 	}
 	q.closed = true
 	q.notEmpty.Broadcast()
-	q.notFull.Broadcast()
 }
 
-// Put appends v, blocking while the queue is at capacity.
-func (q *Queue[T]) Put(p *Proc, v T) {
-	for q.cap > 0 && q.items.n >= q.cap && !q.closed {
-		q.notFull.Wait(p)
-	}
-	if q.closed {
-		panic("simcore: Put on closed Queue")
-	}
-	q.items.push(v)
-	q.notEmpty.Signal(nil)
-}
-
-// TryPut appends v if there is room, reporting success. It never blocks.
+// TryPut appends v unless the queue is closed, reporting success. It
+// never blocks.
 func (q *Queue[T]) TryPut(v T) bool {
-	if q.closed || (q.cap > 0 && q.items.n >= q.cap) {
+	if q.closed {
 		return false
 	}
 	q.items.push(v)
@@ -225,7 +206,7 @@ func (q *Queue[T]) Get(p *Proc) (v T, ok bool) {
 	if q.items.n == 0 {
 		return v, false
 	}
-	return q.pop(), true
+	return q.items.pop(), true
 }
 
 // GetTimeout is Get with a deadline d from now; timedOut reports expiry.
@@ -246,12 +227,5 @@ func (q *Queue[T]) GetTimeout(p *Proc, d Duration) (v T, ok, timedOut bool) {
 	if q.items.n == 0 {
 		return v, false, false
 	}
-	return q.pop(), true, false
-}
-
-// pop removes the oldest item and wakes one blocked Put.
-func (q *Queue[T]) pop() T {
-	v := q.items.pop()
-	q.notFull.Signal(nil)
-	return v
+	return q.items.pop(), true, false
 }

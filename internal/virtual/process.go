@@ -16,9 +16,7 @@ type Process struct {
 	host *Host
 	proc *simcore.Proc
 	mem  *memmodel.ProcMem
-	// CPUTime accumulates virtual CPU consumed by this process.
-	CPUTime simcore.Duration
-	dead    bool
+	dead bool
 }
 
 // Spawn starts fn as a new process on the virtual host. The process's
@@ -125,9 +123,7 @@ func (p *Process) Compute(ops float64) {
 	}
 	h := p.host
 	h.acquireCPU(p.proc)
-	start := p.proc.Now()
 	h.task.Compute(p.proc, ops)
-	p.CPUTime += h.clock.ToVirtual(p.proc.Now().Sub(start))
 	h.releaseCPU()
 }
 

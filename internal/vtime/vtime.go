@@ -96,12 +96,6 @@ func (c *Clock) Gettimeofday() simcore.Time {
 	return simcore.Time(float64(phys)*c.rate + 0.5)
 }
 
-// ToVirtual converts a physical duration to the virtual duration that
-// elapses over it.
-func (c *Clock) ToVirtual(d simcore.Duration) simcore.Duration {
-	return simcore.Duration(float64(d)*c.rate + 0.5)
-}
-
 // ToPhysical converts a virtual duration to the physical duration needed
 // for it to elapse.
 func (c *Clock) ToPhysical(d simcore.Duration) simcore.Duration {

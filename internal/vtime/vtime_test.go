@@ -101,16 +101,21 @@ func TestNewClockInvalidRate(t *testing.T) {
 	NewClock(simcore.NewEngine(1), 0)
 }
 
-// Property: ToVirtual and ToPhysical are inverse within rounding for any
-// positive rate and duration.
+// Property: ToPhysical inverts the clock within rounding: after
+// ToPhysical(d) of engine time, Gettimeofday reads d, for any positive
+// rate and duration.
 func TestPropertyConversionRoundTrip(t *testing.T) {
-	e := simcore.NewEngine(1)
 	f := func(ms uint16, rateMilli uint16) bool {
 		rate := float64(rateMilli%5000+1) / 1000.0 // 0.001..5.0
+		e := simcore.NewEngine(1)
 		c := NewClock(e, rate)
 		d := simcore.Duration(ms) * simcore.Millisecond
-		back := c.ToPhysical(c.ToVirtual(d))
-		return math.Abs(float64(back-d)) <= math.Ceil(1/rate)+1
+		var back simcore.Time
+		e.After(c.ToPhysical(d), func() { back = c.Gettimeofday() })
+		if err := e.Run(); err != nil {
+			return false
+		}
+		return math.Abs(float64(back)-float64(d)) <= math.Ceil(rate)+1
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)

@@ -68,11 +68,8 @@ var keptAPI = map[string]string{
 	"virtual.Host.Down":              "crash tests read whether a host is down",
 	"virtual.Grid.PhysHost":          "virtual tests look up the physical host a virtual host maps to",
 
-	"gis.Entry.Remove":            "test-only: TestEntryRemove checks nothing else",
-	"globus.Gatekeeper.Close":     "test-only: TestGatekeeperClose checks nothing else",
-	"simcore.Engine.Rand":         "test-only: no product code draws from the engine's own stream",
-	"simcore.ParallelEngine.Stop": "test-only: ends the parallel relay test's run",
-	"simcore.Queue.Put":           "test-only: no product queue is bounded; the wake-order tests drive blocking puts",
+	"simcore.ParallelEngine.Stop": "test-only until a cancelled parallel run calls it (ROADMAP item 2); " +
+		"ends the parallel relay test's run",
 }
 
 // TestInternalAPIReachable fails on an exported func or method under
@@ -87,32 +84,7 @@ var keptAPI = map[string]string{
 // uses of the module's own objects matter. A method reached through one
 // of the module's interfaces counts as used when the interface method is.
 func TestInternalAPIReachable(t *testing.T) {
-	l := &apiLoader{fset: token.NewFileSet(), dirs: map[string]string{}, pkgs: map[string]*apiPkg{}}
-	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
-		if err != nil || !d.IsDir() {
-			return err
-		}
-		if path != "." && (d.Name() == "testdata" || strings.HasPrefix(d.Name(), ".")) {
-			return filepath.SkipDir
-		}
-		if goFiles, _ := filepath.Glob(filepath.Join(path, "*.go")); len(goFiles) > 0 {
-			l.dirs[importPath(path)] = path
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	paths := make([]string, 0, len(l.dirs))
-	for p := range l.dirs {
-		paths = append(paths, p)
-	}
-	sort.Strings(paths)
-	for _, p := range paths {
-		if _, err := l.load(p); err != nil {
-			t.Fatal(err)
-		}
-	}
+	l, paths := loadModule(t)
 
 	// The exported funcs and methods declared under internal/.
 	var decls []*types.Func
@@ -172,13 +144,41 @@ func TestInternalAPIReachable(t *testing.T) {
 		}
 	}
 
-	// A func is dead when every use comes from itself or from dead funcs;
-	// iterate until no new dead func appears.
+	// The first pass exempts keptAPI; the second grants it nothing, so a
+	// kept name that comes out live there is reached by non-test code and
+	// its entry is stale.
+	dead := deadFuncs(decls, refs, func(fn *types.Func) bool { return exempt(fn, viaInterface, true) })
+	deadUnkept := deadFuncs(decls, refs, func(fn *types.Func) bool { return exempt(fn, viaInterface, false) })
+	declared := map[string]bool{}
+	for i, fn := range decls {
+		name := apiName(fn)
+		declared[name] = true
+		if dead[i] {
+			t.Errorf("%s: %s has no non-test caller: delete it, or list it in keptAPI with the reason it stays",
+				l.fset.Position(fn.Pos()), name)
+		}
+		if _, kept := keptAPI[name]; kept && !deadUnkept[i] {
+			t.Errorf("%s: keptAPI lists %s, which non-test code reaches: drop its entry",
+				l.fset.Position(fn.Pos()), name)
+		}
+	}
+	for name := range keptAPI {
+		if !declared[name] {
+			t.Errorf("keptAPI lists %s, which is not declared", name)
+		}
+	}
+}
+
+// deadFuncs marks the funcs of decls whose every use comes from
+// themselves or from other dead funcs, iterating until no new dead func
+// appears. refs maps a func to the indexes in decls of its users, -1 for
+// any other code. Exempt funcs are never dead.
+func deadFuncs(decls []*types.Func, refs map[*types.Func][]int, exempt func(*types.Func) bool) []bool {
 	dead := make([]bool, len(decls))
 	for changed := true; changed; {
 		changed = false
 		for i, fn := range decls {
-			if dead[i] || exempt(fn, viaInterface) {
+			if dead[i] || exempt(fn) {
 				continue
 			}
 			live := false
@@ -190,30 +190,18 @@ func TestInternalAPIReachable(t *testing.T) {
 			}
 		}
 	}
-	declared := map[string]bool{}
-	for i, fn := range decls {
-		declared[apiName(fn)] = true
-		if dead[i] {
-			t.Errorf("%s: %s has no non-test caller: delete it, or list it in keptAPI with the reason it stays",
-				l.fset.Position(fn.Pos()), apiName(fn))
-		}
-	}
-	for name := range keptAPI {
-		if !declared[name] {
-			t.Errorf("keptAPI lists %s, which is not declared", name)
-		}
-	}
+	return dead
 }
 
 // exempt reports whether fn stays whatever its callers: a method the
-// standard library or one of the module's interfaces may call, or a name
-// in keptAPI.
-func exempt(fn *types.Func, viaInterface map[string]bool) bool {
+// standard library or one of the module's interfaces may call, or, when
+// kept is set, a name in keptAPI.
+func exempt(fn *types.Func, viaInterface map[string]bool, kept bool) bool {
 	if fn.Type().(*types.Signature).Recv() != nil && (stdlibMethods[fn.Name()] || viaInterface[fn.Name()]) {
 		return true
 	}
 	_, ok := keptAPI[apiName(fn)]
-	return ok
+	return kept && ok
 }
 
 // apiName renders fn as "pkg.Name" or "pkg.Recv.Name", pkg relative to
@@ -230,6 +218,248 @@ func apiName(fn *types.Func) string {
 		}
 	}
 	return name + fn.Name()
+}
+
+// keptFields lists the exported internal struct fields that break a rule
+// of TestInternalFieldsRead but stay: results and data a caller of the
+// package reads, and counters tests read to observe behaviour the program
+// keeps. Keys are "pkg.Type.Field".
+var keptFields = map[string]string{
+	"core.Report.Rate":              "public result: the emulation rate a MicroGrid.Run report carries",
+	"autopilot.Sample.T":            "public result: the virtual time of a sensor sample",
+	"globus.JobContext.RSL":         "application data: the parsed RSL handed to a job's entry point",
+	"mpi.Comm.Sent":                 "public result: a rank's message count",
+	"mpi.Comm.Received":             "public result: a rank's received-message count",
+	"mpi.Comm.BytesSent":            "public result: a rank's sent payload bytes",
+	"mpi.RankResult.Rank":           "public result: which rank a World result belongs to",
+	"mpi.RankResult.Comm":           "public result: a finished rank's communicator and its counters",
+	"netsim.ConnStats.MsgsSent":     "TCP tests count the messages a connection sent",
+	"netsim.ConnStats.BytesSent":    "TCP tests count the payload bytes a connection sent",
+	"netsim.ConnStats.SegmentsSent": "TCP tests count the segments a connection sent",
+	"netsim.ConnStats.Retransmits":  "loss tests read that lost segments were resent",
+	"netsim.ConnStats.AcksReceived": "TCP tests read that the peer acknowledged",
+	"netsim.Node.Forwarded":         "routing tests read that a router forwarded",
+	"netsim.TrafficGen.Sent":        "traffic tests count the packets a generator sent",
+	"globus.Gatekeeper.Submitted":   "gatekeeper tests count accepted submissions",
+	"globus.Gatekeeper.Rejected":    "gatekeeper tests count rejected submissions",
+	"simcore.Mutex.Contentions":     "mutex tests read that a lock was contended",
+	"autopilot.Sensor.Updates":      "autopilot tests count a sensor's updates",
+	"scengen.Meta.WANFlow":          "generator tests read that a grid has a flow-fidelity WAN",
+	"scengen.Meta.FlowNet":          "generator tests read that a grid runs flownet",
+	"scengen.Meta.PartitionMap":     "generator tests read a grid's host-to-shard map",
+}
+
+// TestInternalFieldsRead fails on an exported field of a struct type
+// declared under internal/ that non-test code (with the same surfaceTests
+// as TestInternalAPIReachable) never reads, or never writes. A field
+// nothing reads is state kept for nobody; a field nothing writes is a knob
+// no product sets, whose readers always see the zero value.
+//
+// A write is the target of =, op= or ++/--, or a composite-literal key,
+// or every field of a positional composite literal; in a.F.G++, F is read
+// and G is written. Taking a field's address counts as both, and so does
+// changing a struct or array field in place (F above, when it is a struct
+// and not a pointer). Every other use reads. Embedded fields and fields
+// with a json tag (the encoder reads them) are not checked, and neither
+// are names in keptFields.
+func TestInternalFieldsRead(t *testing.T) {
+	l, paths := loadModule(t)
+
+	// The exported fields of the struct types declared under internal/.
+	type field struct {
+		v    *types.Var
+		name string
+	}
+	var fields []field
+	for _, p := range paths {
+		if !strings.HasPrefix(p, "microgrid/internal/") {
+			continue
+		}
+		scope := l.pkgs[p].pkg.Scope()
+		for _, name := range scope.Names() {
+			tn, ok := scope.Lookup(name).(*types.TypeName)
+			if !ok {
+				continue
+			}
+			st, ok := tn.Type().Underlying().(*types.Struct)
+			if !ok {
+				continue
+			}
+			for i := 0; i < st.NumFields(); i++ {
+				if v := st.Field(i); v.Exported() && !v.Embedded() && !strings.Contains(st.Tag(i), `json:"`) {
+					fields = append(fields, field{v, strings.TrimPrefix(p, "microgrid/internal/") + "." + name + "." + v.Name()})
+				}
+			}
+		}
+	}
+	if len(fields) == 0 {
+		t.Fatal("no exported fields found under internal/")
+	}
+
+	read, written := map[*types.Var]bool{}, map[*types.Var]bool{}
+	for _, p := range paths {
+		pkg := l.pkgs[p]
+		for _, f := range pkg.files {
+			writes := map[ast.Expr]bool{} // expressions assigned to
+			both := map[ast.Expr]bool{}   // expressions changed in place or whose address is taken
+			keys := map[*ast.Ident]bool{} // composite-literal keys
+			// assign records a write to e and an in-place change to every
+			// struct or array value it lies in: a.F.G++ changes a.F too
+			// when F is a struct, not a pointer to one.
+			assign := func(e ast.Expr) {
+				e = ast.Unparen(e)
+				writes[e] = true
+				for {
+					var x ast.Expr
+					switch s := e.(type) {
+					case *ast.SelectorExpr:
+						x = s.X
+					case *ast.IndexExpr:
+						x = s.X
+					default:
+						return
+					}
+					x = ast.Unparen(x)
+					if !isValue(pkg.info.Types[x].Type) {
+						return
+					}
+					both[x] = true
+					e = x
+				}
+			}
+			ast.Inspect(f, func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.AssignStmt:
+					for _, e := range n.Lhs {
+						assign(e)
+					}
+				case *ast.IncDecStmt:
+					assign(n.X)
+				case *ast.RangeStmt:
+					if n.Tok == token.ASSIGN {
+						for _, e := range []ast.Expr{n.Key, n.Value} {
+							if e != nil {
+								assign(e)
+							}
+						}
+					}
+				case *ast.UnaryExpr:
+					if n.Op == token.AND {
+						both[ast.Unparen(n.X)] = true
+					}
+				case *ast.CompositeLit:
+					typ := pkg.info.Types[n].Type
+					if typ == nil {
+						return true
+					}
+					st, ok := typ.Underlying().(*types.Struct)
+					if !ok {
+						return true
+					}
+					for i, e := range n.Elts {
+						if kv, ok := e.(*ast.KeyValueExpr); ok {
+							if id, ok := kv.Key.(*ast.Ident); ok {
+								keys[id] = true
+							}
+						} else if i < st.NumFields() {
+							written[st.Field(i).Origin()] = true
+						}
+					}
+				case *ast.SelectorExpr:
+					sel, ok := pkg.info.Selections[n]
+					if !ok || sel.Kind() == types.MethodExpr {
+						return true
+					}
+					v, ok := sel.Obj().(*types.Var)
+					if !ok {
+						return true
+					}
+					v = v.Origin()
+					switch {
+					case both[n]:
+						read[v], written[v] = true, true
+					case writes[n]:
+						written[v] = true
+					default:
+						read[v] = true
+					}
+				case *ast.Ident:
+					if v, ok := pkg.info.Uses[n].(*types.Var); ok && v.IsField() && keys[n] {
+						written[v.Origin()] = true
+					}
+				}
+				return true
+			})
+		}
+	}
+
+	declared := map[string]bool{}
+	for _, f := range fields {
+		v, name := f.v, f.name
+		declared[name] = true
+		pos := l.fset.Position(v.Pos())
+		_, kept := keptFields[name]
+		switch {
+		case kept && read[v] && written[v]:
+			t.Errorf("%s: keptFields lists %s, which non-test code reads and writes: drop its entry", pos, name)
+		case kept:
+		case !read[v]:
+			t.Errorf("%s: %s is never read outside tests: delete it, or list it in keptFields with the reason it stays", pos, name)
+		case !written[v]:
+			t.Errorf("%s: %s is never written outside tests: delete it, or list it in keptFields with the reason it stays", pos, name)
+		}
+	}
+	for name := range keptFields {
+		if !declared[name] {
+			t.Errorf("keptFields lists %s, which is not declared", name)
+		}
+	}
+}
+
+// isValue reports whether typ is a struct or array, whose fields and
+// elements live in the value itself.
+func isValue(typ types.Type) bool {
+	if typ == nil {
+		return false
+	}
+	switch typ.Underlying().(type) {
+	case *types.Struct, *types.Array:
+		return true
+	}
+	return false
+}
+
+// loadModule type-checks every package of the repository, perfbench's
+// module included, and returns the loader and the sorted import paths.
+func loadModule(t *testing.T) (*apiLoader, []string) {
+	t.Helper()
+	l := &apiLoader{fset: token.NewFileSet(), dirs: map[string]string{}, pkgs: map[string]*apiPkg{}}
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil || !d.IsDir() {
+			return err
+		}
+		if path != "." && (d.Name() == "testdata" || strings.HasPrefix(d.Name(), ".")) {
+			return filepath.SkipDir
+		}
+		if goFiles, _ := filepath.Glob(filepath.Join(path, "*.go")); len(goFiles) > 0 {
+			l.dirs[importPath(path)] = path
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	paths := make([]string, 0, len(l.dirs))
+	for p := range l.dirs {
+		paths = append(paths, p)
+	}
+	sort.Strings(paths)
+	for _, p := range paths {
+		if _, err := l.load(p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return l, paths
 }
 
 // importPath maps a directory of the repository to its import path
@@ -278,7 +508,12 @@ func (l *apiLoader) load(path string) (*apiPkg, error) {
 	if err != nil {
 		return nil, err
 	}
-	p := &apiPkg{info: &types.Info{Defs: map[*ast.Ident]types.Object{}, Uses: map[*ast.Ident]types.Object{}}}
+	p := &apiPkg{info: &types.Info{
+		Defs:       map[*ast.Ident]types.Object{},
+		Uses:       map[*ast.Ident]types.Object{},
+		Types:      map[ast.Expr]types.TypeAndValue{},
+		Selections: map[*ast.SelectorExpr]*types.Selection{},
+	}}
 	for _, e := range ents {
 		name := e.Name()
 		file := filepath.Join(dir, name)
