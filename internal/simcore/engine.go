@@ -529,7 +529,7 @@ func (e *Engine) runWindow(end Time) {
 			return
 		}
 		if e.rec.Enabled(trace.CatEngine) {
-			e.rec.Event(trace.CatEngine, "dispatch", trace.Attr{})
+			e.rec.Dispatch(int64(e.now))
 		}
 		e.dispatched++
 		ev.fn()

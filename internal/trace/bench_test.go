@@ -8,7 +8,7 @@ import "testing"
 //	go test -run '^$' -bench . -benchtime 1000000x -count 5 ./internal/trace
 //
 // Each uses a DefaultBufSize ring, the size a traced run records into: a
-// ring that fits in L1 would hide the cost of writing the slot.
+// ring that fits in L1 would hide the cost of writing the record.
 
 // BenchmarkRecordHop is one netsim hop record: an instant event with a
 // host, a link and a byte count, read off the virtual clock.
@@ -24,9 +24,20 @@ func BenchmarkRecordHop(b *testing.B) {
 	}
 }
 
-// BenchmarkRecordDispatch is the engine's per-event record: CatEngine
-// with no attributes, the most frequent record in a CatAll trace.
+// BenchmarkRecordDispatch is the engine's per-event record, the most
+// frequent record in a CatAll trace: Dispatch stores a head alone.
 func BenchmarkRecordDispatch(b *testing.B) {
+	r := NewRecorder(DefaultBufSize, CatAll)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		r.Dispatch(int64(i))
+	}
+}
+
+// BenchmarkRecordDispatchEvent is the same record through the generic
+// path: CatEngine with no attributes, read off the virtual clock and
+// stored in a full slot.
+func BenchmarkRecordDispatchEvent(b *testing.B) {
 	r := NewRecorder(DefaultBufSize, CatAll)
 	var now int64
 	r.SetClock(func() int64 { return now })

@@ -13,9 +13,11 @@ import (
 // TestRingMatchesReference drives a Recorder and a naive reference side
 // by side on seeded random schedules. The reference appends every
 // unmasked record to a slice and keeps the last N, so any slip in the
-// ring's slot choice, wrap, sequence numbering or field copy shows up as
-// a diff in Events, Snapshot, the counters or the sink's stream. The
-// sizes around chunkLen put the wrap on, before and after a chunk edge.
+// ring's head or slot choice, wrap, sequence numbering or field copy
+// shows up as a diff in Events, Snapshot, the counters or the sink's
+// stream. Dispatch records are mixed in, each expected as a plain
+// {CatEngine, "dispatch"} record. The sizes around chunkLen put the
+// wrap on, before and after a chunk edge.
 func TestRingMatchesReference(t *testing.T) {
 	for _, size := range []int{1, 2, 3, 7, 64, 1000, chunkLen - 1, chunkLen, chunkLen + 1, 3*chunkLen + 5} {
 		for seed := int64(1); seed <= 4; seed++ {
@@ -49,8 +51,9 @@ func checkRingAgainstReference(t *testing.T, size int, seed int64) {
 		now += int64(rng.Intn(3))
 		// Every field gets a value derived from k, so a field copied
 		// from the wrong record or left stale in a reused slot differs.
-		// A quarter of the records carry no attributes, as the engine's
-		// dispatch records do, so a slot reused by one must clear them.
+		// A quarter of the records carry no attributes. A third go
+		// through Dispatch, which stores a head and no slot, so the slot
+		// ring runs behind the head ring by a varying amount.
 		cat := cats[rng.Intn(len(cats))]
 		name := fmt.Sprintf("n%d", k)
 		var a Attr
@@ -63,10 +66,15 @@ func checkRingAgainstReference(t *testing.T, size int, seed int64) {
 		}
 		want := Event{Cat: cat, Name: name, Host: a.Host, Link: a.Link,
 			Rank: a.Rank, Peer: a.Peer, Bytes: a.Bytes, Detail: a.Detail}
-		if rng.Intn(2) == 0 {
+		switch rng.Intn(3) {
+		case 0:
+			cat = CatEngine
+			want = Event{T: now, Cat: CatEngine, Name: "dispatch"}
+			r.Dispatch(now)
+		case 1:
 			want.T = now
 			r.Event(cat, name, a)
-		} else {
+		default:
 			want.T, want.Dur = now-int64(rng.Intn(5)), int64(k+4)
 			r.Span(cat, name, want.T, want.Dur, a)
 		}
@@ -105,14 +113,69 @@ func checkRingAgainstReference(t *testing.T, size int, seed int64) {
 	}
 }
 
+// TestDispatchMatchesEvent feeds two recorders on one clock the same
+// records, except that each engine dispatch goes to one as Dispatch and
+// to the other as the generic Event(CatEngine, "dispatch", Attr{}). The
+// first stores those as heads alone, the second as full slots, and both
+// must export the same records and sink the same stream, across wraps
+// and with CatEngine masked off for a stretch.
+func TestDispatchMatchesEvent(t *testing.T) {
+	for _, size := range []int{1, 5, chunkLen + 3} {
+		rng := rand.New(rand.NewSource(int64(size)))
+		var now int64
+		var sunk [2][]Event
+		var recs [2]*Recorder
+		for i := range recs {
+			recs[i] = NewRecorder(size, CatAll)
+			recs[i].SetClock(func() int64 { return now })
+		}
+		n := 5*size + 100
+		for k := 0; k < n; k++ {
+			if k == n/3 {
+				for i, r := range recs {
+					r.SetSink(func(ev Event) { sunk[i] = append(sunk[i], ev) })
+					r.mask &^= CatEngine
+				}
+			}
+			if k == n/2 {
+				for _, r := range recs {
+					r.mask |= CatEngine
+				}
+			}
+			now += int64(rng.Intn(3))
+			if rng.Intn(3) != 0 {
+				recs[0].Dispatch(now)
+				recs[1].Event(CatEngine, "dispatch", Attr{})
+				continue
+			}
+			a := Attr{Host: fmt.Sprintf("h%d", k), Bytes: int64(k)}
+			for _, r := range recs {
+				r.Event(CatNet, "hop", a)
+			}
+		}
+		if a, b := recs[0].Snapshot(), recs[1].Snapshot(); !reflect.DeepEqual(a, b) {
+			t.Fatalf("size %d: Snapshot after Dispatch differs from after Event:\ngot  %+v\nwant %+v", size, a, b)
+		}
+		if !reflect.DeepEqual(sunk[0], sunk[1]) {
+			t.Fatalf("size %d: sink stream after Dispatch differs from after Event:\ngot  %+v\nwant %+v", size, sunk[0], sunk[1])
+		}
+	}
+}
+
 // TestRingAllocatesOnDemand pins what a ring costs before and while it
-// fills: building a 1<<20-event ring allocates only its chunk table, and
-// k records allocate ⌈k/chunkLen⌉ chunks, with nothing more once the
-// ring has wrapped. A slot is an Event without its 8-byte Seq (112 bytes
-// on 64-bit platforms).
+// fills: building a 1<<20-event ring allocates only its two chunk
+// tables; k records allocate ⌈k/chunkLen⌉ head chunks and the records
+// other than dispatches ⌈k/chunkLen⌉ slot chunks, with nothing more once
+// both rings have wrapped. A head and a slot together are an Event
+// without its 8-byte Seq (112 bytes on 64-bit platforms), so a ring's
+// bytes per record of capacity are those of the single-slot ring it
+// replaced.
 func TestRingAllocatesOnDemand(t *testing.T) {
-	if got, want := unsafe.Sizeof(slot{}), unsafe.Sizeof(Event{})-8; got != want {
-		t.Fatalf("slot is %d bytes, want %d", got, want)
+	if got := unsafe.Sizeof(head{}); got != 16 {
+		t.Fatalf("head is %d bytes, want 16", got)
+	}
+	if got, want := unsafe.Sizeof(head{})+unsafe.Sizeof(slot{}), unsafe.Sizeof(Event{})-8; got != want {
+		t.Fatalf("head+slot is %d bytes, want %d", got, want)
 	}
 	// A collection would count the runtime's own allocations too.
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
@@ -128,21 +191,47 @@ func TestRingAllocatesOnDemand(t *testing.T) {
 	const size = 4*chunkLen + 5
 	r = NewRecorder(size, CatAll)
 	a := Attr{Host: "vm0", Link: "vm0-switch", Bytes: 1500}
-	emitted := 0
-	for _, k := range []int{1, chunkLen - 1, 1, 2*chunkLen + 3, size, 3 * size} {
+	emitted, slotted := 0, 0
+	chunks := func(n int) int { return (min(n, size) + chunkLen - 1) / chunkLen }
+	// Each step emits k records, of which every every-th is a hop (a
+	// slot) and the rest dispatches (a head alone); every 0 means all
+	// dispatches.
+	for _, step := range []struct{ k, every int }{
+		{1, 1}, {chunkLen - 1, 1}, {1, 0}, {2*chunkLen + 3, 0},
+		{chunkLen, 2}, {size, 1}, {3 * size, 3}, {2 * size, 0},
+	} {
+		hops := 0
 		runtime.ReadMemStats(&before)
-		for i := 0; i < k; i++ {
-			r.Event(CatNet, "hop", a)
+		for i := 0; i < step.k; i++ {
+			if step.every != 0 && i%step.every == 0 {
+				r.Event(CatNet, "hop", a)
+				hops++
+			} else {
+				r.Dispatch(int64(i))
+			}
 		}
 		runtime.ReadMemStats(&after)
-		emitted += k
-		chunks := func(n int) int { return (min(n, size) + chunkLen - 1) / chunkLen }
-		want := chunks(emitted) - chunks(emitted-k)
+		emitted += step.k
+		slotted += hops
+		want := chunks(emitted) - chunks(emitted-step.k) + chunks(slotted) - chunks(slotted-hops)
 		if got := int(after.Mallocs - before.Mallocs); got != want {
-			t.Errorf("records %d..%d allocated %d objects, want %d chunks", emitted-k+1, emitted, got, want)
+			t.Errorf("records %d..%d (%d hops) allocated %d objects, want %d chunks",
+				emitted-step.k+1, emitted, hops, got, want)
 		}
 	}
 	if r.Emitted() != uint64(emitted) || len(r.Events()) != size {
 		t.Fatalf("Emitted %d, %d retained; want %d, %d", r.Emitted(), len(r.Events()), emitted, size)
+	}
+}
+
+// TestDispatchAllocatesNothing pins the engine's per-event record on a
+// warm ring: once the head ring has wrapped, Dispatch allocates nothing.
+func TestDispatchAllocatesNothing(t *testing.T) {
+	r := NewRecorder(chunkLen+5, CatAll)
+	for i := 0; i < 2*(chunkLen+5); i++ {
+		r.Dispatch(int64(i))
+	}
+	if got := testing.AllocsPerRun(1000, func() { r.Dispatch(1) }); got != 0 {
+		t.Fatalf("Dispatch into a wrapped ring allocated %v objects per call, want 0", got)
 	}
 }

@@ -11,12 +11,16 @@
 //
 // Records land in a bounded ring buffer: when it fills, the oldest
 // records are overwritten and a dropped-events counter advances. The
-// counter is part of every export — truncation is never silent. Each
-// record's fields are written straight into its ring slot, so recording
-// costs one slot write whether or not the record survives to export.
-// The ring's slots are allocated in fixed-length chunks the first time a
-// record lands in each, so a ring costs memory for the records it has
-// held rather than for its capacity.
+// counter is part of every export — truncation is never silent. Every
+// record writes a 16-byte head (time, category, slot index) into one
+// ring; a record with fields beyond those (every record but the
+// engine's per-event dispatch) also writes them straight into the next
+// 96-byte slot of a second ring of the same capacity, so the engine's
+// dispatch records, most of a fully traced run, cost one head write
+// whether or not they survive to export. Both rings are allocated in
+// fixed-length chunks the first time a record lands in each, so a ring
+// costs memory for the records it has held rather than for its
+// capacity.
 //
 // Recording is gated per category by a bitmask with a strict
 // zero-overhead-when-disabled fast path: a nil recorder or a masked-out
@@ -172,34 +176,93 @@ type Recorder struct {
 	now  func() int64
 	sink func(Event)
 	size int // ring capacity in records
-	// chunks holds the ring's slots, chunkLen to a chunk (the last may
-	// be shorter). A chunk is allocated when the first record lands in
-	// it, so a ring costs memory only for the records it has held.
-	chunks [][]slot
-	ci     int    // index of the chunk the write cursor is in
-	cur    []slot // chunks[ci]
-	off    int    // write cursor: the next record goes to cur[off]
-	seq    uint64
+	// heads holds one head per record. slots holds the rest of every
+	// record that is not an engine dispatch, in emission order. Both
+	// have size elements: a retained record is followed by at most
+	// size-1 records, hence by at most size-1 slot writes, so its slot
+	// is never reused while its head is retained.
+	heads ring[head]
+	slots ring[slot]
+	seq   uint64
 }
 
-// slot is one stored record: an Event without its Seq, which the ring
-// position implies (the i-th oldest retained record is dropped+i+1).
+// head is the part of a record every record stores: its time, its
+// category and where the rest of it is. Its Seq is implied by the ring
+// position (the i-th oldest retained record is dropped+i+1).
+type head struct {
+	T   int64
+	si  int32 // 1 + the index of the record's slot; 0 for a dispatch
+	Cat Category
+}
+
+// slot is the rest of a record that is not an engine dispatch.
 type slot struct {
-	T, Dur, Bytes            int64
-	Rank, Peer               int
-	Cat                      Category
-	Name, Host, Link, Detail string
+	Name               string
+	Dur, Bytes         int64
+	Rank, Peer         int
+	Host, Link, Detail string
 }
 
-// event rebuilds the exported record with sequence number seq.
-func (s *slot) event(seq uint64) Event {
-	return Event{T: s.T, Seq: seq, Cat: s.Cat, Name: s.Name,
+// event rebuilds the exported record whose head is h, with sequence
+// number seq.
+func (r *Recorder) event(h *head, seq uint64) Event {
+	if h.si == 0 {
+		return Event{T: h.T, Seq: seq, Cat: h.Cat, Name: "dispatch"}
+	}
+	s := r.slots.at(int(h.si - 1))
+	return Event{T: h.T, Seq: seq, Cat: h.Cat, Name: s.Name,
 		Host: s.Host, Link: s.Link, Rank: s.Rank, Peer: s.Peer,
 		Bytes: s.Bytes, Dur: s.Dur, Detail: s.Detail}
 }
 
-// chunkLen is the ring's allocation unit in slots (112 KB a chunk).
+// ring is a circular array of size elements, stored in chunks of
+// chunkLen (the last may be shorter). A chunk is allocated when the
+// first element lands in it, so a ring costs memory only for the
+// elements it has held.
+type ring[E any] struct {
+	chunks [][]E
+	ci     int // index of the chunk the write cursor is in
+	cur    []E // chunks[ci]
+	off    int // write cursor: the next element goes to cur[off]
+}
+
+// chunkLen is a ring's allocation unit in elements (16 KB of heads and
+// 96 KB of slots a chunk).
 const chunkLen = 1024
+
+func newRing[E any](size int) ring[E] {
+	n := (size + chunkLen - 1) / chunkLen
+	// The cursor starts at the end of the last chunk, so the first
+	// element wraps it to chunk 0.
+	return ring[E]{chunks: make([][]E, n), ci: n - 1}
+}
+
+// nextChunk moves the write cursor to the start of the next chunk,
+// wrapping after the last, and allocates the chunk on its first use; a
+// ring of size elements has its last chunk cut to fit.
+func (q *ring[E]) nextChunk(size int) {
+	if q.ci++; q.ci == len(q.chunks) {
+		q.ci = 0
+	}
+	if q.chunks[q.ci] == nil {
+		q.chunks[q.ci] = make([]E, min(chunkLen, size-q.ci*chunkLen))
+	}
+	q.cur, q.off = q.chunks[q.ci], 0
+}
+
+// next returns the element under the write cursor, one past the last
+// written (the oldest once the ring has wrapped), and advances the
+// cursor.
+func (q *ring[E]) next(size int) *E {
+	if q.off == len(q.cur) {
+		q.nextChunk(size)
+	}
+	q.off++
+	return &q.cur[q.off-1]
+}
+
+// at returns the element at index i.
+func (q *ring[E]) at(i int) *E { return &q.chunks[i/chunkLen][i%chunkLen] }
 
 // DefaultBufSize is the default ring capacity in events.
 const DefaultBufSize = 1 << 16
@@ -211,8 +274,9 @@ const MaxBufSize = 1 << 24
 
 // NewRecorder returns a recorder with the given ring capacity
 // (DefaultBufSize if size <= 0) and initial category mask. It allocates
-// only the chunk table; slots are allocated as records arrive. A size
-// above MaxBufSize panics: callers check outside input against it.
+// only the two chunk tables; heads and slots are allocated as records
+// arrive. A size above MaxBufSize panics: callers check outside input
+// against it.
 func NewRecorder(size int, mask Category) *Recorder {
 	if size <= 0 {
 		size = DefaultBufSize
@@ -220,10 +284,7 @@ func NewRecorder(size int, mask Category) *Recorder {
 	if size > MaxBufSize {
 		panic(fmt.Sprintf("trace: ring of %d events exceeds MaxBufSize (%d)", size, MaxBufSize))
 	}
-	n := (size + chunkLen - 1) / chunkLen
-	// The cursor starts at the end of the last chunk, so the first
-	// record wraps it to chunk 0.
-	return &Recorder{mask: mask, size: size, chunks: make([][]slot, n), ci: n - 1}
+	return &Recorder{mask: mask, size: size, heads: newRing[head](size), slots: newRing[slot](size)}
 }
 
 // SetClock installs the virtual-time source (the owning engine's now).
@@ -264,6 +325,21 @@ func (r *Recorder) Event(cat Category, name string, a Attr) {
 	r.record(t, 0, cat, name, &a)
 }
 
+// Dispatch records the engine's dispatch of an event at virtual time t:
+// the record Event(CatEngine, "dispatch", Attr{}) makes at that time,
+// stored as a head alone.
+func (r *Recorder) Dispatch(t int64) {
+	if r == nil || r.mask&CatEngine == 0 {
+		return
+	}
+	r.seq++
+	h := r.heads.next(r.size)
+	*h = head{T: t, Cat: CatEngine}
+	if r.sink != nil {
+		r.sink(r.event(h, r.seq))
+	}
+}
+
 // Span records a completed span starting at virtual time start (ns) and
 // lasting dur. Spans are emitted when they end, so their Seq reflects
 // completion order while T is the start.
@@ -274,51 +350,36 @@ func (r *Recorder) Span(cat Category, name string, start, dur int64, a Attr) {
 	r.record(start, dur, cat, name, &a)
 }
 
-// record assigns the next sequence number and writes the fields straight
-// into the slot under the write cursor, which overwrites the oldest
-// record once the ring is full.
+// record assigns the next sequence number and writes the record's head
+// and its fields straight into the next head and slot, which overwrite
+// the oldest once the ring is full.
 func (r *Recorder) record(t, dur int64, cat Category, name string, a *Attr) {
-	if r.off == len(r.cur) {
-		r.nextChunk()
-	}
-	s := &r.cur[r.off]
-	r.off++
 	r.seq++
-	s.T, s.Cat, s.Name, s.Dur = t, cat, name, dur
+	h, s := r.heads.next(r.size), r.slots.next(r.size)
+	*h = head{T: t, si: int32(r.slots.ci*chunkLen + r.slots.off), Cat: cat}
+	s.Name, s.Dur = name, dur
 	s.Host, s.Link, s.Rank, s.Peer = a.Host, a.Link, a.Rank, a.Peer
 	s.Bytes, s.Detail = a.Bytes, a.Detail
 	if r.sink != nil {
-		r.sink(s.event(r.seq))
+		r.sink(r.event(h, r.seq))
 	}
-}
-
-// nextChunk moves the write cursor to the start of the next chunk,
-// wrapping after the last, and allocates the chunk on its first use.
-func (r *Recorder) nextChunk() {
-	if r.ci++; r.ci == len(r.chunks) {
-		r.ci = 0
-	}
-	if r.chunks[r.ci] == nil {
-		r.chunks[r.ci] = make([]slot, min(chunkLen, r.size-r.ci*chunkLen))
-	}
-	r.cur, r.off = r.chunks[r.ci], 0
 }
 
 // Events returns the retained events in emission order (oldest first).
 func (r *Recorder) Events() []Event {
 	out := make([]Event, r.retained())
 	dropped := r.seq - uint64(len(out))
-	// The oldest record is in slot 0 until the ring first fills, and
-	// under the write cursor from then on.
+	// The oldest record's head is at index 0 until the ring first fills,
+	// and under the write cursor from then on.
 	i := 0
 	if dropped > 0 {
-		i = r.ci*chunkLen + r.off
+		i = r.heads.ci*chunkLen + r.heads.off
 	}
 	for k := range out {
 		if i == r.size {
 			i = 0
 		}
-		out[k] = r.chunks[i/chunkLen][i%chunkLen].event(dropped + uint64(k) + 1)
+		out[k] = r.event(r.heads.at(i), dropped+uint64(k)+1)
 		i++
 	}
 	return out

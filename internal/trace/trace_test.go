@@ -57,6 +57,7 @@ func TestNilRecorderSafe(t *testing.T) {
 	// Emits on a nil recorder must be no-ops, not panics.
 	r.Event(CatNet, "hop", Attr{})
 	r.Span(CatCPU, "slice", 0, 1, Attr{})
+	r.Dispatch(0)
 }
 
 func TestRingDropCounting(t *testing.T) {
