@@ -298,8 +298,8 @@ func (h *hopEvent) fire() {
 		c.src.stats.PacketsSent++
 		if rec := c.src.eng.Recorder(); rec.Enabled(trace.CatNet) {
 			// Serialization occupies [now-txTime, now]; propagation follows.
-			rec.Span(trace.CatNet, "hop", int64(c.src.eng.Now())-int64(h.txTime), int64(h.txTime),
-				trace.Attr{Link: c.label(), Bytes: int64(h.pkt.Size), Detail: h.pkt.Kind.String()})
+			rec.Hop(int64(c.src.eng.Now())-int64(h.txTime), int64(h.txTime), int64(h.pkt.Size),
+				c.label(), h.pkt.Kind.String())
 		}
 		h.arrived = true
 		if c.dst.eng != c.src.eng {

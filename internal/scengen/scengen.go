@@ -53,16 +53,6 @@ type Meta struct {
 	// applies: no chaos and no lossy links, so both network modes model
 	// the same fault-free run.
 	FlowSafe bool
-	// WANFlow reports that the wide-area links were demoted to flow
-	// fidelity while the campus LANs stay packet-level — the mixed
-	// configuration large grids run at.
-	WANFlow bool
-	// FlowNet reports that the scenario selects whole-run flow-level
-	// network modeling in its own text (flownet).
-	FlowNet bool
-	// PartitionMap reports that the engine draw pins clusters to shards
-	// with an explicit `partition map` instead of automatic placement.
-	PartitionMap bool
 }
 
 // Generate expands seed into a scenario and its oracle metadata. The
@@ -167,7 +157,6 @@ func Generate(seed int64, opts Options) (*scenario.Scenario, *Meta) {
 	// away, so their interaction is not a lawful-agreement question.
 	if meta.FlowSafe && rng.Intn(3) == 0 {
 		flowWANLinks(spec, meta)
-		meta.WANFlow = true
 	}
 
 	// Whole-run flow network: the scenario's own text selects analytic
@@ -175,7 +164,6 @@ func Generate(seed int64, opts Options) (*scenario.Scenario, *Meta) {
 	// mgridrun's flow configuration.
 	if meta.FlowSafe && rng.Intn(6) == 0 {
 		s.FlowNetwork = true
-		meta.FlowNet = true
 	}
 
 	// Explicit placement: sometimes replace automatic placement with a
@@ -193,7 +181,6 @@ func Generate(seed int64, opts Options) (*scenario.Scenario, *Meta) {
 			assign[anchor] = (i + off) % s.EngineShards
 		}
 		s.Partition = &scenario.PartitionSpec{Assign: assign}
-		meta.PartitionMap = true
 	}
 
 	return s, meta

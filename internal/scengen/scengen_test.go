@@ -69,30 +69,32 @@ func TestGenerateDiversity(t *testing.T) {
 		default:
 			engines["parallel"]++
 		}
-		if meta.WANFlow {
+		// The new-surface draws show in the scenario itself: flow
+		// fidelity on the wide-area links, flownet, an explicit map.
+		wanFlow := false
+		for _, l := range s.Topology.Links {
+			if l.Fidelity == netsim.FidelityFlow {
+				wanFlow = true
+			} else if l.Fidelity != netsim.FidelityPacket && l.Fidelity != 0 {
+				t.Fatalf("seed %d: unexpected fidelity %v on %s–%s", seed, l.Fidelity, l.A, l.B)
+			}
+		}
+		if wanFlow {
 			surface["wan-fidelity"]++
-			found := false
-			for _, l := range s.Topology.Links {
-				if l.Fidelity == netsim.FidelityFlow {
-					found = true
-				} else if l.Fidelity != netsim.FidelityPacket && l.Fidelity != 0 {
-					t.Fatalf("seed %d: unexpected fidelity %v on %s–%s", seed, l.Fidelity, l.A, l.B)
-				}
-			}
-			if !found {
-				t.Fatalf("seed %d: WANFlow meta without any flow-fidelity link", seed)
+			if !meta.FlowSafe {
+				t.Fatalf("seed %d: flow-fidelity links on a draw with chaos or loss", seed)
 			}
 		}
-		if meta.FlowNet {
+		if s.FlowNetwork {
 			surface["flownet"]++
-			if !s.FlowNetwork {
-				t.Fatalf("seed %d: FlowNet meta without flownet", seed)
+			if !meta.FlowSafe {
+				t.Fatalf("seed %d: flownet on a draw with chaos or loss", seed)
 			}
 		}
-		if meta.PartitionMap {
+		if s.Partition != nil && !s.Partition.Auto {
 			surface["partition-map"]++
-			if s.Partition == nil || s.Partition.Auto || len(s.Partition.Assign) != meta.Clusters {
-				t.Fatalf("seed %d: PartitionMap meta but partition=%+v clusters=%d", seed, s.Partition, meta.Clusters)
+			if len(s.Partition.Assign) != meta.Clusters {
+				t.Fatalf("seed %d: partition map %+v for %d clusters", seed, s.Partition, meta.Clusters)
 			}
 		}
 	}

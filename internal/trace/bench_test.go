@@ -10,17 +10,28 @@ import "testing"
 // Each uses a DefaultBufSize ring, the size a traced run records into: a
 // ring that fits in L1 would hide the cost of writing the record.
 
-// BenchmarkRecordHop is one netsim hop record: an instant event with a
-// host, a link and a byte count, read off the virtual clock.
+// hopTx is the serialization time of a 1500-byte packet on a 100 Mb/s
+// link, in virtual nanoseconds.
+const hopTx = 120_000
+
+// BenchmarkRecordHop is netsim's per-hop record as netsim emits it: a
+// span over the packet's serialization with a link, a byte count and the
+// packet kind, through Hop, which packs it into one slot.
 func BenchmarkRecordHop(b *testing.B) {
 	r := NewRecorder(DefaultBufSize, CatAll)
-	var now int64
-	r.SetClock(func() int64 { return now })
-	a := Attr{Host: "vm0", Link: "vm0-switch", Bytes: 1500}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		now++
-		r.Event(CatNet, "hop", a)
+		r.Hop(int64(i)*hopTx, hopTx, 1500, "vm0->switch", "DATA")
+	}
+}
+
+// BenchmarkRecordHopSpan is the same record through the generic path:
+// Span(CatNet, "hop", ...) with an Attr, stored in two slots.
+func BenchmarkRecordHopSpan(b *testing.B) {
+	r := NewRecorder(DefaultBufSize, CatAll)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		r.Span(CatNet, "hop", int64(i)*hopTx, hopTx, Attr{Link: "vm0->switch", Bytes: 1500, Detail: "DATA"})
 	}
 }
 
@@ -36,7 +47,7 @@ func BenchmarkRecordDispatch(b *testing.B) {
 
 // BenchmarkRecordDispatchEvent is the same record through the generic
 // path: CatEngine with no attributes, read off the virtual clock and
-// stored in a full slot.
+// stored in two slots.
 func BenchmarkRecordDispatchEvent(b *testing.B) {
 	r := NewRecorder(DefaultBufSize, CatAll)
 	var now int64

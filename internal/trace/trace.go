@@ -12,11 +12,13 @@
 // Records land in a bounded ring buffer: when it fills, the oldest
 // records are overwritten and a dropped-events counter advances. The
 // counter is part of every export — truncation is never silent. Every
-// record writes a 16-byte head (time, category, slot index) into one
-// ring; a record with fields beyond those (every record but the
-// engine's per-event dispatch) also writes them straight into the next
-// 96-byte slot of a second ring of the same capacity, so the engine's
-// dispatch records, most of a fully traced run, cost one head write
+// record writes an 8-byte head into one ring: an engine dispatch's head
+// is its time, any other head holds its category and the index of its
+// first slot in a second ring of 48-byte slots with room for twice the
+// record capacity. A netsim hop writes its time, its duration and byte
+// count packed into one word, its link and its packet kind into one
+// slot; every other record writes its fields straight into two. So the
+// two records a fully traced run is mostly made of cost 8 and 56 bytes
 // whether or not they survive to export. Both rings are allocated in
 // fixed-length chunks the first time a record lands in each, so a ring
 // costs memory for the records it has held rather than for its
@@ -155,7 +157,9 @@ type Event struct {
 	Detail string
 }
 
-// Attr carries an Event's optional attributes to the emit calls.
+// Attr carries an Event's optional attributes to the emit calls. The
+// ring stores Rank and Peer in 32 bits each: a value outside the int32
+// range panics, naming the field.
 type Attr struct {
 	Host   string
 	Link   string
@@ -175,44 +179,73 @@ type Recorder struct {
 	mask Category
 	now  func() int64
 	sink func(Event)
-	size int // ring capacity in records
-	// heads holds one head per record. slots holds the rest of every
-	// record that is not an engine dispatch, in emission order. Both
-	// have size elements: a retained record is followed by at most
-	// size-1 records, hence by at most size-1 slot writes, so its slot
-	// is never reused while its head is retained.
+	// heads holds one head per record, size of them. slots holds the
+	// rest of every record that is not an engine dispatch, in emission
+	// order: one slot for a hop, two for any other record. It has 2*size
+	// elements: a retained record is followed by at most size-1 records,
+	// hence by at most 2*size-2 slot writes, so its slots are never
+	// reused while its head is retained.
 	heads ring[head]
 	slots ring[slot]
 	seq   uint64
 }
 
-// head is the part of a record every record stores: its time, its
-// category and where the rest of it is. Its Seq is implied by the ring
-// position (the i-th oldest retained record is dropped+i+1).
-type head struct {
-	T   int64
-	si  int32 // 1 + the index of the record's slot; 0 for a dispatch
-	Cat Category
+// head is the part of a record every record stores, one word. A
+// dispatch's head is its virtual time (a dispatch at a negative time
+// takes the generic form instead). Any other head has headTagged set and
+// holds the record's category in its low 32 bits, the index of its
+// first slot from bit slotShift, and headHop when the record is a hop,
+// which takes one slot. Its Seq is implied by the ring position (the
+// i-th oldest retained record is dropped+i+1).
+type head uint64
+
+const (
+	headTagged head = 1 << 63
+	headHop    head = 1 << 62
+	slotShift       = 32
+	// slotMask covers a slot index, which is below 2*MaxBufSize.
+	slotMask = 1<<30 - 1
+)
+
+// slot holds a record's fields beyond its head. A hop fills one:
+// a is its start, b its Dur and Bytes packed as Dur<<hopBytesBits|Bytes,
+// s0 its link and s1 its detail. Any other record that is not a
+// dispatch fills two in a row, the second wrapping to index 0 past the
+// ring's end: T, Dur, Name, Host; then Bytes, Rank<<32|Peer as two
+// 32-bit halves, Link, Detail.
+type slot struct {
+	a      int64
+	b      uint64
+	s0, s1 string
 }
 
-// slot is the rest of a record that is not an engine dispatch.
-type slot struct {
-	Name               string
-	Dur, Bytes         int64
-	Rank, Peer         int
-	Host, Link, Detail string
-}
+// hopBytesBits is the width of Bytes in a hop's packed word; Dur has the
+// other hopDurBits. A hop whose Dur or Bytes is negative or does not fit
+// takes the generic two-slot form.
+const (
+	hopBytesBits = 24
+	hopDurBits   = 64 - hopBytesBits
+)
 
 // event rebuilds the exported record whose head is h, with sequence
 // number seq.
-func (r *Recorder) event(h *head, seq uint64) Event {
-	if h.si == 0 {
-		return Event{T: h.T, Seq: seq, Cat: h.Cat, Name: "dispatch"}
+func (r *Recorder) event(h head, seq uint64) Event {
+	if h&headTagged == 0 {
+		return Event{T: int64(h), Seq: seq, Cat: CatEngine, Name: "dispatch"}
 	}
-	s := r.slots.at(int(h.si - 1))
-	return Event{T: h.T, Seq: seq, Cat: h.Cat, Name: s.Name,
-		Host: s.Host, Link: s.Link, Rank: s.Rank, Peer: s.Peer,
-		Bytes: s.Bytes, Dur: s.Dur, Detail: s.Detail}
+	i := int(h>>slotShift) & slotMask
+	s := r.slots.at(i)
+	if h&headHop != 0 {
+		return Event{T: s.a, Seq: seq, Cat: Category(h), Name: "hop", Link: s.s0,
+			Bytes: int64(s.b & (1<<hopBytesBits - 1)), Dur: int64(s.b >> hopBytesBits), Detail: s.s1}
+	}
+	if i++; i == r.slots.size {
+		i = 0
+	}
+	s2 := r.slots.at(i)
+	return Event{T: s.a, Seq: seq, Cat: Category(h), Name: s.s0,
+		Host: s.s1, Link: s2.s0, Rank: int(int32(s2.b >> 32)), Peer: int(int32(s2.b)),
+		Bytes: s2.a, Dur: int64(s.b), Detail: s2.s1}
 }
 
 // ring is a circular array of size elements, stored in chunks of
@@ -221,6 +254,7 @@ func (r *Recorder) event(h *head, seq uint64) Event {
 // elements it has held.
 type ring[E any] struct {
 	chunks [][]E
+	size   int
 	ci     int // index of the chunk the write cursor is in
 	cur    []E // chunks[ci]
 	off    int // write cursor: the next element goes to cur[off]
@@ -228,24 +262,24 @@ type ring[E any] struct {
 
 // chunkLen is a ring's allocation unit in elements (16 KB of heads and
 // 96 KB of slots a chunk).
-const chunkLen = 1024
+const chunkLen = 2048
 
 func newRing[E any](size int) ring[E] {
 	n := (size + chunkLen - 1) / chunkLen
 	// The cursor starts at the end of the last chunk, so the first
 	// element wraps it to chunk 0.
-	return ring[E]{chunks: make([][]E, n), ci: n - 1}
+	return ring[E]{chunks: make([][]E, n), size: size, ci: n - 1}
 }
 
 // nextChunk moves the write cursor to the start of the next chunk,
-// wrapping after the last, and allocates the chunk on its first use; a
-// ring of size elements has its last chunk cut to fit.
-func (q *ring[E]) nextChunk(size int) {
+// wrapping after the last, and allocates the chunk on its first use; the
+// last chunk is cut to fit the ring's size.
+func (q *ring[E]) nextChunk() {
 	if q.ci++; q.ci == len(q.chunks) {
 		q.ci = 0
 	}
 	if q.chunks[q.ci] == nil {
-		q.chunks[q.ci] = make([]E, min(chunkLen, size-q.ci*chunkLen))
+		q.chunks[q.ci] = make([]E, min(chunkLen, q.size-q.ci*chunkLen))
 	}
 	q.cur, q.off = q.chunks[q.ci], 0
 }
@@ -253,13 +287,17 @@ func (q *ring[E]) nextChunk(size int) {
 // next returns the element under the write cursor, one past the last
 // written (the oldest once the ring has wrapped), and advances the
 // cursor.
-func (q *ring[E]) next(size int) *E {
+func (q *ring[E]) next() *E {
 	if q.off == len(q.cur) {
-		q.nextChunk(size)
+		q.nextChunk()
 	}
 	q.off++
 	return &q.cur[q.off-1]
 }
+
+// cursor is the index of the write cursor; it equals size when the
+// cursor sits at the end of the last chunk.
+func (q *ring[E]) cursor() int { return q.ci*chunkLen + q.off }
 
 // at returns the element at index i.
 func (q *ring[E]) at(i int) *E { return &q.chunks[i/chunkLen][i%chunkLen] }
@@ -269,7 +307,7 @@ const DefaultBufSize = 1 << 16
 
 // MaxBufSize is the largest ring capacity in events. Sizes arrive from
 // scenario files, command-line flags and HTTP bodies, which validate
-// against it; a full ring of this size holds about 1.9 GB.
+// against it; a full ring of this size holds about 1.7 GB.
 const MaxBufSize = 1 << 24
 
 // NewRecorder returns a recorder with the given ring capacity
@@ -284,7 +322,7 @@ func NewRecorder(size int, mask Category) *Recorder {
 	if size > MaxBufSize {
 		panic(fmt.Sprintf("trace: ring of %d events exceeds MaxBufSize (%d)", size, MaxBufSize))
 	}
-	return &Recorder{mask: mask, size: size, heads: newRing[head](size), slots: newRing[slot](size)}
+	return &Recorder{mask: mask, heads: newRing[head](size), slots: newRing[slot](2 * size)}
 }
 
 // SetClock installs the virtual-time source (the owning engine's now).
@@ -310,7 +348,7 @@ func (r *Recorder) Emitted() uint64 { return r.seq }
 func (r *Recorder) Dropped() uint64 { return r.seq - uint64(r.retained()) }
 
 // retained is the number of records the ring holds.
-func (r *Recorder) retained() int { return int(min(r.seq, uint64(r.size))) }
+func (r *Recorder) retained() int { return int(min(r.seq, uint64(r.heads.size))) }
 
 // Event records an instant event at the current virtual time. Masked-out
 // categories return immediately.
@@ -332,11 +370,16 @@ func (r *Recorder) Dispatch(t int64) {
 	if r == nil || r.mask&CatEngine == 0 {
 		return
 	}
+	if t < 0 {
+		// Its head would read as a tagged one.
+		r.record(t, 0, CatEngine, "dispatch", &Attr{})
+		return
+	}
 	r.seq++
-	h := r.heads.next(r.size)
-	*h = head{T: t, Cat: CatEngine}
+	h := r.heads.next()
+	*h = head(t)
 	if r.sink != nil {
-		r.sink(r.event(h, r.seq))
+		r.sink(r.event(*h, r.seq))
 	}
 }
 
@@ -350,18 +393,44 @@ func (r *Recorder) Span(cat Category, name string, start, dur int64, a Attr) {
 	r.record(start, dur, cat, name, &a)
 }
 
-// record assigns the next sequence number and writes the record's head
-// and its fields straight into the next head and slot, which overwrite
-// the oldest once the ring is full.
-func (r *Recorder) record(t, dur int64, cat Category, name string, a *Attr) {
+// Hop records netsim's per-hop span: the record Span(CatNet, "hop",
+// start, dur, Attr{Link: link, Bytes: bytes, Detail: detail}) makes,
+// stored in one slot.
+func (r *Recorder) Hop(start, dur, bytes int64, link, detail string) {
+	if r == nil || r.mask&CatNet == 0 {
+		return
+	}
+	if uint64(dur) >= 1<<hopDurBits || uint64(bytes) >= 1<<hopBytesBits {
+		r.record(start, dur, CatNet, "hop", &Attr{Link: link, Bytes: bytes, Detail: detail})
+		return
+	}
 	r.seq++
-	h, s := r.heads.next(r.size), r.slots.next(r.size)
-	*h = head{T: t, si: int32(r.slots.ci*chunkLen + r.slots.off), Cat: cat}
-	s.Name, s.Dur = name, dur
-	s.Host, s.Link, s.Rank, s.Peer = a.Host, a.Link, a.Rank, a.Peer
-	s.Bytes, s.Detail = a.Bytes, a.Detail
+	h, s := r.heads.next(), r.slots.next()
+	*h = headTagged | headHop | head(r.slots.cursor()-1)<<slotShift | head(CatNet)
+	s.a, s.b, s.s0, s.s1 = start, uint64(dur)<<hopBytesBits|uint64(bytes), link, detail
 	if r.sink != nil {
-		r.sink(r.event(h, r.seq))
+		r.sink(r.event(*h, r.seq))
+	}
+}
+
+// record assigns the next sequence number and writes the record's head
+// and its fields straight into the next head and the next two slots,
+// which overwrite the oldest once the ring is full.
+func (r *Recorder) record(t, dur int64, cat Category, name string, a *Attr) {
+	if int(int32(a.Rank)) != a.Rank {
+		panic(fmt.Sprintf("trace: Attr.Rank %d does not fit in 32 bits", a.Rank))
+	}
+	if int(int32(a.Peer)) != a.Peer {
+		panic(fmt.Sprintf("trace: Attr.Peer %d does not fit in 32 bits", a.Peer))
+	}
+	r.seq++
+	h, s := r.heads.next(), r.slots.next()
+	*h = headTagged | head(r.slots.cursor()-1)<<slotShift | head(cat)
+	s.a, s.b, s.s0, s.s1 = t, uint64(dur), name, a.Host
+	s = r.slots.next()
+	s.a, s.b, s.s0, s.s1 = a.Bytes, uint64(uint32(a.Rank))<<32|uint64(uint32(a.Peer)), a.Link, a.Detail
+	if r.sink != nil {
+		r.sink(r.event(*h, r.seq))
 	}
 }
 
@@ -373,13 +442,13 @@ func (r *Recorder) Events() []Event {
 	// and under the write cursor from then on.
 	i := 0
 	if dropped > 0 {
-		i = r.heads.ci*chunkLen + r.heads.off
+		i = r.heads.cursor()
 	}
 	for k := range out {
-		if i == r.size {
+		if i == r.heads.size {
 			i = 0
 		}
-		out[k] = r.event(r.heads.at(i), dropped+uint64(k)+1)
+		out[k] = r.event(*r.heads.at(i), dropped+uint64(k)+1)
 		i++
 	}
 	return out
@@ -398,7 +467,7 @@ type Run struct {
 func (r *Recorder) Snapshot() Run {
 	return Run{
 		Label:   r.Label,
-		BufSize: r.size,
+		BufSize: r.heads.size,
 		Emitted: r.seq,
 		Dropped: r.Dropped(),
 		Events:  r.Events(),

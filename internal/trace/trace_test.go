@@ -58,6 +58,7 @@ func TestNilRecorderSafe(t *testing.T) {
 	r.Event(CatNet, "hop", Attr{})
 	r.Span(CatCPU, "slice", 0, 1, Attr{})
 	r.Dispatch(0)
+	r.Hop(0, 1, 1500, "l", "data")
 }
 
 func TestRingDropCounting(t *testing.T) {

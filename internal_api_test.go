@@ -244,9 +244,6 @@ var keptFields = map[string]string{
 	"globus.Gatekeeper.Rejected":    "gatekeeper tests count rejected submissions",
 	"simcore.Mutex.Contentions":     "mutex tests read that a lock was contended",
 	"autopilot.Sensor.Updates":      "autopilot tests count a sensor's updates",
-	"scengen.Meta.WANFlow":          "generator tests read that a grid has a flow-fidelity WAN",
-	"scengen.Meta.FlowNet":          "generator tests read that a grid runs flownet",
-	"scengen.Meta.PartitionMap":     "generator tests read a grid's host-to-shard map",
 }
 
 // TestInternalFieldsRead fails on an exported field of a struct type
