@@ -525,12 +525,14 @@ func BenchmarkPartitionedFig14(b *testing.B) {
 // build and run the committed 100k-host example (a generated star grid,
 // flow-fidelity wide area, NPB MG on an 8-rank working set) and report
 // allocated bytes per DECLARED host. Laziness is the whole claim —
-// an untouched declaration costs about 600 bytes (its netsim node, its
-// access link without channels, their map entries and interface slots,
-// and the generated spec entry it was wired from), not a scheduler,
-// gatekeeper daemon, and GIS row each — so CI holds bytes/host under an absolute ceiling
-// (cmd/benchjson -ceiling), which a regression to eager materialization
-// or to per-host configuration copies would blow past.
+// an untouched declaration costs about 500 bytes (its netsim node with
+// no transport state, its access link without channels and pointing at
+// a config shared with the other access links, their map entries and
+// interface slots, and the generated spec entry it was wired from), not
+// a scheduler, gatekeeper daemon, and GIS row each — so CI holds
+// bytes/host under an absolute ceiling (cmd/benchjson -ceiling), which
+// a regression to eager materialization or to per-host configuration
+// copies would blow past.
 func BenchmarkScale100k(b *testing.B) {
 	data, err := os.ReadFile("examples/scale-100k/scale100k.scenario")
 	if err != nil {

@@ -96,7 +96,7 @@ func TestCrashRebootFreshConnections(t *testing.T) {
 		}
 		eng.Spawn("server", func(p *simcore.Proc) {
 			p.SetDaemon(true)
-			ln := b.listeners[5000]
+			ln := b.ep.listeners[5000]
 			c, err := ln.Accept(p)
 			if err != nil {
 				return

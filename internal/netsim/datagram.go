@@ -13,10 +13,11 @@ type DatagramHandler func(src Addr, srcPort Port, size int, payload any)
 
 // HandleDatagrams registers h for datagrams addressed to port.
 func (n *Node) HandleDatagrams(port Port, h DatagramHandler) {
-	if n.handlers == nil {
-		n.handlers = make(map[Port]DatagramHandler)
+	ep := n.endpoints()
+	if ep.handlers == nil {
+		ep.handlers = make(map[Port]DatagramHandler)
 	}
-	n.handlers[port] = h
+	ep.handlers[port] = h
 }
 
 // dgramKey identifies an in-flight datagram reassembly.
@@ -46,8 +47,9 @@ func (n *Node) SendDatagram(dst Addr, srcPort, dstPort Port, size int, payload a
 	if frags == 0 {
 		frags = 1
 	}
-	n.dgramID++
-	id := n.dgramID
+	ep := n.endpoints()
+	ep.dgramID++
+	id := ep.dgramID
 	remaining := size
 	for i := 0; i < frags; i++ {
 		p := min(maxPayload, remaining)
@@ -80,7 +82,11 @@ type dgramMeta struct {
 }
 
 func (n *Node) deliverDatagram(pkt *Packet) {
-	h, ok := n.handlers[pkt.DstPort]
+	var h DatagramHandler
+	ok := false
+	if n.ep != nil {
+		h, ok = n.ep.handlers[pkt.DstPort]
+	}
 	if !ok {
 		if rec := n.eng.Recorder(); rec.Enabled(trace.CatNet) {
 			rec.Event(trace.CatNet, "drop", trace.Attr{
@@ -96,20 +102,21 @@ func (n *Node) deliverDatagram(pkt *Packet) {
 		return
 	}
 	key := dgramKey{src: pkt.Src, srcPort: pkt.SrcPort, dstPort: pkt.DstPort, id: pkt.Ack}
-	if n.dgramFrags == nil {
-		n.dgramFrags = make(map[dgramKey]*dgramState)
+	ep := n.ep
+	if ep.dgramFrags == nil {
+		ep.dgramFrags = make(map[dgramKey]*dgramState)
 	}
-	st := n.dgramFrags[key]
+	st := ep.dgramFrags[key]
 	if st == nil {
 		st = &dgramState{}
-		n.dgramFrags[key] = st
+		ep.dgramFrags[key] = st
 	}
 	st.got++
 	if m, ok := pkt.Payload.(*dgramMeta); ok {
 		st.meta = m
 	}
 	if st.got == pkt.FragTotal && st.meta != nil {
-		delete(n.dgramFrags, key)
+		delete(ep.dgramFrags, key)
 		h(pkt.Src, pkt.SrcPort, st.meta.size, st.meta.payload)
 	}
 }

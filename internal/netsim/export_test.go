@@ -28,3 +28,15 @@ func (n *Network) OpenDirections() []string {
 	}
 	return out
 }
+
+// EndpointNodes lists, in index order, the nodes that hold transport
+// state (see Node.endpoints).
+func (n *Network) EndpointNodes() []*Node {
+	var out []*Node
+	for _, nd := range n.all {
+		if nd.ep != nil {
+			out = append(out, nd)
+		}
+	}
+	return out
+}

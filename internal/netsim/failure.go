@@ -50,10 +50,13 @@ func (l *Link) Down() bool { return l.down }
 // the original loss rate. Repeated Degrades rebase on the original
 // configuration rather than compounding. Packets already serializing
 // finish at their old rate; routes recompute with the new delay.
+//
+// The original config may be shared with other links (see Connect), so
+// Degrade never writes it: it keeps the shared pointer and gives the
+// link a config of its own.
 func (l *Link) Degrade(bwFactor, delayFactor, loss float64) {
 	if l.orig == nil {
-		o := l.Config
-		l.orig = &o
+		l.orig = l.Config
 	}
 	cfg := *l.orig
 	if bwFactor > 0 {
@@ -69,7 +72,7 @@ func (l *Link) Degrade(bwFactor, delayFactor, loss float64) {
 			Detail: fmt.Sprintf("bw=%.3g delay=%v loss=%.3g", cfg.BandwidthBps, cfg.Delay, cfg.LossProb),
 		})
 	}
-	l.applyConfig(cfg)
+	l.applyConfig(&cfg)
 }
 
 // DegradedDelay returns the propagation delay Degrade gives the link
@@ -89,12 +92,13 @@ func (l *Link) DegradedDelay(delayFactor float64) simcore.Duration {
 // Degraded reports whether the link currently runs degraded.
 func (l *Link) Degraded() bool { return l.orig != nil }
 
-// Restore reverts a Degrade to the original link configuration.
+// Restore reverts a Degrade to the original link configuration, sharing
+// it again with the links Connect gave it to.
 func (l *Link) Restore() {
 	if l.orig == nil {
 		return
 	}
-	cfg := *l.orig
+	cfg := l.orig
 	l.orig = nil
 	if rec := l.A.eng.Recorder(); rec.Enabled(trace.CatLink) {
 		rec.Event(trace.CatLink, "link-restore", trace.Attr{Link: l.label()})
@@ -102,11 +106,11 @@ func (l *Link) Restore() {
 	l.applyConfig(cfg)
 }
 
-func (l *Link) applyConfig(cfg LinkConfig) {
+func (l *Link) applyConfig(cfg *LinkConfig) {
 	l.Config = cfg
 	for _, c := range l.ch {
 		if c != nil {
-			c.cfg = cfg
+			c.cfg = *cfg
 		}
 	}
 	// Route costs changed; stale tables rebuild lazily. Cluster structure
@@ -133,20 +137,21 @@ func (n *Node) SetCrashed(crashed bool) {
 		}
 		rec.Event(trace.CatLink, name, trace.Attr{Host: n.Name})
 	}
-	if !crashed {
+	ep := n.ep
+	if !crashed || ep == nil {
 		return
 	}
 	// Deterministic teardown: listeners by port, then conns by key.
-	ports := make([]Port, 0, len(n.listeners))
-	for p := range n.listeners {
+	ports := make([]Port, 0, len(ep.listeners))
+	for p := range ep.listeners {
 		ports = append(ports, p)
 	}
 	sort.Slice(ports, func(i, j int) bool { return ports[i] < ports[j] })
 	for _, p := range ports {
-		n.listeners[p].Close()
+		ep.listeners[p].Close()
 	}
-	keys := make([]connKey, 0, len(n.conns))
-	for k := range n.conns {
+	keys := make([]connKey, 0, len(ep.conns))
+	for k := range ep.conns {
 		keys = append(keys, k)
 	}
 	sort.Slice(keys, func(i, j int) bool {
@@ -160,9 +165,9 @@ func (n *Node) SetCrashed(crashed bool) {
 		return ki.remotePort < kj.remotePort
 	})
 	for _, k := range keys {
-		n.conns[k].abort()
+		ep.conns[k].abort()
 	}
-	n.dgramFrags = nil
+	ep.dgramFrags = nil
 }
 
 // Crashed reports whether the node is crashed.

@@ -81,8 +81,12 @@ type Network struct {
 	// Connect take their next free element instead of allocating.
 	nodeSlab []Node
 	linkSlab []Link
-	autoID   uint32
-	routed   bool
+	// configs holds one completed LinkConfig per distinct value, which
+	// every link Connect made with that value points at. Only topology
+	// wiring calls Connect, before any engine runs, so it needs no lock.
+	configs map[LinkConfig]*LinkConfig
+	autoID  uint32
+	routed  bool
 	// hier is the hierarchical routing state (see routing.go); routeEpoch
 	// invalidates lazily built tables on link state changes, and routeMu
 	// serializes the lazy builds, which shards of a partitioned run share.
@@ -240,8 +244,19 @@ type Node struct {
 	// routing.go). Nodes that never send or forward allocate no routing
 	// state.
 	tab atomic.Pointer[localTab]
-	// Transport maps are nil until first use (reads of a nil map are
-	// safe), so declared-but-untouched hosts carry no endpoint state.
+	// ep is the node's transport state, nil until the first Listen,
+	// Dial, HandleDatagrams or SendDatagram (see endpoints), so
+	// declared-but-untouched hosts carry none. Read paths treat nil as
+	// empty.
+	ep *endpoints
+	// crashed makes the node drop every packet addressed to or routed
+	// through it (see SetCrashed).
+	crashed bool
+}
+
+// endpoints is a node's transport state. Its maps stay nil until first
+// use (reads of a nil map are safe).
+type endpoints struct {
 	handlers   map[Port]DatagramHandler
 	listeners  map[Port]*Listener
 	conns      map[connKey]*Conn
@@ -251,11 +266,16 @@ type Node struct {
 	// the source address, so per-node numbering is collision-free and —
 	// unlike a network-global counter — partition-independent).
 	dgramID int64
-	// crashed makes the node drop every packet addressed to or routed
-	// through it (see SetCrashed).
-	crashed bool
-	// Forwarded counts the packets this node routed onward.
-	Forwarded int64
+}
+
+// endpoints returns the node's transport state, allocating it on first
+// use. Only set-up code and the node's own engine call it, so each
+// node's state is written from one shard.
+func (nd *Node) endpoints() *endpoints {
+	if nd.ep == nil {
+		nd.ep = &endpoints{nextPort: 49152}
+	}
+	return nd.ep
 }
 
 // Engine returns the engine (shard) the node runs on.
@@ -303,20 +323,23 @@ func (ifc *iface) channel() *channel {
 }
 
 // Link is a full-duplex link between two nodes, made of two independent
-// directed channels. An idle link costs only its endpoints and config:
-// both attachments live inside the Link, and a direction's channel is
-// allocated by the first packet sent that way, copying the link's
-// current Config and failure state. Config and down are the one source
-// for routing, path queries and link events, which never open a channel.
+// directed channels. An idle link costs only its endpoints and a pointer
+// to its config, which it shares with every link Connect gave an equal
+// config: both attachments live inside the Link, and a direction's
+// channel is allocated by the first packet sent that way, copying the
+// link's current Config and failure state. Config and down are the one
+// source for routing, path queries and link events, which never open a
+// channel. Config is read-only: Degrade and Restore swap the pointer.
 type Link struct {
 	A, B   *Node
-	Config LinkConfig
+	Config *LinkConfig
 	// ends are A's and B's attachments, transmitting on ch[0] (A→B) and
 	// ch[1] (B→A); a nil channel has carried no packet yet.
 	ends [2]iface
 	ch   [2]*channel
 	down bool
-	// orig remembers the pre-Degrade configuration (nil when undegraded).
+	// orig remembers the pre-Degrade configuration, the one Connect
+	// shared out (nil when undegraded).
 	orig *LinkConfig
 }
 
@@ -326,7 +349,7 @@ func (l *Link) open(d int) *channel {
 	if d == 1 {
 		src, dst = l.B, l.A
 	}
-	c := &channel{src: src, dst: dst, cfg: l.Config, down: l.down}
+	c := &channel{src: src, dst: dst, cfg: *l.Config, down: l.down}
 	l.ch[d] = c
 	return c
 }
@@ -422,7 +445,7 @@ func (n *Network) addNode(name string, addr Addr, router bool) *Node {
 	// literal would stage the whole Node on the stack first.
 	nd.net, nd.Name, nd.Addr, nd.Router = n, name, addr, router
 	nd.eng, nd.stats, nd.pool = n.eng, &n.Stats, &n.pool
-	nd.idx, nd.nextPort = int32(len(n.all)), 49152
+	nd.idx = int32(len(n.all))
 	n.all = append(n.all, nd)
 	n.routed = false
 	return nd
@@ -494,7 +517,8 @@ func (n *Network) FindLink(a, b string) *Link {
 }
 
 // Connect joins a and b with a full-duplex link. Defaults are applied to
-// zero fields of cfg.
+// zero fields of cfg; the link shares the completed config with every
+// other link connected with an equal one.
 func (n *Network) Connect(a, b *Node, cfg LinkConfig) *Link {
 	if cfg.BandwidthBps <= 0 {
 		panic("netsim: link requires positive bandwidth")
@@ -505,8 +529,17 @@ func (n *Network) Connect(a, b *Node, cfg LinkConfig) *Link {
 	if cfg.QueueBytes == 0 {
 		cfg.QueueBytes = DefaultQueueBytes
 	}
+	shared := n.configs[cfg]
+	if shared == nil {
+		if n.configs == nil {
+			n.configs = make(map[LinkConfig]*LinkConfig)
+		}
+		shared = new(LinkConfig)
+		*shared = cfg
+		n.configs[cfg] = shared
+	}
 	l := next(&n.linkSlab)
-	l.A, l.B, l.Config = a, b, cfg
+	l.A, l.B, l.Config = a, b, shared
 	l.ends[0] = iface{node: a, link: l}
 	l.ends[1] = iface{node: b, link: l}
 	a.ifaces = append(a.ifaces, &l.ends[0])
@@ -527,7 +560,7 @@ func (n *Network) walk(a, b *Node, visit func(*LinkConfig) bool) bool {
 	hops := 0
 	for cur := a; cur != b; {
 		ifc := n.nextHop(cur, b.idx)
-		if ifc == nil || !visit(&ifc.link.Config) {
+		if ifc == nil || !visit(ifc.link.Config) {
 			return false
 		}
 		cur = ifc.peer()

@@ -406,7 +406,6 @@ func (n *Node) receive(pkt *Packet) {
 			n.freePacket(pkt)
 			return
 		}
-		n.Forwarded++
 		ifc.channel().send(pkt)
 		return
 	}

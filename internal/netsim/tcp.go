@@ -36,7 +36,7 @@ var ErrRefused = errors.New("netsim: connection refused")
 
 // connKey identifies a connection endpoint within a node. The Addr comes
 // first so the key packs into 8 bytes with no padding, which lets the
-// per-packet n.conns lookup use the runtime's 64-bit map fast path.
+// per-packet conns lookup use the runtime's 64-bit map fast path.
 type connKey struct {
 	remote     Addr
 	local      Port
@@ -53,14 +53,15 @@ type Listener struct {
 
 // Listen starts accepting connections on port.
 func (n *Node) Listen(port Port) (*Listener, error) {
-	if _, dup := n.listeners[port]; dup {
+	ep := n.endpoints()
+	if _, dup := ep.listeners[port]; dup {
 		return nil, fmt.Errorf("netsim: %s port %d already listening", n.Name, port)
 	}
 	l := &Listener{node: n, port: port, backlog: simcore.NewQueue[*Conn](n.eng)}
-	if n.listeners == nil {
-		n.listeners = make(map[Port]*Listener)
+	if ep.listeners == nil {
+		ep.listeners = make(map[Port]*Listener)
 	}
-	n.listeners[port] = l
+	ep.listeners[port] = l
 	return l, nil
 }
 
@@ -79,7 +80,7 @@ func (l *Listener) Close() {
 		return
 	}
 	l.closed = true
-	delete(l.node.listeners, l.port)
+	delete(l.node.ep.listeners, l.port)
 	l.backlog.Close()
 }
 
@@ -175,10 +176,11 @@ func newConn(n *Node, key connKey) *Conn {
 		srtt:      -1,
 		rcvQ:      simcore.NewQueue[Message](n.eng),
 	}
-	if n.conns == nil {
-		n.conns = make(map[connKey]*Conn)
+	ep := n.endpoints()
+	if ep.conns == nil {
+		ep.conns = make(map[connKey]*Conn)
 	}
-	n.conns[key] = c
+	ep.conns[key] = c
 	return c
 }
 
@@ -192,13 +194,14 @@ func (c *Conn) SRTT() simcore.Duration {
 
 // ephemeralPort allocates a local port for outbound connections.
 func (n *Node) ephemeralPort() Port {
+	ep := n.endpoints()
 	for {
-		p := n.nextPort
-		n.nextPort++
-		if n.nextPort == 0 {
-			n.nextPort = 49152
+		p := ep.nextPort
+		ep.nextPort++
+		if ep.nextPort == 0 {
+			ep.nextPort = 49152
 		}
-		if _, used := n.listeners[p]; !used {
+		if _, used := ep.listeners[p]; !used {
 			return p
 		}
 	}
@@ -217,7 +220,7 @@ func (n *Node) Dial(p *simcore.Proc, dst Addr, dstPort Port) (*Conn, error) {
 		c.estCond.Wait(p)
 	}
 	if c.closed {
-		delete(n.conns, key)
+		delete(n.ep.conns, key)
 		return nil, ErrRefused
 	}
 	return c, nil
@@ -257,9 +260,11 @@ func (n *Node) deliverTCP(pkt *Packet) {
 		n.onSYN(pkt)
 		return
 	}
-	key := connKey{local: pkt.DstPort, remote: pkt.Src, remotePort: pkt.SrcPort}
-	c, ok := n.conns[key]
-	if !ok {
+	var c *Conn
+	if n.ep != nil {
+		c = n.ep.conns[connKey{local: pkt.DstPort, remote: pkt.Src, remotePort: pkt.SrcPort}]
+	}
+	if c == nil {
 		if rec := n.eng.Recorder(); rec.Enabled(trace.CatNet) {
 			rec.Event(trace.CatNet, "drop", trace.Attr{
 				Host: n.Name, Bytes: int64(pkt.Size), Detail: pkt.Kind.dropDetail(dropNoConn)})
@@ -284,14 +289,17 @@ func (n *Node) deliverTCP(pkt *Packet) {
 }
 
 func (n *Node) onSYN(pkt *Packet) {
-	l, ok := n.listeners[pkt.DstPort]
-	if !ok {
+	var l *Listener
+	if n.ep != nil {
+		l = n.ep.listeners[pkt.DstPort]
+	}
+	if l == nil {
 		// No listener: silently drop (a real stack would RST; the dialer's
 		// SYN retries then give up and report ErrRefused).
 		return
 	}
 	key := connKey{local: pkt.DstPort, remote: pkt.Src, remotePort: pkt.SrcPort}
-	c, exists := n.conns[key]
+	c, exists := n.ep.conns[key]
 	if !exists {
 		c = newConn(n, key)
 		c.peer = pkt.Payload.(*Conn)
@@ -578,7 +586,7 @@ func (c *Conn) abort() {
 	c.rcvQ.Close()
 	c.estCond.Broadcast()
 	c.sndSpace.Broadcast()
-	delete(c.node.conns, c.key)
+	delete(c.node.ep.conns, c.key)
 }
 
 // trySend transmits new segments while the window allows.

@@ -149,7 +149,7 @@ func sameNetwork(x, y *netsim.Network) string {
 	}
 	for i, la := range x.Links() {
 		lb := y.Links()[i]
-		if la.A.Index() != lb.A.Index() || la.B.Index() != lb.B.Index() || la.Config != lb.Config {
+		if la.A.Index() != lb.A.Index() || la.B.Index() != lb.B.Index() || *la.Config != *lb.Config {
 			return "link " + la.A.Name + "--" + la.B.Name + " differs"
 		}
 	}

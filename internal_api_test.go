@@ -238,7 +238,6 @@ var keptFields = map[string]string{
 	"netsim.ConnStats.SegmentsSent": "TCP tests count the segments a connection sent",
 	"netsim.ConnStats.Retransmits":  "loss tests read that lost segments were resent",
 	"netsim.ConnStats.AcksReceived": "TCP tests read that the peer acknowledged",
-	"netsim.Node.Forwarded":         "routing tests read that a router forwarded",
 	"netsim.TrafficGen.Sent":        "traffic tests count the packets a generator sent",
 	"globus.Gatekeeper.Submitted":   "gatekeeper tests count accepted submissions",
 	"globus.Gatekeeper.Rejected":    "gatekeeper tests count rejected submissions",
