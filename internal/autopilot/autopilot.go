@@ -24,14 +24,11 @@ import (
 // Sensor is one monitored program variable.
 type Sensor struct {
 	value float64
-	// Updates counts Set/Add calls, a cheap liveness indicator.
-	Updates int64
 }
 
 // Set assigns the sensor value.
 func (s *Sensor) Set(v float64) {
 	s.value = v
-	s.Updates++
 }
 
 // Value returns the current value.

@@ -84,8 +84,6 @@ type Gatekeeper struct {
 	Host     *virtual.Host
 	Port     netsim.Port
 	registry *Registry
-	// Stats
-	Submitted, Rejected int64
 }
 
 // StartGatekeeper launches the gatekeeper daemon on host at port (0 =
@@ -130,17 +128,14 @@ func (gk *Gatekeeper) handle(conn *virtual.Conn) {
 		p.ChargeMessage(m.Size)
 		rsl, err := ParseRSL(req.rslText)
 		if err != nil {
-			gk.Rejected++
 			_ = c.Send(16, &statusMsg{state: StateFailed, err: err.Error()})
 			return
 		}
 		fn, ok := gk.registry.Lookup(rsl.Executable())
 		if !ok {
-			gk.Rejected++
 			_ = c.Send(16, &statusMsg{state: StateFailed, err: "no such executable " + rsl.Executable()})
 			return
 		}
-		gk.Submitted++
 		// Hand off to a jobmanager process, as GRAM does.
 		runJobManager(gk.Host, c, rsl, req, fn)
 	})

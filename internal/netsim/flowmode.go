@@ -60,7 +60,6 @@ func (c *channel) flowTransmit(pkt *Packet) {
 	c.Sent++
 	c.BytesSent += int64(pkt.Size)
 	c.busyTime += tx
-	c.src.stats.PacketsSent++
 	if rec := eng.Recorder(); rec.Enabled(trace.CatNet) {
 		rec.Event(trace.CatNet, "flow-hop", trace.Attr{
 			Link: c.label(), Bytes: int64(pkt.Size), Detail: pkt.Kind.String()})
@@ -106,7 +105,6 @@ func (c *Conn) flowSend(size int, payload any) error {
 	c.flowBusyUntil = end
 	arrival := end.Add(c.flowDelay)
 	peer := c.peer
-	c.Stats.SegmentsSent += int64(segs)
 	// A cross-shard delivery is legal: arrival-now ≥ flowDelay, the
 	// path's propagation, which is at least the engine lookahead.
 	eng.SendTo(peer.node.eng, arrival.Sub(eng.Now()),

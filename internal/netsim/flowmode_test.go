@@ -60,7 +60,7 @@ func flowTransfer(t *testing.T, flow bool, msgs, size int) (simcore.Time, int64)
 	if done == 0 {
 		t.Fatal("transfer incomplete")
 	}
-	return done, nw.Stats.PacketsSent
+	return done, hopsSent(nw)
 }
 
 func TestFlowModeDeliversInOrder(t *testing.T) {

@@ -156,7 +156,7 @@ func TestEndpointsOnFirstUse(t *testing.T) {
 	if err := eng.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if got := nw.Stats.PacketsDelivered; got != 3 {
+	if got := nw.TotalStats().PacketsDelivered; got != 3 {
 		t.Fatalf("delivered %d packets, want 3", got)
 	}
 	if a.ep != nil || b.ep != nil {

@@ -93,11 +93,10 @@ type Network struct {
 	hier       *hier
 	routeEpoch int64
 	routeMu    sync.Mutex
-	// Stats is the counter bucket for nodes on the default engine — the
-	// whole network in an unpartitioned run, so existing callers read it
-	// directly. engStats buckets nodes moved to other engines; TotalStats
-	// sums everything.
-	Stats    NetStats
+	// stats is the counter bucket for nodes on the default engine;
+	// engStats buckets nodes moved to other engines. TotalStats sums
+	// them and is the one way to read the counters.
+	stats    NetStats
 	engStats map[*simcore.Engine]*NetStats
 	// pool is the packet/hop free list shared by nodes on the default
 	// engine; engPools holds one per additional engine. A packet freed on
@@ -141,20 +140,18 @@ func (n *Network) poolFor(eng *simcore.Engine) *pktPool {
 	return p
 }
 
-// NetStats aggregates counters across the network.
-//
-// PacketsSent counts per-hop serialization completions, so a packet
-// crossing three links counts three times; the conservation identity the
-// oracle checks therefore uses PacketsOriginated, which counts each
-// packet exactly once when the origin node accepts it:
+// NetStats counts packet outcomes across the network. It counts each
+// packet once, where its life begins and where it ends, never per hop:
+// a hop's serialization is counted on its link direction (Link.Stats
+// Sent). PacketsOriginated counts a packet when its origin node accepts
+// it, so at quiescence
 //
 //	PacketsOriginated = PacketsDelivered + PacketsDropped +
 //	                    PacketsLost + PacketsAborted
 //
-// at quiescence (every terminal point of a packet's life increments
-// exactly one right-hand counter).
+// (every terminal point of a packet's life increments exactly one
+// right-hand counter). The oracle checks this identity.
 type NetStats struct {
-	PacketsSent      int64
 	PacketsDelivered int64
 	PacketsDropped   int64
 	PacketsLost      int64 // random loss injection
@@ -162,15 +159,14 @@ type NetStats struct {
 	// origin (loopback included); it is the conservation left-hand side.
 	PacketsOriginated int64
 	// PacketsAborted counts in-flight packets invalidated by a link
-	// failure epoch bump — lost to the failure, but after the serializer
-	// already counted them Sent, so they are neither Dropped nor Lost.
+	// failure epoch bump, while serializing or propagating — lost to the
+	// failure, so they are neither Dropped nor Lost.
 	PacketsAborted int64
 	BytesDelivered int64
 }
 
 // add accumulates o into s.
 func (s *NetStats) add(o NetStats) {
-	s.PacketsSent += o.PacketsSent
 	s.PacketsDelivered += o.PacketsDelivered
 	s.PacketsDropped += o.PacketsDropped
 	s.PacketsLost += o.PacketsLost
@@ -191,7 +187,7 @@ func New(eng *simcore.Engine) *Network {
 // statsFor returns the counter bucket for nodes running on eng.
 func (n *Network) statsFor(eng *simcore.Engine) *NetStats {
 	if eng == n.eng {
-		return &n.Stats
+		return &n.stats
 	}
 	if n.engStats == nil {
 		n.engStats = make(map[*simcore.Engine]*NetStats)
@@ -207,7 +203,7 @@ func (n *Network) statsFor(eng *simcore.Engine) *NetStats {
 // TotalStats sums every engine's counter bucket. All fields are plain
 // sums, so the result is independent of how the network was partitioned.
 func (n *Network) TotalStats() NetStats {
-	t := n.Stats
+	t := n.stats
 	for _, s := range n.engStats {
 		t.add(*s)
 	}
@@ -444,7 +440,7 @@ func (n *Network) addNode(name string, addr Addr, router bool) *Node {
 	// Fields are set one by one on the zeroed element: a composite
 	// literal would stage the whole Node on the stack first.
 	nd.net, nd.Name, nd.Addr, nd.Router = n, name, addr, router
-	nd.eng, nd.stats, nd.pool = n.eng, &n.Stats, &n.pool
+	nd.eng, nd.stats, nd.pool = n.eng, &n.stats, &n.pool
 	nd.idx = int32(len(n.all))
 	n.all = append(n.all, nd)
 	n.routed = false

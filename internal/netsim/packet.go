@@ -295,7 +295,6 @@ func (h *hopEvent) fire() {
 		c.Sent++
 		c.BytesSent += int64(h.pkt.Size)
 		c.busyTime += h.txTime
-		c.src.stats.PacketsSent++
 		if rec := c.src.eng.Recorder(); rec.Enabled(trace.CatNet) {
 			// Serialization occupies [now-txTime, now]; propagation follows.
 			rec.Hop(int64(c.src.eng.Now())-int64(h.txTime), int64(h.txTime), int64(h.pkt.Size),

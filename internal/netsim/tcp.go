@@ -100,15 +100,6 @@ type Message struct {
 	Payload any
 }
 
-// ConnStats counts transport events on one connection endpoint.
-type ConnStats struct {
-	MsgsSent     int64
-	BytesSent    int64
-	SegmentsSent int64
-	Retransmits  int64
-	AcksReceived int64
-}
-
 // Conn is one endpoint of a reliable, ordered, message-framed stream over
 // the simulated network, with TCP-Reno-like congestion control: slow start,
 // congestion avoidance, fast retransmit/recovery and RTO with exponential
@@ -158,7 +149,6 @@ type Conn struct {
 	flowPath      int8 // 0: unchecked, 1: all-flow, -1: has packet links
 
 	closed bool
-	Stats  ConnStats
 }
 
 func newConn(n *Node, key connKey) *Conn {
@@ -359,8 +349,6 @@ func (c *Conn) Send(p *simcore.Proc, size int, payload any) error {
 	if c.closed {
 		return ErrClosed
 	}
-	c.Stats.MsgsSent++
-	c.Stats.BytesSent += int64(size)
 	if c.connFlow() {
 		return c.flowSend(size, payload)
 	}
@@ -610,7 +598,7 @@ func (c *Conn) trySend() {
 			// the window always admits the (possibly partial) segment.
 			seg = avail
 		}
-		c.sendSegment(c.sndNxt, int(seg), false)
+		c.sendSegment(c.sndNxt, int(seg))
 		c.sndNxt += seg
 	}
 	if c.sndUna == c.sndEnd {
@@ -618,7 +606,7 @@ func (c *Conn) trySend() {
 	}
 }
 
-func (c *Conn) sendSegment(seq int64, length int, retransmit bool) {
+func (c *Conn) sendSegment(seq int64, length int) {
 	pkt := c.node.newPacket()
 	*pkt = Packet{
 		Src: c.node.Addr, Dst: c.key.remote,
@@ -628,10 +616,6 @@ func (c *Conn) sendSegment(seq int64, length int, retransmit bool) {
 		Seq:    seq,
 		tsSent: c.node.eng.Now(),
 		hasTS:  true,
-	}
-	c.Stats.SegmentsSent++
-	if retransmit {
-		c.Stats.Retransmits++
 	}
 	_ = c.node.sendPacket(pkt)
 	c.armRTO()
@@ -727,7 +711,6 @@ func (c *Conn) onACK(pkt *Packet) {
 	if pkt.Ack == -1 { // handshake-completing ACK (server side)
 		return
 	}
-	c.Stats.AcksReceived++
 	// RTT sample from the echoed timestamp.
 	if pkt.hasTS {
 		sample := c.node.eng.Now().Sub(pkt.tsSent).Seconds()
@@ -810,7 +793,7 @@ func (c *Conn) retransmitFirst() {
 	if length <= 0 {
 		return
 	}
-	c.sendSegment(c.sndUna, int(length), true)
+	c.sendSegment(c.sndUna, int(length))
 }
 
 func (c *Conn) onData(pkt *Packet) {

@@ -14,8 +14,6 @@ import (
 
 // TrafficGen is a running background-traffic source.
 type TrafficGen struct {
-	// Sent counts datagrams emitted.
-	Sent    int64
 	stopped bool
 }
 
@@ -42,7 +40,6 @@ func StartCBR(src, dst *Node, port Port, rateBps float64, pktBytes int) (*Traffi
 			if err := src.SendDatagram(dst.Addr, 0, port, pktBytes, nil); err != nil {
 				return
 			}
-			g.Sent++
 		}
 	})
 	pr.SetDaemon(true)

@@ -9,7 +9,7 @@ import (
 
 func TestCBRRate(t *testing.T) {
 	eng := simcore.NewEngine(1)
-	_, a, b := twoHosts(eng, LinkConfig{BandwidthBps: 100e6, Delay: simcore.Millisecond})
+	nw, a, b := twoHosts(eng, LinkConfig{BandwidthBps: 100e6, Delay: simcore.Millisecond})
 	got, bytes := CountingSink(b, 7)
 	gen, err := StartCBR(a, b, 7, 8e6, 1000) // 8 Mb/s of 1000B packets = 1000 pkt/s
 	if err != nil {
@@ -29,8 +29,8 @@ func TestCBRRate(t *testing.T) {
 	if *bytes != *got*1000 {
 		t.Fatalf("bytes = %d", *bytes)
 	}
-	if gen.Sent < 1995 {
-		t.Fatalf("sent = %d", gen.Sent)
+	if sent := nw.Links()[0].Stats()[0].Sent; sent < 1995 {
+		t.Fatalf("a->b sent %d packets, want ≥1995", sent)
 	}
 }
 

@@ -8,8 +8,6 @@ type Mutex struct {
 	cond  *Cond
 	held  bool
 	owner *Proc
-	// Contentions counts Lock calls that had to wait.
-	Contentions int64
 }
 
 // NewMutex returns an unlocked mutex bound to eng.
@@ -21,7 +19,6 @@ func NewMutex(eng *Engine) *Mutex {
 // is FIFO among waiters.
 func (m *Mutex) Lock(p *Proc) {
 	if m.held {
-		m.Contentions++
 		for {
 			m.cond.Wait(p)
 			if !m.held {

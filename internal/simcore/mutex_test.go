@@ -33,8 +33,9 @@ func TestMutexExclusion(t *testing.T) {
 	if m.held {
 		t.Fatal("mutex left held")
 	}
-	if m.Contentions == 0 {
-		t.Fatal("no contention recorded despite 5 workers")
+	// 5 workers × 10 holds × 1 ms: every holder waited its turn.
+	if e.Now() != Time(50*Millisecond) {
+		t.Fatalf("run ended at %v, want 50ms", e.Now())
 	}
 }
 
