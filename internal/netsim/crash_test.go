@@ -84,6 +84,56 @@ func TestDialCrashedNodeRefused(t *testing.T) {
 	}
 }
 
+// A dial across a downed link retries its SYN on the retry timer: it
+// connects once the link comes back within maxSynRetries tries, and is
+// refused when the first SYN plus maxSynRetries-1 retries find no route.
+func TestDialAcrossDownLinkRetries(t *testing.T) {
+	for _, c := range []struct {
+		name   string
+		upAt   simcore.Duration // 0: the link stays down
+		wantAt simcore.Time
+		want   error
+	}{
+		// The link is back before the third SYN, sent at 2 s.
+		{"comes-back", 1500 * simcore.Millisecond, simcore.Time(2 * simcore.Second), nil},
+		{"stays-down", 0, simcore.Time(maxSynRetries * synRetryInterval), ErrRefused},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			eng := simcore.NewEngine(1)
+			nw := New(eng)
+			a := nw.AddHost("a", MustParseAddr("10.0.0.1"))
+			b := nw.AddHost("b", MustParseAddr("10.0.0.2"))
+			l := nw.Connect(a, b, crashLink)
+			nw.ComputeRoutes()
+			if _, err := b.Listen(5000); err != nil {
+				t.Fatal(err)
+			}
+			l.SetDown(true)
+			if c.upAt > 0 {
+				eng.After(c.upAt, func() { l.SetDown(false) })
+			}
+			var dialErr error
+			var doneAt simcore.Time
+			eng.Spawn("client", func(p *simcore.Proc) {
+				_, dialErr = a.Dial(p, b.Addr, 5000)
+				doneAt = p.Now()
+			})
+			if err := eng.Run(); err != nil {
+				t.Fatalf("Run: %v", err)
+			}
+			if dialErr != c.want {
+				t.Fatalf("dial error = %v, want %v", dialErr, c.want)
+			}
+			// A connect completes one round trip after the SYN that got
+			// through; a refusal comes exactly when the last retry times out.
+			if c.want == nil && (doneAt < c.wantAt || doneAt > c.wantAt+simcore.Time(10*simcore.Millisecond)) ||
+				c.want != nil && doneAt != c.wantAt {
+				t.Errorf("dial returned at %v, want at %v", doneAt, c.wantAt)
+			}
+		})
+	}
+}
+
 // A node restored after a crash accepts fresh connections.
 func TestCrashRebootFreshConnections(t *testing.T) {
 	eng := simcore.NewEngine(1)

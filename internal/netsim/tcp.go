@@ -198,7 +198,9 @@ func (n *Node) ephemeralPort() Port {
 }
 
 // Dial opens a stream connection to dst:dstPort, blocking through the
-// SYN/SYN-ACK handshake (with SYN retries under loss).
+// SYN/SYN-ACK handshake (with SYN retries under loss or while no route
+// leads to dst). It returns ErrRefused when the handshake has not
+// completed after maxSynRetries SYNs, or at once from a crashed node.
 func (n *Node) Dial(p *simcore.Proc, dst Addr, dstPort Port) (*Conn, error) {
 	if n.net.NodeByAddr(dst) == nil {
 		return nil, fmt.Errorf("netsim: dial %v: unknown address", dst)
@@ -225,7 +227,10 @@ func (c *Conn) sendSYN() {
 		Kind: kindSYN, Size: HeaderBytes,
 		Payload: c,
 	}
-	if err := c.node.sendPacket(pkt); err != nil {
+	// Only a crashed local node refuses at once. A SYN with no route (a
+	// link on the path is down) counts as lost and is retried on the
+	// timer below, so the dial succeeds if the path comes back in time.
+	if err := c.node.sendPacket(pkt); err != nil && c.node.crashed {
 		c.closed = true
 		c.estCond.Broadcast()
 		return

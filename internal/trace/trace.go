@@ -13,16 +13,18 @@
 // records are overwritten and a dropped-events counter advances. The
 // counter is part of every export — truncation is never silent. Every
 // record writes an 8-byte head into one ring: an engine dispatch's head
-// is its time, any other head holds its category and the index of its
-// first slot in a second ring of 48-byte slots with room for twice the
-// record capacity. A netsim hop writes its time, its duration and byte
-// count packed into one word, its link and its packet kind into one
-// slot; every other record writes its fields straight into two. So the
-// two records a fully traced run is mostly made of cost 8 and 56 bytes
-// whether or not they survive to export. Both rings are allocated in
-// fixed-length chunks the first time a record lands in each, so a ring
-// costs memory for the records it has held rather than for its
-// capacity.
+// is its time, any other head holds its category and a reference to its
+// first slot in a cycle of 48-byte slots. A netsim hop writes its time,
+// its duration and byte count packed into one word, its link and its
+// packet kind into one slot; every other record writes its fields
+// straight into two. So the two records a fully traced run is mostly
+// made of cost 8 and 56 bytes whether or not they survive to export.
+// Heads are allocated in fixed-length chunks the first time a record
+// lands in each. Slots are allocated in chunks of the same length, and
+// a slot chunk is reused once no retained record holds a slot in it, so
+// slot memory follows the slots the retained records hold. A ring thus
+// costs memory for what it retains rather than for its capacity, and
+// never more than 104 bytes per record of capacity.
 //
 // Recording is gated per category by a bitmask with a strict
 // zero-overhead-when-disabled fast path: a nil recorder or a masked-out
@@ -181,38 +183,37 @@ type Recorder struct {
 	sink func(Event)
 	// heads holds one head per record, size of them. slots holds the
 	// rest of every record that is not an engine dispatch, in emission
-	// order: one slot for a hop, two for any other record. It has 2*size
-	// elements: a retained record is followed by at most size-1 records,
-	// hence by at most 2*size-2 slot writes, so its slots are never
-	// reused while its head is retained.
-	heads ring[head]
-	slots ring[slot]
+	// order: one slot for a hop, two for any other record. It keeps
+	// chunks only for the slots retained records hold, plus the one
+	// being written, and never more than 2*size slots.
+	heads ring
+	slots slotCycle
 	seq   uint64
 }
 
 // head is the part of a record every record stores, one word. A
 // dispatch's head is its virtual time (a dispatch at a negative time
 // takes the generic form instead). Any other head has headTagged set and
-// holds the record's category in its low 32 bits, the index of its
-// first slot from bit slotShift, and headHop when the record is a hop,
-// which takes one slot. Its Seq is implied by the ring position (the
-// i-th oldest retained record is dropped+i+1).
+// holds the record's category in its low 32 bits, the reference of its
+// first slot (see slotCycle) from bit slotShift, and headHop when the
+// record is a hop, which takes one slot. Its Seq is implied by the ring
+// position (the i-th oldest retained record is dropped+i+1).
 type head uint64
 
 const (
 	headTagged head = 1 << 63
 	headHop    head = 1 << 62
 	slotShift       = 32
-	// slotMask covers a slot index, which is below 2*MaxBufSize.
+	// slotMask covers a slot reference, which is below 2*MaxBufSize.
 	slotMask = 1<<30 - 1
 )
 
 // slot holds a record's fields beyond its head. A hop fills one:
 // a is its start, b its Dur and Bytes packed as Dur<<hopBytesBits|Bytes,
 // s0 its link and s1 its detail. Any other record that is not a
-// dispatch fills two in a row, the second wrapping to index 0 past the
-// ring's end: T, Dur, Name, Host; then Bytes, Rank<<32|Peer as two
-// 32-bit halves, Link, Detail.
+// dispatch fills two in a row, the second at the start of the next chunk
+// in the cycle when the first ends a chunk: T, Dur, Name, Host; then
+// Bytes, Rank<<32|Peer as two 32-bit halves, Link, Detail.
 type slot struct {
 	a      int64
 	b      uint64
@@ -239,55 +240,52 @@ func (r *Recorder) event(h head, seq uint64) Event {
 		return Event{T: s.a, Seq: seq, Cat: Category(h), Name: "hop", Link: s.s0,
 			Bytes: int64(s.b & (1<<hopBytesBits - 1)), Dur: int64(s.b >> hopBytesBits), Detail: s.s1}
 	}
-	if i++; i == r.slots.size {
-		i = 0
-	}
-	s2 := r.slots.at(i)
+	s2 := r.slots.after(i)
 	return Event{T: s.a, Seq: seq, Cat: Category(h), Name: s.s0,
 		Host: s.s1, Link: s2.s0, Rank: int(int32(s2.b >> 32)), Peer: int(int32(s2.b)),
 		Bytes: s2.a, Dur: int64(s.b), Detail: s2.s1}
 }
 
-// ring is a circular array of size elements, stored in chunks of
-// chunkLen (the last may be shorter). A chunk is allocated when the
-// first element lands in it, so a ring costs memory only for the
-// elements it has held.
-type ring[E any] struct {
-	chunks [][]E
+// ring is the circular array of a recorder's heads, size of them, stored
+// in chunks of chunkLen (the last may be shorter). A chunk is allocated
+// when the first head lands in it, so a ring costs memory only for the
+// heads it has held.
+type ring struct {
+	chunks [][]head
 	size   int
-	ci     int // index of the chunk the write cursor is in
-	cur    []E // chunks[ci]
-	off    int // write cursor: the next element goes to cur[off]
+	ci     int    // index of the chunk the write cursor is in
+	cur    []head // chunks[ci]
+	off    int    // write cursor: the next head goes to cur[off]
 }
 
-// chunkLen is a ring's allocation unit in elements (16 KB of heads and
-// 96 KB of slots a chunk).
+// chunkLen is the allocation unit of heads and slots in elements (16 KB
+// of heads and 96 KB of slots a chunk).
 const chunkLen = 2048
 
-func newRing[E any](size int) ring[E] {
+func newRing(size int) ring {
 	n := (size + chunkLen - 1) / chunkLen
 	// The cursor starts at the end of the last chunk, so the first
-	// element wraps it to chunk 0.
-	return ring[E]{chunks: make([][]E, n), size: size, ci: n - 1}
+	// head wraps it to chunk 0.
+	return ring{chunks: make([][]head, n), size: size, ci: n - 1}
 }
 
 // nextChunk moves the write cursor to the start of the next chunk,
 // wrapping after the last, and allocates the chunk on its first use; the
 // last chunk is cut to fit the ring's size.
-func (q *ring[E]) nextChunk() {
+func (q *ring) nextChunk() {
 	if q.ci++; q.ci == len(q.chunks) {
 		q.ci = 0
 	}
 	if q.chunks[q.ci] == nil {
-		q.chunks[q.ci] = make([]E, min(chunkLen, q.size-q.ci*chunkLen))
+		q.chunks[q.ci] = make([]head, min(chunkLen, q.size-q.ci*chunkLen))
 	}
 	q.cur, q.off = q.chunks[q.ci], 0
 }
 
-// next returns the element under the write cursor, one past the last
+// next returns the head under the write cursor, one past the last
 // written (the oldest once the ring has wrapped), and advances the
 // cursor.
-func (q *ring[E]) next() *E {
+func (q *ring) next() *head {
 	if q.off == len(q.cur) {
 		q.nextChunk()
 	}
@@ -297,17 +295,111 @@ func (q *ring[E]) next() *E {
 
 // cursor is the index of the write cursor; it equals size when the
 // cursor sits at the end of the last chunk.
-func (q *ring[E]) cursor() int { return q.ci*chunkLen + q.off }
+func (q *ring) cursor() int { return q.ci*chunkLen + q.off }
 
-// at returns the element at index i.
-func (q *ring[E]) at(i int) *E { return &q.chunks[i/chunkLen][i%chunkLen] }
+// at returns the head at index i.
+func (q *ring) at(i int) *head { return &q.chunks[i/chunkLen][i%chunkLen] }
+
+// slotCycle holds the slots of the last keep records in a cycle of
+// chunks, written in order. A slot's reference is its chunk's id (the
+// chunk's position in allocation order) times chunkLen plus its offset,
+// and does not change while the slot is held.
+//
+// When the write cursor fills a chunk it moves on to the next chunk in
+// the cycle, the one written longest ago. That chunk is reused if no
+// retained record holds a slot in it: its newest writer, the last
+// record that wrote into it, is older than the last keep records. If it
+// is still held, a fresh chunk is spliced in after the cursor's, so
+// chunks follow what the retained records hold, not the capacity.
+// Chunks are allocated up to 2*keep slots in all, the last cut to fit;
+// from then on the cycle is reused in order like a fixed ring of 2*keep
+// slots. That is safe because a retained record is followed by at most
+// keep-1 records, hence by at most 2*keep-2 slot writes, and every slot
+// of a full cycle is rewritten only after 2*keep writes.
+type slotCycle struct {
+	chunks []slotChunk // by id
+	ci     int         // id of the chunk the write cursor is in
+	cur    []slot      // chunks[ci].s
+	off    int         // write cursor: the next slot goes to cur[off]
+	writer uint64      // seq of the newest record that has taken a slot
+	keep   uint64      // records retained: the recorder's size
+	room   int         // slots that may still be allocated
+}
+
+// slotChunk is one chunk of a slotCycle.
+type slotChunk struct {
+	s []slot
+	// next is the id of the chunk after this one in the cycle, and newest
+	// the seq of its newest writer, set when the write cursor leaves it.
+	next   int
+	newest uint64
+}
+
+func newSlotCycle(keep int) slotCycle {
+	return slotCycle{
+		chunks: make([]slotChunk, 0, (2*keep+chunkLen-1)/chunkLen),
+		keep:   uint64(keep), room: 2 * keep,
+	}
+}
+
+// next returns the slot under the write cursor for record seq, and
+// advances the cursor. The caller sets writer to seq once the record has
+// taken its first slot.
+func (q *slotCycle) next(seq uint64) *slot {
+	if q.off == len(q.cur) {
+		q.nextChunk(seq)
+	}
+	q.off++
+	return &q.cur[q.off-1]
+}
+
+// nextChunk moves the write cursor from its full chunk to the start of
+// the next chunk in the cycle, which record seq is about to write into,
+// or to a fresh chunk spliced in before it while that one is still held.
+func (q *slotCycle) nextChunk(seq uint64) {
+	if len(q.chunks) > 0 {
+		c := &q.chunks[q.ci]
+		c.newest = q.writer
+		// Record seq has overwritten the head of record seq-keep, so the
+		// chunk is free when its newest writer is no later than that.
+		if n := c.next; q.room == 0 || q.chunks[n].newest+q.keep <= seq {
+			q.ci, q.cur, q.off = n, q.chunks[n].s, 0
+			return
+		}
+	}
+	id := len(q.chunks)
+	fresh := slotChunk{s: make([]slot, min(chunkLen, q.room)), next: id}
+	q.room -= len(fresh.s)
+	if id > 0 {
+		fresh.next, q.chunks[q.ci].next = q.chunks[q.ci].next, id
+	}
+	q.chunks = append(q.chunks, fresh)
+	q.ci, q.cur, q.off = id, fresh.s, 0
+}
+
+// ref is the reference of the slot next last returned.
+func (q *slotCycle) ref() int { return q.ci*chunkLen + q.off - 1 }
+
+// at returns the slot with reference i.
+func (q *slotCycle) at(i int) *slot { return &q.chunks[i/chunkLen].s[i%chunkLen] }
+
+// after returns the slot written right after the one with reference i:
+// the next in its chunk, or the first of the chunk after it in the cycle.
+func (q *slotCycle) after(i int) *slot {
+	c := &q.chunks[i/chunkLen]
+	if j := i%chunkLen + 1; j < len(c.s) {
+		return &c.s[j]
+	}
+	return &q.chunks[c.next].s[0]
+}
 
 // DefaultBufSize is the default ring capacity in events.
 const DefaultBufSize = 1 << 16
 
 // MaxBufSize is the largest ring capacity in events. Sizes arrive from
 // scenario files, command-line flags and HTTP bodies, which validate
-// against it; a full ring of this size holds about 1.7 GB.
+// against it. A full ring of this size holds about 1.7 GB, and its slot
+// references, below 2*MaxBufSize, fit a head's 30-bit field.
 const MaxBufSize = 1 << 24
 
 // NewRecorder returns a recorder with the given ring capacity
@@ -322,7 +414,7 @@ func NewRecorder(size int, mask Category) *Recorder {
 	if size > MaxBufSize {
 		panic(fmt.Sprintf("trace: ring of %d events exceeds MaxBufSize (%d)", size, MaxBufSize))
 	}
-	return &Recorder{mask: mask, heads: newRing[head](size), slots: newRing[slot](2 * size)}
+	return &Recorder{mask: mask, heads: newRing(size), slots: newSlotCycle(size)}
 }
 
 // SetClock installs the virtual-time source (the owning engine's now).
@@ -405,8 +497,9 @@ func (r *Recorder) Hop(start, dur, bytes int64, link, detail string) {
 		return
 	}
 	r.seq++
-	h, s := r.heads.next(), r.slots.next()
-	*h = headTagged | headHop | head(r.slots.cursor()-1)<<slotShift | head(CatNet)
+	h, s := r.heads.next(), r.slots.next(r.seq)
+	r.slots.writer = r.seq
+	*h = headTagged | headHop | head(r.slots.ref())<<slotShift | head(CatNet)
 	s.a, s.b, s.s0, s.s1 = start, uint64(dur)<<hopBytesBits|uint64(bytes), link, detail
 	if r.sink != nil {
 		r.sink(r.event(*h, r.seq))
@@ -424,10 +517,11 @@ func (r *Recorder) record(t, dur int64, cat Category, name string, a *Attr) {
 		panic(fmt.Sprintf("trace: Attr.Peer %d does not fit in 32 bits", a.Peer))
 	}
 	r.seq++
-	h, s := r.heads.next(), r.slots.next()
-	*h = headTagged | head(r.slots.cursor()-1)<<slotShift | head(cat)
+	h, s := r.heads.next(), r.slots.next(r.seq)
+	r.slots.writer = r.seq
+	*h = headTagged | head(r.slots.ref())<<slotShift | head(cat)
 	s.a, s.b, s.s0, s.s1 = t, uint64(dur), name, a.Host
-	s = r.slots.next()
+	s = r.slots.next(r.seq)
 	s.a, s.b, s.s0, s.s1 = a.Bytes, uint64(uint32(a.Rank))<<32|uint64(uint32(a.Peer)), a.Link, a.Detail
 	if r.sink != nil {
 		r.sink(r.event(*h, r.seq))
